@@ -4,12 +4,27 @@
 // greedy fallback — together with the evaluated baselines QUICKG (OLIVE
 // with an empty plan), FULLG (exact per-request embedding) and SLOTOFF
 // (per-slot offline re-optimization, §IV-A).
+//
+// PREEMPT (Alg. 2 l. 35–38) does not scan the active set. An engine with a
+// plan keeps a borrower index: per substrate element, the active
+// non-planned allocations whose embedding uses it, maintained on ALLOCATE,
+// on every release (departure, ReleaseByID, preemption) and rebuilt on
+// SwapPlan, which turns every active request into a borrower. A preemption
+// scores only the borrowers listed under its deficit elements. That is
+// bit-identical to scoring every non-planned request in ID order: a
+// borrower off the deficit elements has relief exactly zero, zero relief is
+// never chosen, and among the others the max-relief pick breaks ties on the
+// lowest request ID with each relief summed in UnitUse order — so the cost
+// of a request no longer depends on how many requests are active. Engines
+// without a plan never preempt and never build the index.
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/olive-vne/olive/internal/embedder"
 	"github.com/olive-vne/olive/internal/graph"
@@ -89,10 +104,29 @@ type Engine struct {
 	active  map[int]*activeReq
 	depHeap departureHeap
 	now     int
+	// maxID is the highest request ID ever made active. Traces number
+	// requests in arrival order, so an arrival above it is new without a
+	// map lookup.
+	maxID int
 
-	// Preemption scratch, reused across Process calls.
-	preDeficit map[graph.ElementID]float64
+	// borrowers is the per-substrate-element index of the active
+	// non-planned allocations (R_DONE \ R_PLAN), indexed by ElementID:
+	// every borrower is listed once under each element of its embedding,
+	// so PREEMPT reads its candidates off the deficit elements' lists
+	// instead of scanning the active set. Nil for an engine without a
+	// plan (QUICKG, FULLG), which never preempts.
+	borrowers []borrowerList
+
+	// Preemption scratch, reused across Process calls. preDeficit is the
+	// dense per-element deficit (zero = no deficit), all-zero between
+	// calls; preTouched lists the elements a call set. Allocated with the
+	// index.
+	preDeficit []float64
+	preTouched []graph.ElementID
 	preCands   []*activeReq
+	preChosen  []*activeReq
+	preEpoch   uint64
+	preStats   PreemptStats
 
 	// freeReqs recycles activeReq records between departure and the next
 	// arrival, so steady-state churn allocates none.
@@ -100,11 +134,60 @@ type Engine struct {
 }
 
 type activeReq struct {
-	req      workload.Request
-	emb      *vnet.Embedding
+	req workload.Request
+	emb *vnet.Embedding // nil once released (the record sits in freeReqs)
+	// mark is the last index walk (Engine.preEpoch) that collected this
+	// record, so that a walk takes it once however often it is listed.
+	mark     uint64
+	classIdx int32 // -1 for non-planned
+	shareIdx int32
 	planned  bool
-	classIdx int // -1 for non-planned
-	shareIdx int
+}
+
+// borrows reports whether ar is an active non-planned allocation whose
+// embedding uses element x — what an entry of x's borrower list claims.
+func (ar *activeReq) borrows(x graph.ElementID) bool {
+	if ar.emb == nil || ar.planned {
+		return false
+	}
+	for _, u := range ar.emb.UnitUse() {
+		if u.Elem == x {
+			return true
+		}
+	}
+	return false
+}
+
+// borrowerList holds the borrowers of one substrate element x. Deletion is
+// lazy. Nothing is unlinked when a borrower is released: an entry counts
+// only while its record borrows(x), and a walk takes each record once, so
+// an entry left behind by a released request is skipped — also after its
+// record was recycled, whatever it then holds (a planned request, a
+// borrower elsewhere, or a borrower of x again, which merely lists it
+// twice). dead counts those left-behind entries; the list is compacted as
+// soon as they are the majority, so its length stays within twice its live
+// entries (plus one) at O(1) amortized per release. The backing array,
+// like the engine's other buffers, keeps its high-water capacity —
+// SwapPlan refills it without allocating.
+type borrowerList struct {
+	refs []*activeReq
+	dead int
+}
+
+// PreemptStats counts PREEMPT's work since the engine was built — plain
+// integers, a pure function of the request sequence.
+type PreemptStats struct {
+	// Calls is the number of PREEMPT invocations (a planned allocation
+	// found its substrate capacity borrowed).
+	Calls int
+	// Failed counts the calls that could not clear the deficit and
+	// preempted nothing.
+	Failed int
+	// CandidatesScored is the number of relief evaluations: every greedy
+	// round scores each remaining borrower of a deficit element once.
+	CandidatesScored int
+	// Victims is the number of requests preempted.
+	Victims int
 }
 
 type departure struct {
@@ -188,18 +271,28 @@ func NewEngineOn(oracle *embedder.Oracle, apps []*vnet.App, opts Options) (*Engi
 		st:     st,
 		oracle: oracle,
 		active: make(map[int]*activeReq),
+		maxID:  math.MinInt,
 	}
-	if !opts.Plan.Empty() {
-		e.shareRes = make([][]float64, len(opts.Plan.Classes))
-		for i, cp := range opts.Plan.Classes {
-			rs := make([]float64, len(cp.Shares))
-			for j, s := range cp.Shares {
-				rs[j] = s.Fraction * cp.Class.Demand
-			}
-			e.shareRes[i] = rs
-		}
-	}
+	e.shareRes = planResiduals(opts.Plan)
+	e.resetBorrowerIndex()
 	return e, nil
+}
+
+// planResiduals returns the full residual plan (Eq. 17) of p: each
+// share's planned demand. Nil for an empty plan.
+func planResiduals(p *plan.Plan) [][]float64 {
+	if p.Empty() {
+		return nil
+	}
+	res := make([][]float64, len(p.Classes))
+	for i, cp := range p.Classes {
+		rs := make([]float64, len(cp.Shares))
+		for j, s := range cp.Shares {
+			rs[j] = s.Fraction * cp.Class.Demand
+		}
+		res[i] = rs
+	}
+	return res
 }
 
 // Algorithm returns which named algorithm this engine realizes.
@@ -247,15 +340,19 @@ func (e *Engine) StartSlot(t int) {
 }
 
 func (e *Engine) release(ar *activeReq) {
-	e.st.Release(ar.emb, ar.req.Demand)
+	// Dropping the embedding pointer is what kills the record's borrower
+	// index entries, and it keeps the free list from pinning released
+	// embeddings; req stays readable because preempt reports IDs right
+	// after releasing.
+	emb := ar.emb
+	ar.emb = nil
+	e.st.Release(emb, ar.req.Demand)
 	if ar.planned {
 		e.shareRes[ar.classIdx][ar.shareIdx] += ar.req.Demand
+	} else if e.borrowers != nil {
+		e.retireBorrower(emb)
 	}
 	delete(e.active, ar.req.ID)
-	// Recycle the record. The embedding pointer is dropped so the free
-	// list cannot pin released embeddings; req stays readable because
-	// preempt reports IDs right after releasing.
-	ar.emb = nil
 	e.freeReqs = append(e.freeReqs, ar)
 }
 
@@ -276,10 +373,20 @@ func (e *Engine) ReleaseByID(id int) bool {
 
 // Process handles one arriving request (Alg. 2 lines 6–16) and returns
 // the outcome. Requests must be fed in arrival order, interleaved with
-// StartSlot calls.
+// StartSlot calls. A request whose app is unknown, or whose ID is still
+// active, is an error and leaves the engine untouched.
+//
+//olive:hotpath per-request decision entry point; only Outcome.Preempted may allocate
 func (e *Engine) Process(r workload.Request) (Outcome, error) {
 	if r.App < 0 || r.App >= len(e.apps) {
-		return Outcome{}, fmt.Errorf("core: request %d references app %d of %d", r.ID, r.App, len(e.apps))
+		return Outcome{}, errUnknownApp(r, len(e.apps))
+	}
+	if r.ID <= e.maxID {
+		if _, dup := e.active[r.ID]; dup {
+			// Overwriting the record would strand the first allocation:
+			// its capacity could never be released (nor its index entries).
+			return Outcome{}, errDuplicateID(r.ID)
+		}
 	}
 	var out Outcome
 
@@ -307,7 +414,26 @@ func (e *Engine) Process(r workload.Request) (Outcome, error) {
 		return out, nil // rejected (Alg. 2 line 15)
 	}
 
-	// ALLOCATE (Alg. 2 lines 18–22).
+	e.allocate(r, emb, planned, classIdx, shareIdx)
+	out.Accepted = true
+	out.Planned = planned
+	out.Emb = emb
+	return out, nil
+}
+
+// Error construction lives outside the annotated hot path (fmt allocates).
+func errUnknownApp(r workload.Request, apps int) error {
+	return fmt.Errorf("core: request %d references app %d of %d", r.ID, r.App, apps)
+}
+
+func errDuplicateID(id int) error {
+	return fmt.Errorf("core: request %d is still active", id)
+}
+
+// allocate implements ALLOCATE (Alg. 2 lines 18–22): charge the substrate
+// and, for a planned allocation, the residual plan; record the request as
+// active — and, under a plan, a non-planned one as a borrower.
+func (e *Engine) allocate(r workload.Request, emb *vnet.Embedding, planned bool, classIdx, shareIdx int) {
 	e.st.Apply(emb, r.Demand)
 	var ar *activeReq
 	if n := len(e.freeReqs); n > 0 {
@@ -318,15 +444,14 @@ func (e *Engine) Process(r workload.Request) (Outcome, error) {
 	}
 	*ar = activeReq{req: r, emb: emb, planned: planned, classIdx: -1, shareIdx: -1}
 	if planned {
-		ar.classIdx, ar.shareIdx = classIdx, shareIdx
+		ar.classIdx, ar.shareIdx = int32(classIdx), int32(shareIdx)
 		e.shareRes[classIdx][shareIdx] -= r.Demand
+	} else if e.borrowers != nil {
+		e.indexBorrower(ar)
 	}
 	e.active[r.ID] = ar
+	e.maxID = max(e.maxID, r.ID)
 	e.depHeap.push(departure{slot: r.Departs(), id: r.ID})
-	out.Accepted = true
-	out.Planned = planned
-	out.Emb = emb
-	return out, nil
 }
 
 // planEmbed implements PLANEMBED (Alg. 2 lines 23–30): full fit in the
@@ -392,47 +517,58 @@ func (e *Engine) planEmbed(r workload.Request) (emb *vnet.Embedding, planned boo
 
 // preempt implements PREEMPT (Alg. 2 lines 35–38): reject active
 // non-planned requests until the needed embedding fits, choosing at each
-// step the request that frees the most of the remaining deficit. Returns
-// the preempted request IDs (empty if preemption cannot help, in which
-// case nothing is preempted).
+// step the request that frees the most of the remaining deficit (ties to
+// the lowest request ID). Returns the preempted request IDs (empty if
+// preemption cannot help, in which case nothing is preempted).
+//
+// Candidates come from the borrower index — the borrowers of the deficit
+// elements — not from the whole active set. Any other borrower has relief
+// exactly zero (a sum over no elements) and a zero relief is never chosen,
+// so victims, their order and every float are those of a scan over all
+// active non-planned requests in ID order.
+//
+//olive:hotpath scratch-backed; only the returned ID slice allocates
 func (e *Engine) preempt(emb *vnet.Embedding, d float64) []int {
-	// Deficit per element, in the engine's reusable scratch map.
-	if e.preDeficit == nil {
-		e.preDeficit = make(map[graph.ElementID]float64)
-	}
+	e.preStats.Calls++
 	remaining := e.preDeficit
-	clear(remaining)
+	touched := e.preTouched[:0]
 	res := e.st.ResidualVec()
 	for _, u := range emb.UnitUse() {
 		if need := u.Amount*d - res[u.Elem]; need > 0 {
 			remaining[u.Elem] = need
+			touched = append(touched, u.Elem)
 		}
 	}
-	if len(remaining) == 0 {
+	e.preTouched = touched
+	if len(touched) == 0 {
 		return nil
 	}
-	// Candidates: active non-planned allocations (R_DONE \ R_PLAN), in
-	// the reusable candidate buffer.
+	// Candidates: the borrowers of the deficit elements, each once.
+	e.preEpoch++
 	cands := e.preCands[:0]
-	for _, ar := range e.active {
-		if !ar.planned {
-			cands = append(cands, ar)
+	for _, el := range touched {
+		for _, ar := range e.borrowers[el].refs {
+			if ar.mark != e.preEpoch && ar.borrows(el) {
+				ar.mark = e.preEpoch
+				cands = append(cands, ar)
+			}
 		}
 	}
 	e.preCands = cands
-	// Deterministic order, then greedy max-relief selection.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].req.ID < cands[j].req.ID })
 
-	var chosen []*activeReq
-	for len(remaining) > 0 {
-		bestIdx, bestRelief := -1, 0.0
+	// Greedy max-relief selection. The relief sum runs in UnitUse order.
+	chosen := e.preChosen[:0]
+	left, open := len(cands), len(touched)
+	for open > 0 {
+		e.preStats.CandidatesScored += left
+		best, bestRelief := -1, 0.0
 		for i, ar := range cands {
 			if ar == nil {
 				continue
 			}
 			var relief float64
 			for _, u := range ar.emb.UnitUse() {
-				if need, ok := remaining[u.Elem]; ok {
+				if need := remaining[u.Elem]; need > 0 {
 					rel := u.Amount * ar.req.Demand
 					if rel > need {
 						rel = need
@@ -440,39 +576,58 @@ func (e *Engine) preempt(emb *vnet.Embedding, d float64) []int {
 					relief += rel
 				}
 			}
-			if relief > bestRelief {
-				bestRelief, bestIdx = relief, i
+			if relief > bestRelief || (best >= 0 && relief == bestRelief && ar.req.ID < cands[best].req.ID) {
+				bestRelief, best = relief, i
 			}
 		}
-		if bestIdx < 0 {
-			clear(e.preCands)
-			return nil // preemption cannot clear the deficit
+		if best < 0 {
+			break // preemption cannot clear the deficit
 		}
-		ar := cands[bestIdx]
-		cands[bestIdx] = nil
+		ar := cands[best]
+		cands[best] = nil
+		left--
 		chosen = append(chosen, ar)
 		// Subtract the chosen request's relief in place; elements its
 		// embedding does not touch keep their deficit.
 		for _, u := range ar.emb.UnitUse() {
-			if need, ok := remaining[u.Elem]; ok {
+			if need := remaining[u.Elem]; need > 0 {
 				rel := u.Amount * ar.req.Demand
 				if need > rel {
 					remaining[u.Elem] = need - rel
 				} else {
-					delete(remaining, u.Elem)
+					remaining[u.Elem] = 0
+					open--
 				}
 			}
 		}
 	}
-	ids := make([]int, 0, len(chosen))
-	for _, ar := range chosen {
+	e.preChosen = chosen
+
+	var ids []int
+	if open == 0 {
+		ids = e.evict(chosen)
+	} else {
+		e.preStats.Failed++ // nothing is preempted
+	}
+	// Leave the scratch as found: deficits zero, and no retained pointer
+	// pinning a released request (or its embedding) until the next call.
+	for _, el := range touched {
+		remaining[el] = 0
+	}
+	clear(cands)
+	clear(chosen)
+	return ids
+}
+
+// evict releases the chosen victims in selection order and returns their
+// IDs — the one allocation of a successful PREEMPT.
+func (e *Engine) evict(victims []*activeReq) []int {
+	ids := make([]int, 0, len(victims))
+	for _, ar := range victims {
 		e.release(ar)
 		ids = append(ids, ar.req.ID)
 	}
-	// Drop the retained pointers: the backing array survives until the
-	// next preemption, and it must not pin released requests (and their
-	// embeddings) in memory meanwhile.
-	clear(e.preCands)
+	e.preStats.Victims += len(ids)
 	return ids
 }
 
@@ -605,23 +760,82 @@ func (e *Engine) exactEmbed(app *vnet.App, r workload.Request) *vnet.Embedding {
 // borrowers with respect to the new plan's guarantees.
 func (e *Engine) SwapPlan(p *plan.Plan) {
 	e.opts.Plan = p
-	if p.Empty() {
-		e.shareRes = nil
-	} else {
-		e.shareRes = make([][]float64, len(p.Classes))
-		for i, cp := range p.Classes {
-			rs := make([]float64, len(cp.Shares))
-			for j, s := range cp.Shares {
-				rs[j] = s.Fraction * cp.Class.Demand
-			}
-			e.shareRes[i] = rs
-		}
-	}
+	e.shareRes = planResiduals(p)
 	for _, ar := range e.active {
 		ar.planned = false
 		ar.classIdx, ar.shareIdx = -1, -1
 	}
+	e.resetBorrowerIndex()
 }
+
+// resetBorrowerIndex rebuilds the borrower index from the active set:
+// dropped for an engine without a plan, otherwise every non-planned active
+// request is listed afresh (after SwapPlan that is all of them). Insertion
+// runs in request-ID order so the lists' layout is a function of the
+// request sequence, not of map iteration.
+func (e *Engine) resetBorrowerIndex() {
+	if e.opts.Plan.Empty() {
+		e.borrowers, e.preDeficit = nil, nil
+		return
+	}
+	if e.borrowers == nil {
+		n := e.g.NumElements()
+		e.borrowers = make([]borrowerList, n)
+		e.preDeficit = make([]float64, n)
+	}
+	for i := range e.borrowers {
+		l := &e.borrowers[i]
+		clear(l.refs)
+		l.refs, l.dead = l.refs[:0], 0
+	}
+	ars := e.preCands[:0]
+	for _, ar := range e.active {
+		if !ar.planned {
+			ars = append(ars, ar)
+		}
+	}
+	slices.SortFunc(ars, func(a, b *activeReq) int { return cmp.Compare(a.req.ID, b.req.ID) })
+	for _, ar := range ars {
+		e.indexBorrower(ar)
+	}
+	clear(ars)
+	e.preCands = ars
+}
+
+// indexBorrower lists the non-planned allocation ar under every element
+// of its embedding.
+func (e *Engine) indexBorrower(ar *activeReq) {
+	for _, u := range ar.emb.UnitUse() {
+		l := &e.borrowers[u.Elem]
+		l.refs = append(l.refs, ar)
+	}
+}
+
+// retireBorrower accounts for the entries a just-released borrower with
+// embedding emb leaves behind, and compacts each list in which such
+// entries now outnumber the live ones.
+func (e *Engine) retireBorrower(emb *vnet.Embedding) {
+	for _, u := range emb.UnitUse() {
+		l := &e.borrowers[u.Elem]
+		l.dead++
+		if 2*l.dead <= len(l.refs) {
+			continue
+		}
+		e.preEpoch++
+		live := l.refs[:0]
+		for _, ar := range l.refs {
+			if ar.mark != e.preEpoch && ar.borrows(u.Elem) {
+				ar.mark = e.preEpoch
+				live = append(live, ar)
+			}
+		}
+		clear(l.refs[len(live):]) // the tail must not pin released records
+		l.refs, l.dead = live, 0
+	}
+}
+
+// PreemptStats returns the engine's PREEMPT counters.
+func (e *Engine) PreemptStats() PreemptStats { return e.preStats }
 
 // PlannedResidual returns the remaining planned capacity (demand units)
 // of the class serving (app, ingress); zero when the plan has no such
@@ -639,8 +853,9 @@ func (e *Engine) PlannedResidual(app int, ingress graph.NodeID) float64 {
 }
 
 // CheckInvariants verifies internal consistency: residuals non-negative
-// and consistent with the set of active allocations. Used by tests and
-// failure-injection harnesses.
+// and consistent with the set of active allocations, plan residuals within
+// their shares, and the borrower index an exact image of the active
+// non-planned requests. Used by tests and failure-injection harnesses.
 func (e *Engine) CheckInvariants() error {
 	recomputed := e.g.Capacities()
 	for _, ar := range e.active {
@@ -664,6 +879,58 @@ func (e *Engine) CheckInvariants() error {
 					return fmt.Errorf("core: class %d share %d residual %g outside [0,%g]", ci, j, v, max)
 				}
 			}
+		}
+	}
+	return e.checkBorrowerIndex()
+}
+
+// checkBorrowerIndex audits the borrower index: an engine without a plan
+// has none; otherwise each list's dead count is exactly the number of its
+// entries a walk would skip (left behind by a released request — whatever
+// the record holds now — or listing a record a second time), no list is
+// left with those in the majority, every entry that counts points at the
+// active record of its request, and every active non-planned request is
+// found under each element of its embedding.
+func (e *Engine) checkBorrowerIndex() error {
+	if e.opts.Plan.Empty() {
+		if e.borrowers != nil {
+			return errors.New("core: engine without a plan holds a borrower index")
+		}
+		return nil
+	}
+	if len(e.borrowers) != e.g.NumElements() {
+		return fmt.Errorf("core: borrower index covers %d of %d elements", len(e.borrowers), e.g.NumElements())
+	}
+	listed := make(map[*activeReq]int) // live entries per record, over all lists
+	inList := make(map[*activeReq]bool)
+	for i := range e.borrowers {
+		l, el := &e.borrowers[i], graph.ElementID(i)
+		clear(inList)
+		for _, ar := range l.refs {
+			if inList[ar] || !ar.borrows(el) {
+				continue
+			}
+			if e.active[ar.req.ID] != ar {
+				return fmt.Errorf("core: element %d lists request %d, which is not active", el, ar.req.ID)
+			}
+			inList[ar] = true
+			listed[ar]++
+		}
+		if dead := len(l.refs) - len(inList); dead != l.dead {
+			return fmt.Errorf("core: element %d counts %d dead borrower entries, has %d", el, l.dead, dead)
+		}
+		if 2*l.dead > len(l.refs) {
+			return fmt.Errorf("core: element %d borrower list left uncompacted (%d dead of %d)", el, l.dead, len(l.refs))
+		}
+	}
+	for _, ar := range e.active {
+		if want := len(ar.emb.UnitUse()); !ar.planned && listed[ar] != want {
+			return fmt.Errorf("core: borrower %d is listed under %d of its %d elements", ar.req.ID, listed[ar], want)
+		}
+	}
+	for _, v := range e.preDeficit {
+		if v != 0 {
+			return errors.New("core: preemption deficit scratch not cleared")
 		}
 	}
 	return nil

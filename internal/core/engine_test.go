@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"github.com/olive-vne/olive/internal/graph"
@@ -616,6 +617,11 @@ func TestPreemptMultipleVictims(t *testing.T) {
 	if len(out.Preempted) != 2 {
 		t.Fatalf("preempted %v, want both interlopers", out.Preempted)
 	}
+	// One call, two greedy rounds: the first scores both borrowers of
+	// node B, the second the one that is left.
+	if st, want := e.PreemptStats(), (PreemptStats{Calls: 1, CandidatesScored: 3, Victims: 2}); st != want {
+		t.Fatalf("PreemptStats = %+v, want %+v", st, want)
+	}
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -687,4 +693,105 @@ func TestPreemptionNeverEvictsPlanned(t *testing.T) {
 	if e.ActiveCount() != 2 {
 		t.Fatalf("ActiveCount = %d, want 2", e.ActiveCount())
 	}
+}
+
+// preemptReference is PREEMPT as it was before the borrower index — a
+// scan over every active request, a sort of every non-planned one and a
+// relief score for each of them against a map-backed deficit — kept
+// verbatim (its scratch moved into locals) as the oracle the indexed
+// Engine.preempt must match victim for victim and bit for bit.
+func preemptReference(e *Engine, emb *vnet.Embedding, d float64) []int {
+	// Deficit per element.
+	remaining := make(map[graph.ElementID]float64)
+	res := e.st.ResidualVec()
+	for _, u := range emb.UnitUse() {
+		if need := u.Amount*d - res[u.Elem]; need > 0 {
+			remaining[u.Elem] = need
+		}
+	}
+	if len(remaining) == 0 {
+		return nil
+	}
+	// Candidates: active non-planned allocations (R_DONE \ R_PLAN).
+	var cands []*activeReq
+	for _, ar := range e.active {
+		if !ar.planned {
+			cands = append(cands, ar)
+		}
+	}
+	// Deterministic order, then greedy max-relief selection.
+	sort.Slice(cands, func(i, j int) bool { return cands[i].req.ID < cands[j].req.ID })
+
+	var chosen []*activeReq
+	for len(remaining) > 0 {
+		bestIdx, bestRelief := -1, 0.0
+		for i, ar := range cands {
+			if ar == nil {
+				continue
+			}
+			var relief float64
+			for _, u := range ar.emb.UnitUse() {
+				if need, ok := remaining[u.Elem]; ok {
+					rel := u.Amount * ar.req.Demand
+					if rel > need {
+						rel = need
+					}
+					relief += rel
+				}
+			}
+			if relief > bestRelief {
+				bestRelief, bestIdx = relief, i
+			}
+		}
+		if bestIdx < 0 {
+			return nil // preemption cannot clear the deficit
+		}
+		ar := cands[bestIdx]
+		cands[bestIdx] = nil
+		chosen = append(chosen, ar)
+		// Subtract the chosen request's relief in place; elements its
+		// embedding does not touch keep their deficit.
+		for _, u := range ar.emb.UnitUse() {
+			if need, ok := remaining[u.Elem]; ok {
+				rel := u.Amount * ar.req.Demand
+				if need > rel {
+					remaining[u.Elem] = need - rel
+				} else {
+					delete(remaining, u.Elem)
+				}
+			}
+		}
+	}
+	ids := make([]int, 0, len(chosen))
+	for _, ar := range chosen {
+		e.release(ar)
+		ids = append(ids, ar.req.ID)
+	}
+	return ids
+}
+
+// processReference is Engine.Process with preemptReference in PREEMPT's
+// place (and without the argument checks), for engines the differential
+// test drives in lock-step with the real one.
+func processReference(e *Engine, r workload.Request) Outcome {
+	var out Outcome
+	emb, planned, classIdx, shareIdx := e.planEmbed(r)
+	if planned && !e.st.Fits(emb, r.Demand) {
+		if !e.opts.DisablePreemption {
+			out.Preempted = preemptReference(e, emb, r.Demand)
+		}
+		if !e.st.Fits(emb, r.Demand) {
+			emb, planned = nil, false
+		}
+	}
+	if emb == nil {
+		emb = e.greedyEmbed(r)
+		planned = false
+	}
+	if emb == nil || !e.st.Fits(emb, r.Demand) {
+		return out
+	}
+	e.allocate(r, emb, planned, classIdx, shareIdx)
+	out.Accepted, out.Planned, out.Emb = true, planned, emb
+	return out
 }
