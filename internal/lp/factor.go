@@ -128,6 +128,19 @@ func (lu *basisLU) reset(m int) {
 // the dependent basis positions and the rows left unpivoted — aligned
 // sets the caller can repair by substituting each position with a
 // logical (slack or artificial) column of one of the rows.
+//
+// The pivot of each elimination step is the admissible entry (|a| ≥
+// luPivotTol and |a| ≥ luThreshold·max|a_·j|) minimizing the Markowitz
+// fill-in bound (r−1)(c−1) over the active submatrix; ties go to the
+// larger magnitude, then the lower row, then the lower basis position.
+// That order is a contract — L, U and every solve downstream are
+// bit-reproducible functions of it — and it is found without rescanning
+// the submatrix: row and column counts and column maxima are kept up to
+// date incrementally (only the columns of the pivot row and the rows
+// just eliminated can change), score-0 candidates sit in a heap ordered
+// by the tie-break, and everything else is searched by count bucket.
+//
+//olive:hotpath one call per 64 pivots of every solve
 func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []int) (ok bool, depPos, depRows []int) {
 	// Working rows: rows[i] holds (basis position, value), sorted by
 	// position. Every loop below iterates deterministically — factor
@@ -163,7 +176,8 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 	}
 	// colRows[c] lists rows that (may) hold an entry in position c:
 	// fill-in appends, cancellation leaves stale entries that are
-	// re-validated at use.
+	// re-validated at use. Its order is the order of the L ops of the
+	// step that pivots on c.
 	ws.colRows = growSlice(ws.colRows, m)
 	colRows := ws.colRows
 	for c := 0; c < m; c++ {
@@ -180,92 +194,68 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 	// elimination; converted to step space once the permutation is known.
 	uposcol := ws.uposcol[:0]
 
+	// Counts and column maxima over the active submatrix — all of it, to
+	// begin with — the count buckets, and the score-0 heap.
 	ws.colMax = growSlice(ws.colMax, m)
 	ws.colCnt = growSlice(ws.colCnt, m)
 	ws.rowCnt = growSlice(ws.rowCnt, m)
 	ws.seen = growSlice(ws.seen, m)
 	colMax, colCnt, rowCnt := ws.colMax, ws.colCnt, ws.rowCnt
-	seen := ws.seen // per-elimination visit stamps for colRows
-	for i := range seen {
+	seen := ws.seen // visit stamps for walks over colRows
+	for i := 0; i < m; i++ {
 		seen[i] = -1
+		colMax[i], colCnt[i] = 0, 0
+	}
+	ws.stamp = 0
+	ws.rowList.reset(m)
+	ws.colList.reset(m)
+	ws.heap = ws.heap[:0]
+	ws.dropped = ws.dropped[:0]
+	for i := 0; i < m; i++ {
+		rowCnt[i] = len(rows[i])
+		ws.rowList.link(i, rowCnt[i])
+		for _, e := range rows[i] {
+			colCnt[e.idx]++
+			if a := math.Abs(e.val); a > colMax[e.idx] {
+				colMax[e.idx] = a
+			}
+		}
+		ws.visits += 2 * len(rows[i]) // this loop and the seeding below
 	}
 	activeCols := m
-
-	for step := 0; activeCols > 0; step++ {
-		// Pass A: per-column max magnitude and count over active entries,
-		// and per-row active-entry counts, for the Markowitz score.
-		for c := 0; c < m; c++ {
-			if colActive[c] {
-				colMax[c], colCnt[c] = 0, 0
-			}
-		}
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			n := 0
-			for _, e := range rows[i] {
-				if !colActive[e.idx] {
-					continue
-				}
-				n++
-				colCnt[e.idx]++
-				if a := math.Abs(e.val); a > colMax[e.idx] {
-					colMax[e.idx] = a
-				}
-			}
-			rowCnt[i] = n
-		}
+	for c := 0; c < m; c++ {
+		ws.colList.link(c, colCnt[c])
 		// Columns with no usable pivot are dependent: report, drop, and
 		// keep factoring the rest so one pass finds the whole deficiency.
-		for c := 0; c < m; c++ {
-			if colActive[c] && colMax[c] < luPivotTol {
-				colActive[c] = false
-				activeCols--
-				depPos = append(depPos, c)
+		if colMax[c] < luPivotTol {
+			depPos = append(depPos, c)
+			ws.dropCol(c)
+			activeCols--
+		}
+	}
+	for i := 0; i < m; i++ {
+		for _, e := range rows[i] {
+			if rowCnt[i] == 1 || colCnt[e.idx] == 1 {
+				ws.offer(i, e.idx, math.Abs(e.val))
 			}
 		}
-		if activeCols == 0 {
-			break
-		}
-		// Pass B: pick the admissible entry minimizing the Markowitz
-		// fill-in bound (r−1)(c−1); ties go to the larger magnitude,
-		// then first in scan order (ascending row, ascending position).
-		bestScore := math.MaxInt
-		bestVal := 0.0
-		pivRowI, pivColI := -1, -1
-		for i := 0; i < m; i++ {
-			if !rowActive[i] {
-				continue
-			}
-			for _, e := range rows[i] {
-				c := e.idx
-				if !colActive[c] {
-					continue
-				}
-				a := math.Abs(e.val)
-				if a < luPivotTol || a < luThreshold*colMax[c] {
-					continue
-				}
-				score := (rowCnt[i] - 1) * (colCnt[c] - 1)
-				if score < bestScore || (score == bestScore && a > bestVal) {
-					bestScore, bestVal = score, a
-					pivRowI, pivColI = i, c
-				}
-			}
-		}
+	}
+
+	for activeCols > 0 {
+		step := len(lu.prow)
+		pivRowI, pivColI := ws.pickPivot()
 		// Unreachable in principle (every live column's max qualifies),
 		// but guard against it becoming an infinite loop.
 		if pivRowI < 0 {
 			for c := 0; c < m; c++ {
 				if colActive[c] {
 					colActive[c] = false
-					activeCols--
 					depPos = append(depPos, c)
 				}
 			}
 			break
 		}
+		ws.settleDropped()
 
 		lu.prow = append(lu.prow, pivRowI)
 		lu.pcol = append(lu.pcol, pivColI)
@@ -274,11 +264,12 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 
 		// Eliminate position pivColI from every other active row holding
 		// it, recording the multipliers as L ops of step k.
+		ws.stamp++
 		for _, i := range colRows[pivColI] {
-			if i == pivRowI || !rowActive[i] || seen[i] == step {
+			if i == pivRowI || !rowActive[i] || seen[i] == ws.stamp {
 				continue
 			}
-			seen[i] = step
+			seen[i] = ws.stamp
 			v, ok := entryLookup(rows[i], pivColI)
 			if !ok {
 				continue // stale colRows entry
@@ -304,6 +295,26 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 		rowActive[pivRowI] = false
 		colActive[pivColI] = false
 		activeCols--
+		ws.rowList.unlink(pivRowI, rowCnt[pivRowI])
+		ws.colList.unlink(pivColI, colCnt[pivColI])
+
+		// Only the rows just eliminated and the columns of the pivot row
+		// changed. Rows first: the column pass reads their fresh counts.
+		for _, i := range lu.lrow[lu.lstart[step]:] {
+			ws.recountRow(i)
+		}
+		for _, e := range pivRow {
+			c := e.idx
+			if !colActive[c] {
+				continue
+			}
+			ws.recountCol(c)
+			if colMax[c] < luPivotTol {
+				depPos = append(depPos, c)
+				ws.dropCol(c)
+				activeCols--
+			}
+		}
 	}
 
 	ws.uposcol = uposcol
@@ -333,6 +344,296 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 	lu.ywork = growSlice(lu.ywork, m)
 	lu.zwork = growSlice(lu.zwork, m)
 	return true, nil, nil
+}
+
+// pivCand is a pivot candidate: an active entry and its magnitude.
+type pivCand struct {
+	a        float64
+	row, col int
+}
+
+// before is factorBasis's tie-break among candidates of equal Markowitz
+// score: larger magnitude, then lower row, then lower basis position.
+func (x pivCand) before(y pivCand) bool {
+	if x.a != y.a {
+		return x.a > y.a
+	}
+	if x.row != y.row {
+		return x.row < y.row
+	}
+	return x.col < y.col
+}
+
+// countLists threads the active rows (or columns) of a factorization
+// onto doubly linked lists by active-entry count, so a Markowitz search
+// visits the rows and columns of one count without scanning the rest.
+type countLists struct {
+	head, next, prev []int
+}
+
+func (b *countLists) reset(m int) {
+	b.head = growSlice(b.head, m+1)
+	b.next = growSlice(b.next, m)
+	b.prev = growSlice(b.prev, m)
+	for k := range b.head {
+		b.head[k] = -1
+	}
+}
+
+func (b *countLists) link(i, k int) {
+	h := b.head[k]
+	b.next[i], b.prev[i] = h, -1
+	if h >= 0 {
+		b.prev[h] = i
+	}
+	b.head[k] = i
+}
+
+func (b *countLists) unlink(i, k int) {
+	n, p := b.next[i], b.prev[i]
+	if p >= 0 {
+		b.next[p] = n
+	} else {
+		b.head[k] = n
+	}
+	if n >= 0 {
+		b.prev[n] = p
+	}
+}
+
+// pickPivot returns this step's pivot, or (-1, -1) if no active entry
+// is admissible. Score-0 candidates come off the heap, which is ordered
+// by the tie-break; stale heap items (the entry changed, or lost its
+// singleton row/column or its admissibility, since it was offered) are
+// discarded — whatever change made them stale re-offered the entry if
+// it still qualified. Otherwise rows and columns are searched by count
+// k = 2, 3, …: once those of count ≤ k are done every unseen entry
+// scores at least k², so the search stops when k² exceeds the best score
+// — strictly, because an equal score can still win the tie-break.
+func (ws *luWorkspace) pickPivot() (row, col int) {
+	for len(ws.heap) > 0 {
+		top := ws.popHeap()
+		ws.visits++
+		if !ws.rowActive[top.row] || !ws.colActive[top.col] {
+			continue
+		}
+		if ws.rowCnt[top.row] != 1 && ws.colCnt[top.col] != 1 {
+			continue
+		}
+		if v, ok := entryLookup(ws.rows[top.row], top.col); !ok || math.Abs(v) != top.a {
+			continue
+		}
+		if ws.admissible(top.col, top.a) {
+			return top.row, top.col
+		}
+	}
+	best, bestScore := pivCand{row: -1, col: -1}, math.MaxInt
+	for k := 2; k <= len(ws.rows) && (k-1)*(k-1) <= bestScore; k++ {
+		// Rows of count k. Their entries in columns of a lower count
+		// were seen from the column side of an earlier round.
+		for i := ws.rowList.head[k]; i >= 0; i = ws.rowList.next[i] {
+			ws.visits += len(ws.rows[i])
+			for _, e := range ws.rows[i] {
+				c := e.idx
+				if !ws.colActive[c] || ws.colCnt[c] < k {
+					continue
+				}
+				a := math.Abs(e.val)
+				if !ws.admissible(c, a) {
+					continue
+				}
+				cand, score := pivCand{a, i, c}, (k-1)*(ws.colCnt[c]-1)
+				if score < bestScore || (score == bestScore && cand.before(best)) {
+					best, bestScore = cand, score
+				}
+			}
+		}
+		// Columns of count k: what is left of them lies in rows of a
+		// higher count, so nothing here scores below k(k−1). The score is
+		// known before the entry is, which spares most of the lookups.
+		if (k-1)*k > bestScore {
+			continue
+		}
+		for c := ws.colList.head[k]; c >= 0; c = ws.colList.next[c] {
+			ws.visits += len(ws.colRows[c])
+			for _, i := range ws.colRows[c] {
+				score := (ws.rowCnt[i] - 1) * (k - 1)
+				if !ws.rowActive[i] || ws.rowCnt[i] <= k || score > bestScore {
+					continue
+				}
+				v, ok := entryLookup(ws.rows[i], c)
+				if !ok {
+					continue // stale colRows entry
+				}
+				a := math.Abs(v)
+				if !ws.admissible(c, a) {
+					continue
+				}
+				if cand := (pivCand{a, i, c}); score < bestScore || cand.before(best) {
+					best, bestScore = cand, score
+				}
+			}
+		}
+	}
+	return best.row, best.col
+}
+
+// admissible reports whether an entry of magnitude a in column c may be
+// a pivot: not negligible, and within the threshold of the column's
+// current maximum.
+func (ws *luWorkspace) admissible(c int, a float64) bool {
+	return !(a < luPivotTol || a < luThreshold*ws.colMax[c])
+}
+
+// offer pushes entry (i, c) of magnitude a onto the score-0 heap if it
+// is admissible.
+func (ws *luWorkspace) offer(i, c int, a float64) {
+	if !ws.admissible(c, a) {
+		return
+	}
+	h := append(ws.heap, pivCand{a, i, c})
+	for k := len(h) - 1; k > 0; {
+		p := (k - 1) / 2
+		if !h[k].before(h[p]) {
+			break
+		}
+		h[k], h[p] = h[p], h[k]
+		k = p
+	}
+	ws.heap = h
+}
+
+func (ws *luWorkspace) popHeap() pivCand {
+	h := ws.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for k := 0; ; {
+		l, r, s := 2*k+1, 2*k+2, k
+		if l < n && h[l].before(h[s]) {
+			s = l
+		}
+		if r < n && h[r].before(h[s]) {
+			s = r
+		}
+		if s == k {
+			break
+		}
+		h[k], h[s] = h[s], h[k]
+		k = s
+	}
+	ws.heap = h
+	return top
+}
+
+// setRowCnt moves row i to the bucket of its new count and, if it became
+// a singleton, offers its one active entry.
+func (ws *luWorkspace) setRowCnt(i, n int) {
+	if n != ws.rowCnt[i] {
+		ws.rowList.unlink(i, ws.rowCnt[i])
+		ws.rowList.link(i, n)
+		ws.rowCnt[i] = n
+	}
+	if n != 1 {
+		return
+	}
+	for _, e := range ws.rows[i] {
+		if ws.colActive[e.idx] {
+			ws.offer(i, e.idx, math.Abs(e.val))
+			return
+		}
+	}
+}
+
+// recountRow recounts the active entries of a row that was just
+// eliminated.
+func (ws *luWorkspace) recountRow(i int) {
+	n := 0
+	for _, e := range ws.rows[i] {
+		if ws.colActive[e.idx] {
+			n++
+		}
+	}
+	ws.visits += len(ws.rows[i])
+	ws.setRowCnt(i, n)
+}
+
+// recountCol recomputes the count and maximum of column c over the
+// active rows and offers the score-0 entries it finds. On the way it
+// compacts colRows[c], dropping rows already pivoted and repeated
+// listings. A listed active row that holds no entry right now stays
+// where it is: fill-in may revive the entry, and the row's first
+// listing fixes its place among the L ops of the step that pivots on c.
+func (ws *luWorkspace) recountCol(c int) {
+	ws.stamp++
+	ws.visits += len(ws.colRows[c])
+	keep := ws.colRows[c][:0]
+	ws.cands = ws.cands[:0]
+	n, mx := 0, 0.0
+	var last pivCand // the column's one entry, if n ends up 1
+	for _, i := range ws.colRows[c] {
+		if !ws.rowActive[i] || ws.seen[i] == ws.stamp {
+			continue
+		}
+		ws.seen[i] = ws.stamp
+		keep = append(keep, i)
+		v, ok := entryLookup(ws.rows[i], c)
+		if !ok {
+			continue
+		}
+		n++
+		last = pivCand{math.Abs(v), i, c}
+		if last.a > mx {
+			mx = last.a
+		}
+		if ws.rowCnt[i] == 1 {
+			ws.cands = append(ws.cands, last)
+		}
+	}
+	ws.colRows[c] = keep
+	if n != ws.colCnt[c] {
+		ws.colList.unlink(c, ws.colCnt[c])
+		ws.colList.link(c, n)
+		ws.colCnt[c] = n
+	}
+	ws.colMax[c] = mx
+	if n == 1 {
+		ws.offer(last.row, c, last.a)
+		return
+	}
+	for _, s := range ws.cands {
+		ws.offer(s.row, c, s.a)
+	}
+}
+
+// dropCol retires a dependent column. The rows holding its entries keep
+// counting them until settleDropped.
+func (ws *luWorkspace) dropCol(c int) {
+	ws.colActive[c] = false
+	ws.colList.unlink(c, ws.colCnt[c])
+	ws.dropped = append(ws.dropped, c)
+}
+
+// settleDropped takes the entries of the columns dropped before this
+// step's pivot search out of their rows' counts. It runs after the
+// search on purpose: the scan this search replaces counted rows before
+// it dropped dependent columns, so the step that drops a column still
+// scores its rows with the dropped entries included, and which rows end
+// up unpivoted (depRows) depends on that.
+func (ws *luWorkspace) settleDropped() {
+	for _, c := range ws.dropped {
+		ws.visits += len(ws.colRows[c])
+		for _, i := range ws.colRows[c] { // no repeats: recountCol just compacted it
+			if !ws.rowActive[i] {
+				continue
+			}
+			if _, ok := entryLookup(ws.rows[i], c); ok {
+				ws.setRowCnt(i, ws.rowCnt[i]-1)
+			}
+		}
+	}
+	ws.dropped = ws.dropped[:0]
 }
 
 // sortEntries sorts a sparse row by position (insertion sort: rows are

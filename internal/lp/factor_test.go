@@ -227,3 +227,218 @@ func TestRepairRecoversSingularBasis(t *testing.T) {
 		t.Fatalf("status %v obj %g, want optimal -4", sol.Status, sol.Obj)
 	}
 }
+
+// factorBasisReference is factorBasis as it stood before the incremental
+// pivot search, kept verbatim as the differential oracle: every
+// elimination step recounts all active rows and columns ("Pass A") and
+// rescans all active entries for the Markowitz minimum ("Pass B"). The
+// one addition is the ws.visits accounting, the yardstick for
+// TestPivotCountGuard's factor_visits headline.
+func factorBasisReference(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []int) (ok bool, depPos, depRows []int) {
+	// Working rows: rows[i] holds (basis position, value), sorted by
+	// position. Every loop below iterates deterministically — factor
+	// results must be bit-reproducible run to run.
+	ws.preCnt = growSlice(ws.preCnt, m)
+	for i := 0; i < m; i++ {
+		ws.preCnt[i] = 0
+	}
+	for _, j := range basis {
+		for _, e := range cols[j] {
+			ws.preCnt[e.Row]++
+		}
+	}
+	ws.rowArena.reset()
+	ws.rows = growSlice(ws.rows, m)
+	rows := ws.rows
+	for i := 0; i < m; i++ {
+		rows[i] = ws.rowArena.take(ws.preCnt[i])
+	}
+	for pos, j := range basis {
+		for _, e := range cols[j] {
+			rows[e.Row] = append(rows[e.Row], spEntry{pos, e.Coef})
+		}
+	}
+	for i := 0; i < m; i++ {
+		sortEntries(rows[i])
+	}
+	ws.rowActive = growSlice(ws.rowActive, m)
+	ws.colActive = growSlice(ws.colActive, m)
+	rowActive, colActive := ws.rowActive, ws.colActive
+	for i := 0; i < m; i++ {
+		rowActive[i], colActive[i] = true, true
+	}
+	// colRows[c] lists rows that (may) hold an entry in position c:
+	// fill-in appends, cancellation leaves stale entries that are
+	// re-validated at use.
+	ws.colRows = growSlice(ws.colRows, m)
+	colRows := ws.colRows
+	for c := 0; c < m; c++ {
+		colRows[c] = colRows[c][:0]
+	}
+	for i := 0; i < m; i++ {
+		for _, e := range rows[i] {
+			colRows[e.idx] = append(colRows[e.idx], i)
+		}
+	}
+
+	lu.reset(m)
+	// uposcol mirrors ucol but in basis-position space during
+	// elimination; converted to step space once the permutation is known.
+	uposcol := ws.uposcol[:0]
+
+	ws.colMax = growSlice(ws.colMax, m)
+	ws.colCnt = growSlice(ws.colCnt, m)
+	ws.rowCnt = growSlice(ws.rowCnt, m)
+	ws.seen = growSlice(ws.seen, m)
+	colMax, colCnt, rowCnt := ws.colMax, ws.colCnt, ws.rowCnt
+	seen := ws.seen // per-elimination visit stamps for colRows
+	for i := range seen {
+		seen[i] = -1
+	}
+	activeCols := m
+
+	for step := 0; activeCols > 0; step++ {
+		// Pass A: per-column max magnitude and count over active entries,
+		// and per-row active-entry counts, for the Markowitz score.
+		for c := 0; c < m; c++ {
+			if colActive[c] {
+				colMax[c], colCnt[c] = 0, 0
+			}
+		}
+		for i := 0; i < m; i++ {
+			if !rowActive[i] {
+				continue
+			}
+			n := 0
+			ws.visits += len(rows[i])
+			for _, e := range rows[i] {
+				if !colActive[e.idx] {
+					continue
+				}
+				n++
+				colCnt[e.idx]++
+				if a := math.Abs(e.val); a > colMax[e.idx] {
+					colMax[e.idx] = a
+				}
+			}
+			rowCnt[i] = n
+		}
+		// Columns with no usable pivot are dependent: report, drop, and
+		// keep factoring the rest so one pass finds the whole deficiency.
+		for c := 0; c < m; c++ {
+			if colActive[c] && colMax[c] < luPivotTol {
+				colActive[c] = false
+				activeCols--
+				depPos = append(depPos, c)
+			}
+		}
+		if activeCols == 0 {
+			break
+		}
+		// Pass B: pick the admissible entry minimizing the Markowitz
+		// fill-in bound (r−1)(c−1); ties go to the larger magnitude,
+		// then first in scan order (ascending row, ascending position).
+		bestScore := math.MaxInt
+		bestVal := 0.0
+		pivRowI, pivColI := -1, -1
+		for i := 0; i < m; i++ {
+			if !rowActive[i] {
+				continue
+			}
+			ws.visits += len(rows[i])
+			for _, e := range rows[i] {
+				c := e.idx
+				if !colActive[c] {
+					continue
+				}
+				a := math.Abs(e.val)
+				if a < luPivotTol || a < luThreshold*colMax[c] {
+					continue
+				}
+				score := (rowCnt[i] - 1) * (colCnt[c] - 1)
+				if score < bestScore || (score == bestScore && a > bestVal) {
+					bestScore, bestVal = score, a
+					pivRowI, pivColI = i, c
+				}
+			}
+		}
+		// Unreachable in principle (every live column's max qualifies),
+		// but guard against it becoming an infinite loop.
+		if pivRowI < 0 {
+			for c := 0; c < m; c++ {
+				if colActive[c] {
+					colActive[c] = false
+					activeCols--
+					depPos = append(depPos, c)
+				}
+			}
+			break
+		}
+
+		lu.prow = append(lu.prow, pivRowI)
+		lu.pcol = append(lu.pcol, pivColI)
+		pivRow := rows[pivRowI]
+		pivVal := entryVal(pivRow, pivColI)
+
+		// Eliminate position pivColI from every other active row holding
+		// it, recording the multipliers as L ops of step k.
+		for _, i := range colRows[pivColI] {
+			if i == pivRowI || !rowActive[i] || seen[i] == step {
+				continue
+			}
+			seen[i] = step
+			v, ok := entryLookup(rows[i], pivColI)
+			if !ok {
+				continue // stale colRows entry
+			}
+			f := v / pivVal
+			lu.lrow = append(lu.lrow, i)
+			lu.lmult = append(lu.lmult, f)
+			rows[i] = rowSub(&ws.rowArena, rows[i], pivRow, f, pivColI, colRows, i)
+		}
+		lu.lstart = append(lu.lstart, len(lu.lrow))
+
+		// Record the U row (off-diagonal entries still in position
+		// space; mapped to steps after the permutation is complete).
+		lu.udiag = append(lu.udiag, pivVal)
+		for _, e := range pivRow {
+			if e.idx != pivColI {
+				uposcol = append(uposcol, e.idx)
+				lu.uval = append(lu.uval, e.val)
+			}
+		}
+		lu.ustart = append(lu.ustart, len(lu.uval))
+
+		rowActive[pivRowI] = false
+		colActive[pivColI] = false
+		activeCols--
+	}
+
+	ws.uposcol = uposcol
+	if len(depPos) > 0 {
+		for i := 0; i < m; i++ {
+			if rowActive[i] {
+				depRows = append(depRows, i)
+			}
+		}
+		return false, depPos, depRows
+	}
+
+	// Finalize: permutation inverses and U columns in step space.
+	lu.rowStep = growSlice(lu.rowStep, m)
+	ws.colStep = growSlice(ws.colStep, m)
+	colStep := ws.colStep
+	for k, r := range lu.prow {
+		lu.rowStep[r] = k
+	}
+	for k, c := range lu.pcol {
+		colStep[c] = k
+	}
+	lu.ucol = growSlice(lu.ucol, len(uposcol))
+	for t, c := range uposcol {
+		lu.ucol[t] = colStep[c]
+	}
+	lu.ywork = growSlice(lu.ywork, m)
+	lu.zwork = growSlice(lu.zwork, m)
+	return true, nil, nil
+}

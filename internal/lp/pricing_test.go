@@ -91,21 +91,30 @@ func TestDevexDantzigEquivalence(t *testing.T) {
 }
 
 // pivotBaseline mirrors testdata/lp/pivot_baseline.json: pinned
-// deterministic pivot and scan counts on the seed-4 fixture.
+// deterministic pivot, scan and factorization-work counts on the seed-4
+// fixture.
 type pivotBaseline struct {
 	DevexPivots   int `json:"devex_pivots"`
 	DevexScans    int `json:"devex_scans"`
 	DantzigPivots int `json:"dantzig_pivots"`
 	DantzigScans  int `json:"dantzig_scans"`
+	FactorVisits  int `json:"factor_visits"`
 }
+
+// referenceFactorVisits is what factorBasisReference's per-step rescans
+// visit over the 67 refactorizations of the Devex fixture solve
+// (TestFactorMatchesReference re-measures it).
+const referenceFactorVisits = 47_081_508
 
 // TestPivotCountGuard is the pivot-count regression guard: the solver is
 // deterministic (no randomness, no map-order dependence, no
 // parallelism), so both rules' pivot and scan counts on the seed-4
 // master LP are exact machine-independent integers. A >10% regression
 // against the pinned baseline fails; a big improvement nags for a
-// re-pin. The guard also enforces the PR's headline: Devex must need at
-// most half of Dantzig's pivots on this instance.
+// re-pin. The guard also enforces two headlines: Devex must need at most
+// half of Dantzig's pivots on this instance, and the refactorizations of
+// the Devex solve must visit at most a tenth of the entries the
+// rescanning reference factorization visited.
 func TestPivotCountGuard(t *testing.T) {
 	raw, err := os.ReadFile("../../testdata/lp/pivot_baseline.json")
 	if err != nil {
@@ -115,7 +124,9 @@ func TestPivotCountGuard(t *testing.T) {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		t.Fatalf("parse baseline: %v", err)
 	}
-	dv := solveWith(t, loadFixture(t, "../../testdata/lp/random100-u140-seed4.lp.gz"), PricingDevex)
+	dvProblem, dvWS := loadFixture(t, "../../testdata/lp/random100-u140-seed4.lp.gz"), &workspace{}
+	dvProblem.ws.Store(dvWS) // a fresh workspace: its visits are this solve's
+	dv := solveWith(t, dvProblem, PricingDevex)
 	dz := solveWith(t, loadFixture(t, "../../testdata/lp/random100-u140-seed4.lp.gz"), PricingDantzig)
 	if dv.Status != Optimal || dz.Status != Optimal {
 		t.Fatalf("status devex=%v dantzig=%v, want optimal", dv.Status, dz.Status)
@@ -134,6 +145,10 @@ func TestPivotCountGuard(t *testing.T) {
 	check("devex scans", dv.PricingScans, base.DevexScans)
 	check("dantzig pivots", dz.Iterations, base.DantzigPivots)
 	check("dantzig scans", dz.PricingScans, base.DantzigScans)
+	check("factor visits", dvWS.fw.visits, base.FactorVisits)
+	if 10*dvWS.fw.visits > referenceFactorVisits {
+		t.Errorf("factor visits %d not ≤ a tenth of the reference's %d", dvWS.fw.visits, referenceFactorVisits)
+	}
 	if 2*dv.Iterations > dz.Iterations {
 		t.Errorf("devex pivots %d not ≤ half of dantzig's %d on the seed-4 fixture", dv.Iterations, dz.Iterations)
 	}

@@ -439,6 +439,9 @@ func (s *simplex) refactorize() error {
 	repaired := false
 	for attempt := 0; ; attempt++ {
 		lu := s.ws.takeLU(s.lu)
+		if s.ws.onFactor != nil {
+			s.ws.onFactor(s.m, s.cols, s.basis)
+		}
 		ok, depPos, depRows := factorBasis(&s.ws.fw, lu, s.m, s.cols, s.basis)
 		if ok {
 			lu.ft = s.ft

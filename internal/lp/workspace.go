@@ -83,6 +83,18 @@ type luWorkspace struct {
 	seen      []int
 	uposcol   []int
 	colStep   []int
+
+	// Pivot-search state: count buckets, the score-0 candidate heap, and
+	// the stamp that seen is compared against.
+	rowList, colList countLists
+	heap, cands      []pivCand
+	dropped          []int
+	stamp            int
+
+	// visits totals the matrix entries factorBasis has touched through
+	// this workspace — its machine-independent cost, pinned by
+	// TestPivotCountGuard.
+	visits int
 }
 
 // workspace is the full per-solve scratch state. All slices are reused
@@ -109,6 +121,11 @@ type workspace struct {
 	devexTouched      []int32
 	fw                luWorkspace
 	lus               [2]*basisLU
+
+	// onFactor, when set, sees every basis refactorize is about to
+	// factor. Tests use it to replay the bases of a real solve through
+	// the reference factorization; nothing sets it outside tests.
+	onFactor func(m int, cols [][]Entry, basis []int)
 }
 
 // takeLU returns a basisLU slot distinct from cur, for refactorize to

@@ -146,6 +146,14 @@ func Aggregate(hist *workload.Trace, numApps int, alpha float64, bootstrapB int,
 		if r.App < 0 || r.App >= numApps {
 			return nil, fmt.Errorf("plan: request %d references app %d of %d", r.ID, r.App, numApps)
 		}
+		// olive.Aggregate hands over histories nobody validated; these
+		// two index the delta arrays below.
+		if r.Arrive < 0 || r.Arrive >= hist.Slots {
+			return nil, fmt.Errorf("plan: request %d arrives at %d outside [0,%d)", r.ID, r.Arrive, hist.Slots)
+		}
+		if r.Duration < 1 {
+			return nil, fmt.Errorf("plan: request %d has duration %d < 1", r.ID, r.Duration)
+		}
 		k := seriesKey{r.App, r.Ingress}
 		d := diffs[k]
 		if d == nil {

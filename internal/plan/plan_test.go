@@ -102,6 +102,35 @@ func TestAggregateErrors(t *testing.T) {
 	}
 }
 
+// TestAggregateRejectsOutOfRangeRequests: olive.Aggregate passes any
+// trace through, so a request that would index the demand deltas out of
+// range (or subtract demand it never added) must come back as an error
+// naming the request — not a panic, and not a silently skewed series.
+func TestAggregateRejectsOutOfRangeRequests(t *testing.T) {
+	ok := workload.Request{ID: 0, App: 1, Arrive: 3, Duration: 2, Demand: 5}
+	for name, tc := range map[string]struct {
+		req  workload.Request
+		want string
+	}{
+		"negative arrival":  {workload.Request{ID: 7, App: 1, Arrive: -1, Duration: 2, Demand: 5}, "plan: request 7 arrives at -1 outside [0,10)"},
+		"arrival at Slots":  {workload.Request{ID: 7, App: 1, Arrive: 10, Duration: 2, Demand: 5}, "plan: request 7 arrives at 10 outside [0,10)"},
+		"arrival past end":  {workload.Request{ID: 7, App: 1, Arrive: 11, Duration: 2, Demand: 5}, "plan: request 7 arrives at 11 outside [0,10)"},
+		"zero duration":     {workload.Request{ID: 7, App: 1, Arrive: 3, Duration: 0, Demand: 5}, "plan: request 7 has duration 0 < 1"},
+		"negative duration": {workload.Request{ID: 7, App: 1, Arrive: 3, Duration: -5, Demand: 5}, "plan: request 7 has duration -5 < 1"},
+	} {
+		hist := &workload.Trace{Slots: 10, Requests: []workload.Request{ok, tc.req}}
+		classes, err := Aggregate(hist, 4, 0.8, 10, testRNG(1))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v (classes %v), want %q", name, err, classes, tc.want)
+		}
+	}
+	// The boundary cases stay legal: last slot, departure past the end.
+	hist := &workload.Trace{Slots: 10, Requests: []workload.Request{ok, {ID: 1, App: 1, Arrive: 9, Duration: 40, Demand: 5}}}
+	if _, err := Aggregate(hist, 4, 0.8, 10, testRNG(1)); err != nil {
+		t.Errorf("request in the last slot rejected: %v", err)
+	}
+}
+
 func TestBuildPlanOnUncongestedSubstrate(t *testing.T) {
 	g, apps, hist := smallScenario(t, 4, 0.6)
 	p, err := BuildFromHistory(g, apps, hist, DefaultOptions(), testRNG(4))
