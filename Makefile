@@ -11,7 +11,8 @@ test:
 race:
 	go test -race ./internal/serve/... ./internal/runner/... \
 	    ./internal/substrate/... ./internal/lp/... \
-	    ./internal/obs/... ./internal/scenario/... ./internal/plan/...
+	    ./internal/obs/... ./internal/scenario/... ./internal/plan/... \
+	    ./internal/embedder/... ./internal/core/...
 
 # Everything the CI lint + olivelint jobs run, in one target. staticcheck
 # is optional locally (skipped with a note when not installed); olivelint

@@ -61,8 +61,10 @@ type Options struct {
 	// DisablePreemption turns off PREEMPT (Alg. 2 line 35). Ablation
 	// only.
 	DisablePreemption bool
-	// MaxExactRetries bounds FULLG's capacity branch-out (retries with
-	// saturated elements excluded). Zero selects the default.
+	// MaxExactRetries scales the budget of FULLG's capacity branch-out
+	// (retries with saturated elements excluded): the search expands at
+	// most 4 × MaxExactRetries branch-and-bound nodes per request. Zero
+	// selects the default (6, so 24 expansions).
 	MaxExactRetries int
 }
 
@@ -669,12 +671,15 @@ type bbNode struct {
 // VNFs the relaxation co-located there, and a child is created per such
 // move. Branching on an overloaded link excludes the link wholesale,
 // which approximates path re-routing (DESIGN.md §3). The search budget is
-// Options.MaxExactRetries expansions.
+// 4 × Options.MaxExactRetries expansions (24 by default), each of which
+// may solve several children.
 //
 // Every solve goes through the engine's shared oracle: the unexcluded
-// root relaxation reads the substrate state's warm path cache, and
-// excluded retries borrow pooled substrate views — no per-retry oracle or
-// all-pairs rebuild.
+// root relaxation reads the oracle's memoized DP table (the engine's
+// prices never move, so it is filled once per app) over the substrate
+// state's warm path cache, and excluded retries borrow pooled substrate
+// views — no per-retry oracle or all-pairs rebuild, and no new
+// shortest-path trees while sibling children exclude the same links.
 func (e *Engine) exactEmbed(app *vnet.App, r workload.Request) *vnet.Embedding {
 	solve := func(n *bbNode) bool {
 		var allow embedder.Restriction

@@ -19,9 +19,10 @@
 //
 // An Oracle is a thin view over a substrate.State: path queries hit the
 // State's lazy per-source Dijkstra cache (no eager all-pairs rebuild),
-// exclusion retries go through pooled substrate Views, DP tables come from
-// the State's scratch arena, and collocated embeddings are memoized per
-// (app, ingress, node) for as long as the State's prices stand still.
+// exclusion retries go through pooled substrate Views and fill their DP
+// table in the State's scratch arena, and both the unrestricted DP table
+// (per app) and collocated embeddings (per (app, ingress, node)) are
+// memoized for as long as the State's prices stand still.
 package embedder
 
 import (
@@ -80,6 +81,7 @@ type pather interface {
 // Construction is free — no all-pairs computation; shortest-path trees are
 // built lazily per source inside the State and shared between all oracles
 // and engines viewing it. Not safe for concurrent use (like its State).
+// Apps are identified by pointer and must not change once queried.
 type Oracle struct {
 	st *substrate.State
 	g  *graph.Graph
@@ -89,13 +91,37 @@ type Oracle struct {
 	colloc    map[collocKey]collocEntry
 	collocGen uint64
 
-	// Reusable query scratch (outer slices; inner DP rows come from the
-	// State's arena).
-	cands      []scoredNode
-	dpChildren [][]int
-	dpCost     [][]float64
-	dpChoice   [][]graph.NodeID
-	poOrder    []int
+	// tables memoizes the unrestricted DP table per app. Nothing in a
+	// table depends on the ingress, so every (app, ingress) query under
+	// one price vector reads the same one; an entry is refilled, into its
+	// own storage, when the State's price generation has moved.
+	tables map[*vnet.App]*memoTable
+	// scratch is the table of restricted and excluded queries; its rows
+	// are chunks of the State's arena and do not outlive the query.
+	scratch dpTable
+
+	cands   []scoredNode
+	poOrder []int
+}
+
+// dpTable is one filled embedding DP: cost[i][u] is the minimal price of
+// the subtree rooted at VNF i when i sits on node u, choice[li][u] the
+// best child node for link li given its parent on u, children[i] the child
+// link indices of VNF i the rows were built along.
+type dpTable struct {
+	children [][]int
+	cost     [][]float64
+	choice   [][]graph.NodeID
+}
+
+// memoTable is a kept dpTable: gen is the State.PriceGen its rows were
+// filled under — PriceGen, not Epoch, because node prices enter every cost
+// row and a node-price change does not bump the Epoch — and rows their
+// storage (the State's arena is reset by the next restricted query).
+type memoTable struct {
+	dpTable
+	gen  uint64
+	rows substrate.Arena
 }
 
 type collocKey struct {
@@ -111,10 +137,13 @@ type collocEntry struct {
 }
 
 // ForState returns an oracle viewing st. Multiple oracles may view one
-// State (sequentially); they share its path cache but not their
-// collocated-embedding memos.
+// State (sequentially); they share its path cache but not their memos.
 func ForState(st *substrate.State) *Oracle {
-	return &Oracle{st: st, g: st.Graph(), colloc: make(map[collocKey]collocEntry), collocGen: st.PriceGen()}
+	return &Oracle{
+		st: st, g: st.Graph(),
+		colloc: make(map[collocKey]collocEntry), collocGen: st.PriceGen(),
+		tables: make(map[*vnet.App]*memoTable),
+	}
 }
 
 // NewOracle prepares an oracle for the given prices over a private
@@ -127,14 +156,24 @@ func NewOracle(g *graph.Graph, pr Prices) *Oracle {
 // State returns the substrate state this oracle views.
 func (o *Oracle) State() *substrate.State { return o.st }
 
+// validNode reports whether u names a substrate node. Every exported
+// query checks its ingress with it (the three MinCostEmbed forms in
+// minCost, before any DP work): a node ID is caller input, and an
+// out-of-range one means "no embedding", not an index panic.
+func (o *Oracle) validNode(u graph.NodeID) bool { return u >= 0 && int(u) < o.g.NumNodes() }
+
 // MinCostEmbed returns the cost-minimal embedding of app with θ pinned at
 // ingress, under the oracle's prices, along with its per-unit-demand price
 // (Σ β·η·price over the mapping). ok is false when no finite-price
-// embedding exists (e.g. all GPU nodes excluded for a GPU VNF).
+// embedding exists (e.g. all GPU nodes excluded for a GPU VNF) or ingress
+// is not a substrate node.
 //
 // The DP is exact for tree-shaped apps: children subtrees are independent
 // given the parent's placement, and each virtual link independently takes
-// a shortest path under the prices.
+// a shortest path under the prices. Its table does not depend on the
+// ingress and is memoized per app until the State's prices change, so a
+// pricing round asking about every (app, ingress) class fills one table
+// per app and answers each class with a row read and a top-down walk.
 //
 //olive:hotpath per-request embedding decision entry point
 func (o *Oracle) MinCostEmbed(app *vnet.App, ingress graph.NodeID) (*vnet.Embedding, float64, bool) {
@@ -170,30 +209,84 @@ func (o *Oracle) MinCostEmbedExcluded(app *vnet.App, ingress graph.NodeID, allow
 	return o.minCost(v, app, ingress, allow)
 }
 
-// minCost runs the embedding DP against an arbitrary price/path provider.
+// minCost answers one query against an arbitrary price/path provider: the
+// memoized table when the query is unrestricted and over the oracle's own
+// State, a fresh fill of the scratch table otherwise.
 func (o *Oracle) minCost(pa pather, app *vnet.App, ingress graph.NodeID, allow Restriction) (*vnet.Embedding, float64, bool) {
+	if !o.validNode(ingress) {
+		return nil, 0, false
+	}
+	var t *dpTable
+	if allow == nil && pa == pather(o.st) {
+		t = o.table(app)
+	} else {
+		t = &o.scratch
+		o.fill(t, o.st.ScratchArena(), pa, app, allow)
+	}
+
+	rootCost := t.cost[vnet.Root][ingress]
+	if math.IsInf(rootCost, 1) {
+		return nil, 0, false
+	}
+
+	// Reconstruct the mapping top-down. nodeMap and pathMap escape into
+	// the Embedding, so they are real allocations, not arena chunks.
+	nodeMap := make([]graph.NodeID, len(app.VNFs))
+	nodeMap[vnet.Root] = ingress
+	pathMap := make([]graph.Path, len(app.Links))
+	t.place(pa, app, vnet.Root, nodeMap, pathMap)
+
+	e, err := vnet.NewEmbedding(o.g, app, nodeMap, pathMap)
+	if err != nil {
+		// Only possible if prices admit a node that η forbids —
+		// prevented by fill, so treat as "no embedding".
+		return nil, 0, false
+	}
+	return e, rootCost, true
+}
+
+// table returns app's memoized unrestricted table over the oracle's State,
+// refilling it when the State's prices have changed since it was filled.
+func (o *Oracle) table(app *vnet.App) *dpTable {
+	gen := o.st.PriceGen()
+	t := o.tables[app]
+	if t == nil {
+		t = new(memoTable)
+		o.tables[app] = t
+	} else if t.gen == gen {
+		counters.dpTableHits.Add(1)
+		return &t.dpTable
+	}
+	o.fill(&t.dpTable, &t.rows, o.st, app, nil)
+	t.gen = gen
+	return &t.dpTable
+}
+
+// fill runs the embedding DP for app bottom-up into t, drawing the rows
+// from the (reset) arena.
+func (o *Oracle) fill(t *dpTable, rows *substrate.Arena, pa pather, app *vnet.App, allow Restriction) {
+	counters.dpFills.Add(1)
 	n := o.g.NumNodes()
-	numVNF := len(app.VNFs)
+	rows.Reset()
 
-	arena := o.st.ScratchArena()
-	arena.Reset()
-
-	children := o.childrenOf(app) // child link indices per VNF
-
-	// cost[i][u]: minimal price of the subtree rooted at VNF i when i
-	// sits on node u. choice[li][u]: best child node for link li given
-	// its parent on u.
-	cost := resizeOuter(&o.dpCost, numVNF)
-	choice := resizeOuter(&o.dpChoice, len(app.Links))
+	children := resizeOuter(&t.children, len(app.VNFs))
+	for i := range children {
+		children[i] = children[i][:0]
+	}
+	for li, l := range app.Links {
+		children[l.From] = append(children[l.From], li)
+	}
+	cost := resizeOuter(&t.cost, len(app.VNFs))
+	choice := resizeOuter(&t.choice, len(app.Links))
 
 	// Process VNFs so that every child precedes its parent: links are
 	// listed parent-to-child but branch interleaving means a reverse
 	// index sweep is not sufficient, so compute an explicit post-order.
-	order := o.postOrder(app, children)
+	o.poOrder = appendPostOrder(o.poOrder[:0], app, children, vnet.Root)
 
-	for _, i := range order {
+	for _, i := range o.poOrder {
 		v := app.VNFs[i]
-		ci := arena.Float64s(n)
+		ci := rows.Float64s(n)
 		for u := 0; u < n; u++ {
 			eta := vnet.Eff(v, o.g.Node(graph.NodeID(u)))
 			if math.IsInf(eta, 1) || math.IsInf(pa.NodePrice(graph.NodeID(u)), 1) ||
@@ -206,7 +299,7 @@ func (o *Oracle) minCost(pa pather, app *vnet.App, ingress graph.NodeID, allow R
 		for _, li := range children[i] {
 			l := app.Links[li]
 			childCost := cost[l.To]
-			choice[li] = arena.NodeIDs(n)
+			choice[li] = rows.NodeIDs(n)
 			for u := 0; u < n; u++ {
 				if math.IsInf(ci[u], 1) {
 					continue
@@ -232,66 +325,28 @@ func (o *Oracle) minCost(pa pather, app *vnet.App, ingress graph.NodeID, allow R
 		}
 		cost[i] = ci
 	}
-
-	rootCost := cost[vnet.Root][ingress]
-	if math.IsInf(rootCost, 1) {
-		return nil, 0, false
-	}
-
-	// Reconstruct the mapping top-down. nodeMap and pathMap escape into
-	// the Embedding, so they are real allocations, not arena chunks.
-	nodeMap := make([]graph.NodeID, numVNF)
-	nodeMap[vnet.Root] = ingress
-	pathMap := make([]graph.Path, len(app.Links))
-	var walk func(i int)
-	walk = func(i int) {
-		u := nodeMap[i]
-		for _, li := range children[i] {
-			l := app.Links[li]
-			w := choice[li][u]
-			nodeMap[l.To] = w
-			p, _ := pa.PathBetween(u, w)
-			pathMap[li] = p
-			walk(int(l.To))
-		}
-	}
-	walk(int(vnet.Root))
-
-	e, err := vnet.NewEmbedding(o.g, app, nodeMap, pathMap)
-	if err != nil {
-		// Only possible if prices admit a node that η forbids —
-		// prevented above, so treat as "no embedding".
-		return nil, 0, false
-	}
-	return e, rootCost, true
 }
 
-// childrenOf fills the reusable per-VNF child-link index lists.
-func (o *Oracle) childrenOf(app *vnet.App) [][]int {
-	children := resizeOuter(&o.dpChildren, len(app.VNFs))
-	for i := range children {
-		children[i] = children[i][:0]
+// place maps the subtree below VNF i, whose node nodeMap[i] is already
+// decided, onto the table's choices.
+func (t *dpTable) place(pa pather, app *vnet.App, i vnet.VNFID, nodeMap []graph.NodeID, pathMap []graph.Path) {
+	u := nodeMap[i]
+	for _, li := range t.children[i] {
+		l := app.Links[li]
+		w := t.choice[li][u]
+		nodeMap[l.To] = w
+		pathMap[li], _ = pa.PathBetween(u, w)
+		t.place(pa, app, l.To, nodeMap, pathMap)
 	}
-	for li, l := range app.Links {
-		children[l.From] = append(children[l.From], li)
-	}
-	return children
 }
 
-// postOrder returns VNF indices so that every child precedes its parent,
-// reusing the oracle's order buffer.
-func (o *Oracle) postOrder(app *vnet.App, children [][]int) []int {
-	order := o.poOrder[:0]
-	var visit func(i vnet.VNFID)
-	visit = func(i vnet.VNFID) {
-		for _, li := range children[i] {
-			visit(app.Links[li].To)
-		}
-		order = append(order, int(i))
+// appendPostOrder appends the VNF indices of the subtree rooted at i so
+// that every child precedes its parent.
+func appendPostOrder(order []int, app *vnet.App, children [][]int, i vnet.VNFID) []int {
+	for _, li := range children[i] {
+		order = appendPostOrder(order, app, children, app.Links[li].To)
 	}
-	visit(vnet.Root)
-	o.poOrder = order
-	return order
+	return append(order, int(i))
 }
 
 // resizeOuter grows (never shrinks) an outer scratch slice to n entries.
@@ -323,10 +378,13 @@ func (o *Oracle) collocated(app *vnet.App, ingress, u graph.NodeID) (*vnet.Embed
 // CollocatedOnNode builds the embedding that places every functional VNF
 // of app on node u, with θ at ingress and every θ-adjacent virtual link
 // routed along the price-shortest ingress→u path. ok is false if u is
-// excluded (price or η) or unreachable. Results are memoized per
-// (app, ingress, u) until the State's prices change; callers receive a
-// shared immutable Embedding.
+// excluded (price or η), unreachable, or not a substrate node (likewise
+// ingress). Results are memoized per (app, ingress, u) until the State's
+// prices change; callers receive a shared immutable Embedding.
 func (o *Oracle) CollocatedOnNode(app *vnet.App, ingress, u graph.NodeID) (*vnet.Embedding, float64, bool) {
+	if !o.validNode(ingress) || !o.validNode(u) {
+		return nil, 0, false
+	}
 	return o.collocated(app, ingress, u)
 }
 
@@ -418,10 +476,14 @@ func sortCands(cs []scoredNode) {
 // at ingress that satisfies demand d within the residual capacities res
 // (Eq. 18); candidates are scanned in increasing price. ok is false if no
 // feasible collocated embedding exists. Passing a nil res skips
-// feasibility and returns the globally cheapest collocated embedding.
+// feasibility and returns the globally cheapest collocated embedding. An
+// ingress that is not a substrate node has no embedding.
 // The returned Embedding may be memo-shared with other callers and must
 // be treated as immutable.
 func (o *Oracle) BestCollocated(app *vnet.App, ingress graph.NodeID, res []float64, d float64) (*vnet.Embedding, float64, bool) {
+	if !o.validNode(ingress) {
+		return nil, 0, false
+	}
 	cands := o.cands[:0]
 	nodeSize := app.TotalNodeSize()
 	var rootLinkSize float64
@@ -462,6 +524,9 @@ func (o *Oracle) BestCollocated(app *vnet.App, ingress graph.NodeID, res []float
 // building embeddings); only the k winners are materialized, via the
 // memo.
 func (o *Oracle) KCheapestCollocated(app *vnet.App, ingress graph.NodeID, k int) []*vnet.Embedding {
+	if !o.validNode(ingress) {
+		return nil
+	}
 	cands := o.cands[:0]
 	for u := 0; u < o.g.NumNodes(); u++ {
 		if price, ok := o.collocPrice(app, ingress, graph.NodeID(u)); ok {

@@ -13,7 +13,7 @@ import (
 // Random100 topology at 1.4 utilization (the paper's hardest sweep
 // point, and the regime that used to trigger the singular-basis
 // failure), with one column-generation round per solve.
-func benchInstance(b *testing.B) (*Solver, []Class, Options) {
+func benchInstance(b testing.TB) (*Solver, []Class, Options) {
 	b.Helper()
 	g := topo.MustBuild(topo.Random100, 4)
 	rng := rand.New(rand.NewPCG(4, 1234))

@@ -25,7 +25,13 @@
 // elements) go through transient Views: a View overlays an exclusion set
 // (+Inf link weights, +Inf node prices) on the State's prices and keeps
 // its own lazily built trees, pooled and recycled so a retry costs no
-// steady-state allocations.
+// steady-state allocations. A recycled View also keeps the trees
+// themselves when it is re-acquired with the same set of excluded links
+// and no link price has moved since they were built: only excluded links
+// and link prices enter a tree, so node exclusions — read live from the
+// caller's map — never cost a Dijkstra. FULLG's sibling branch-and-bound
+// children differ in banned (VNF, node) pairs, not in excluded links, and
+// so share one set of trees.
 //
 // A State is not safe for concurrent use. The parallel experiment runner
 // gives every simulation cell its own State over its own graph; the
@@ -34,6 +40,7 @@ package substrate
 
 import (
 	"math"
+	"slices"
 
 	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/vnet"
@@ -70,8 +77,9 @@ type State struct {
 	repair  graph.RepairScratch
 	repairs repairStats
 
-	viewPool []*View
-	arena    Arena
+	viewPool       []*View
+	viewTreeBuilds uint64
+	arena          Arena
 
 	// selfPaths memoizes the trivial src==dst paths (one per node):
 	// they are immutable and end up shared across many embeddings.
@@ -362,6 +370,12 @@ func (s *State) RepairStats() (repaired, recomputed uint64) {
 	return s.repairs.Repaired, s.repairs.Recomputed
 }
 
+// ViewTreeBuilds reports how many shortest-path trees the State's
+// exclusion views have built (one Dijkstra each) since the State was
+// created — the work a View re-acquired under an unchanged excluded-link
+// set and epoch does not repeat.
+func (s *State) ViewTreeBuilds() uint64 { return s.viewTreeBuilds }
+
 // Dist returns the price-weighted shortest distance from src to dst.
 func (s *State) Dist(src, dst graph.NodeID) float64 { return s.Tree(src).Dist[dst] }
 
@@ -402,24 +416,39 @@ func (s *State) selfPath(src graph.NodeID) graph.Path {
 // the State's pool, so repeated branch-out retries allocate nothing in
 // steady state. Release a View with Close when the query batch is done.
 type View struct {
-	st     *State
-	excl   map[graph.ElementID]bool
-	trees  []viewTree
-	gen    uint64
-	w      graph.WeightFunc
-	pooled bool
+	st    *State
+	excl  map[graph.ElementID]bool
+	trees []viewTree
+	// links is the sorted set of excluded link elements the trees of
+	// generation gen were (or will be) built under; spare is the buffer the
+	// next acquisition collects its own set into.
+	links, spare []graph.ElementID
+	gen          uint64
+	w            graph.WeightFunc
+	pooled       bool
 }
 
+// viewTree is one view-private tree: valid for the view's current
+// excluded-link set (gen) at the link-price epoch it was built under.
 type viewTree struct {
-	t   *graph.ShortestPathTree
-	gen uint64
+	t     *graph.ShortestPathTree
+	gen   uint64
+	epoch uint64
 }
 
 // AcquireView returns a View over the State's prices with the given
 // exclusion set (may be nil or empty — then the view is equivalent to the
-// base State, but still uses view-private trees). The exclusion map is
-// referenced, not copied; callers must not mutate it while the View is in
-// use.
+// base State, but still uses view-private trees). Entries mapped to false
+// exclude nothing.
+//
+// A View taken from the pool keeps the trees it already holds when excl
+// excludes exactly the links its previous use did and the link-price
+// Epoch has not moved since each tree was built; otherwise trees are
+// rebuilt lazily into their existing buffers. The set of excluded links
+// is copied at acquisition, so that comparison never reads a map the
+// previous caller has since changed. The map itself is still referenced
+// for node lookups (NodePrice): callers must not mutate it while the View
+// is in use.
 func (s *State) AcquireView(excl map[graph.ElementID]bool) *View {
 	var v *View
 	if n := len(s.viewPool); n > 0 {
@@ -435,8 +464,20 @@ func (s *State) AcquireView(excl map[graph.ElementID]bool) *View {
 			return s.prices[linkBase+int(l.ID)]
 		}
 	}
+	links := v.spare[:0]
+	for e, on := range excl {
+		if on && !s.g.ElementIsNode(e) {
+			links = append(links, e)
+		}
+	}
+	slices.Sort(links)
+	if slices.Equal(links, v.links) {
+		v.spare = links
+	} else {
+		v.links, v.spare = links, v.links
+		v.gen++
+	}
 	v.excl = excl
-	v.gen++
 	v.pooled = false
 	return v
 }
@@ -463,13 +504,14 @@ func (v *View) NodePrice(u graph.NodeID) float64 {
 }
 
 // Tree returns the view's shortest-path tree rooted at src, computing it
-// on first use per acquisition and reusing the tree buffers across
-// acquisitions.
+// on first use per (excluded-link set, link-price epoch) and reusing the
+// tree buffers across rebuilds.
 func (v *View) Tree(src graph.NodeID) *graph.ShortestPathTree {
 	vt := &v.trees[src]
-	if vt.t == nil || vt.gen != v.gen {
+	if vt.t == nil || vt.gen != v.gen || vt.epoch != v.st.epoch {
 		vt.t = v.st.g.DijkstraInto(vt.t, src, v.w)
-		vt.gen = v.gen
+		vt.gen, vt.epoch = v.gen, v.st.epoch
+		v.st.viewTreeBuilds++
 	}
 	return vt.t
 }

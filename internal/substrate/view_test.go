@@ -1,0 +1,139 @@
+package substrate
+
+import (
+	"maps"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/olive-vne/olive/internal/graph"
+)
+
+// TestViewKeepsTreesOnlyWhenKeyAndEpochMatch drives the view pool through
+// random acquire / close sequences over a small family of exclusion maps
+// (with node elements and false-valued entries in them), interleaved with
+// link and node price changes and with callers rewriting a map they used
+// before, and checks every distance, path and node price of every view
+// against a view freshly built over a pristine State with the same prices.
+// Alongside, the tree-build counter must say that trees were kept exactly
+// when the excluded links and the link-price epoch were what they were
+// built under: never a rebuild then, always one otherwise.
+func TestViewKeepsTreesOnlyWhenKeyAndEpochMatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := randSubstrateGraph(rng, 30)
+	n, numLinks := g.NumNodes(), g.NumLinks()
+	prices := make([]float64, g.NumElements())
+	for i := range prices {
+		prices[i] = g.ElementCost(graph.ElementID(i))
+	}
+	s := NewWithPrices(g, prices)
+
+	randExcl := func() map[graph.ElementID]bool {
+		excl := make(map[graph.ElementID]bool)
+		for k := rng.Intn(4); k > 0; k-- {
+			excl[g.LinkElement(graph.LinkID(rng.Intn(numLinks)))] = rng.Intn(4) != 0
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			excl[g.NodeElement(graph.NodeID(rng.Intn(n)))] = rng.Intn(4) != 0
+		}
+		return excl
+	}
+	family := make([]map[graph.ElementID]bool, 5)
+	for i := range family {
+		family[i] = randExcl()
+	}
+	family[0] = nil
+	linkKey := func(excl map[graph.ElementID]bool) []graph.ElementID {
+		var key []graph.ElementID
+		for e, on := range excl {
+			if on && !g.ElementIsNode(e) {
+				key = append(key, e)
+			}
+		}
+		slices.Sort(key)
+		return key
+	}
+
+	// built[v] is what v's trees were last built under, as far as the
+	// test can tell from the outside: the key and epoch of the last
+	// acquisition that queried every source.
+	type builtUnder struct {
+		key   []graph.ElementID
+		epoch uint64
+	}
+	built := make(map[*View]builtUnder)
+	kept, rebuilt := 0, 0
+
+	check := func(step int, v *View, excl map[graph.ElementID]bool) {
+		fresh := NewWithPrices(g, prices).AcquireView(maps.Clone(excl))
+		before := s.ViewTreeBuilds()
+		for src := 0; src < n; src++ {
+			if got, want := v.NodePrice(graph.NodeID(src)), fresh.NodePrice(graph.NodeID(src)); got != want {
+				t.Fatalf("step %d: NodePrice(%d) = %g, fresh view %g", step, src, got, want)
+			}
+			if !slices.Equal(v.DistRow(graph.NodeID(src)), fresh.DistRow(graph.NodeID(src))) {
+				t.Fatalf("step %d: distance row %d differs from a fresh view's (exclusions %v)", step, src, excl)
+			}
+			for dst := 0; dst < n; dst++ {
+				gp, gok := v.PathBetween(graph.NodeID(src), graph.NodeID(dst))
+				wp, wok := fresh.PathBetween(graph.NodeID(src), graph.NodeID(dst))
+				if gok != wok || !slices.Equal(gp.Links, wp.Links) || gp.Cost != wp.Cost {
+					t.Fatalf("step %d: path %d→%d = %v/%v, fresh view %v/%v", step, src, dst, gp.Links, gok, wp.Links, wok)
+				}
+			}
+		}
+		builds := s.ViewTreeBuilds() - before
+		key := linkKey(excl)
+		was, seen := built[v]
+		switch same := seen && was.epoch == s.Epoch() && slices.Equal(was.key, key); {
+		case same && builds != 0:
+			t.Fatalf("step %d: %d trees rebuilt under an unchanged link set %v and epoch", step, builds, key)
+		case !same && builds != uint64(n):
+			t.Fatalf("step %d: %d of %d trees rebuilt after the link set or epoch changed (%v@%d → %v@%d)",
+				step, builds, n, was.key, was.epoch, key, s.Epoch())
+		case same:
+			kept++
+		default:
+			rebuilt++
+		}
+		built[v] = builtUnder{key, s.Epoch()}
+	}
+
+	for step := 0; step < 400; step++ {
+		switch rng.Intn(10) {
+		case 0: // a link price moves: every kept tree is stale
+			e := g.LinkElement(graph.LinkID(rng.Intn(numLinks)))
+			prices[e] = 0.5 + rng.Float64()
+			s.SetPrice(e, prices[e])
+		case 1: // a node price moves: trees stand, NodePrice must follow
+			e := g.NodeElement(graph.NodeID(rng.Intn(n)))
+			prices[e] = 0.5 + rng.Float64()
+			s.SetPrice(e, prices[e])
+		case 2: // a caller rewrites a map it used before
+			if i := 1 + rng.Intn(len(family)-1); rng.Intn(2) == 0 {
+				family[i] = randExcl()
+			} else {
+				clear(family[i])
+				maps.Copy(family[i], randExcl())
+			}
+		}
+		excl := family[rng.Intn(len(family))]
+		v := s.AcquireView(excl)
+		if rng.Intn(6) == 0 {
+			// Two views open at once: the second comes from deeper in
+			// the pool (or is new) and must be just as right.
+			excl2 := family[rng.Intn(len(family))]
+			v2 := s.AcquireView(excl2)
+			check(step, v2, excl2)
+			check(step, v, excl)
+			v2.Close()
+		} else {
+			check(step, v, excl)
+		}
+		v.Close()
+	}
+	t.Logf("%d acquisitions kept their trees, %d rebuilt them", kept, rebuilt)
+	if kept < 20 || rebuilt < 20 {
+		t.Fatal("vacuous run")
+	}
+}

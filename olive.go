@@ -325,7 +325,7 @@ func NewEngineOn(oracle *EmbedOracle, apps []*App, opts EngineOptions) (*Engine,
 
 // MinCostEmbedding returns the cost-minimal integral embedding of app with
 // its root pinned at ingress, ignoring capacities. ok is false when no
-// placement satisfies the η exclusions.
+// placement satisfies the η exclusions or ingress is not a node of g.
 func MinCostEmbedding(g *Substrate, app *App, ingress NodeID) (*Embedding, float64, bool) {
 	return embedder.NewOracle(g, embedder.CostPrices(g)).MinCostEmbed(app, ingress)
 }

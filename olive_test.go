@@ -99,6 +99,15 @@ func TestPublicAPIExactAndCollocatedEmbedding(t *testing.T) {
 	if exact.App != app || colo.App != app {
 		t.Fatal("embeddings reference wrong app")
 	}
+	// An ingress that is not a substrate node is "no embedding", not a panic.
+	for _, bad := range []olive.NodeID{olive.NodeID(g.NumNodes()), -1} {
+		if _, _, ok := olive.MinCostEmbedding(g, app, bad); ok {
+			t.Fatalf("MinCostEmbedding accepted ingress %d", bad)
+		}
+		if _, _, ok := olive.BestCollocatedEmbedding(g, app, bad, nil, 1); ok {
+			t.Fatalf("BestCollocatedEmbedding accepted ingress %d", bad)
+		}
+	}
 }
 
 func TestPublicAPISlotOff(t *testing.T) {
