@@ -112,7 +112,7 @@ func TestThrottledLoad(t *testing.T) {
 	ts := testDaemon(t, serve.Options{
 		Shards:        2,
 		Deterministic: true,
-		RateLimit:     serve.RateLimit{RPS: 50, Burst: 5},
+		Limits:        serve.Limits{RateLimit: serve.RateLimit{RPS: 50, Burst: 5}},
 	})
 	var out bytes.Buffer
 	if err := run([]string{

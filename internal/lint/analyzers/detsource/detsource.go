@@ -6,9 +6,9 @@
 // rand draw in them silently breaks replay.
 //
 // Legitimate exceptions exist (the runner's progress/ETA lines, sim's
-// wall-clock runtime columns, lp's OLIVE_LP_* ablation knobs) and are
-// annotated with a `//olive:wallclock <why>` directive on the enclosing
-// function or on the offending line — see internal/lint/directive.
+// wall-clock runtime columns) and are annotated with a
+// `//olive:wallclock <why>` directive on the enclosing function or on
+// the offending line — see internal/lint/directive.
 // Deterministic constructors (rand.New, rand.NewPCG, rand.NewSource,
 // ...) are always allowed; only the package-level draws that consume
 // the ambient global source are not.

@@ -78,29 +78,6 @@ type basisLU struct {
 	ywork []float64 // scratch, matrix-row space
 	zwork []float64 // scratch, step space
 
-	// Forrest–Tomlin state (see ft.go). ft selects the update scheme for
-	// this factorization epoch; ftLive reports that the mutable U
-	// representation has been built (first FT update). prowU/pcolU are
-	// the *current* step orderings of the mutable U — the frozen
-	// prow/pcol keep serving the L solves.
-	ft       bool
-	ftLive   bool
-	prowU    []int
-	pcolU    []int
-	posStep  []int // basis position → current U step
-	urows    [][]spEntry
-	urowsAlt [][]spEntry
-	udiagM   []float64
-	udiagAlt []float64
-	prowAlt  []int
-	pcolAlt  []int
-	ftArena  [2]arena[spEntry]
-	ftCur    int
-	ftEtas   []ftEta
-	swork    []float64 // scratch, matrix-row space (FT)
-	twork    []float64 // dense elimination workspace (FT)
-	muIdx    []int
-	muVal    []float64
 }
 
 // reset prepares lu to be refilled by factorBasis, reusing every buffer.
@@ -117,9 +94,6 @@ func (lu *basisLU) reset(m int) {
 	lu.udiag = lu.udiag[:0]
 	lu.etas = lu.etas[:0]
 	lu.entArena.reset()
-	lu.ft = false
-	lu.ftLive = false
-	lu.ftEtas = lu.ftEtas[:0]
 }
 
 // factorBasis factors the basis given by cols[basis[0..m-1]] into lu,
@@ -745,10 +719,6 @@ func (lu *basisLU) ftranWork(w []float64) {
 			y[lu.lrow[t]] -= lu.lmult[t] * v
 		}
 	}
-	if lu.ftLive {
-		lu.ftranU(w)
-		return
-	}
 	for k := m - 1; k >= 0; k-- {
 		v := y[lu.prow[k]]
 		for t := lu.ustart[k]; t < lu.ustart[k+1]; t++ {
@@ -777,10 +747,6 @@ func (lu *basisLU) ftranWork(w []float64) {
 //
 //olive:hotpath inner simplex kernel
 func (lu *basisLU) btran(c []float64, y []float64) {
-	if lu.ftLive {
-		lu.btranU(c, y)
-		return
-	}
 	m := lu.m
 	z := lu.zwork
 	copy(z, c)
@@ -823,9 +789,8 @@ func (lu *basisLU) btran(c []float64, y []float64) {
 }
 
 // nEtas reports how many pivot updates have accumulated since the last
-// refactorization (product-form etas or Forrest–Tomlin row etas —
-// exactly one kind is nonempty per factorization epoch).
-func (lu *basisLU) nEtas() int { return len(lu.etas) + len(lu.ftEtas) }
+// refactorization.
+func (lu *basisLU) nEtas() int { return len(lu.etas) }
 
 // update appends the product-form eta for a pivot replacing basis
 // position r, whose entering column has FTRAN image w. It reports
@@ -833,9 +798,6 @@ func (lu *basisLU) nEtas() int { return len(lu.etas) + len(lu.ftEtas) }
 // refactorize now (eta file full, or the pivot is weak relative to the
 // spike and would poison every subsequent solve).
 func (lu *basisLU) update(r int, w []float64) bool {
-	if lu.ft {
-		return lu.updateFT(r, w)
-	}
 	piv := w[r]
 	maxw := 0.0
 	n := 0

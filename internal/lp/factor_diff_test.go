@@ -182,21 +182,19 @@ func TestFactorMatchesReference(t *testing.T) {
 	})
 
 	t.Run("fixture solve", func(t *testing.T) {
-		for _, rule := range []PricingRule{PricingDevex, PricingDantzig} {
-			p := loadFixture(t, "../../testdata/lp/random100-u140-seed4.lp.gz")
-			before, refVisits := d.calls, d.rw.visits
-			p.ws.Store(&workspace{onFactor: func(m int, cols [][]Entry, basis []int) {
-				if err := d.check(m, cols, basis); err != nil {
-					t.Fatalf("%v: refactorization %d: %v", rule, d.calls-before, err)
-				}
-			}})
-			sol := solveWith(t, p, rule)
-			if got := d.calls - before; got != sol.Refactorizations || got == 0 {
-				t.Fatalf("%v: compared %d factorizations, solve reports %d", rule, got, sol.Refactorizations)
+		p := loadFixture(t, "../../testdata/lp/random100-u140-seed4.lp.gz")
+		before, refVisits := d.calls, d.rw.visits
+		p.ws.Store(&workspace{onFactor: func(m int, cols [][]Entry, basis []int) {
+			if err := d.check(m, cols, basis); err != nil {
+				t.Fatalf("refactorization %d: %v", d.calls-before, err)
 			}
-			if got := d.rw.visits - refVisits; rule == PricingDevex && got != referenceFactorVisits {
-				t.Errorf("reference visits %d, TestPivotCountGuard's headline assumes %d", got, referenceFactorVisits)
-			}
+		}})
+		sol := solveNoRetry(t, p)
+		if got := d.calls - before; got != sol.Refactorizations || got == 0 {
+			t.Fatalf("compared %d factorizations, solve reports %d", got, sol.Refactorizations)
+		}
+		if got := d.rw.visits - refVisits; got != referenceFactorVisits {
+			t.Errorf("reference visits %d, TestPivotCountGuard's headline assumes %d", got, referenceFactorVisits)
 		}
 	})
 }
@@ -278,8 +276,8 @@ type capturedBasis struct {
 }
 
 // fixtureBases solves the seed-4 fixture and returns every basis it
-// refactorized, in order (67 of them under Devex).
-func fixtureBases(tb testing.TB, rule PricingRule) []capturedBasis {
+// refactorized, in order (67 of them).
+func fixtureBases(tb testing.TB) []capturedBasis {
 	var out []capturedBasis
 	p := loadFixture(tb, "../../testdata/lp/random100-u140-seed4.lp.gz")
 	p.ws.Store(&workspace{onFactor: func(m int, cols [][]Entry, basis []int) {
@@ -289,16 +287,16 @@ func fixtureBases(tb testing.TB, rule PricingRule) []capturedBasis {
 		}
 		out = append(out, c)
 	}})
-	solveWith(tb, p, rule)
+	solveNoRetry(tb, p)
 	return out
 }
 
-// BenchmarkFactorBasis replays the refactorizations of one Devex solve
-// of the seed-4 fixture: one op is all 67 of them. visits/op is the
+// BenchmarkFactorBasis replays the refactorizations of one solve of the
+// seed-4 fixture: one op is all 67 of them. visits/op is the
 // machine-independent cost TestPivotCountGuard pins; a warm workspace
 // must not allocate.
 func BenchmarkFactorBasis(b *testing.B) {
-	bases := fixtureBases(b, PricingDevex)
+	bases := fixtureBases(b)
 	var fw luWorkspace
 	lu := new(basisLU)
 	replay := func() {

@@ -145,8 +145,8 @@ func TestFactorBasisSolves(t *testing.T) {
 		y := make([]float64, m)
 		lu.btran(cb, y)
 		checkClose("Bᵀ·btran(c)", mulBT(y), cb)
-		// A couple of eta updates, then re-check both directions.
-		for u := 0; u < 3; u++ {
+		// Up to ten eta updates, re-checking both directions after each.
+		for u := 0; u < 10; u++ {
 			pos := rng.IntN(m)
 			newCol := []Entry{{Row: rng.IntN(m), Coef: 2 + rng.Float64()}, {Row: rng.IntN(m), Coef: rng.Float64()}}
 			seen := map[int]bool{}

@@ -96,14 +96,20 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 // TestLoadRejectsMalformed covers the fixture parser's error paths.
 func TestLoadRejectsMalformed(t *testing.T) {
 	for name, text := range map[string]string{
-		"empty":       "",
-		"bad header":  "lp 2\nrows 0\nvars 0\n",
-		"bad sense":   "lp 1\nrows 1\nrow XX 0000000000000000\nvars 0\n",
-		"bad bits":    "lp 1\nrows 1\nrow LE zzzz\nvars 0\n",
-		"truncated":   "lp 1\nrows 2\nrow LE 0000000000000000\n",
-		"short var":   "lp 1\nrows 0\nvars 1\nvar 0000000000000000\n",
-		"bad nnz":     "lp 1\nrows 0\nvars 1\nvar 0000000000000000 0000000000000000 0000000000000000 2 0 0000000000000000\n",
-		"bad var row": "lp 1\nrows 1\nrow LE 0000000000000000\nvars 1\nvar 0000000000000000 0000000000000000 0000000000000000 1 7 0000000000000000\n",
+		"empty":              "",
+		"bad header":         "lp 2\nrows 0\nvars 0\n",
+		"bad sense":          "lp 1\nrows 1\nrow XX 0000000000000000\nvars 0\n",
+		"bad bits":           "lp 1\nrows 1\nrow LE zzzz\nvars 0\n",
+		"truncated":          "lp 1\nrows 2\nrow LE 0000000000000000\n",
+		"short var":          "lp 1\nrows 0\nvars 1\nvar 0000000000000000\n",
+		"bad nnz":            "lp 1\nrows 0\nvars 1\nvar 0000000000000000 0000000000000000 0000000000000000 2 0 0000000000000000\n",
+		"bad var row":        "lp 1\nrows 1\nrow LE 0000000000000000\nvars 1\nvar 0000000000000000 0000000000000000 0000000000000000 1 7 0000000000000000\n",
+		"nan rhs":            "lp 1\nrows 1\nrow LE 7ff8000000000000\nvars 0\n",
+		"inf rhs":            "lp 1\nrows 1\nrow GE 7ff0000000000000\nvars 0\n",
+		"nan cost":           "lp 1\nrows 1\nrow LE 0000000000000000\nvars 1\nvar 7ff8000000000000 0000000000000000 3ff0000000000000 1 0 3ff0000000000000\n",
+		"-inf cost":          "lp 1\nrows 1\nrow LE 0000000000000000\nvars 1\nvar fff0000000000000 0000000000000000 3ff0000000000000 1 0 3ff0000000000000\n",
+		"nan coef":           "lp 1\nrows 1\nrow LE 0000000000000000\nvars 1\nvar 0000000000000000 0000000000000000 3ff0000000000000 1 0 7ff8000000000000\n",
+		"coef sum overflows": "lp 1\nrows 1\nrow LE 0000000000000000\nvars 1\nvar 0000000000000000 0000000000000000 3ff0000000000000 2 0 7fefffffffffffff 0 7fefffffffffffff\n",
 	} {
 		if _, err := Load(bytes.NewReader([]byte(text))); err == nil {
 			t.Errorf("%s: Load accepted malformed fixture", name)

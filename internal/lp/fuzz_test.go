@@ -3,6 +3,7 @@ package lp
 import (
 	"bytes"
 	"compress/gzip"
+	"math"
 	"os"
 	"testing"
 )
@@ -56,6 +57,8 @@ func FuzzLPLoad(f *testing.F) {
 		"lp 1\nrows 0\nvars 1\nvar 0 0 0 3 0 0\n",
 		"lp 1\nrows 1\nrow GE 4010000000000000\nvars 1\nvar 0 0 3ff0000000000000 1 99 4000000000000000\n",
 		"lp 1\nrows 1\nrow LE 0000000000000000 # comment\n\nvars 0\n",
+		"lp 1\nrows 1\nrow LE 7ff8000000000000\nvars 0\n",                                                               // NaN rhs
+		"lp 1\nrows 1\nrow LE 0000000000000000\nvars 1\nvar 7ff8000000000000 0 3ff0000000000000 1 0 7ff0000000000000\n", // NaN cost, +Inf coef
 	} {
 		f.Add([]byte(s))
 	}
@@ -64,6 +67,23 @@ func FuzzLPLoad(f *testing.F) {
 		p, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return // rejection is fine; panicking is the bug
+		}
+		// Whatever Load accepts holds only finite numbers (up = +Inf
+		// aside): a NaN would come back from Solve as an "optimal" NaN.
+		for i, v := range p.rhs {
+			if !finite(v) {
+				t.Fatalf("Load accepted non-finite rhs %g in row %d", v, i)
+			}
+		}
+		for j := range p.cols {
+			if !finite(p.cost[j]) || !finite(p.lo[j]) || math.IsNaN(p.up[j]) || math.IsInf(p.up[j], -1) {
+				t.Fatalf("Load accepted var %d with cost %g bounds [%g,%g]", j, p.cost[j], p.lo[j], p.up[j])
+			}
+			for _, e := range p.cols[j] {
+				if !finite(e.Coef) {
+					t.Fatalf("Load accepted non-finite coefficient %g in var %d", e.Coef, j)
+				}
+			}
 		}
 		var d1 bytes.Buffer
 		if err := p.Dump(&d1); err != nil {

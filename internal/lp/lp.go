@@ -1,11 +1,14 @@
 // Package lp implements a sparse linear-programming solver — a two-phase
 // revised primal simplex with bounded variables over a sparse LU
 // factorization of the basis (Markowitz-ordered with threshold partial
-// pivoting, product-form eta updates, periodic refactorization). It
-// stands in for the CPLEX solver used in the paper (DESIGN.md §3): it
-// solves the PLAN-VNE relaxation (Fig. 4) and the per-slot offline
-// instances of the SLOTOFF baseline, and exposes dual prices so the plan
-// builder can run Dantzig–Wolfe column generation.
+// pivoting, product-form eta updates, periodic refactorization). There is
+// one engine and nothing selects another: the entering column is priced
+// by Devex over rotating column sections (pricing.go), with Bland's rule
+// as the anti-cycling fallback, so a solve is a pure function of the
+// Problem. It stands in for the CPLEX solver used in the paper (DESIGN.md
+// §3): it solves the PLAN-VNE relaxation (Fig. 4) and the per-slot
+// offline instances of the SLOTOFF baseline, and exposes dual prices so
+// the plan builder can run Dantzig–Wolfe column generation.
 //
 // Problems are stated as
 //
@@ -25,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 )
 
@@ -80,50 +82,15 @@ type Problem struct {
 	cols    [][]Entry
 	numVars int
 
-	// ForrestTomlin selects in-place Forrest–Tomlin updates of the basis
-	// factorization (see ft.go) instead of the default product-form eta
-	// file. Both are exact up to round-off, but their floating-point
-	// evaluation orders differ, so solves may land on different (equally
-	// optimal) vertices of degenerate problems — which is why the mode
-	// is opt-in rather than the default for this bit-reproducible
-	// codebase. Set it before the first Solve.
-	ForrestTomlin bool
-
-	// Pricing selects the simplex entering-column rule (see pricing.go):
-	// PricingDevex (the default, with partial pricing) or
-	// PricingDantzig (the textbook full-scan ablation). Both reach an
-	// optimum; on degenerate problems they can land on different equally
-	// optimal vertices. Set it before the first Solve.
-	Pricing PricingRule
-
 	// ws holds the reusable solve workspace; claimed atomically so
 	// concurrent solves on one Problem degrade to fresh allocation
 	// instead of racing.
 	ws atomic.Pointer[workspace]
 }
 
-// ftDefault seeds Problem.ForrestTomlin for problems made by NewProblem;
-// settable via SetForrestTomlin or the OLIVE_LP_FT=1 environment
-// variable (the empirical golden-drift switch).
-var ftDefault atomic.Bool
-
-func init() {
-	if os.Getenv("OLIVE_LP_FT") == "1" { //olive:wallclock ablation knob, read once at init; documented in CONTRIBUTING
-		ftDefault.Store(true)
-	}
-}
-
-// SetForrestTomlin switches the package default basis-update scheme for
-// subsequently created problems. It exists so harnesses can flip the
-// whole pipeline (plan builds, serve solves) to Forrest–Tomlin without
-// threading an option through every layer.
-func SetForrestTomlin(on bool) { ftDefault.Store(on) }
-
-// NewProblem returns an empty problem. Pricing is left at
-// PricingDefault, which resolves to the process-wide rule at solve
-// time — so SetPricing/OLIVE_LP_PRICING affect problems already built.
+// NewProblem returns an empty problem.
 func NewProblem() *Problem {
-	return &Problem{ForrestTomlin: ftDefault.Load()}
+	return &Problem{}
 }
 
 // AddRow appends a constraint row and returns its index.
@@ -135,13 +102,17 @@ func (p *Problem) AddRow(sense Sense, rhs float64) int {
 
 // AddVar appends a variable with the given objective cost, bounds and
 // sparse column, returning its index. Bounds must satisfy lo ≤ up, lo
-// finite; up may be +Inf. Entries must reference existing rows; entries
-// naming the same row are merged by summing their coefficients, so the
-// stored column always has one entry per row (an invariant the sparse
-// solves rely on).
+// finite; up may be +Inf. The cost and every stored coefficient must be
+// finite (a NaN would otherwise come back as an "optimal" NaN). Entries
+// must reference existing rows; entries naming the same row are merged
+// by summing their coefficients, so the stored column always has one
+// entry per row (an invariant the sparse solves rely on).
 func (p *Problem) AddVar(cost, lo, up float64, entries []Entry) (int, error) {
-	if math.IsInf(lo, 0) || math.IsNaN(lo) || math.IsNaN(up) || lo > up {
+	if !finite(lo) || math.IsNaN(up) || lo > up {
 		return 0, fmt.Errorf("lp: invalid bounds [%g,%g]", lo, up)
+	}
+	if !finite(cost) {
+		return 0, fmt.Errorf("lp: non-finite cost %g", cost)
 	}
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= len(p.rhs) {
@@ -159,6 +130,11 @@ merge:
 		}
 		col = append(col, e)
 	}
+	for _, e := range col {
+		if !finite(e.Coef) {
+			return 0, fmt.Errorf("lp: non-finite coefficient %g in row %d", e.Coef, e.Row)
+		}
+	}
 	p.cost = append(p.cost, cost)
 	p.lo = append(p.lo, lo)
 	p.up = append(p.up, up)
@@ -166,6 +142,9 @@ merge:
 	p.numVars++
 	return p.numVars - 1, nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MustAddVar is AddVar that panics on error, for construction code whose
 // indices are correct by construction.
@@ -227,10 +206,8 @@ type Solution struct {
 	// across the solve — the work partial pricing exists to cut.
 	PricingScans int
 	// BlandPivots counts the subset of Iterations taken under the
-	// Bland anti-cycling fallback rather than the configured rule.
+	// Bland anti-cycling fallback rather than Devex pricing.
 	BlandPivots int
-	// Rule is the pricing rule the solve ran under.
-	Rule PricingRule
 	// WarmStarted reports that this solution came out of a successful
 	// warm start (SolveFrom without the cold fallback).
 	WarmStarted bool
@@ -346,7 +323,7 @@ func (p *Problem) solveOnce(perturb float64, warm *Basis) (*Solution, error) {
 			if s.objective(phase1Cost) > feasTol*float64(s.m) {
 				return &Solution{
 					Status: Infeasible, Iterations: s.iters, Refactorizations: s.refacts,
-					PricingScans: s.pscans, BlandPivots: s.blandPivots, Rule: s.rule,
+					PricingScans: s.pscans, BlandPivots: s.blandPivots,
 				}, nil
 			}
 			// Freeze artificials at zero for phase 2.
@@ -362,7 +339,7 @@ func (p *Problem) solveOnce(perturb float64, warm *Basis) (*Solution, error) {
 	}
 	sol := &Solution{
 		Status: st, Iterations: s.iters, Refactorizations: s.refacts,
-		PricingScans: s.pscans, BlandPivots: s.blandPivots, Rule: s.rule,
+		PricingScans: s.pscans, BlandPivots: s.blandPivots,
 	}
 	if st != Optimal {
 		return sol, nil

@@ -203,6 +203,15 @@ func TestAddVarErrors(t *testing.T) {
 	if _, err := p.AddVar(0, 0, 1, []Entry{{Row: 5, Coef: 1}}); err == nil {
 		t.Error("entry for missing row accepted")
 	}
+	if _, err := p.AddVar(math.NaN(), 0, 1, nil); err == nil {
+		t.Error("NaN cost accepted")
+	}
+	if _, err := p.AddVar(0, 0, 1, []Entry{{Row: 0, Coef: math.NaN()}}); err == nil {
+		t.Error("NaN coefficient accepted")
+	}
+	if p.NumVars() != 0 {
+		t.Errorf("rejected variables left a trace: %d vars, want 0", p.NumVars())
+	}
 }
 
 func TestEmptyProblem(t *testing.T) {

@@ -1,84 +1,18 @@
 package lp
 
-import (
-	"fmt"
-	"math"
-	"os"
-	"sync/atomic"
-)
+import "math"
 
-// Pricing rules for the primal simplex. The pricing rule decides which
-// nonbasic column enters the basis each iteration; it never affects
-// which points are optimal, only how many pivots (and how much pricing
-// work per pivot) the solve spends reaching one. On degenerate problems
-// different rules land on different — equally optimal — vertices, the
-// same contract as the Forrest–Tomlin update scheme.
-
-// PricingRule selects the simplex entering-column rule.
-type PricingRule int
-
-const (
-	// PricingDefault — the zero value — resolves to the package default
-	// rule at solve time (Devex, unless SetPricing or OLIVE_LP_PRICING
-	// says otherwise), so a zero Problem or Options field always means
-	// "whatever the process is configured for".
-	PricingDefault PricingRule = iota
-	// PricingDevex is the default: approximate steepest-edge pricing
-	// with reference weights (Forrest–Goldfarb Devex), combined with
-	// partial pricing — each iteration scans a rotating section of the
-	// nonbasic columns instead of all of them. Devex weights make the
-	// chosen column a good ratio of objective gain to step distortion,
-	// which is what cuts the pivot count versus Dantzig; partial
-	// pricing cuts the per-iteration scan cost on wide problems.
-	PricingDevex
-	// PricingDantzig is the textbook most-negative-reduced-cost rule
-	// with a full scan every iteration — the ablation baseline; the
-	// scan itself is unchanged from the pre-Devex solver (solver-wide
-	// output can still differ from older releases, e.g. the final
-	// refactorization now certifies duals under either rule).
-	PricingDantzig
-)
-
-// String returns the rule name as used in metric labels.
-func (r PricingRule) String() string {
-	switch r {
-	case PricingDefault:
-		return "default"
-	case PricingDevex:
-		return "devex"
-	case PricingDantzig:
-		return "dantzig"
-	default:
-		return fmt.Sprintf("pricing(%d)", int(r))
-	}
-}
-
-// pricingDefault is what PricingDefault resolves to; settable via
-// SetPricing or the OLIVE_LP_PRICING environment variable (the
-// golden-isolation ablation switch, mirroring OLIVE_LP_FT).
-var pricingDefault atomic.Int32
-
-func init() {
-	if os.Getenv("OLIVE_LP_PRICING") == "dantzig" { //olive:wallclock ablation knob, read once at init; documented in CONTRIBUTING
-		pricingDefault.Store(int32(PricingDantzig))
-	}
-}
-
-// SetPricing switches the rule PricingDefault resolves to, so harnesses
-// can flip the whole pipeline (plan builds, SLOTOFF, serve solves)
-// without threading an option through every layer.
-func SetPricing(r PricingRule) { pricingDefault.Store(int32(r)) }
-
-// resolve maps PricingDefault to the configured process-wide rule.
-func (r PricingRule) resolve() PricingRule {
-	if r == PricingDefault {
-		r = PricingRule(pricingDefault.Load())
-		if r == PricingDefault {
-			r = PricingDevex
-		}
-	}
-	return r
-}
+// Pricing for the primal simplex: which nonbasic column enters the basis
+// each iteration. The choice never affects which points are optimal,
+// only how many pivots (and how much pricing work per pivot) the solve
+// spends reaching one. The rule is Devex — approximate steepest-edge
+// pricing with reference weights (Forrest–Goldfarb) — combined with
+// partial pricing: each iteration scans a rotating section of the
+// nonbasic columns instead of all of them. Devex weights make the chosen
+// column a good ratio of objective gain to step distortion, which is
+// what keeps the pivot count down; partial pricing cuts the
+// per-iteration scan cost on wide problems. Bland's rule (priceBland)
+// takes over on long degenerate streaks to guarantee termination.
 
 // Devex and partial-pricing policy.
 const (
@@ -116,32 +50,26 @@ func (s *simplex) devexReset() {
 	}
 }
 
-// price selects the entering column under the problem's pricing rule,
-// returning enter = −1 at (pricing-rule) optimality. enterDir is +1 for
-// a column rising from its lower bound, −1 for one falling from its
-// upper bound; enterRC is the column's reduced cost.
+// price selects the entering column, returning enter = −1 at
+// optimality. enterDir is +1 for a column rising from its lower bound,
+// −1 for one falling from its upper bound; enterRC is the column's
+// reduced cost.
 //
-// Under PricingDantzig the scan is the textbook full pass: every
-// nonbasic column, most negative (scale-adjusted) reduced cost wins.
-// Under PricingDevex the scan starts at a cursor that rotates across
-// calls and proceeds section by section, stopping at the end of the
-// first section containing an improving candidate; the winner maximizes
-// d²/γ over the scanned improving set. Optimality is declared only
-// after a full wrap finds no improving column, so partial pricing never
-// weakens the optimality certificate.
+// The scan starts at a cursor that rotates across calls and proceeds
+// section by section, stopping at the end of the first section
+// containing an improving candidate; the winner maximizes d²/γ over the
+// scanned improving set. Optimality is declared only after a full wrap
+// finds no improving column, so partial pricing never weakens the
+// optimality certificate.
 func (s *simplex) price(cost, y []float64) (enter int, enterDir, enterRC float64) {
 	n := len(s.cols)
-	devex := s.rule == PricingDevex
-	sect := n
+	sect := n/pricingSections + 1
+	if sect < pricingMinSection {
+		sect = pricingMinSection
+	}
 	start := 0
-	if devex {
-		sect = n/pricingSections + 1
-		if sect < pricingMinSection {
-			sect = pricingMinSection
-		}
-		if s.scanCursor < n {
-			start = s.scanCursor
-		}
+	if s.scanCursor < n {
+		start = s.scanCursor
 	}
 	enter = -1
 	bestScore := 0.0
@@ -181,13 +109,7 @@ func (s *simplex) price(cost, y []float64) (enter int, enterDir, enterRC float64
 			default:
 				continue
 			}
-			score := d * d
-			if devex {
-				score /= s.gamma[j]
-			} else {
-				score = math.Abs(d)
-			}
-			if score > bestScore {
+			if score := d * d / s.gamma[j]; score > bestScore {
 				bestScore = score
 				enter, enterDir, enterRC = j, dir, d
 			}
@@ -197,19 +119,16 @@ func (s *simplex) price(cost, y []float64) (enter int, enterDir, enterRC float64
 		}
 	}
 	s.pscans += off
-	if devex {
-		cur := start + off
-		if cur >= n {
-			cur -= n
-		}
-		s.scanCursor = cur
+	cur := start + off
+	if cur >= n {
+		cur -= n
 	}
+	s.scanCursor = cur
 	return enter, enterDir, enterRC
 }
 
 // priceBland is the anti-cycling fallback: lowest-index improving
-// column, full scan — unchanged from the pre-Devex solver, and still
-// what guarantees termination on degenerate streaks.
+// column, full scan — what guarantees termination on degenerate streaks.
 func (s *simplex) priceBland(cost, y []float64) (enter int, enterDir float64) {
 	for j := 0; j < len(s.cols); j++ {
 		if s.status[j] == basic {
@@ -236,7 +155,7 @@ func (s *simplex) priceBland(cost, y []float64) (enter int, enterDir float64) {
 // ensureRowIndex extends the row-wise matrix index to cover every
 // column (repair paths append artificial columns mid-solve). The index
 // turns the devexUpdate pivot-row pass from "sparse dot per nonbasic
-// column" — O(total nnz) per pivot, a full Dantzig scan's worth — into
+// column" — O(total nnz) per pivot, a full pricing scan's worth — into
 // a scatter over only the columns intersecting ρ's support.
 func (s *simplex) ensureRowIndex() {
 	for j := s.rowIdxN; j < len(s.cols); j++ {

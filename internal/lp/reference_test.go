@@ -210,51 +210,72 @@ func refSolve(p *Problem) (Status, float64) {
 
 // TestRandomLPsAgainstDenseReference fuzzes the sparse-LU simplex with
 // random bounded LPs and cross-checks status and objective against the
-// naive dense reference solver — the guard the LU path runs under.
+// naive dense reference solver — the guard the LU path runs under. Two
+// size classes: narrow instances drawn from one stream, and wider ones
+// (each derived from a per-trial stream of its own) that exercise
+// partial pricing's cursor wrap-around.
 func TestRandomLPsAgainstDenseReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2024, 7))
-	var optimal, infeasible int
-	for trial := 0; trial < 300; trial++ {
-		m := 1 + rng.IntN(6)
-		n := 1 + rng.IntN(8)
-		p := NewProblem()
-		for i := 0; i < m; i++ {
-			p.AddRow([]Sense{LE, EQ, GE}[rng.IntN(3)], rng.Float64()*8-2)
-		}
-		for j := 0; j < n; j++ {
-			lo := 0.0
-			if rng.Float64() < 0.3 {
-				lo = rng.Float64() - 0.5
-			}
-			up := lo + rng.Float64()*6 // finite bounds keep instances bounded
-			var entries []Entry
-			for i := 0; i < m; i++ {
-				if rng.Float64() < 0.6 {
-					entries = append(entries, Entry{Row: i, Coef: rng.Float64()*4 - 2})
+	for _, c := range []struct {
+		name         string
+		seed1, seed2 uint64
+		trials       int
+		maxM, maxN   int
+		density      float64
+		fork         bool // draw each instance from its own PCG(trial, 997)
+	}{
+		{"narrow", 2024, 7, 300, 6, 8, 0.6, false},
+		{"wide", 88, 11, 250, 10, 24, 0.5, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(c.seed1, c.seed2))
+			var optimal, infeasible int
+			for trial := 0; trial < c.trials; trial++ {
+				m := 1 + rng.IntN(c.maxM)
+				n := 1 + rng.IntN(c.maxN)
+				inst := rng
+				if c.fork {
+					inst = rand.New(rand.NewPCG(uint64(trial), 997))
+				}
+				p := NewProblem()
+				for i := 0; i < m; i++ {
+					p.AddRow([]Sense{LE, EQ, GE}[inst.IntN(3)], inst.Float64()*8-2)
+				}
+				for j := 0; j < n; j++ {
+					lo := 0.0
+					if inst.Float64() < 0.3 {
+						lo = inst.Float64() - 0.5
+					}
+					up := lo + inst.Float64()*6 // finite bounds keep instances bounded
+					var entries []Entry
+					for i := 0; i < m; i++ {
+						if inst.Float64() < c.density {
+							entries = append(entries, Entry{Row: i, Coef: inst.Float64()*4 - 2})
+						}
+					}
+					if _, err := p.AddVar(inst.Float64()*4-2, lo, up, entries); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sol, err := p.Solve()
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				refSt, refObj := refSolve(p)
+				if sol.Status != refSt {
+					t.Fatalf("trial %d (%dx%d): status %v, reference says %v", trial, m, n, sol.Status, refSt)
+				}
+				if sol.Status == Optimal {
+					optimal++
+					if d := math.Abs(sol.Obj - refObj); d > 1e-6*(1+math.Abs(refObj)) {
+						t.Fatalf("trial %d (%dx%d): obj %.12g, reference %.12g (Δ %g)", trial, m, n, sol.Obj, refObj, d)
+					}
+				} else {
+					infeasible++
 				}
 			}
-			if _, err := p.AddVar(rng.Float64()*4-2, lo, up, entries); err != nil {
-				t.Fatal(err)
+			if optimal < 20 || infeasible < 20 {
+				t.Fatalf("fuzz mix degenerate: %d optimal, %d infeasible of %d", optimal, infeasible, c.trials)
 			}
-		}
-		sol, err := p.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		refSt, refObj := refSolve(p)
-		if sol.Status != refSt {
-			t.Fatalf("trial %d: status %v, reference says %v", trial, sol.Status, refSt)
-		}
-		if sol.Status == Optimal {
-			optimal++
-			if d := math.Abs(sol.Obj - refObj); d > 1e-6*(1+math.Abs(refObj)) {
-				t.Fatalf("trial %d: obj %.12g, reference %.12g (Δ %g)", trial, sol.Obj, refObj, d)
-			}
-		} else {
-			infeasible++
-		}
-	}
-	if optimal < 20 || infeasible < 20 {
-		t.Fatalf("fuzz mix degenerate: %d optimal, %d infeasible of 300", optimal, infeasible)
+		})
 	}
 }

@@ -126,6 +126,9 @@ func Load(r io.Reader) (*Problem, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !finite(rhs) {
+			return nil, fmt.Errorf("lp: fixture line %d: non-finite rhs %g", line, rhs)
+		}
 		p.AddRow(sense, rhs)
 	}
 	if f, err = next(); err != nil {

@@ -46,12 +46,7 @@ type simplex struct {
 	iters   int
 	refacts int // refactorization count, surfaced in Solution
 
-	// ft selects Forrest–Tomlin basis updates (see ft.go) for every
-	// factorization of this solve.
-	ft bool
-
 	// pricing state (see pricing.go)
-	rule        PricingRule
 	gamma       []float64 // Devex reference weights, one per column
 	rhobuf      []float64 // BTRAN(e_r) pivot-row buffer, matrix-row space
 	unitbuf     []float64 // unit-vector input for the pivot-row BTRAN
@@ -83,7 +78,7 @@ type rowEnt struct {
 // alias the problem's own columns (the simplex never mutates entries).
 func (p *Problem) newSimplex(perturb float64, ws *workspace) (*simplex, []float64) {
 	m := len(p.rhs)
-	s := &simplex{m: m, nStruct: p.numVars, ws: ws, ft: p.ForrestTomlin, rule: p.Pricing.resolve()}
+	s := &simplex{m: m, nStruct: p.numVars, ws: ws}
 
 	ws.rowNeg = growSlice(ws.rowNeg, m)
 	rowNeg := ws.rowNeg
@@ -444,7 +439,6 @@ func (s *simplex) refactorize() error {
 		}
 		ok, depPos, depRows := factorBasis(&s.ws.fw, lu, s.m, s.cols, s.basis)
 		if ok {
-			lu.ft = s.ft
 			s.lu = lu
 			break
 		}
@@ -540,18 +534,15 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 		y := s.ybuf
 		s.dualsInto(cost, y)
 
-		// Pricing: Devex (default) or Dantzig per the problem's rule;
-		// Bland's rule after a long degenerate streak to guarantee
-		// termination (see pricing.go).
+		// Pricing: Devex; Bland's rule after a long degenerate streak to
+		// guarantee termination (see pricing.go).
 		var enter int
 		var enterDir float64 // +1 entering rises from lower, −1 falls from upper
 		useBland := degenerate > blandAfter
-		if !useBland && s.rule == PricingDevex {
-			s.ensureGamma()
-		}
 		if useBland {
 			enter, enterDir = s.priceBland(cost, y)
 		} else {
+			s.ensureGamma()
 			enter, enterDir, _ = s.price(cost, y)
 		}
 		if enter < 0 {
@@ -621,10 +612,8 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 			continue
 		}
 
-		if s.rule == PricingDevex {
-			// Reference-weight update against the pre-pivot basis.
-			s.devexUpdate(enter, leave, w)
-		}
+		// Reference-weight update against the pre-pivot basis.
+		s.devexUpdate(enter, leave, w)
 
 		// Pivot: enter replaces basis[leave].
 		exiting := s.basis[leave]

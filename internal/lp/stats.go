@@ -22,8 +22,6 @@ type SolveStats struct {
 	// BlandPivots is the subset of Pivots taken under the Bland
 	// anti-cycling fallback.
 	BlandPivots int
-	// Rule is the pricing rule the solve ran under.
-	Rule PricingRule
 	// WarmStarted reports a successful warm start (SolveFrom that did
 	// not fall back to a cold solve).
 	WarmStarted bool
@@ -45,24 +43,21 @@ type CountersSnapshot struct {
 	// PricingScans is the total nonbasic-column count examined by
 	// pricing — the scan work the Devex partial-pricing sections cut.
 	PricingScans int64
-	// PivotsDevex/PivotsDantzig/PivotsBland split Pivots by the rule
-	// that priced each pivot's entering column (Bland pivots are the
-	// anti-cycling fallback, whatever the configured rule).
-	PivotsDevex   int64
-	PivotsDantzig int64
-	PivotsBland   int64
+	// PivotsDevex/PivotsBland split Pivots by the rule that priced each
+	// pivot's entering column (Bland is the anti-cycling fallback).
+	PivotsDevex int64
+	PivotsBland int64
 }
 
 var counters struct {
-	solves        atomic.Int64
-	warmAttempts  atomic.Int64
-	warmHits      atomic.Int64
-	pivots        atomic.Int64
-	refacts       atomic.Int64
-	pricingScans  atomic.Int64
-	pivotsDevex   atomic.Int64
-	pivotsDantzig atomic.Int64
-	pivotsBland   atomic.Int64
+	solves       atomic.Int64
+	warmAttempts atomic.Int64
+	warmHits     atomic.Int64
+	pivots       atomic.Int64
+	refacts      atomic.Int64
+	pricingScans atomic.Int64
+	pivotsDevex  atomic.Int64
+	pivotsBland  atomic.Int64
 }
 
 var solveHook atomic.Pointer[func(SolveStats)]
@@ -77,7 +72,6 @@ func Stats() CountersSnapshot {
 		Refactorizations: counters.refacts.Load(),
 		PricingScans:     counters.pricingScans.Load(),
 		PivotsDevex:      counters.pivotsDevex.Load(),
-		PivotsDantzig:    counters.pivotsDantzig.Load(),
 		PivotsBland:      counters.pivotsBland.Load(),
 	}
 }
@@ -104,13 +98,8 @@ func recordSolve(sol *Solution) {
 	if bland > 0 {
 		counters.pivotsBland.Add(bland)
 	}
-	if rulePiv := int64(sol.Iterations) - bland; rulePiv > 0 {
-		switch sol.Rule {
-		case PricingDantzig:
-			counters.pivotsDantzig.Add(rulePiv)
-		default:
-			counters.pivotsDevex.Add(rulePiv)
-		}
+	if devex := int64(sol.Iterations) - bland; devex > 0 {
+		counters.pivotsDevex.Add(devex)
 	}
 	if sol.WarmStarted {
 		counters.warmHits.Add(1)
@@ -122,7 +111,6 @@ func recordSolve(sol *Solution) {
 			Refactorizations: sol.Refactorizations,
 			PricingScans:     sol.PricingScans,
 			BlandPivots:      sol.BlandPivots,
-			Rule:             sol.Rule,
 			WarmStarted:      sol.WarmStarted,
 		})
 	}

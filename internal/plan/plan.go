@@ -250,11 +250,6 @@ type Options struct {
 	// truncated column generation explores different column sets when
 	// rounds (and consecutive Builds) no longer share state.
 	DisableWarmStarts bool
-	// Pricing selects the master LP's simplex pricing rule. The zero
-	// value (lp.PricingDefault) follows the process-wide default —
-	// Devex with partial pricing; lp.PricingDantzig is the full-scan
-	// ablation baseline.
-	Pricing lp.PricingRule
 }
 
 // DefaultOptions returns the paper's plan parameters.
@@ -515,7 +510,6 @@ func newMaster(g *graph.Graph, apps []*vnet.App, classes []Class, opts Options) 
 		elemRow: make(map[graph.ElementID]int),
 		sigs:    make(map[string]bool),
 	}
-	m.prob.Pricing = opts.Pricing
 	m.psi = make([]float64, len(classes))
 	for i, c := range classes {
 		if opts.RejectionFactor > 0 {

@@ -131,7 +131,7 @@ func TestRateLimiterEviction(t *testing.T) {
 func TestRateLimit429Shape(t *testing.T) {
 	s, ts := testServer(t, Options{
 		Deterministic: true,
-		RateLimit:     RateLimit{RPS: 1, Burst: 1},
+		Limits:        Limits{RateLimit: RateLimit{RPS: 1, Burst: 1}},
 	})
 
 	body, _ := json.Marshal(EmbedRequest{App: 0, Ingress: 0, Demand: 1, Duration: 1})
@@ -186,7 +186,7 @@ func TestRateLimit429Shape(t *testing.T) {
 func TestRateLimitPerClientHTTP(t *testing.T) {
 	_, ts := testServer(t, Options{
 		Deterministic: true,
-		RateLimit:     RateLimit{PerClientRPS: 0.001, PerClientBurst: 1},
+		Limits:        Limits{RateLimit: RateLimit{PerClientRPS: 0.001, PerClientBurst: 1}},
 	})
 	post := func(client string) int {
 		body, _ := json.Marshal(EmbedRequest{App: 0, Ingress: 0, Demand: 1, Duration: 1})

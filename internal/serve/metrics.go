@@ -46,7 +46,7 @@ import (
 //	vne_ratelimit_tokens                 gauge   {scope}    (limiter enabled)
 //	vne_lp_solves_total                  counter {start}
 //	vne_lp_pivots_total                  counter
-//	vne_lp_pivots_by_rule_total          counter {rule}
+//	vne_lp_pivots_by_rule_total          counter {rule}     (devex, bland)
 //	vne_lp_pricing_scans_total           counter
 //	vne_lp_refactorizations_total        counter
 //	vne_plan_builds_total                counter
@@ -245,9 +245,8 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		func() float64 { return float64(lp.Stats().Pivots) })
 	pivotsBy := reg.CounterFuncVec("vne_lp_pivots_by_rule_total",
 		"Simplex pivots by the pricing rule that chose the entering column "+
-			"(bland is the anti-cycling fallback under either rule).", "rule")
+			"(devex, or bland — the anti-cycling fallback).", "rule")
 	pivotsBy.With(func() float64 { return float64(lp.Stats().PivotsDevex) }, "devex")
-	pivotsBy.With(func() float64 { return float64(lp.Stats().PivotsDantzig) }, "dantzig")
 	pivotsBy.With(func() float64 { return float64(lp.Stats().PivotsBland) }, "bland")
 	reg.CounterFunc("vne_lp_pricing_scans_total",
 		"Nonbasic columns examined by simplex pricing — the scan work "+

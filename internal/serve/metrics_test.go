@@ -106,7 +106,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsDisabled: DisableMetrics removes the /metrics route and the
 // registry, and the server still serves.
 func TestMetricsDisabled(t *testing.T) {
-	s, ts := testServer(t, Options{Deterministic: true, DisableMetrics: true})
+	s, ts := testServer(t, Options{Deterministic: true, Observability: Observability{DisableMetrics: true}})
 	if s.Metrics() != nil {
 		t.Fatal("Metrics() non-nil with DisableMetrics")
 	}
@@ -215,11 +215,11 @@ func TestDeterminismWithMetricsAndLogging(t *testing.T) {
 		return buf.String()
 	}
 
-	quiet := run(Options{Shards: 1, Deterministic: true, DisableMetrics: true}, false)
+	quiet := run(Options{Shards: 1, Deterministic: true, Observability: Observability{DisableMetrics: true}}, false)
 	loud := run(Options{
 		Shards:        1,
 		Deterministic: true,
-		AccessLog:     slog.New(slog.NewJSONHandler(io.Discard, nil)),
+		Observability: Observability{AccessLog: slog.New(slog.NewJSONHandler(io.Discard, nil))},
 	}, true)
 	if quiet != loud {
 		t.Fatalf("instrumentation changed the decision sequence:\n--- metrics off ---\n%s\n--- metrics+logging on ---\n%s", quiet, loud)
@@ -236,7 +236,7 @@ func TestAccessLogAndRequestID(t *testing.T) {
 	mu := &syncWriter{w: &logBuf}
 	_, ts := testServer(t, Options{
 		Deterministic: true,
-		AccessLog:     slog.New(slog.NewJSONHandler(mu, nil)),
+		Observability: Observability{AccessLog: slog.New(slog.NewJSONHandler(mu, nil))},
 	})
 
 	body, _ := json.Marshal(EmbedRequest{App: 0, Ingress: 0, Demand: 1, Duration: 1})

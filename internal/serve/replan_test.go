@@ -155,33 +155,6 @@ func TestReplanConflictCodes(t *testing.T) {
 	}
 }
 
-// TestOptionsBackCompat: the deprecated flat ServerOptions fields still
-// configure the server when the nested sections are unset.
-func TestOptionsBackCompat(t *testing.T) {
-	opts := Options{
-		Deterministic: true,
-		QueueDepth:    7,
-		RateLimit:     RateLimit{RPS: 100, Burst: 100},
-	}
-	s, _ := testServer(t, opts)
-	if got := cap(s.allShards()[0].queue); got != 7 {
-		t.Fatalf("flat QueueDepth: queue cap = %d, want 7", got)
-	}
-	if s.limiter == nil {
-		t.Fatal("flat RateLimit did not enable the limiter")
-	}
-	// Nested fields win over flat ones when both are set.
-	opts2 := Options{
-		Deterministic: true,
-		QueueDepth:    7,
-		Limits:        Limits{QueueDepth: 11},
-	}
-	s2, _ := testServer(t, opts2)
-	if got := cap(s2.allShards()[0].queue); got != 11 {
-		t.Fatalf("nested QueueDepth: queue cap = %d, want 11", got)
-	}
-}
-
 // replayLocal posts a stream through the test server and fails on any
 // non-200 (the zero-drop property the e2e also asserts).
 func replayLocal(t *testing.T, ts *httptest.Server, reqs []StreamRequest) {

@@ -146,22 +146,6 @@ type Options struct {
 	// Observability groups the instrumentation wiring.
 	Observability Observability
 
-	// QueueDepth is a deprecated alias for Limits.QueueDepth, honored
-	// when the nested field is unset.
-	QueueDepth int
-	// RateLimit is a deprecated alias for Limits.RateLimit, honored when
-	// the nested field is unset.
-	RateLimit RateLimit
-	// Registry is a deprecated alias for Observability.Registry, honored
-	// when the nested field is unset.
-	Registry *obs.Registry
-	// DisableMetrics is a deprecated alias for
-	// Observability.DisableMetrics (either set disables).
-	DisableMetrics bool
-	// AccessLog is a deprecated alias for Observability.AccessLog,
-	// honored when the nested field is unset.
-	AccessLog *slog.Logger
-
 	// testHookProcess, when set, runs on the shard goroutine before each
 	// embed is processed. Package tests use it to stall a shard
 	// deterministically (backpressure, drain); nil in production.
@@ -172,23 +156,8 @@ func (o *Options) normalize() error {
 	if o.Shards <= 0 {
 		o.Shards = 1
 	}
-	// Resolve the deprecated flat aliases into their sections. The rest
-	// of the package reads only the nested fields.
-	if o.Limits.QueueDepth <= 0 {
-		o.Limits.QueueDepth = o.QueueDepth
-	}
 	if o.Limits.QueueDepth <= 0 {
 		o.Limits.QueueDepth = 256
-	}
-	if !o.Limits.RateLimit.enabled() {
-		o.Limits.RateLimit = o.RateLimit
-	}
-	if o.Observability.Registry == nil {
-		o.Observability.Registry = o.Registry
-	}
-	o.Observability.DisableMetrics = o.Observability.DisableMetrics || o.DisableMetrics
-	if o.Observability.AccessLog == nil {
-		o.Observability.AccessLog = o.AccessLog
 	}
 	if o.SlotDuration <= 0 {
 		o.SlotDuration = time.Second

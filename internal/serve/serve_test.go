@@ -195,7 +195,7 @@ func TestBackpressure429(t *testing.T) {
 	var once sync.Once
 	opts := Options{
 		Deterministic: true,
-		QueueDepth:    1,
+		Limits:        Limits{QueueDepth: 1},
 		testHookProcess: func(int) {
 			once.Do(func() {
 				entered <- struct{}{}

@@ -173,7 +173,6 @@ type StatsResponse struct {
 		WarmHits         int64 `json:"warm_hits"`
 		Pivots           int64 `json:"pivots"`
 		PivotsDevex      int64 `json:"pivots_devex"`
-		PivotsDantzig    int64 `json:"pivots_dantzig"`
 		PivotsBland      int64 `json:"pivots_bland"`
 		PricingScans     int64 `json:"pricing_scans"`
 		Refactorizations int64 `json:"refactorizations"`
@@ -243,7 +242,6 @@ func (s *Server) Stats() StatsResponse {
 	out.LP.WarmHits = lps.WarmHits
 	out.LP.Pivots = lps.Pivots
 	out.LP.PivotsDevex = lps.PivotsDevex
-	out.LP.PivotsDantzig = lps.PivotsDantzig
 	out.LP.PivotsBland = lps.PivotsBland
 	out.LP.PricingScans = lps.PricingScans
 	out.LP.Refactorizations = lps.Refactorizations

@@ -487,7 +487,7 @@ type (
 	// ServerOptions configures a Server: shard count, algorithm, slot
 	// duration, the deterministic virtual-clock mode CI leans on, and
 	// the nested ServerLimits / ServerReplan / ServerObservability
-	// groups (the old flat fields remain as deprecated aliases).
+	// groups.
 	ServerOptions = serve.Options
 	// ServerLimits groups the admission-control knobs: per-shard queue
 	// depth (full queues answer 429) and the token-bucket rate limits.
