@@ -4,9 +4,7 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/lp"
-	"github.com/olive-vne/olive/internal/vnet"
 )
 
 // TestWarmLRUEviction pins the basis-memory LRU policy: inserts beyond
@@ -53,36 +51,5 @@ func TestWarmLRUEviction(t *testing.T) {
 	}
 	if Stats().WarmEvictions != evBefore {
 		t.Error("delete counted as an eviction")
-	}
-}
-
-// TestCandPoolFIFOEviction pins the pricing candidate pool's per-class
-// FIFO cap and dedup.
-func TestCandPoolFIFOEviction(t *testing.T) {
-	s := &Solver{candPool: make(map[classKey][]poolCand)}
-	key := classKey{app: 0, ingress: 1}
-	before := Stats().PoolEvictions
-	emb := func(i int) *vnet.Embedding {
-		// Distinct node maps give distinct signatures; poolAdd only
-		// reads the signature, so a bare mapping suffices.
-		return &vnet.Embedding{NodeMap: []graph.NodeID{graph.NodeID(i)}}
-	}
-	for i := 0; i < candPoolPerClass+3; i++ {
-		s.poolAdd(key, emb(i))
-	}
-	if got := len(s.candPool[key]); got != candPoolPerClass {
-		t.Fatalf("pool size = %d, want cap %d", got, candPoolPerClass)
-	}
-	if got := Stats().PoolEvictions - before; got != 3 {
-		t.Fatalf("PoolEvictions grew by %d, want 3", got)
-	}
-	// Oldest entries evicted first: entry 0..2 gone, 3 is now the front.
-	if want := embSignature(emb(3)); s.candPool[key][0].sig != want {
-		t.Errorf("front of pool = %q, want %q", s.candPool[key][0].sig, want)
-	}
-	// Re-adding a pooled embedding dedups instead of growing the pool.
-	s.poolAdd(key, emb(candPoolPerClass))
-	if got := len(s.candPool[key]); got != candPoolPerClass {
-		t.Fatalf("pool size = %d after duplicate add, want %d", got, candPoolPerClass)
 	}
 }

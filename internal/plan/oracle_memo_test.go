@@ -12,38 +12,43 @@ import (
 )
 
 // TestPricingFillsOncePerAppPerRound is the work guard for the pricing
-// oracle on the fig-scale instance: a cold Build fills at most one DP
-// table per application per price vector — the cost prices of the seeding
-// and one dual-adjusted vector per pricing round — however many classes
-// ask. PriceOracleCalls keeps counting the class queries asked: every
-// class of every round is answered either by the pool or by the oracle,
-// and every oracle query (seeding asks one per class too) is a fill or a
-// memo hit.
+// oracle on the fig-scale instance: a Build fills at most one DP table per
+// application per price vector — the cost prices of the seeding and one
+// dual-adjusted vector per pricing round — however many classes ask.
+// Every class of every round is priced by the oracle, exactly once, and
+// every oracle query (seeding asks one per class too) is a fill or a memo
+// hit. The second Build is warm on the same Solver over shifted demands,
+// the regime of SLOTOFF's per-slot rebuilds.
 func TestPricingFillsOncePerAppPerRound(t *testing.T) {
 	solver, classes, opts := benchInstance(t)
 	opts.MaxPricingRounds = DefaultOptions().MaxPricingRounds
 	apps := solver.apps
-	ps, es := Stats(), embedder.Stats()
-	p, err := solver.Build(classes, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, ed := Stats(), embedder.Stats()
-	calls, poolHits := pd.PriceOracleCalls-ps.PriceOracleCalls, pd.PricePoolHits-ps.PricePoolHits
-	fills, hits := ed.DPFills-es.DPFills, ed.DPTableHits-es.DPTableHits
-	t.Logf("%d classes over %d apps, %d pricing rounds: %d oracle calls + %d pool hits, %d DP fills + %d table hits",
-		len(classes), len(apps), p.PricingRounds, calls, poolHits, fills, hits)
-	if p.PricingRounds < 2 {
-		t.Fatalf("the instance priced %d rounds; the guard needs several", p.PricingRounds)
-	}
-	if limit := int64(len(apps) * (p.PricingRounds + 1)); fills > limit {
-		t.Fatalf("%d DP fills, want at most apps × (rounds + 1) = %d", fills, limit)
-	}
-	if want := int64(p.PricingRounds * len(classes)); calls+poolHits != want {
-		t.Fatalf("%d oracle calls + %d pool hits, want rounds × classes = %d", calls, poolHits, want)
-	}
-	if want := calls + int64(len(classes)); fills+hits != want {
-		t.Fatalf("%d fills + %d table hits, want one per class query asked (%d pricing + %d seeding)", fills, hits, calls, len(classes))
+	for build := 0; build < 2; build++ {
+		ps, es := Stats(), embedder.Stats()
+		p, err := solver.Build(classes, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, ed := Stats(), embedder.Stats()
+		calls := pd.PriceOracleCalls - ps.PriceOracleCalls
+		fills, hits := ed.DPFills-es.DPFills, ed.DPTableHits-es.DPTableHits
+		t.Logf("build %d: %d classes over %d apps, %d pricing rounds: %d oracle calls, %d DP fills + %d table hits",
+			build, len(classes), len(apps), p.PricingRounds, calls, fills, hits)
+		if p.PricingRounds < 2 {
+			t.Fatalf("build %d priced %d rounds; the guard needs several", build, p.PricingRounds)
+		}
+		if limit := int64(len(apps) * (p.PricingRounds + 1)); fills > limit {
+			t.Fatalf("build %d: %d DP fills, want at most apps × (rounds + 1) = %d", build, fills, limit)
+		}
+		if want := int64(p.PricingRounds * len(classes)); calls != want {
+			t.Fatalf("build %d: %d oracle calls, want rounds × classes = %d", build, calls, want)
+		}
+		if want := calls + int64(len(classes)); fills+hits != want {
+			t.Fatalf("build %d: %d fills + %d table hits, want one per class query asked (%d pricing + %d seeding)", build, fills, hits, calls, len(classes))
+		}
+		for i := range classes {
+			classes[i].Demand *= 1.15
+		}
 	}
 }
 

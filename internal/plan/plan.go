@@ -13,6 +13,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"strconv"
@@ -238,17 +239,12 @@ type Options struct {
 	// the plan is built from the seed columns only; the ablation bench
 	// uses this).
 	MaxPricingRounds int
-	// RejectionFactor is ψ. Zero selects the paper's conservative
-	// default: the cost of placing every element of the application on
-	// the most expensive substrate element of its type.
-	RejectionFactor float64
 	// DisableWarmStarts runs every master LP from a cold basis and
-	// ignores the Solver's cross-Build basis memory, solution-support
-	// column pool, and batched candidate-pool pricing. An
-	// ablation/benchmark knob. Every intermediate LP is still solved to
-	// optimality either way, but the resulting plans can differ:
-	// truncated column generation explores different column sets when
-	// rounds (and consecutive Builds) no longer share state.
+	// ignores the Solver's cross-Build basis memory and solution-support
+	// column pool. An ablation/benchmark knob. Every intermediate LP is
+	// still solved to optimality either way, but the resulting plans can
+	// differ: truncated column generation explores different column sets
+	// when rounds (and consecutive Builds) no longer share state.
 	DisableWarmStarts bool
 }
 
@@ -316,34 +312,14 @@ type Solver struct {
 	// columns the fresh master lacks, and the warm start could never
 	// reproduce the vertex it came from.
 	pool map[classKey][]*vnet.Embedding
-	// candPool accumulates the embeddings the pricing oracle has ever
-	// produced per class, across Builds, bounded FIFO per class. Pricing
-	// rounds batch-price these against the element duals with flat dot
-	// products — no oracle run, no per-column FTRANs — and consult the
-	// exact oracle only for classes whose pooled candidates yield no
-	// improving column.
-	candPool map[classKey][]poolCand
 }
 
-// poolCand is one pooled candidate embedding with its memoized
-// signature (so re-pricing rounds dedup without re-deriving it).
-type poolCand struct {
-	e   *vnet.Embedding
-	sig string
-}
-
-// Solver memory policy.
+// warmVarCap / warmRowCap bound the signature-keyed basis memory. Sized
+// for several distinct masters of this repo's largest scenarios
+// (thousands of columns each) before eviction starts.
 const (
-	// warmVarCap / warmRowCap bound the signature-keyed basis memory.
-	// Sized for several distinct masters of this repo's largest scenarios
-	// (thousands of columns each) before eviction starts.
 	warmVarCap = 1 << 14
 	warmRowCap = 1 << 13
-	// candPoolPerClass bounds the per-class candidate pool (FIFO).
-	candPoolPerClass = 32
-	// priceTopK is how many improving pooled columns a pricing round
-	// feeds the master per class at once.
-	priceTopK = 2
 )
 
 // NewSolver returns a Solver for the given substrate and applications.
@@ -367,7 +343,6 @@ func NewSolverOn(seedOracle *embedder.Oracle, apps []*vnet.App) *Solver {
 		priceOracle: embedder.ForState(ps),
 		warmVars:    newWarmLRU(warmVarCap),
 		warmRows:    newWarmLRU(warmRowCap),
-		candPool:    make(map[classKey][]poolCand),
 	}
 }
 
@@ -393,8 +368,10 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 		if c.App < 0 || c.App >= len(apps) {
 			return nil, fmt.Errorf("plan: class references app %d of %d", c.App, len(apps))
 		}
-		if c.Demand <= 0 {
-			return nil, fmt.Errorf("plan: class (%d,%d) has non-positive demand", c.App, c.Ingress)
+		// Written to catch NaN too: a non-finite demand makes a
+		// non-finite column cost, which the LP refuses.
+		if !(c.Demand > 0) || math.IsInf(c.Demand, 1) {
+			return nil, fmt.Errorf("plan: class (%d,%d) has demand %g, want finite and positive", c.App, c.Ingress, c.Demand)
 		}
 	}
 
@@ -465,8 +442,8 @@ func BuildFromHistory(g *graph.Graph, apps []*vnet.App, hist *workload.Trace, op
 
 // BuildFromHistory aggregates hist and builds the plan on this solver,
 // so successive rebuilds over rolling histories — the serving layer's
-// online replanner — reuse the warm basis memory and candidate pool the
-// way repeated Build calls do.
+// online replanner — reuse the warm basis memory and solution-support
+// column pool the way repeated Build calls do.
 func (s *Solver) BuildFromHistory(hist *workload.Trace, opts Options, rng *rand.Rand) (*Plan, error) {
 	classes, err := Aggregate(hist, len(s.apps), opts.Alpha, opts.BootstrapB, rng)
 	if err != nil {
@@ -512,11 +489,7 @@ func newMaster(g *graph.Graph, apps []*vnet.App, classes []Class, opts Options) 
 	}
 	m.psi = make([]float64, len(classes))
 	for i, c := range classes {
-		if opts.RejectionFactor > 0 {
-			m.psi[i] = opts.RejectionFactor
-		} else {
-			m.psi[i] = DefaultRejectionFactor(g, apps[c.App])
-		}
+		m.psi[i] = DefaultRejectionFactor(g, apps[c.App])
 	}
 	// Convexity rows and quantile columns.
 	m.convRow = make([]int, len(classes))
@@ -577,12 +550,7 @@ func (m *master) rowFor(e graph.ElementID) int {
 // addColumn inserts the embedding as a candidate for class ci; returns
 // false if an identical column already exists.
 func (m *master) addColumn(ci int, e *vnet.Embedding) bool {
-	return m.addColumnSig(ci, e, embSignature(e))
-}
-
-// addColumnSig is addColumn with the embedding signature precomputed
-// (the candidate pool memoizes signatures across pricing rounds).
-func (m *master) addColumnSig(ci int, e *vnet.Embedding, es string) bool {
+	es := embSignature(e)
 	sig := strconv.Itoa(ci) + "|" + es
 	if m.sigs[sig] {
 		return false
@@ -701,18 +669,14 @@ func (m *master) seedColumns() error {
 	return nil
 }
 
-// price runs the Dantzig–Wolfe pricing round. For each class it first
-// batch-prices the Solver's pooled candidate embeddings against the
-// master duals — a flat dot product per candidate over its element
-// usage, all from the one dual vector the LP already BTRANed — and
-// feeds the top-k improving pooled columns to the master at once. Only
-// classes whose pool yields nothing improving pay for the exact oracle
-// (a Dijkstra-backed min-cost embed under dual-adjusted prices), so the
-// oracle keeps its role as the optimality certificate: a round returns
-// 0 only after every class's oracle found no improving column. Returns
-// the number of columns added. The dual-adjusted prices are written
-// into the solver's pricing state in place; its path cache invalidates
-// (and its tree buffers are reused) only when link duals actually moved.
+// price runs the Dantzig–Wolfe pricing round: the exact oracle (a
+// min-cost embed under dual-adjusted prices) prices every class once,
+// and each embedding whose reduced cost d·price − σ is negative joins
+// the master. A round that adds nothing therefore certifies the master
+// optimal. Returns the number of columns added. The dual-adjusted prices
+// are written into the solver's pricing state in place; its path cache
+// invalidates (and its tree buffers are reused) only when link duals
+// actually moved.
 func (m *master) price(sol *lp.Solution) int {
 	s := m.solver
 	if cap(s.dualBuf) < m.g.NumElements() {
@@ -727,92 +691,16 @@ func (m *master) price(sol *lp.Solution) int {
 	}
 	s.priceBuf = embedder.AdjustedPricesInto(s.priceBuf, m.g, elemDual)
 	s.priceState.SetPrices(s.priceBuf)
-	oracle := s.priceOracle
-	usePool := !m.opts.DisableWarmStarts
 	const tol = 1e-6
 	added := 0
 	for ci, c := range m.classes {
-		sigma := sol.Dual[m.convRow[ci]]
-		if usePool {
-			// Batched pool pass: reduced cost of a pooled embedding is
-			//   d·(unitCost − Σ u.Amount·elemDual[u.Elem]) − σ
-			// — its true column cost minus the duals' valuation of its
-			// column, no substrate search involved.
-			var best [priceTopK]int
-			var bestRC [priceTopK]float64
-			nBest := 0
-			pool := s.candPool[classKey{c.App, c.Ingress}]
-			for pi := range pool {
-				e := pool[pi].e
-				adj := e.UnitCost()
-				for _, u := range e.UnitUse() {
-					adj -= u.Amount * elemDual[u.Elem]
-				}
-				rc := c.Demand*adj - sigma
-				if rc >= -tol {
-					continue
-				}
-				k := nBest
-				if k < priceTopK {
-					nBest++
-				} else if rc < bestRC[k-1] {
-					k--
-				} else {
-					continue
-				}
-				for ; k > 0 && rc < bestRC[k-1]; k-- {
-					best[k], bestRC[k] = best[k-1], bestRC[k-1]
-				}
-				best[k], bestRC[k] = pi, rc
-			}
-			poolAdded := 0
-			for k := 0; k < nBest; k++ {
-				if m.addColumnSig(ci, pool[best[k]].e, pool[best[k]].sig) {
-					poolAdded++
-				}
-			}
-			// Skip the oracle only when the pool actually delivered a
-			// new column: an improving pooled candidate the master
-			// already holds proves nothing about what else is out there.
-			if poolAdded > 0 {
-				counters.pricePoolHits.Add(1)
-				added += poolAdded
-				continue
-			}
-		}
 		counters.priceOracleCalls.Add(1)
-		e, price, ok := oracle.MinCostEmbed(m.apps[c.App], c.Ingress)
-		if !ok {
-			continue
-		}
-		if usePool {
-			s.poolAdd(classKey{c.App, c.Ingress}, e)
-		}
-		if c.Demand*price-sigma < -tol {
-			if m.addColumn(ci, e) {
-				added++
-			}
+		e, price, ok := s.priceOracle.MinCostEmbed(m.apps[c.App], c.Ingress)
+		if ok && c.Demand*price-sol.Dual[m.convRow[ci]] < -tol && m.addColumn(ci, e) {
+			added++
 		}
 	}
 	return added
-}
-
-// poolAdd inserts an oracle-produced embedding into the class's
-// candidate pool, deduping by signature and evicting FIFO past the cap.
-func (s *Solver) poolAdd(key classKey, e *vnet.Embedding) {
-	sig := embSignature(e)
-	pool := s.candPool[key]
-	for i := range pool {
-		if pool[i].sig == sig {
-			return
-		}
-	}
-	pool = append(pool, poolCand{e: e, sig: sig})
-	if n := len(pool) - candPoolPerClass; n > 0 {
-		pool = append(pool[:0], pool[n:]...)
-		counters.poolEvictions.Add(int64(n))
-	}
-	s.candPool[key] = pool
 }
 
 // extract reads the optimal basis into per-class plans.

@@ -227,13 +227,17 @@ func TestBuildOptionValidation(t *testing.T) {
 	if _, err := Build(g, apps, classes, opts); err == nil {
 		t.Error("Quantiles=0 accepted")
 	}
-	bad := []Class{{App: 99, Ingress: 0, Demand: 5}}
-	if _, err := Build(g, apps, bad, DefaultOptions()); err == nil {
-		t.Error("class with bad app index accepted")
-	}
-	bad2 := []Class{{App: 0, Ingress: 0, Demand: 0}}
-	if _, err := Build(g, apps, bad2, DefaultOptions()); err == nil {
-		t.Error("class with zero demand accepted")
+	for name, bad := range map[string]Class{
+		"bad app index":    {App: 99, Ingress: 0, Demand: 5},
+		"zero demand":      {App: 0, Ingress: 0, Demand: 0},
+		"negative demand":  {App: 0, Ingress: 0, Demand: -1},
+		"NaN demand":       {App: 0, Ingress: 0, Demand: math.NaN()},
+		"infinite demand":  {App: 0, Ingress: 0, Demand: math.Inf(1)},
+		"-infinite demand": {App: 0, Ingress: 0, Demand: math.Inf(-1)},
+	} {
+		if _, err := Build(g, apps, []Class{bad}, DefaultOptions()); err == nil {
+			t.Errorf("class with %s accepted", name)
+		}
 	}
 }
 

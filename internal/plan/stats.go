@@ -24,14 +24,12 @@ type CountersSnapshot struct {
 	// WarmEvictions counts entries the LRU cap dropped from the
 	// signature-keyed basis memory.
 	WarmEvictions int64
-	// PoolEvictions counts candidate embeddings the per-class FIFO cap
-	// dropped from the pricing pool.
-	PoolEvictions int64
-	// PricePoolHits counts (class, round) pricing decisions served by
-	// the batched candidate pool without an oracle run.
+	// PricePoolHits always reads 0: pricing has no candidate pool, and
+	// every class query goes to the oracle. The field stays only because
+	// the bench module reads it for its plan.price_pool_hits metric.
 	PricePoolHits int64
 	// PriceOracleCalls counts exact min-cost-embed oracle runs in
-	// pricing rounds — the expensive path the pool exists to avoid.
+	// pricing rounds: one per class per round.
 	PriceOracleCalls int64
 }
 
@@ -41,8 +39,6 @@ var counters struct {
 	warmAttempts     atomic.Int64
 	warmHits         atomic.Int64
 	warmEvictions    atomic.Int64
-	poolEvictions    atomic.Int64
-	pricePoolHits    atomic.Int64
 	priceOracleCalls atomic.Int64
 }
 
@@ -54,8 +50,6 @@ func Stats() CountersSnapshot {
 		WarmAttempts:     counters.warmAttempts.Load(),
 		WarmHits:         counters.warmHits.Load(),
 		WarmEvictions:    counters.warmEvictions.Load(),
-		PoolEvictions:    counters.poolEvictions.Load(),
-		PricePoolHits:    counters.pricePoolHits.Load(),
 		PriceOracleCalls: counters.priceOracleCalls.Load(),
 	}
 }

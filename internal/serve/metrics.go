@@ -51,7 +51,7 @@ import (
 //	vne_lp_refactorizations_total        counter
 //	vne_plan_builds_total                counter
 //	vne_plan_warm_starts_total           counter {outcome}
-//	vne_plan_pricing_total               counter {path}
+//	vne_plan_pricing_total               counter {path}     (oracle)
 type serverMetrics struct {
 	reg *obs.Registry
 
@@ -266,9 +266,8 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		return float64(st.WarmAttempts - st.WarmHits)
 	}, "miss")
 	price := reg.CounterFuncVec("vne_plan_pricing_total",
-		"Dantzig–Wolfe pricing decisions by path: pool = served by the "+
-			"batched candidate pool, oracle = exact min-cost embed.", "path")
-	price.With(func() float64 { return float64(plan.Stats().PricePoolHits) }, "pool")
+		"Dantzig–Wolfe pricing decisions by path: oracle = exact min-cost "+
+			"embed, one per class per column-generation round.", "path")
 	price.With(func() float64 { return float64(plan.Stats().PriceOracleCalls) }, "oracle")
 
 	return m
