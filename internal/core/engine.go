@@ -133,6 +133,10 @@ type Engine struct {
 	// freeReqs recycles activeReq records between departure and the next
 	// arrival, so steady-state churn allocates none.
 	freeReqs []*activeReq
+
+	// FULLG's branch-and-bound scratch: pooled search nodes, the nodes of
+	// the search in progress and its open list.
+	bbFree, bbUsed, bbOpen []*bbNode
 }
 
 type activeReq struct {
@@ -648,19 +652,13 @@ func (e *Engine) greedyEmbed(r workload.Request) *vnet.Embedding {
 	return e.exactEmbed(app, r)
 }
 
-// vnfNodeBan forbids placing one VNF on one node.
-type vnfNodeBan struct {
-	v vnet.VNFID
-	u graph.NodeID
-}
-
-// bbNode is one branch-and-bound search node: a set of bans plus the
-// relaxed (capacity-ignoring) min-cost embedding under them.
+// bbNode is one branch-and-bound search node: the oracle's solved table
+// for its bans and excluded links — whose price is the node's relaxed
+// (capacity-ignoring) lower bound — and, once the node is popped, the
+// min-cost embedding that table encodes. Nodes are pooled by the engine.
 type bbNode struct {
-	pairs map[vnfNodeBan]bool
-	elems map[graph.ElementID]bool
-	emb   *vnet.Embedding
-	cost  float64
+	tab embedder.Table
+	emb *vnet.Embedding
 }
 
 // exactEmbed implements FULLG's per-request exact embedding as best-first
@@ -674,41 +672,71 @@ type bbNode struct {
 // 4 × Options.MaxExactRetries expansions (24 by default), each of which
 // may solve several children.
 //
-// Every solve goes through the engine's shared oracle: the unexcluded
-// root relaxation reads the oracle's memoized DP table (the engine's
-// prices never move, so it is filled once per app) over the substrate
-// state's warm path cache, and excluded retries borrow pooled substrate
-// views — no per-retry oracle or all-pairs rebuild, and no new
-// shortest-path trees while sibling children exclude the same links.
+// Every solve goes through the engine's shared oracle and keeps its DP
+// table for the rest of the search. The root relaxation shares the
+// oracle's memoized table (the engine's prices never move, so it is filled
+// once per app). A child that bans one more (VNF, node) pair is derived
+// from its parent's table, recomputing only the entries the ban can change
+// (embedder.Oracle.SolveBan). A child that excludes a link is refilled over
+// a pooled substrate view, whose trees are kept while siblings exclude the
+// same links. Only popped nodes are turned into Embeddings.
 func (e *Engine) exactEmbed(app *vnet.App, r workload.Request) *vnet.Embedding {
-	solve := func(n *bbNode) bool {
-		var allow embedder.Restriction
-		if len(n.pairs) > 0 {
-			allow = func(v vnet.VNFID, u graph.NodeID) bool { return !n.pairs[vnfNodeBan{v, u}] }
-		}
-		emb, cost, ok := e.oracle.MinCostEmbedExcluded(app, r.Ingress, allow, n.elems)
-		n.emb, n.cost = emb, cost
-		return ok
+	emb := e.branchAndBound(app, r)
+	for _, n := range e.bbUsed {
+		n.tab.Reset()
+		n.emb = nil
 	}
+	e.bbFree = append(e.bbFree, e.bbUsed...)
+	clear(e.bbUsed)
+	e.bbUsed = e.bbUsed[:0]
+	return emb
+}
 
-	root := &bbNode{}
-	if !solve(root) {
+// newBBNode takes a search node from the pool; exactEmbed returns every
+// node of the search to it.
+func (e *Engine) newBBNode() *bbNode {
+	var n *bbNode
+	if k := len(e.bbFree); k > 0 {
+		n = e.bbFree[k-1]
+		e.bbFree = e.bbFree[:k-1]
+	} else {
+		n = new(bbNode)
+	}
+	e.bbUsed = append(e.bbUsed, n)
+	return n
+}
+
+// branchAndBound is exactEmbed's search; it takes every node it solves
+// from newBBNode.
+func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embedding {
+	root := e.newBBNode()
+	if !e.oracle.Solve(&root.tab, app, r.Ingress, nil, nil) {
 		return nil
 	}
-	open := []*bbNode{root}
-	for budget := e.opts.MaxExactRetries * 4; budget > 0 && len(open) > 0; budget-- {
+	open := append(e.bbOpen[:0], root)
+	var found *vnet.Embedding
+	for budget := e.opts.MaxExactRetries * 4; budget > 0 && len(open) > 0; {
 		// Pop the lowest-bound node (lists stay tiny; linear scan).
 		best := 0
 		for i := range open {
-			if open[i].cost < open[best].cost {
+			if open[i].tab.Price() < open[best].tab.Price() {
 				best = i
 			}
 		}
 		n := open[best]
 		open = append(open[:best], open[best+1:]...)
+		var ok bool
+		if n.emb, ok = e.oracle.Embedding(&n.tab); !ok {
+			// A finite table always yields an embedding; were it not to,
+			// the node is dropped as a failed solve would have been,
+			// without spending an expansion.
+			continue
+		}
+		budget--
 
 		if e.st.Fits(n.emb, r.Demand) {
-			return n.emb
+			found = n.emb
+			break
 		}
 		// Branch on the first violated element.
 		res := e.st.ResidualVec()
@@ -722,40 +750,26 @@ func (e *Engine) exactEmbed(app *vnet.App, r workload.Request) *vnet.Embedding {
 		if violated < 0 {
 			continue
 		}
-		child := func() *bbNode {
-			c := &bbNode{
-				pairs: make(map[vnfNodeBan]bool, len(n.pairs)+1),
-				elems: make(map[graph.ElementID]bool, len(n.elems)+1),
-			}
-			for k := range n.pairs {
-				c.pairs[k] = true
-			}
-			for k := range n.elems {
-				c.elems[k] = true
-			}
-			return c
-		}
 		if node, isNode := e.g.ElementNode(violated); isNode {
 			for i, host := range n.emb.NodeMap {
 				vid := vnet.VNFID(i)
 				if vid == vnet.Root || host != node {
 					continue
 				}
-				c := child()
-				c.pairs[vnfNodeBan{vid, node}] = true
-				if solve(c) {
+				c := e.newBBNode()
+				if e.oracle.SolveBan(&c.tab, &n.tab, embedder.Ban{V: vid, U: node}) {
 					open = append(open, c)
 				}
 			}
 		} else {
-			c := child()
-			c.elems[violated] = true
-			if solve(c) {
+			c := e.newBBNode()
+			if e.oracle.SolveExclude(&c.tab, &n.tab, violated) {
 				open = append(open, c)
 			}
 		}
 	}
-	return nil
+	e.bbOpen = open[:0]
+	return found
 }
 
 // SwapPlan replaces the engine's plan mid-run — the time-varying plan

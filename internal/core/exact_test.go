@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -12,19 +13,20 @@ import (
 	"github.com/olive-vne/olive/internal/workload"
 )
 
-// overloadSlots is a seeded u = 1.4 trace of few, large requests over the
-// default app mix (one arrival per edge node per slot, demand calibrated
-// as sim.Run does: E[d] = u·100/λ) — the regime where FULLG's relaxation
-// keeps landing on saturated nodes and links and exactEmbed branches out.
-func overloadSlots(tb testing.TB, name topo.Name, seed uint64, slots int) (*graph.Graph, []*vnet.App, [][]workload.Request) {
+// overloadSlots is a seeded trace of few, large requests at utilization u
+// over the default app mix (one arrival per edge node per slot, demand
+// calibrated as sim.Run does: E[d] = u·100/λ). At u = 1.4 FULLG's
+// relaxation keeps landing on saturated nodes and links and exactEmbed
+// branches out; u = 1.0 is the repository benchmark's FULLG load.
+func overloadSlots(tb testing.TB, name topo.Name, seed uint64, slots int, u float64) (*graph.Graph, []*vnet.App, [][]workload.Request) {
 	tb.Helper()
 	g := topo.MustBuild(name, seed)
 	rng := testRNG(seed)
 	apps := vnet.DefaultMix(vnet.DefaultParams(), rng)
-	wp := workload.DefaultParams().WithUtilization(1.4)
+	wp := workload.DefaultParams().WithUtilization(u)
 	wp.Slots = slots
 	wp.LambdaPerNode = 1
-	wp.DemandMean = 1.4 * 100 / wp.LambdaPerNode
+	wp.DemandMean = u * 100 / wp.LambdaPerNode
 	tr, err := workload.GenerateMMPP(g, wp, rng)
 	if err != nil {
 		tb.Fatal(err)
@@ -32,32 +34,44 @@ func overloadSlots(tb testing.TB, name topo.Name, seed uint64, slots int) (*grap
 	return g, apps, tr.PerSlot()
 }
 
+// refNode is a search node of exactEmbedReference: its bans and excluded
+// elements (Solve sorts its own copies) and its solved relaxation.
+type refNode struct {
+	bans []embedder.Ban
+	excl []graph.ElementID
+	emb  *vnet.Embedding
+	cost float64
+}
+
 // exactEmbedReference is Engine.exactEmbed with nothing carried from one
 // solve to the next: every relaxation runs on a fresh oracle over a fresh
 // substrate state under the engine's (cost) prices, so it fills its own DP
-// table and builds its own exclusion view and shortest-path trees. The
-// search around the solves is exactEmbed's, line for line.
+// table from scratch, builds its own exclusion view and shortest-path
+// trees, and materializes its embedding at once. The search around the
+// solves is exactEmbed's, line for line.
 // viewSolves counts the solves that excluded at least one element.
 func exactEmbedReference(e *Engine, app *vnet.App, r workload.Request, viewSolves *int) *vnet.Embedding {
 	prices := embedder.CostPrices(e.g)
-	solve := func(n *bbNode) bool {
-		var allow embedder.Restriction
-		if len(n.pairs) > 0 {
-			allow = func(v vnet.VNFID, u graph.NodeID) bool { return !n.pairs[vnfNodeBan{v, u}] }
-		}
-		if len(n.elems) > 0 {
+	solve := func(n *refNode) bool {
+		if len(n.excl) > 0 {
 			*viewSolves++
 		}
-		emb, cost, ok := embedder.NewOracle(e.g, prices).MinCostEmbedExcluded(app, r.Ingress, allow, n.elems)
-		n.emb, n.cost = emb, cost
+		o := embedder.NewOracle(e.g, prices)
+		var t embedder.Table
+		if !o.Solve(&t, app, r.Ingress, n.bans, n.excl) {
+			return false
+		}
+		var ok bool
+		n.emb, ok = o.Embedding(&t)
+		n.cost = t.Price()
 		return ok
 	}
 
-	root := &bbNode{}
+	root := &refNode{}
 	if !solve(root) {
 		return nil
 	}
-	open := []*bbNode{root}
+	open := []*refNode{root}
 	for budget := e.opts.MaxExactRetries * 4; budget > 0 && len(open) > 0; budget-- {
 		best := 0
 		for i := range open {
@@ -82,34 +96,19 @@ func exactEmbedReference(e *Engine, app *vnet.App, r workload.Request, viewSolve
 		if violated < 0 {
 			continue
 		}
-		child := func() *bbNode {
-			c := &bbNode{
-				pairs: make(map[vnfNodeBan]bool, len(n.pairs)+1),
-				elems: make(map[graph.ElementID]bool, len(n.elems)+1),
-			}
-			for k := range n.pairs {
-				c.pairs[k] = true
-			}
-			for k := range n.elems {
-				c.elems[k] = true
-			}
-			return c
-		}
 		if node, isNode := e.g.ElementNode(violated); isNode {
 			for i, host := range n.emb.NodeMap {
 				vid := vnet.VNFID(i)
 				if vid == vnet.Root || host != node {
 					continue
 				}
-				c := child()
-				c.pairs[vnfNodeBan{vid, node}] = true
+				c := &refNode{bans: append(slices.Clone(n.bans), embedder.Ban{V: vid, U: node}), excl: n.excl}
 				if solve(c) {
 					open = append(open, c)
 				}
 			}
 		} else {
-			c := child()
-			c.elems[violated] = true
+			c := &refNode{bans: n.bans, excl: append(slices.Clone(n.excl), violated)}
 			if solve(c) {
 				open = append(open, c)
 			}
@@ -124,10 +123,23 @@ func exactEmbedReference(e *Engine, app *vnet.App, r workload.Request, viewSolve
 // residual vector after every request: the oracle's kept DP table (the
 // root relaxation of every request reads it) and the exclusion view's kept
 // trees (sibling branch-and-bound children share them) must not show.
+//
+// It runs at u = 1.4 and at u = 1.0, the repository benchmark's FULLG
+// load. 14 slots are long enough for a second link to saturate, so views
+// are re-acquired both under the link set they hold and under another.
 func TestExactEmbedMatchesReference(t *testing.T) {
-	// 14 slots: long enough for a second link to saturate, so views are
-	// re-acquired both under the link set they hold and under another.
-	g, apps, perSlot := overloadSlots(t, topo.Iris, 2, 14)
+	for _, c := range []struct {
+		u    float64
+		seed uint64
+	}{{1.4, 2}, {1.0, 1}} {
+		t.Run(fmt.Sprintf("u=%.1f", c.u), func(t *testing.T) {
+			g, apps, perSlot := overloadSlots(t, topo.Iris, c.seed, 14, c.u)
+			exactEmbedMatchesReference(t, g, apps, perSlot)
+		})
+	}
+}
+
+func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, perSlot [][]workload.Request) {
 	got, err := NewEngine(g, apps, Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +188,8 @@ func TestExactEmbedMatchesReference(t *testing.T) {
 	}
 	ed := embedder.Stats()
 	hits, trees := ed.DPTableHits-es.DPTableHits, got.State().ViewTreeBuilds()
-	t.Logf("%d requests, %d accepted (%d split), %d table hits, %d fills on both sides, %d solves through a view, %d view trees built by the engine",
-		requests, accepted, split, hits, ed.DPFills-es.DPFills, viewSolves, trees)
+	t.Logf("%d requests, %d accepted (%d split), %d table hits, %d fills on both sides, %d ban rescans, %d solves through a view, %d view trees built by the engine",
+		requests, accepted, split, hits, ed.DPFills-es.DPFills, ed.BanRescans-es.BanRescans, viewSolves, trees)
 	if hits == 0 || accepted == requests || split == 0 {
 		t.Fatal("vacuous run: the trace never reused a table, never rejected or never split an embedding")
 	}
@@ -197,10 +209,12 @@ func TestExactEmbedMatchesReference(t *testing.T) {
 // op is a fresh engine over the shared warm substrate state and one pass
 // over a u = 1.4 trace, nearly all of it exactEmbed's branch-out. Beside
 // the time it reports the machine-independent work of a pass: DP tables
-// filled, and shortest-path trees built by exclusion views — the Dijkstras
-// sibling branch-and-bound children no longer repeat.
+// filled from scratch (the root's memo table aside, only link-exclusion
+// children), DP entries rescanned by ban children, and shortest-path
+// trees built by exclusion views — the Dijkstras sibling branch-and-bound
+// children no longer repeat.
 func BenchmarkExactEmbedBranchOut(b *testing.B) {
-	g, apps, perSlot := overloadSlots(b, topo.Iris, 1, 12)
+	g, apps, perSlot := overloadSlots(b, topo.Iris, 1, 12, 1.4)
 	st := substrate.New(g)
 	oracle := embedder.ForState(st)
 	pass := func() {
@@ -218,13 +232,15 @@ func BenchmarkExactEmbedBranchOut(b *testing.B) {
 		}
 	}
 	pass()
-	trees, fills := st.ViewTreeBuilds(), embedder.Stats().DPFills
+	trees, es := st.ViewTreeBuilds(), embedder.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pass()
 	}
 	b.StopTimer()
+	ed := embedder.Stats()
 	b.ReportMetric(float64(st.ViewTreeBuilds()-trees)/float64(b.N), "viewtrees/op")
-	b.ReportMetric(float64(embedder.Stats().DPFills-fills)/float64(b.N), "fills/op")
+	b.ReportMetric(float64(ed.DPFills-es.DPFills)/float64(b.N), "fills/op")
+	b.ReportMetric(float64(ed.BanRescans-es.BanRescans)/float64(b.N), "rescans/op")
 }

@@ -18,11 +18,18 @@
 // BestCollocated and CollocatedOnNode.
 //
 // An Oracle is a thin view over a substrate.State: path queries hit the
-// State's lazy per-source Dijkstra cache (no eager all-pairs rebuild),
-// exclusion retries go through pooled substrate Views and fill their DP
-// table in the State's scratch arena, and both the unrestricted DP table
-// (per app) and collocated embeddings (per (app, ingress, node)) are
-// memoized for as long as the State's prices stand still.
+// State's lazy per-source Dijkstra cache (no eager all-pairs rebuild), and
+// both the unrestricted DP table (per app) and collocated embeddings (per
+// (app, ingress, node)) are memoized for as long as the State's prices
+// stand still.
+//
+// FULLG's capacity branch-out runs a restricted search over Tables (see
+// Solve): its root shares the memo table, a child that bans one more
+// (VNF, node) pair is derived from its parent's table by recomputing only
+// the entries the ban can change (SolveBan), and a child that excludes one
+// more element is refilled through a pooled substrate View (SolveExclude).
+// A search's rows live in the State's scratch arena until the next Solve,
+// and an Embedding is built only for the tables the search asks about.
 package embedder
 
 import (
@@ -96,28 +103,45 @@ type Oracle struct {
 	// one price vector reads the same one; an entry is refilled, into its
 	// own storage, when the State's price generation has moved.
 	tables map[*vnet.App]*memoTable
-	// scratch is the table of restricted and excluded queries; its rows
-	// are chunks of the State's arena and do not outlive the query.
-	scratch dpTable
+	// shapes holds each queried app's tree structure, built once.
+	shapes map[*vnet.App]*appShape
 
-	cands   []scoredNode
-	poOrder []int
+	// Restricted-search scratch: the exclusion set handed to pooled
+	// Views, and SolveBan's changed-entry lists and membership marks.
+	exclSet             map[graph.ElementID]bool
+	banMark             []bool
+	banChanged, banNext []graph.NodeID
+
+	cands []scoredNode
+}
+
+// appShape is the tree structure the DP runs along: children[i] lists the
+// child link indices of VNF i in link order, up[i] is the link into VNF i
+// from its parent (-1 at θ), and order lists the VNFs so that every child
+// precedes its parent.
+type appShape struct {
+	children [][]int
+	up       []int
+	order    []int
 }
 
 // dpTable is one filled embedding DP: cost[i][u] is the minimal price of
 // the subtree rooted at VNF i when i sits on node u, choice[li][u] the
-// best child node for link li given its parent on u, children[i] the child
-// link indices of VNF i the rows were built along.
+// best child node for link li given its parent on u, and best[li][u] that
+// child's subtree price plus the link's path price — the term fill adds
+// to cost[From][u], kept so a ban child can re-sum an entry it rescans.
+// Entries whose cost is +Inf carry no valid choice or best.
 type dpTable struct {
-	children [][]int
-	cost     [][]float64
-	choice   [][]graph.NodeID
+	shape  *appShape
+	cost   [][]float64
+	choice [][]graph.NodeID
+	best   [][]float64
 }
 
 // memoTable is a kept dpTable: gen is the State.PriceGen its rows were
 // filled under — PriceGen, not Epoch, because node prices enter every cost
 // row and a node-price change does not bump the Epoch — and rows their
-// storage (the State's arena is reset by the next restricted query).
+// storage (the State's arena belongs to restricted searches).
 type memoTable struct {
 	dpTable
 	gen  uint64
@@ -142,7 +166,10 @@ func ForState(st *substrate.State) *Oracle {
 	return &Oracle{
 		st: st, g: st.Graph(),
 		colloc: make(map[collocKey]collocEntry), collocGen: st.PriceGen(),
-		tables: make(map[*vnet.App]*memoTable),
+		tables:  make(map[*vnet.App]*memoTable),
+		shapes:  make(map[*vnet.App]*appShape),
+		exclSet: make(map[graph.ElementID]bool),
+		banMark: make([]bool, st.Graph().NumNodes()),
 	}
 }
 
@@ -157,9 +184,9 @@ func NewOracle(g *graph.Graph, pr Prices) *Oracle {
 func (o *Oracle) State() *substrate.State { return o.st }
 
 // validNode reports whether u names a substrate node. Every exported
-// query checks its ingress with it (the three MinCostEmbed forms in
-// minCost, before any DP work): a node ID is caller input, and an
-// out-of-range one means "no embedding", not an index panic.
+// query checks its ingress with it (MinCostEmbed and Solve, before any DP
+// work): a node ID is caller input, and an out-of-range one means "no
+// embedding", not an index panic.
 func (o *Oracle) validNode(u graph.NodeID) bool { return u >= 0 && int(u) < o.g.NumNodes() }
 
 // MinCostEmbed returns the cost-minimal embedding of app with θ pinned at
@@ -177,60 +204,25 @@ func (o *Oracle) validNode(u graph.NodeID) bool { return u >= 0 && int(u) < o.g.
 //
 //olive:hotpath per-request embedding decision entry point
 func (o *Oracle) MinCostEmbed(app *vnet.App, ingress graph.NodeID) (*vnet.Embedding, float64, bool) {
-	return o.minCost(o.st, app, ingress, nil)
-}
-
-// Restriction limits which substrate nodes a given VNF may occupy; a nil
-// Restriction allows every node. FULLG's capacity branch-out bans
-// individual (VNF, node) pairs to discover split placements around a
-// jointly-overloaded node.
-type Restriction func(vnet.VNFID, graph.NodeID) bool
-
-// MinCostEmbedRestricted is MinCostEmbed with per-VNF node restrictions.
-//
-//olive:hotpath FULLG branch-out retry primitive
-func (o *Oracle) MinCostEmbedRestricted(app *vnet.App, ingress graph.NodeID, allow Restriction) (*vnet.Embedding, float64, bool) {
-	return o.minCost(o.st, app, ingress, allow)
-}
-
-// MinCostEmbedExcluded is MinCostEmbedRestricted with substrate elements
-// excluded wholesale: excluded nodes get +Inf placement price and excluded
-// links +Inf path weight. This is the FULLG capacity branch-out's retry
-// primitive — it reuses pooled exclusion views instead of rebuilding an
-// oracle, so a retry performs no all-pairs computation.
-//
-//olive:hotpath FULLG branch-out retry primitive; pooled views, no oracle rebuild
-func (o *Oracle) MinCostEmbedExcluded(app *vnet.App, ingress graph.NodeID, allow Restriction, exclude map[graph.ElementID]bool) (*vnet.Embedding, float64, bool) {
-	if len(exclude) == 0 {
-		return o.minCost(o.st, app, ingress, allow)
-	}
-	v := o.st.AcquireView(exclude)
-	defer v.Close()
-	return o.minCost(v, app, ingress, allow)
-}
-
-// minCost answers one query against an arbitrary price/path provider: the
-// memoized table when the query is unrestricted and over the oracle's own
-// State, a fresh fill of the scratch table otherwise.
-func (o *Oracle) minCost(pa pather, app *vnet.App, ingress graph.NodeID, allow Restriction) (*vnet.Embedding, float64, bool) {
 	if !o.validNode(ingress) {
 		return nil, 0, false
 	}
-	var t *dpTable
-	if allow == nil && pa == pather(o.st) {
-		t = o.table(app)
-	} else {
-		t = &o.scratch
-		o.fill(t, o.st.ScratchArena(), pa, app, allow)
-	}
-
-	rootCost := t.cost[vnet.Root][ingress]
-	if math.IsInf(rootCost, 1) {
+	t := o.table(app)
+	e, ok := o.materialize(o.st, t, app, ingress)
+	if !ok {
 		return nil, 0, false
 	}
+	return e, t.cost[vnet.Root][ingress], true
+}
 
-	// Reconstruct the mapping top-down. nodeMap and pathMap escape into
-	// the Embedding, so they are real allocations, not arena chunks.
+// materialize reconstructs, top-down, the embedding a filled table encodes
+// for ingress; ok is false when the table's root entry is +Inf.
+func (o *Oracle) materialize(pa pather, t *dpTable, app *vnet.App, ingress graph.NodeID) (*vnet.Embedding, bool) {
+	if math.IsInf(t.cost[vnet.Root][ingress], 1) {
+		return nil, false
+	}
+	// nodeMap and pathMap escape into the Embedding, so they are real
+	// allocations, not arena chunks.
 	nodeMap := make([]graph.NodeID, len(app.VNFs))
 	nodeMap[vnet.Root] = ingress
 	pathMap := make([]graph.Path, len(app.Links))
@@ -240,9 +232,9 @@ func (o *Oracle) minCost(pa pather, app *vnet.App, ingress graph.NodeID, allow R
 	if err != nil {
 		// Only possible if prices admit a node that η forbids —
 		// prevented by fill, so treat as "no embedding".
-		return nil, 0, false
+		return nil, false
 	}
-	return e, rootCost, true
+	return e, true
 }
 
 // table returns app's memoized unrestricted table over the oracle's State,
@@ -257,81 +249,116 @@ func (o *Oracle) table(app *vnet.App) *dpTable {
 		counters.dpTableHits.Add(1)
 		return &t.dpTable
 	}
-	o.fill(&t.dpTable, &t.rows, o.st, app, nil)
+	t.rows.Reset()
+	o.fill(&t.dpTable, &t.rows, o.st, app, nil, -1)
 	t.gen = gen
 	return &t.dpTable
 }
 
+// shape returns app's tree structure, building it on first use.
+func (o *Oracle) shape(app *vnet.App) *appShape {
+	if s := o.shapes[app]; s != nil {
+		return s
+	}
+	s := &appShape{
+		children: make([][]int, len(app.VNFs)),
+		up:       make([]int, len(app.VNFs)),
+	}
+	s.up[vnet.Root] = -1
+	for li, l := range app.Links {
+		s.children[l.From] = append(s.children[l.From], li)
+		s.up[l.To] = li
+	}
+	// Links are listed parent-to-child, but branch interleaving means a
+	// reverse index sweep is not a post-order, so compute one explicitly.
+	s.order = appendPostOrder(nil, app, s.children, vnet.Root)
+	o.shapes[app] = s
+	return s
+}
+
 // fill runs the embedding DP for app bottom-up into t, drawing the rows
-// from the (reset) arena.
-func (o *Oracle) fill(t *dpTable, rows *substrate.Arena, pa pather, app *vnet.App, allow Restriction) {
+// from rows. A ban sets its VNF's base entry to +Inf before the child links
+// are summed in. With ingress ≥ 0 the root row is computed at the ingress
+// only — the one entry a restricted query reads — and is +Inf elsewhere;
+// a negative ingress fills it whole, as the ingress-independent memo needs.
+func (o *Oracle) fill(t *dpTable, rows *substrate.Arena, pa pather, app *vnet.App, bans []Ban, ingress graph.NodeID) {
 	counters.dpFills.Add(1)
 	n := o.g.NumNodes()
-	rows.Reset()
-
-	children := resizeOuter(&t.children, len(app.VNFs))
-	for i := range children {
-		children[i] = children[i][:0]
-	}
-	for li, l := range app.Links {
-		children[l.From] = append(children[l.From], li)
-	}
+	sh := o.shape(app)
+	t.shape = sh
 	cost := resizeOuter(&t.cost, len(app.VNFs))
 	choice := resizeOuter(&t.choice, len(app.Links))
+	best := resizeOuter(&t.best, len(app.Links))
 
-	// Process VNFs so that every child precedes its parent: links are
-	// listed parent-to-child but branch interleaving means a reverse
-	// index sweep is not sufficient, so compute an explicit post-order.
-	o.poOrder = appendPostOrder(o.poOrder[:0], app, children, vnet.Root)
-
-	for _, i := range o.poOrder {
+	for _, i := range sh.order {
 		v := app.VNFs[i]
 		ci := rows.Float64s(n)
-		for u := 0; u < n; u++ {
-			eta := vnet.Eff(v, o.g.Node(graph.NodeID(u)))
-			if math.IsInf(eta, 1) || math.IsInf(pa.NodePrice(graph.NodeID(u)), 1) ||
-				(allow != nil && v.ID != vnet.Root && !allow(v.ID, graph.NodeID(u))) {
+		lo, hi := 0, n
+		if v.ID == vnet.Root && ingress >= 0 {
+			lo, hi = int(ingress), int(ingress)+1
+			for u := range ci {
 				ci[u] = math.Inf(1)
-				continue
 			}
-			ci[u] = v.Size * eta * pa.NodePrice(graph.NodeID(u))
 		}
-		for _, li := range children[i] {
+		for u := lo; u < hi; u++ {
+			ci[u] = o.baseCost(pa, v, graph.NodeID(u))
+		}
+		for _, b := range bans {
+			if b.V == v.ID && b.V != vnet.Root {
+				ci[b.U] = math.Inf(1)
+			}
+		}
+		for _, li := range sh.children[i] {
 			l := app.Links[li]
 			childCost := cost[l.To]
-			choice[li] = rows.NodeIDs(n)
-			for u := 0; u < n; u++ {
+			ch, bs := rows.NodeIDs(n), rows.Float64s(n)
+			for u := lo; u < hi; u++ {
 				if math.IsInf(ci[u], 1) {
 					continue
 				}
-				// One row fetch per source: the O(n) inner scan
-				// indexes the cached distance row directly instead
-				// of paying an interface call per destination.
-				du := pa.DistRow(graph.NodeID(u))
-				best := math.Inf(1)
-				bestW := graph.NodeID(-1)
-				for w := 0; w < n; w++ {
-					if math.IsInf(childCost[w], 1) {
-						continue
-					}
-					c := l.Size*du[w] + childCost[w]
-					if c < best {
-						best, bestW = c, graph.NodeID(w)
-					}
-				}
-				ci[u] += best
-				choice[li][u] = bestW
+				bs[u], ch[u] = minLink(pa.DistRow(graph.NodeID(u)), l.Size, childCost)
+				ci[u] += bs[u]
 			}
+			choice[li], best[li] = ch, bs
 		}
 		cost[i] = ci
 	}
+}
+
+// baseCost is VNF v's own placement price on node u: +Inf where η or the
+// node's price forbids u.
+func (o *Oracle) baseCost(pa pather, v vnet.VNF, u graph.NodeID) float64 {
+	eta := vnet.Eff(v, o.g.Node(u))
+	if math.IsInf(eta, 1) || math.IsInf(pa.NodePrice(u), 1) {
+		return math.Inf(1)
+	}
+	return v.Size * eta * pa.NodePrice(u)
+}
+
+// minLink is one DP entry's scan over a child link: the minimum of
+// size·dist + child cost over the child's nodes w, and the first w that
+// attains it (-1 when every candidate is +Inf). du is the parent node's
+// distance row — one row fetch per entry, so the O(n) scan indexes the
+// cached row directly instead of paying an interface call per w.
+func minLink(du []float64, size float64, childCost []float64) (float64, graph.NodeID) {
+	best := math.Inf(1)
+	bestW := graph.NodeID(-1)
+	for w, cw := range childCost {
+		if math.IsInf(cw, 1) {
+			continue
+		}
+		if c := size*du[w] + cw; c < best {
+			best, bestW = c, graph.NodeID(w)
+		}
+	}
+	return best, bestW
 }
 
 // place maps the subtree below VNF i, whose node nodeMap[i] is already
 // decided, onto the table's choices.
 func (t *dpTable) place(pa pather, app *vnet.App, i vnet.VNFID, nodeMap []graph.NodeID, pathMap []graph.Path) {
 	u := nodeMap[i]
-	for _, li := range t.children[i] {
+	for _, li := range t.shape.children[i] {
 		l := app.Links[li]
 		w := t.choice[li][u]
 		nodeMap[l.To] = w
@@ -522,9 +549,9 @@ func (o *Oracle) BestCollocated(app *vnet.App, ingress graph.NodeID, res []float
 // price order, ignoring capacities — the initial columns of the plan LP.
 // Candidates are ranked by their exact collocated price (computed without
 // building embeddings); only the k winners are materialized, via the
-// memo.
+// memo. A k ≤ 0 asks for nothing and gets nil.
 func (o *Oracle) KCheapestCollocated(app *vnet.App, ingress graph.NodeID, k int) []*vnet.Embedding {
-	if !o.validNode(ingress) {
+	if k <= 0 || !o.validNode(ingress) {
 		return nil
 	}
 	cands := o.cands[:0]
@@ -548,11 +575,4 @@ func (o *Oracle) KCheapestCollocated(app *vnet.App, ingress graph.NodeID, k int)
 		}
 	}
 	return out
-}
-
-// MinCostEmbedExcluding runs MinCostEmbed with additional elements
-// excluded (price +Inf) — the FULLG capacity branch-out uses it to retry
-// around saturated elements. The exclusion set maps element IDs to true.
-func MinCostEmbedExcluding(g *graph.Graph, base Prices, exclude map[graph.ElementID]bool, app *vnet.App, ingress graph.NodeID) (*vnet.Embedding, float64, bool) {
-	return NewOracle(g, base).MinCostEmbedExcluded(app, ingress, nil, exclude)
 }

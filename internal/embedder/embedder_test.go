@@ -128,14 +128,17 @@ func TestMinCostEmbedNoFeasiblePlacement(t *testing.T) {
 
 func TestMinCostEmbedExcluding(t *testing.T) {
 	g := starSubstrate()
-	base := CostPrices(g)
+	o := NewOracle(g, CostPrices(g))
 	app := fixedChain()
 	// Exclude the hub: the DP must fall back to placing on the ingress
 	// leaf itself (cheapest remaining option from leaf 1, cost 10/CU).
-	excl := map[graph.ElementID]bool{g.NodeElement(0): true}
-	e, _, ok := MinCostEmbedExcluding(g, base, excl, app, 1)
-	if !ok {
+	var tab Table
+	if !o.Solve(&tab, app, 1, nil, []graph.ElementID{g.NodeElement(0)}) {
 		t.Fatal("no embedding with hub excluded")
+	}
+	e, ok := o.Embedding(&tab)
+	if !ok {
+		t.Fatal("no embedding materialized with hub excluded")
 	}
 	if e.NodeMap[1] == 0 || e.NodeMap[2] == 0 {
 		t.Fatalf("placement %v used excluded hub", e.NodeMap)
@@ -318,6 +321,12 @@ func TestKCheapestCollocatedOrdering(t *testing.T) {
 	all := o.KCheapestCollocated(app, 1, 99)
 	if len(all) != g.NumNodes() {
 		t.Fatalf("got %d candidates, want %d", len(all), g.NumNodes())
+	}
+	// Asking for none (or fewer) yields nothing, not a slice-bounds panic.
+	for _, k := range []int{0, -1} {
+		if es := o.KCheapestCollocated(app, 1, k); es != nil {
+			t.Fatalf("k = %d: got %d candidates, want nil", k, len(es))
+		}
 	}
 }
 

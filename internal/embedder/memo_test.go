@@ -28,7 +28,34 @@ type refOracle struct {
 
 func newRefOracle(st *substrate.State) *refOracle { return &refOracle{st: st, g: st.Graph()} }
 
-func (o *refOracle) minCostExcluded(app *vnet.App, ingress graph.NodeID, allow Restriction, exclude map[graph.ElementID]bool) (*vnet.Embedding, float64, bool) {
+// restriction limits which substrate nodes a given VNF may occupy; a nil
+// restriction allows every node. It is how the reference applies bans.
+type restriction func(vnet.VNFID, graph.NodeID) bool
+
+// banned turns a ban list into the reference's restriction: nil for none.
+func banned(bans []Ban) restriction {
+	if len(bans) == 0 {
+		return nil
+	}
+	return func(v vnet.VNFID, u graph.NodeID) bool { return !slices.Contains(bans, Ban{v, u}) }
+}
+
+// exclMap turns an exclusion list into the set a View takes: nil for none.
+func exclMap(excl []graph.ElementID) map[graph.ElementID]bool {
+	if len(excl) == 0 {
+		return nil
+	}
+	m := make(map[graph.ElementID]bool, len(excl))
+	for _, e := range excl {
+		m[e] = true
+	}
+	return m
+}
+
+// minCostExcluded answers one query of a restricted search from scratch:
+// the reference DP over the State, or over a View when anything is
+// excluded.
+func (o *refOracle) minCostExcluded(app *vnet.App, ingress graph.NodeID, allow restriction, exclude map[graph.ElementID]bool) (*vnet.Embedding, float64, bool) {
 	if len(exclude) == 0 {
 		return o.minCostReference(o.st, app, ingress, allow)
 	}
@@ -37,7 +64,7 @@ func (o *refOracle) minCostExcluded(app *vnet.App, ingress graph.NodeID, allow R
 	return o.minCostReference(v, app, ingress, allow)
 }
 
-func (o *refOracle) minCostReference(pa pather, app *vnet.App, ingress graph.NodeID, allow Restriction) (*vnet.Embedding, float64, bool) {
+func (o *refOracle) minCostReference(pa pather, app *vnet.App, ingress graph.NodeID, allow restriction) (*vnet.Embedding, float64, bool) {
 	n := o.g.NumNodes()
 	numVNF := len(app.VNFs)
 
@@ -191,8 +218,8 @@ func diffAnswer(ge *vnet.Embedding, gp float64, gok bool, we *vnet.Embedding, wp
 // stale or gets clobbered: a node-only price change (PriceGen moves,
 // Epoch does not), link price changes, a SetPrices that changes nothing
 // (which must not cost a refill), restricted and excluded queries between
-// two hits (they reset the arena and must neither read nor write the
-// memo), several apps alternating over the oracle's shared scratch, and a
+// two hits (restricted searches through Solve: they reset the arena and
+// must neither read nor write the memo), several apps alternating, and a
 // second oracle on the same State.
 func TestMinCostMemoMatchesReference(t *testing.T) {
 	type tc struct {
@@ -290,17 +317,15 @@ func TestMinCostMemoMatchesReference(t *testing.T) {
 				default: // restricted / excluded queries between two hits
 					moved = false
 					app := apps[rng.IntN(len(apps))]
-					banV := vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1))
-					banU := graph.NodeID(rng.IntN(n))
-					allow := Restriction(func(v vnet.VNFID, u graph.NodeID) bool { return v != banV || u != banU })
-					var excl map[graph.ElementID]bool
+					bans := []Ban{{vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1)), graph.NodeID(rng.IntN(n))}}
+					var excl []graph.ElementID
 					if op == 5 {
-						excl = map[graph.ElementID]bool{
-							g.LinkElement(graph.LinkID(rng.IntN(g.NumLinks()))): true,
-							g.NodeElement(graph.NodeID(rng.IntN(n))):            true,
+						excl = []graph.ElementID{
+							g.LinkElement(graph.LinkID(rng.IntN(g.NumLinks()))),
+							g.NodeElement(graph.NodeID(rng.IntN(n))),
 						}
 						if rng.IntN(2) == 0 {
-							allow = nil
+							bans = nil
 						}
 					}
 					before := Stats()
@@ -308,15 +333,14 @@ func TestMinCostMemoMatchesReference(t *testing.T) {
 					queries := 0
 					for k := 0; k < 4; k++ {
 						u := graph.NodeID(rng.IntN(n))
+						var tab Table
 						var ge *vnet.Embedding
-						var gp float64
-						var gok bool
-						if excl == nil {
-							ge, gp, gok = o.MinCostEmbedRestricted(app, u, allow)
-						} else {
-							ge, gp, gok = o.MinCostEmbedExcluded(app, u, allow, excl)
+						gok := o.Solve(&tab, app, u, bans, excl)
+						if gok {
+							ge, gok = o.Embedding(&tab)
 						}
-						we, wp, wok := ref.minCostExcluded(app, u, allow, excl)
+						gp := tab.Price()
+						we, wp, wok := ref.minCostExcluded(app, u, banned(bans), exclMap(excl))
 						if d := diffAnswer(ge, gp, gok, we, wp, wok); d != "" {
 							t.Fatalf("%s seed %d step %d restricted %s@%d: %s", c.name, seed, step, app.Name, u, d)
 						}
@@ -362,16 +386,21 @@ func TestMinCostEmbedRejectsOutOfRangeIngress(t *testing.T) {
 	g := starSubstrate()
 	o := NewOracle(g, CostPrices(g))
 	app := fixedChain()
-	excl := map[graph.ElementID]bool{g.LinkElement(0): true}
 	for _, ingress := range []graph.NodeID{graph.NodeID(g.NumNodes()), -1, 1 << 20} {
 		if _, _, ok := o.MinCostEmbed(app, ingress); ok {
 			t.Fatalf("MinCostEmbed accepted ingress %d", ingress)
 		}
-		if _, _, ok := o.MinCostEmbedRestricted(app, ingress, func(vnet.VNFID, graph.NodeID) bool { return true }); ok {
-			t.Fatalf("MinCostEmbedRestricted accepted ingress %d", ingress)
-		}
-		if _, _, ok := o.MinCostEmbedExcluded(app, ingress, nil, excl); ok {
-			t.Fatalf("MinCostEmbedExcluded accepted ingress %d", ingress)
+		var tab Table
+		for _, q := range []struct {
+			bans []Ban
+			excl []graph.ElementID
+		}{{nil, nil}, {[]Ban{{1, 0}}, nil}, {nil, []graph.ElementID{g.LinkElement(0)}}} {
+			if o.Solve(&tab, app, ingress, q.bans, q.excl) {
+				t.Fatalf("Solve(bans %v, excluded %v) accepted ingress %d", q.bans, q.excl, ingress)
+			}
+			if _, ok := o.Embedding(&tab); ok {
+				t.Fatalf("Embedding of a failed Solve at ingress %d", ingress)
+			}
 		}
 	}
 	if _, _, ok := o.MinCostEmbed(app, 1); !ok {

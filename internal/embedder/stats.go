@@ -5,17 +5,24 @@ import "sync/atomic"
 // CountersSnapshot is a point-in-time copy of the package's work
 // counters, cumulative since process start (same shape as plan.Stats).
 type CountersSnapshot struct {
-	// DPFills counts embedding DP tables filled bottom-up — memoized
-	// and restricted/excluded alike: the O(|VNF|·n²) unit of work.
+	// DPFills counts embedding DP tables filled bottom-up from scratch —
+	// memoized and restricted alike: the O(|VNF|·n²) unit of work. A ban
+	// child that SolveBan derives from its parent's table is not a fill;
+	// its work is counted in BanRescans.
 	DPFills int64
 	// DPTableHits counts unrestricted queries answered from an app's
 	// memoized table without a fill.
 	DPTableHits int64
+	// BanRescans counts the DP entries SolveBan recomputed: one O(n) scan
+	// over a child link and one re-sum each, where a full fill would have
+	// redone every entry of every row.
+	BanRescans int64
 }
 
 var counters struct {
 	dpFills     atomic.Int64
 	dpTableHits atomic.Int64
+	banRescans  atomic.Int64
 }
 
 // Stats snapshots the package-wide work counters.
@@ -23,5 +30,6 @@ func Stats() CountersSnapshot {
 	return CountersSnapshot{
 		DPFills:     counters.dpFills.Load(),
 		DPTableHits: counters.dpTableHits.Load(),
+		BanRescans:  counters.banRescans.Load(),
 	}
 }

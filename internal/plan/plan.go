@@ -364,6 +364,10 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 	if opts.Quantiles < 1 {
 		return nil, errors.New("plan: Quantiles must be ≥ 1")
 	}
+	// Zero seed columns is legal: pricing generates the columns.
+	if opts.InitialCandidates < 0 {
+		return nil, fmt.Errorf("plan: InitialCandidates is %d, want ≥ 0", opts.InitialCandidates)
+	}
 	for _, c := range classes {
 		if c.App < 0 || c.App >= len(apps) {
 			return nil, fmt.Errorf("plan: class references app %d of %d", c.App, len(apps))

@@ -227,6 +227,11 @@ func TestBuildOptionValidation(t *testing.T) {
 	if _, err := Build(g, apps, classes, opts); err == nil {
 		t.Error("Quantiles=0 accepted")
 	}
+	opts = DefaultOptions()
+	opts.InitialCandidates = -1
+	if _, err := Build(g, apps, classes, opts); err == nil {
+		t.Error("InitialCandidates=-1 accepted")
+	}
 	for name, bad := range map[string]Class{
 		"bad app index":    {App: 99, Ingress: 0, Demand: 5},
 		"zero demand":      {App: 0, Ingress: 0, Demand: 0},
