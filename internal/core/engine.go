@@ -379,13 +379,19 @@ func (e *Engine) ReleaseByID(id int) bool {
 
 // Process handles one arriving request (Alg. 2 lines 6–16) and returns
 // the outcome. Requests must be fed in arrival order, interleaved with
-// StartSlot calls. A request whose app is unknown, or whose ID is still
-// active, is an error and leaves the engine untouched.
+// StartSlot calls. A request whose app is unknown, whose demand is not
+// finite and positive, or whose ID is still active, is an error and
+// leaves the engine untouched.
 //
 //olive:hotpath per-request decision entry point; only Outcome.Preempted may allocate
 func (e *Engine) Process(r workload.Request) (Outcome, error) {
 	if r.App < 0 || r.App >= len(e.apps) {
 		return Outcome{}, errUnknownApp(r, len(e.apps))
+	}
+	if !(r.Demand > 0) || math.IsInf(r.Demand, 1) {
+		// A NaN demand fits everywhere and poisons the residuals; a
+		// negative one raises them above capacity.
+		return Outcome{}, errBadDemand(r)
 	}
 	if r.ID <= e.maxID {
 		if _, dup := e.active[r.ID]; dup {
@@ -430,6 +436,10 @@ func (e *Engine) Process(r workload.Request) (Outcome, error) {
 // Error construction lives outside the annotated hot path (fmt allocates).
 func errUnknownApp(r workload.Request, apps int) error {
 	return fmt.Errorf("core: request %d references app %d of %d", r.ID, r.App, apps)
+}
+
+func errBadDemand(r workload.Request) error {
+	return fmt.Errorf("core: request %d has demand %g, want finite and positive", r.ID, r.Demand)
 }
 
 func errDuplicateID(id int) error {

@@ -210,9 +210,10 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 // over a u = 1.4 trace, nearly all of it exactEmbed's branch-out. Beside
 // the time it reports the machine-independent work of a pass: DP tables
 // filled from scratch (the root's memo table aside, only link-exclusion
-// children), DP entries rescanned by ban children, and shortest-path
-// trees built by exclusion views — the Dijkstras sibling branch-and-bound
-// children no longer repeat.
+// children), DP entries rescanned by ban children, child entries examined
+// by the link scans of both (embedder.Stats().LinkScans), and
+// shortest-path trees built by exclusion views — the Dijkstras sibling
+// branch-and-bound children no longer repeat.
 func BenchmarkExactEmbedBranchOut(b *testing.B) {
 	g, apps, perSlot := overloadSlots(b, topo.Iris, 1, 12, 1.4)
 	st := substrate.New(g)
@@ -243,4 +244,5 @@ func BenchmarkExactEmbedBranchOut(b *testing.B) {
 	b.ReportMetric(float64(st.ViewTreeBuilds()-trees)/float64(b.N), "viewtrees/op")
 	b.ReportMetric(float64(ed.DPFills-es.DPFills)/float64(b.N), "fills/op")
 	b.ReportMetric(float64(ed.BanRescans-es.BanRescans)/float64(b.N), "rescans/op")
+	b.ReportMetric(float64(ed.LinkScans-es.LinkScans)/float64(b.N), "scans/op")
 }

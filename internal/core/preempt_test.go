@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -215,6 +216,56 @@ func TestDuplicateActiveIDRejected(t *testing.T) {
 		// Once departed, the ID is free again.
 		if out, err := e.Process(req(7, 0, 0, 10, 100, 5)); err != nil || !out.Accepted {
 			t.Fatalf("%v: reuse of a departed ID = (%+v, %v), want accepted", e.Algorithm(), out, err)
+		}
+	}
+}
+
+// TestBadDemandRejected: a request whose demand is NaN, zero, negative or
+// infinite must be an error that changes nothing. A NaN demand used to
+// fit everywhere, be accepted and leave NaN in the residuals, and a
+// negative one raised residuals above capacity. Each engine is warmed
+// with a few slots of an overload trace first, and each bad request
+// copies the next real one, which both engines would otherwise weigh.
+func TestBadDemandRejected(t *testing.T) {
+	f := newOverloadFixture(t, topo.Iris, 25, 12)
+	for _, opts := range []Options{{Plan: f.plans[0]}, {Exact: true}} {
+		e, err := NewEngine(f.g, f.apps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ts := 0; ts < 3; ts++ {
+			e.StartSlot(ts)
+			for _, r := range f.slots[ts] {
+				if _, err := e.Process(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		e.StartSlot(3)
+		next := f.slots[3][0]
+		for _, d := range []float64{math.NaN(), 0, -5, math.Inf(1), math.Inf(-1)} {
+			before, active := e.Residual(), e.ActiveCount()
+			r := next
+			r.Demand = d
+			out, err := e.Process(r)
+			if err == nil || out.Accepted {
+				t.Fatalf("%v: Process with demand %v = (%+v, %v), want an error", e.Algorithm(), d, out, err)
+			}
+			after := e.Residual()
+			for i := range before {
+				if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
+					t.Fatalf("%v: demand %v moved residual[%d] from %v to %v", e.Algorithm(), d, i, before[i], after[i])
+				}
+			}
+			if e.ActiveCount() != active {
+				t.Fatalf("%v: demand %v changed the active count", e.Algorithm(), d)
+			}
+		}
+		if _, err := e.Process(next); err != nil {
+			t.Fatalf("%v: the real request after the rejected ones: %v", e.Algorithm(), err)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%v: %v", e.Algorithm(), err)
 		}
 	}
 }

@@ -28,11 +28,11 @@ func compareBans(a, b Ban) int {
 // Table is one solved node of a restricted search: app's embedding DP for
 // one ingress under a sorted set of bans and a sorted set of excluded
 // substrate elements (+Inf placement price for nodes, +Inf path weight for
-// links). Its rows are shared copy-on-write with the table it was derived
-// from and live in the State's scratch arena, so a Table is valid only
-// until the next Solve on its oracle or the next change of the State's
-// prices. The zero value is ready to be solved into; a Table keeps its own
-// slices' capacity from one search to the next.
+// links). Its rows and their scan orders are shared copy-on-write with the
+// table it was derived from and live in the State's scratch arena, so a
+// Table is valid only until the next Solve on its oracle or the next
+// change of the State's prices. The zero value is ready to be solved into;
+// a Table keeps its own slices' capacity from one search to the next.
 type Table struct {
 	dpTable
 	app     *vnet.App
@@ -53,7 +53,8 @@ func (t *Table) Reset() {
 	clear(t.cost[:cap(t.cost)])
 	clear(t.choice[:cap(t.choice)])
 	clear(t.best[:cap(t.best)])
-	t.cost, t.choice, t.best = t.cost[:0], t.choice[:0], t.best[:0]
+	clear(t.order[:cap(t.order)])
+	t.cost, t.choice, t.best, t.order = t.cost[:0], t.choice[:0], t.best[:0], t.order[:0]
 	t.shape, t.app = nil, nil
 	t.bans, t.excl = t.bans[:0], t.excl[:0]
 	t.price = 0
@@ -103,6 +104,7 @@ func (o *Oracle) solve(t *Table) bool {
 		t.cost = append(t.cost[:0], m.cost...)
 		t.choice = append(t.choice[:0], m.choice...)
 		t.best = append(t.best[:0], m.best...)
+		t.order = append(t.order[:0], m.order...)
 	} else {
 		pa, view := o.acquire(t.excl)
 		o.fill(&t.dpTable, o.st.ScratchArena(), pa, t.app, t.bans, t.ingress)
@@ -125,10 +127,13 @@ func (o *Oracle) solve(t *Table) bool {
 // base + Σ best in child-link order — fill's float operations in fill's
 // order — and the entries whose value moved form the next level's set.
 // Every other entry keeps its value and choice: bans only raise costs, and
-// a scan keeps the first strict minimum, so raising an entry that is not
+// a scan keeps the lowest-node minimum, so raising an entry that is not
 // the argmin cannot move the argmin. A ban on an entry that is already
-// +Inf changes nothing. Modified rows are copied into the arena first;
-// the parent's rows are never written.
+// +Inf changes nothing. Every row that changed gets its order re-derived
+// from the parent's (deriveOrder), before the level above scans it — even
+// where nothing above rescans, since this table's own ban children read
+// it. Modified rows and orders are copied into the arena first; the
+// parent's are never written.
 //
 //olive:hotpath FULLG branch-out: a ban child is its parent's table plus a delta
 func (o *Oracle) SolveBan(child, parent *Table, b Ban) bool {
@@ -141,6 +146,7 @@ func (o *Oracle) SolveBan(child, parent *Table, b Ban) bool {
 	child.cost = append(child.cost[:0], parent.cost...)
 	child.choice = append(child.choice[:0], parent.choice...)
 	child.best = append(child.best[:0], parent.best...)
+	child.order = append(child.order[:0], parent.order...)
 	if math.IsInf(child.price, 1) {
 		return false
 	}
@@ -161,7 +167,7 @@ func (o *Oracle) SolveBan(child, parent *Table, b Ban) bool {
 	mark := o.banMark
 	changed := append(o.banChanged[:0], b.U)
 	next := o.banNext[:0]
-	rescans := 0
+	rescans, scans := 0, 0
 	for v := b.V; v != vnet.Root && len(changed) > 0; {
 		li := sh.up[v]
 		l := app.Links[li]
@@ -169,6 +175,7 @@ func (o *Oracle) SolveBan(child, parent *Table, b Ban) bool {
 		for _, x := range changed {
 			mark[x] = true
 		}
+		child.order[v] = o.deriveOrder(rows, child.order[v], child.cost[v], changed, mark)
 		lo, hi := 0, o.g.NumNodes()
 		if p == vnet.Root {
 			lo, hi = int(child.ingress), int(child.ingress)+1
@@ -191,7 +198,9 @@ func (o *Oracle) SolveBan(child, parent *Table, b Ban) bool {
 			}
 			rescans++
 			u := graph.NodeID(x)
-			child.best[li][x], choice[x] = minLink(pa.DistRow(u), l.Size, child.cost[v])
+			var k int
+			child.best[li][x], choice[x], k = minLink(pa.DistRow(u), l.Size, child.cost[v], child.order[v])
+			scans += k
 			c := o.baseCost(pa, app.VNFs[p], u)
 			for _, lj := range sh.children[p] {
 				if math.IsInf(c, 1) {
@@ -215,6 +224,7 @@ func (o *Oracle) SolveBan(child, parent *Table, b Ban) bool {
 		view.Close()
 	}
 	counters.banRescans.Add(int64(rescans))
+	counters.linkScans.Add(int64(scans))
 	child.price = child.cost[vnet.Root][child.ingress]
 	return !math.IsInf(child.price, 1)
 }

@@ -46,6 +46,20 @@ func diffTables(got, want *Table) string {
 	return ""
 }
 
+// diffOrders describes the first non-root row of t whose order differs
+// from a from-scratch sort of the row (refOrder), or returns "".
+func diffOrders(t *Table) string {
+	for i := range t.app.VNFs {
+		if vnet.VNFID(i) == vnet.Root {
+			continue
+		}
+		if want := refOrder(t.cost[i]); !slices.Equal(t.order[i], want) {
+			return fmt.Sprintf("order[%d] = %v, sorted from scratch %v", i, t.order[i], want)
+		}
+	}
+	return ""
+}
+
 // revertEntry returns a copy of child's table in which entry x of the row
 // above the banned VNF b.V has the value, choice and best term it had in
 // parent: what SolveBan would produce if it skipped that entry's rescan.
@@ -69,19 +83,24 @@ func revertEntry(child, parent *Table, b Ban, x int) *Table {
 // perturbed ones — and demands of every derived table that it equal a
 // from-scratch fill under the same bans and exclusions on a fresh oracle:
 // entry for entry (diffTables), and in the embedding it materializes (the
-// root price bit for bit, the NodeMap, every path). Bans land mostly where
-// the relaxation placed a VNF, as FULLG's branching does, and sometimes on
-// an entry that is already +Inf (a GPU mismatch or a repeated ban), which
-// must change nothing and rescan nothing. The test also shows it would
-// catch a SolveBan that skips the rescan of an entry whose choice was in
-// the changed set: every ban child whose rescans moved an entry is checked
-// again with that entry reverted to its parent's, and must fail.
+// root price bit for bit, the NodeMap, every path). Every row's scan order
+// must equal a from-scratch sort of the row (diffOrders), whether fill
+// sorted it or SolveBan derived it from the parent's. Bans land mostly
+// where the relaxation placed a VNF, as FULLG's branching does, sometimes
+// on any finite entry — often one no parent entry chose, so the walk
+// changes a row and rescans nothing above it, and the order must be
+// re-derived all the same — and sometimes on an entry that is already
+// +Inf (a GPU mismatch or a repeated ban), which must change nothing and
+// rescan nothing. The test also shows it would catch a SolveBan that skips
+// the rescan of an entry whose choice was in the changed set: every ban
+// child whose rescans moved an entry is checked again with that entry
+// reverted to its parent's, and must fail.
 func TestSolveBanMatchesFill(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 2
 	}
-	var derived, bans, noops, excls, infeasible, mutants int
+	var derived, bans, quiet, noops, excls, infeasible, mutants int
 	before := Stats()
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0xba17))
@@ -109,6 +128,9 @@ func TestSolveBanMatchesFill(t *testing.T) {
 		}
 		check := func(where string, tab *Table) {
 			t.Helper()
+			if d := diffOrders(tab); d != "" {
+				t.Fatalf("%s: %s", where, d)
+			}
 			want, ref := fresh(tab)
 			if math.Float64bits(tab.Price()) != math.Float64bits(want.Price()) {
 				t.Fatalf("%s: price %v, fill %v", where, tab.Price(), want.Price())
@@ -134,13 +156,16 @@ func TestSolveBanMatchesFill(t *testing.T) {
 				if !o.Solve(root, app, ingress, nil, nil) {
 					continue
 				}
+				if d := diffOrders(root); d != "" {
+					t.Fatalf("seed %d %s@%d root: %s", seed, app.Name, ingress, d)
+				}
 				pool = append(pool, root)
 				for step := 0; step < 14; step++ {
 					parent := pool[rng.IntN(len(pool))]
 					where := fmt.Sprintf("seed %d %s@%d step %d (bans %v, excluded %v)", seed, app.Name, ingress, step, parent.bans, parent.excl)
 					child := new(Table)
 					var ok bool
-					switch op := rng.IntN(8); {
+					switch op := rng.IntN(9); {
 					case op < 5: // ban a VNF where the relaxation placed it
 						e, _ := o.Embedding(parent)
 						v := vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1))
@@ -166,7 +191,21 @@ func TestSolveBanMatchesFill(t *testing.T) {
 							mutants++
 							break
 						}
-					case op < 6: // ban an entry that is already +Inf
+					case op < 6: // ban any finite entry
+						v := vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1))
+						ord := parent.order[v]
+						if len(ord) == 0 {
+							continue
+						}
+						b := Ban{v, ord[rng.IntN(len(ord))]}
+						r0 := Stats().BanRescans
+						ok = o.SolveBan(child, parent, b)
+						bans++
+						if Stats().BanRescans == r0 {
+							quiet++
+						}
+						check(where+fmt.Sprintf(" ban %v", b), child)
+					case op < 7: // ban an entry that is already +Inf
 						v := vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1))
 						u := slices.IndexFunc(parent.cost[v], func(c float64) bool { return math.IsInf(c, 1) })
 						if u < 0 {
@@ -201,9 +240,9 @@ func TestSolveBanMatchesFill(t *testing.T) {
 		}
 	}
 	rescans := Stats().BanRescans - before.BanRescans
-	t.Logf("%d derived tables (%d bans, %d no-op bans, %d exclusions, %d infeasible), %d rescans, %d skipped-rescan mutants caught",
-		derived, bans, noops, excls, infeasible, rescans, mutants)
-	if bans == 0 || noops == 0 || excls == 0 || infeasible == 0 || rescans == 0 || mutants == 0 {
+	t.Logf("%d derived tables (%d bans, %d of them rescanning nothing, %d no-op bans, %d exclusions, %d infeasible), %d rescans, %d skipped-rescan mutants caught",
+		derived, bans, quiet, noops, excls, infeasible, rescans, mutants)
+	if bans == 0 || quiet == 0 || noops == 0 || excls == 0 || infeasible == 0 || rescans == 0 || mutants == 0 {
 		t.Fatal("vacuous run")
 	}
 }

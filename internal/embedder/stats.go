@@ -6,23 +6,29 @@ import "sync/atomic"
 // counters, cumulative since process start (same shape as plan.Stats).
 type CountersSnapshot struct {
 	// DPFills counts embedding DP tables filled bottom-up from scratch —
-	// memoized and restricted alike: the O(|VNF|·n²) unit of work. A ban
-	// child that SolveBan derives from its parent's table is not a fill;
-	// its work is counted in BanRescans.
+	// memoized and restricted alike: up to n link scans per child link and
+	// one sort per non-root row. A ban child that SolveBan derives from its
+	// parent's table is not a fill; its work is counted in BanRescans.
 	DPFills int64
 	// DPTableHits counts unrestricted queries answered from an app's
 	// memoized table without a fill.
 	DPTableHits int64
-	// BanRescans counts the DP entries SolveBan recomputed: one O(n) scan
-	// over a child link and one re-sum each, where a full fill would have
-	// redone every entry of every row.
+	// BanRescans counts the DP entries SolveBan recomputed: one link scan
+	// and one re-sum each, where a full fill would have redone every entry
+	// of every row.
 	BanRescans int64
+	// LinkScans counts the child entries examined by link scans, in fills
+	// and ban rescans alike: each scan visits a child row's finite entries
+	// in (cost, node) order and stops at the first that cannot win, where
+	// a scan over every node would examine n.
+	LinkScans int64
 }
 
 var counters struct {
 	dpFills     atomic.Int64
 	dpTableHits atomic.Int64
 	banRescans  atomic.Int64
+	linkScans   atomic.Int64
 }
 
 // Stats snapshots the package-wide work counters.
@@ -31,5 +37,6 @@ func Stats() CountersSnapshot {
 		DPFills:     counters.dpFills.Load(),
 		DPTableHits: counters.dpTableHits.Load(),
 		BanRescans:  counters.banRescans.Load(),
+		LinkScans:   counters.linkScans.Load(),
 	}
 }

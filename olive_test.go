@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -107,6 +108,43 @@ func TestPublicAPIExactAndCollocatedEmbedding(t *testing.T) {
 		if _, _, ok := olive.BestCollocatedEmbedding(g, app, bad, nil, 1); ok {
 			t.Fatalf("BestCollocatedEmbedding accepted ingress %d", bad)
 		}
+	}
+}
+
+// TestBestCollocatedEmbeddingRejectsBadInputs: a residual vector shorter
+// than the substrate's element vector, and a NaN or negative demand, are
+// "no embedding" — not an index panic, and not a fit everywhere.
+func TestBestCollocatedEmbeddingRejectsBadInputs(t *testing.T) {
+	g := olive.BuildTopology(olive.TopoIris, 1)
+	rng := rand.New(rand.NewPCG(9, 9))
+	app := olive.GenerateApp(olive.KindChain, "c", olive.DefaultAppParams(), rng)
+	ingress := g.EdgeNodes()[0]
+	res := make([]float64, g.NumElements())
+	for i := range res {
+		res[i] = 1e6
+	}
+	for _, c := range []struct {
+		name string
+		res  []float64
+		d    float64
+		ok   bool
+	}{
+		{"nil res", nil, 1, true},
+		{"full res", res, 1, true},
+		{"zero demand", res, 0, true},
+		{"one-entry res", []float64{1}, 1, false},
+		{"res one short", res[:len(res)-1], 1, false},
+		{"empty res", []float64{}, 1, false},
+		{"NaN demand", res, math.NaN(), false},
+		{"NaN demand, nil res", nil, math.NaN(), false},
+		{"negative demand", res, -5, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, _, ok := olive.BestCollocatedEmbedding(g, app, ingress, c.res, c.d)
+			if ok != c.ok || (e != nil) != c.ok {
+				t.Fatalf("ok = %v (embedding %v), want %v", ok, e != nil, c.ok)
+			}
+		})
 	}
 }
 
