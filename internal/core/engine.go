@@ -102,8 +102,18 @@ type Engine struct {
 	st       *substrate.State
 	oracle   *embedder.Oracle
 	shareRes [][]float64 // residual plan per class per share, Eq. 17
+	// classOf resolves a request's plan class without hashing:
+	// classOf[app·n + ingress], n the substrate's node count, is the
+	// class's index in the plan's Classes plus one, 0 for none. It is
+	// sized from the engine's apps and substrate, never from the plan
+	// (whose classes may name any ingress), and nil without a plan.
+	classOf []int32
 
-	active  map[int]*activeReq
+	active map[int]*activeReq
+	// recs is the record table the departure heap's entries index into.
+	// A record's index is named by exactly one heap entry from ALLOCATE
+	// until that entry pops, and is on freeRecs otherwise.
+	recs    []*activeReq
 	depHeap departureHeap
 	now     int
 	// maxID is the highest request ID ever made active. Traces number
@@ -130,9 +140,12 @@ type Engine struct {
 	preEpoch   uint64
 	preStats   PreemptStats
 
-	// freeReqs recycles activeReq records between departure and the next
-	// arrival, so steady-state churn allocates none.
-	freeReqs []*activeReq
+	// freeRecs lists the records free for the next arrival, so
+	// steady-state churn allocates none. A record is freed when its
+	// departure entry pops, not when it is released: one released early
+	// (ReleaseByID, preemption) is a zombie, with emb == nil, until then,
+	// so an entry always names the allocation that pushed it.
+	freeRecs []int32
 
 	// FULLG's branch-and-bound scratch: pooled search nodes, the nodes of
 	// the search in progress and its open list.
@@ -141,7 +154,7 @@ type Engine struct {
 
 type activeReq struct {
 	req workload.Request
-	emb *vnet.Embedding // nil once released (the record sits in freeReqs)
+	emb *vnet.Embedding // nil once released (a zombie, or free)
 	// mark is the last index walk (Engine.preEpoch) that collected this
 	// record, so that a walk takes it once however often it is listed.
 	mark     uint64
@@ -196,9 +209,12 @@ type PreemptStats struct {
 	Victims int
 }
 
+// departure is one departure-heap entry: the slot, and the index in
+// Engine.recs of the record whose allocation departs then. It holds no
+// pointer, so the collector does not scan the heap.
 type departure struct {
 	slot int
-	id   int
+	rec  int32
 }
 
 // departureHeap is a concrete min-heap on departure slot. It deliberately
@@ -280,8 +296,38 @@ func NewEngineOn(oracle *embedder.Oracle, apps []*vnet.App, opts Options) (*Engi
 		maxID:  math.MinInt,
 	}
 	e.shareRes = planResiduals(opts.Plan)
+	e.classOf = e.classTable(opts.Plan)
 	e.resetBorrowerIndex()
 	return e, nil
+}
+
+// classTable returns p's class table over the engine's apps and substrate
+// (see Engine.classOf); nil for an empty plan. A class whose app or
+// ingress is outside the table can match no request and is left out. Of
+// two classes with one key the later wins, as in Plan.LookupIndex.
+func (e *Engine) classTable(p *plan.Plan) []int32 {
+	if p.Empty() {
+		return nil
+	}
+	apps, n := len(e.apps), e.g.NumNodes()
+	tab := make([]int32, apps*n)
+	for i, cp := range p.Classes {
+		a, v := cp.Class.App, int(cp.Class.Ingress)
+		if a >= 0 && a < apps && v >= 0 && v < n {
+			tab[a*n+v] = int32(i + 1)
+		}
+	}
+	return tab
+}
+
+// classIndex returns the index in the engine's plan of the class serving
+// (app, ingress), or -1 when there is none.
+func (e *Engine) classIndex(app int, ingress graph.NodeID) int {
+	n := e.g.NumNodes()
+	if e.classOf == nil || app < 0 || app >= len(e.apps) || ingress < 0 || int(ingress) >= n {
+		return -1
+	}
+	return int(e.classOf[app*n+int(ingress)]) - 1
 }
 
 // planResiduals returns the full residual plan (Eq. 17) of p: each
@@ -332,24 +378,26 @@ func (e *Engine) State() *substrate.State { return e.st }
 func (e *Engine) ActiveCount() int { return len(e.active) }
 
 // StartSlot advances time to slot t, releasing every request that departs
-// at or before t (Alg. 2 line 5).
+// at or before t (Alg. 2 line 5). Each due entry names its record, which
+// is released unless it already was (a zombie), and then freed.
+//
+//olive:hotpath once per slot; one heap pop per departure, no lookup
 func (e *Engine) StartSlot(t int) {
 	e.now = t
 	for len(e.depHeap) > 0 && e.depHeap[0].slot <= t {
 		d := e.depHeap.pop()
-		ar, ok := e.active[d.id]
-		if !ok || ar.req.Departs() > t {
-			continue // departed earlier via preemption, or re-scheduled
+		if ar := e.recs[d.rec]; ar.emb != nil {
+			e.release(ar)
 		}
-		e.release(ar)
+		e.freeRecs = append(e.freeRecs, d.rec)
 	}
 }
 
 func (e *Engine) release(ar *activeReq) {
 	// Dropping the embedding pointer is what kills the record's borrower
-	// index entries, and it keeps the free list from pinning released
-	// embeddings; req stays readable because preempt reports IDs right
-	// after releasing.
+	// index entries and marks it a zombie, and it keeps the record from
+	// pinning the released embedding; req stays readable because preempt
+	// reports IDs right after releasing.
 	emb := ar.emb
 	ar.emb = nil
 	e.st.Release(emb, ar.req.Demand)
@@ -359,15 +407,17 @@ func (e *Engine) release(ar *activeReq) {
 		e.retireBorrower(emb)
 	}
 	delete(e.active, ar.req.ID)
-	e.freeReqs = append(e.freeReqs, ar)
 }
 
 // ReleaseByID releases the active request with the given ID before its
 // scheduled departure, returning its resources (and, for planned
 // allocations, its plan share) immediately. It reports whether the
 // request was active. The serving layer uses it for client-initiated
-// teardown; the request's stale departure-heap entry is skipped when its
-// slot comes up.
+// teardown. The request's record stays a zombie until its departure entry
+// pops, and only then is it reused. An ID that is released early and then
+// Processed again gets a record and an entry of its own, and departs at
+// its own entry: within that slot it is released in its own entry's heap
+// order, not the stale one's.
 func (e *Engine) ReleaseByID(id int) bool {
 	ar, ok := e.active[id]
 	if !ok {
@@ -379,19 +429,29 @@ func (e *Engine) ReleaseByID(id int) bool {
 
 // Process handles one arriving request (Alg. 2 lines 6–16) and returns
 // the outcome. Requests must be fed in arrival order, interleaved with
-// StartSlot calls. A request whose app is unknown, whose demand is not
-// finite and positive, or whose ID is still active, is an error and
-// leaves the engine untouched.
+// StartSlot calls. A request whose app is unknown, whose ingress is not a
+// substrate node, whose demand is not finite and positive, whose duration
+// is below one slot or whose departure slot overflows an int, or whose ID
+// is still active, is an error and leaves the engine untouched.
 //
 //olive:hotpath per-request decision entry point; only Outcome.Preempted may allocate
 func (e *Engine) Process(r workload.Request) (Outcome, error) {
 	if r.App < 0 || r.App >= len(e.apps) {
 		return Outcome{}, errUnknownApp(r, len(e.apps))
 	}
+	if r.Ingress < 0 || int(r.Ingress) >= e.g.NumNodes() {
+		return Outcome{}, errBadIngress(r, e.g.NumNodes())
+	}
 	if !(r.Demand > 0) || math.IsInf(r.Demand, 1) {
 		// A NaN demand fits everywhere and poisons the residuals; a
 		// negative one raises them above capacity.
 		return Outcome{}, errBadDemand(r)
+	}
+	if r.Duration < 1 || r.Duration > math.MaxInt-max(r.Arrive, 0) {
+		// A request that departs at or before it arrives would hold its
+		// capacity until the next StartSlot; one whose departure slot
+		// wraps around would be released at once.
+		return Outcome{}, errBadDuration(r)
 	}
 	if r.ID <= e.maxID {
 		if _, dup := e.active[r.ID]; dup {
@@ -438,8 +498,16 @@ func errUnknownApp(r workload.Request, apps int) error {
 	return fmt.Errorf("core: request %d references app %d of %d", r.ID, r.App, apps)
 }
 
+func errBadIngress(r workload.Request, nodes int) error {
+	return fmt.Errorf("core: request %d has ingress %d outside [0,%d)", r.ID, r.Ingress, nodes)
+}
+
 func errBadDemand(r workload.Request) error {
 	return fmt.Errorf("core: request %d has demand %g, want finite and positive", r.ID, r.Demand)
+}
+
+func errBadDuration(r workload.Request) error {
+	return fmt.Errorf("core: request %d arrives at %d for %d slots, want at least one slot and a departure within an int", r.ID, r.Arrive, r.Duration)
 }
 
 func errDuplicateID(id int) error {
@@ -451,13 +519,15 @@ func errDuplicateID(id int) error {
 // active — and, under a plan, a non-planned one as a borrower.
 func (e *Engine) allocate(r workload.Request, emb *vnet.Embedding, planned bool, classIdx, shareIdx int) {
 	e.st.Apply(emb, r.Demand)
-	var ar *activeReq
-	if n := len(e.freeReqs); n > 0 {
-		ar = e.freeReqs[n-1]
-		e.freeReqs = e.freeReqs[:n-1]
+	var ri int32
+	if n := len(e.freeRecs); n > 0 {
+		ri = e.freeRecs[n-1]
+		e.freeRecs = e.freeRecs[:n-1]
 	} else {
-		ar = new(activeReq)
+		ri = int32(len(e.recs))
+		e.recs = append(e.recs, new(activeReq))
 	}
+	ar := e.recs[ri]
 	*ar = activeReq{req: r, emb: emb, planned: planned, classIdx: -1, shareIdx: -1}
 	if planned {
 		ar.classIdx, ar.shareIdx = int32(classIdx), int32(shareIdx)
@@ -467,18 +537,15 @@ func (e *Engine) allocate(r workload.Request, emb *vnet.Embedding, planned bool,
 	}
 	e.active[r.ID] = ar
 	e.maxID = max(e.maxID, r.ID)
-	e.depHeap.push(departure{slot: r.Departs(), id: r.ID})
+	e.depHeap.push(departure{slot: r.Departs(), rec: ri})
 }
 
 // planEmbed implements PLANEMBED (Alg. 2 lines 23–30): full fit in the
 // residual plan ⇒ planned; otherwise a partial fit "borrows" plan capacity
 // (planned=false). Returns a nil embedding when the plan offers nothing.
 func (e *Engine) planEmbed(r workload.Request) (emb *vnet.Embedding, planned bool, classIdx, shareIdx int) {
-	if e.opts.Plan.Empty() {
-		return nil, false, -1, -1
-	}
-	ci, ok := e.opts.Plan.LookupIndex(r.App, r.Ingress)
-	if !ok {
+	ci := e.classIndex(r.App, r.Ingress)
+	if ci < 0 {
 		return nil, false, -1, -1
 	}
 	cp := &e.opts.Plan.Classes[ci]
@@ -790,6 +857,7 @@ func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embeddi
 func (e *Engine) SwapPlan(p *plan.Plan) {
 	e.opts.Plan = p
 	e.shareRes = planResiduals(p)
+	e.classOf = e.classTable(p)
 	for _, ar := range e.active {
 		ar.planned = false
 		ar.classIdx, ar.shareIdx = -1, -1
@@ -870,8 +938,8 @@ func (e *Engine) PreemptStats() PreemptStats { return e.preStats }
 // of the class serving (app, ingress); zero when the plan has no such
 // class. Diagnostics for Fig. 12-style introspection.
 func (e *Engine) PlannedResidual(app int, ingress graph.NodeID) float64 {
-	ci, ok := e.opts.Plan.LookupIndex(app, ingress)
-	if !ok {
+	ci := e.classIndex(app, ingress)
+	if ci < 0 {
 		return 0
 	}
 	var sum float64
@@ -883,8 +951,10 @@ func (e *Engine) PlannedResidual(app int, ingress graph.NodeID) float64 {
 
 // CheckInvariants verifies internal consistency: residuals non-negative
 // and consistent with the set of active allocations, plan residuals within
-// their shares, and the borrower index an exact image of the active
-// non-planned requests. Used by tests and failure-injection harnesses.
+// their shares, the class table an image of the plan's lookup, every
+// record either free or named by one departure entry, and the borrower
+// index an exact image of the active non-planned requests. Used by tests
+// and failure-injection harnesses.
 func (e *Engine) CheckInvariants() error {
 	recomputed := e.g.Capacities()
 	for _, ar := range e.active {
@@ -910,7 +980,76 @@ func (e *Engine) CheckInvariants() error {
 			}
 		}
 	}
+	if err := e.checkClassTable(); err != nil {
+		return err
+	}
+	if err := e.checkRecords(); err != nil {
+		return err
+	}
 	return e.checkBorrowerIndex()
+}
+
+// checkClassTable audits the class table against Plan.LookupIndex over
+// every (app, ingress) of the engine.
+func (e *Engine) checkClassTable() error {
+	if e.opts.Plan.Empty() != (e.classOf == nil) {
+		return errors.New("core: class table out of step with the plan")
+	}
+	for a := range e.apps {
+		for v := graph.NodeID(0); int(v) < e.g.NumNodes(); v++ {
+			want, ok := e.opts.Plan.LookupIndex(a, v)
+			if !ok {
+				want = -1
+			}
+			if got := e.classIndex(a, v); got != want {
+				return fmt.Errorf("core: class table maps (%d,%d) to class %d, the plan to %d", a, v, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// checkRecords audits the departure bookkeeping: each record is named by
+// exactly one heap entry or sits on the free list, never both; a named
+// record is active, departing at its entry's slot, or a zombie; a free
+// one holds no embedding; and every active request is a named record.
+func (e *Engine) checkRecords() error {
+	named := make([]int, len(e.recs))
+	for _, d := range e.depHeap {
+		if d.rec < 0 || int(d.rec) >= len(e.recs) {
+			return fmt.Errorf("core: departure entry names record %d of %d", d.rec, len(e.recs))
+		}
+		named[d.rec]++
+		ar := e.recs[d.rec]
+		if ar.emb != nil && (e.active[ar.req.ID] != ar || ar.req.Departs() != d.slot) {
+			return fmt.Errorf("core: departure entry at slot %d names request %d, active %v, departing at %d",
+				d.slot, ar.req.ID, e.active[ar.req.ID] == ar, ar.req.Departs())
+		}
+	}
+	for _, ri := range e.freeRecs {
+		if ri < 0 || int(ri) >= len(e.recs) {
+			return fmt.Errorf("core: free list holds record %d of %d", ri, len(e.recs))
+		}
+		named[ri]++
+		if e.recs[ri].emb != nil {
+			return fmt.Errorf("core: free record %d holds request %d", ri, e.recs[ri].req.ID)
+		}
+	}
+	for ri, k := range named {
+		if k != 1 {
+			return fmt.Errorf("core: record %d is named %d times by the heap and free list, want once", ri, k)
+		}
+	}
+	live := 0
+	for _, ar := range e.recs {
+		if ar.emb != nil {
+			live++
+		}
+	}
+	if live != len(e.active) {
+		return fmt.Errorf("core: %d records hold an embedding, %d requests are active", live, len(e.active))
+	}
+	return nil
 }
 
 // checkBorrowerIndex audits the borrower index: an engine without a plan

@@ -220,15 +220,34 @@ func TestDuplicateActiveIDRejected(t *testing.T) {
 	}
 }
 
-// TestBadDemandRejected: a request whose demand is NaN, zero, negative or
-// infinite must be an error that changes nothing. A NaN demand used to
-// fit everywhere, be accepted and leave NaN in the residuals, and a
-// negative one raised residuals above capacity. Each engine is warmed
+// TestBadDemandRejected: a malformed request must be an error that
+// changes nothing — residual bit-equal, active count unchanged — under
+// OLIVE, QUICKG and FULLG alike. A NaN demand used to fit everywhere, be
+// accepted and leave NaN in the residuals, and a negative one raised
+// residuals above capacity. A duration below one slot was accepted and
+// held its capacity until the next StartSlot, a departure slot past
+// math.MaxInt wrapped around and was released at once, and an ingress
+// outside the substrate was counted as a rejection. Each engine is warmed
 // with a few slots of an overload trace first, and each bad request
-// copies the next real one, which both engines would otherwise weigh.
+// copies the next real one, which every engine would otherwise weigh.
 func TestBadDemandRejected(t *testing.T) {
 	f := newOverloadFixture(t, topo.Iris, 25, 12)
-	for _, opts := range []Options{{Plan: f.plans[0]}, {Exact: true}} {
+	bad := []struct {
+		name string
+		edit func(r *workload.Request)
+	}{
+		{"NaN demand", func(r *workload.Request) { r.Demand = math.NaN() }},
+		{"zero demand", func(r *workload.Request) { r.Demand = 0 }},
+		{"negative demand", func(r *workload.Request) { r.Demand = -5 }},
+		{"+Inf demand", func(r *workload.Request) { r.Demand = math.Inf(1) }},
+		{"-Inf demand", func(r *workload.Request) { r.Demand = math.Inf(-1) }},
+		{"zero duration", func(r *workload.Request) { r.Duration = 0 }},
+		{"negative duration", func(r *workload.Request) { r.Duration = -3 }},
+		{"overflowing departure", func(r *workload.Request) { r.Arrive, r.Duration = 5, math.MaxInt }},
+		{"negative ingress", func(r *workload.Request) { r.Ingress = -1 }},
+		{"ingress past the substrate", func(r *workload.Request) { r.Ingress = 1 << 20 }},
+	}
+	for _, opts := range []Options{{Plan: f.plans[0]}, {}, {Exact: true}} {
 		e, err := NewEngine(f.g, f.apps, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -243,23 +262,28 @@ func TestBadDemandRejected(t *testing.T) {
 		}
 		e.StartSlot(3)
 		next := f.slots[3][0]
-		for _, d := range []float64{math.NaN(), 0, -5, math.Inf(1), math.Inf(-1)} {
+		for k, b := range bad {
 			before, active := e.Residual(), e.ActiveCount()
 			r := next
-			r.Demand = d
+			r.ID = 1<<40 + k // its own ID, should a row be accepted
+			b.edit(&r)
 			out, err := e.Process(r)
 			if err == nil || out.Accepted {
-				t.Fatalf("%v: Process with demand %v = (%+v, %v), want an error", e.Algorithm(), d, out, err)
+				t.Errorf("%v: Process with %s = (%+v, %v), want an error", e.Algorithm(), b.name, out, err)
+				continue
 			}
 			after := e.Residual()
 			for i := range before {
 				if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
-					t.Fatalf("%v: demand %v moved residual[%d] from %v to %v", e.Algorithm(), d, i, before[i], after[i])
+					t.Fatalf("%v: %s moved residual[%d] from %v to %v", e.Algorithm(), b.name, i, before[i], after[i])
 				}
 			}
 			if e.ActiveCount() != active {
-				t.Fatalf("%v: demand %v changed the active count", e.Algorithm(), d)
+				t.Fatalf("%v: %s changed the active count", e.Algorithm(), b.name)
 			}
+		}
+		if t.Failed() {
+			return
 		}
 		if _, err := e.Process(next); err != nil {
 			t.Fatalf("%v: the real request after the rejected ones: %v", e.Algorithm(), err)
@@ -359,8 +383,11 @@ func TestBorrowerIndexLifecycle(t *testing.T) {
 // BenchmarkEnginePreemptOverload is the OLIVE batch loop on the pinned
 // 100n150e u=1.4 fixture — one op is a fresh engine over the shared warm
 // substrate state and one pass over the online trace — with PREEMPT's own
-// work beside it: relief evaluations and victims per call. Under the CI
-// guard (testdata/bench_baseline.json) for allocs/op and B/op.
+// work beside it: relief evaluations and victims per call. orders/op is
+// the greedy fallback's candidate orders built per pass: the warm-up pass
+// builds at most one per (app, ingress), and a pass over the warm oracle
+// none. Under the CI guard (testdata/bench_baseline.json) for allocs/op,
+// B/op and orders/op.
 func BenchmarkEnginePreemptOverload(b *testing.B) {
 	f := newOverloadFixture(b, topo.Random100, 20, 40)
 	oracle := embedder.ForState(substrate.New(f.g))
@@ -384,11 +411,14 @@ func BenchmarkEnginePreemptOverload(b *testing.B) {
 	if st.Victims == 0 {
 		b.Fatalf("fixture never preempts: %+v", st)
 	}
+	orders := embedder.Stats().CollocOrders
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pass()
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(embedder.Stats().CollocOrders-orders)/float64(b.N), "orders/op")
 	b.ReportMetric(float64(st.CandidatesScored)/float64(st.Calls), "cands/preempt")
 	b.ReportMetric(float64(st.Victims)/float64(st.Calls), "victims/preempt")
 }

@@ -23,9 +23,10 @@
 //
 // An Oracle is a thin view over a substrate.State: path queries hit the
 // State's lazy per-source Dijkstra cache (no eager all-pairs rebuild), and
-// both the unrestricted DP table (per app) and collocated embeddings (per
-// (app, ingress, node)) are memoized for as long as the State's prices
-// stand still.
+// the unrestricted DP table (per app), collocated embeddings (per
+// (app, ingress, node)) and BestCollocated's candidate order (per
+// (app, ingress)) are memoized for as long as the State's prices stand
+// still.
 //
 // FULLG's capacity branch-out runs a restricted search over Tables (see
 // Solve): its root shares the memo table, a child that bans one more
@@ -98,9 +99,12 @@ type Oracle struct {
 	st *substrate.State
 	g  *graph.Graph
 
-	// colloc memoizes collocated embeddings per (app, ingress, node);
-	// valid while the State's price generation is unchanged.
+	// colloc memoizes collocated embeddings per (app, ingress, node), and
+	// walks BestCollocated's candidate order per app and ingress (nil
+	// until first asked for); both are valid while the State's price
+	// generation is collocGen.
 	colloc    map[collocKey]collocEntry
+	walks     map[*vnet.App][][]walkSlot
 	collocGen uint64
 
 	// tables memoizes the unrestricted DP table per app. Nothing in a
@@ -173,12 +177,24 @@ type collocEntry struct {
 	ok    bool
 }
 
+// walkSlot is one candidate of a BestCollocated walk: its hosting node
+// and, once a walk has reached it (visited), what collocated returned for
+// it.
+type walkSlot struct {
+	e       *vnet.Embedding
+	price   float64
+	u       int32
+	visited bool
+	ok      bool
+}
+
 // ForState returns an oracle viewing st. Multiple oracles may view one
 // State (sequentially); they share its path cache but not their memos.
 func ForState(st *substrate.State) *Oracle {
 	return &Oracle{
 		st: st, g: st.Graph(),
 		colloc: make(map[collocKey]collocEntry), collocGen: st.PriceGen(),
+		walks:   make(map[*vnet.App][][]walkSlot),
 		tables:  make(map[*vnet.App]*memoTable),
 		shapes:  make(map[*vnet.App]*appShape),
 		exclSet: make(map[graph.ElementID]bool),
@@ -542,14 +558,21 @@ func resizeOuter[T any](s *[]T, n int) []T {
 	return *s
 }
 
+// syncCollocGen drops the collocated memos, embeddings and walks alike,
+// when the State's prices have moved since they were built.
+func (o *Oracle) syncCollocGen() {
+	if gen := o.st.PriceGen(); gen != o.collocGen {
+		clear(o.colloc)
+		clear(o.walks)
+		o.collocGen = gen
+	}
+}
+
 // collocated returns the memoized collocated embedding of app on node u
 // with θ at ingress, building and caching it on first use. Entries are
 // invalidated wholesale when the State's prices change.
 func (o *Oracle) collocated(app *vnet.App, ingress, u graph.NodeID) (*vnet.Embedding, float64, bool) {
-	if gen := o.st.PriceGen(); gen != o.collocGen {
-		clear(o.colloc)
-		o.collocGen = gen
-	}
+	o.syncCollocGen()
 	key := collocKey{app, ingress, u}
 	if ent, ok := o.colloc[key]; ok {
 		return ent.e, ent.price, ent.ok
@@ -666,10 +689,49 @@ func sortCands(cs []scoredNode) {
 // embedding.
 // The returned Embedding may be memo-shared with other callers and must
 // be treated as immutable.
+//
+// The scan walks the (app, ingress) candidate order memoized by walk, and
+// each slot keeps what collocated returned the first time a walk reached
+// it, so a query under unchanged prices neither scores, sorts nor hashes
+// a candidate: it only checks feasibility, from the cheapest up.
+//
+//olive:hotpath per-request greedy fallback (GREEDYEMBED)
 func (o *Oracle) BestCollocated(app *vnet.App, ingress graph.NodeID, res []float64, d float64) (*vnet.Embedding, float64, bool) {
 	if !o.validNode(ingress) || (res != nil && len(res) < o.g.NumElements()) || !(d >= 0) {
 		return nil, 0, false
 	}
+	w := o.walk(app, ingress)
+	for i := range w {
+		s := &w[i]
+		if !s.visited {
+			s.e, s.price, s.ok = o.collocated(app, ingress, graph.NodeID(s.u))
+			s.visited = true
+		}
+		if !s.ok || (res != nil && !s.e.FitsResidual(res, d)) {
+			continue
+		}
+		return s.e, s.price, true
+	}
+	return nil, 0, false
+}
+
+// walk returns BestCollocated's candidate order for (app, ingress) under
+// the State's current prices, building it on first use: every node of
+// finite price and distance, scored by the collocated price bound
+// nodeSize·NodePrice(u) + rootLinkSize·Dist(ingress, u) (exact for the
+// collocated form) and sorted by sortCands, ties to the lower node. Its
+// slots start unvisited; no embedding is built here.
+func (o *Oracle) walk(app *vnet.App, ingress graph.NodeID) []walkSlot {
+	o.syncCollocGen()
+	byIngress := o.walks[app]
+	if byIngress == nil {
+		byIngress = make([][]walkSlot, o.g.NumNodes())
+		o.walks[app] = byIngress
+	}
+	if w := byIngress[ingress]; w != nil {
+		return w
+	}
+	counters.collocOrders.Add(1)
 	cands := o.cands[:0]
 	nodeSize := app.TotalNodeSize()
 	var rootLinkSize float64
@@ -686,22 +748,16 @@ func (o *Oracle) BestCollocated(app *vnet.App, ingress graph.NodeID, res []float
 		if math.IsInf(dist, 1) {
 			continue
 		}
-		// Price lower bound: exact for the collocated form.
 		cands = append(cands, scoredNode{graph.NodeID(u), nodeSize*o.st.NodePrice(graph.NodeID(u)) + rootLinkSize*dist})
 	}
 	sortCands(cands)
 	o.cands = cands
-	for _, c := range cands {
-		e, price, ok := o.collocated(app, ingress, c.u)
-		if !ok {
-			continue
-		}
-		if res != nil && !e.FitsResidual(res, d) {
-			continue
-		}
-		return e, price, true
+	w := make([]walkSlot, len(cands)) // non-nil even when empty: built
+	for k, c := range cands {
+		w[k].u = int32(c.u)
 	}
-	return nil, 0, false
+	byIngress[ingress] = w
+	return w
 }
 
 // KCheapestCollocated returns up to k collocated embeddings in increasing

@@ -22,21 +22,28 @@ type CountersSnapshot struct {
 	// in (cost, node) order and stops at the first that cannot win, where
 	// a scan over every node would examine n.
 	LinkScans int64
+	// CollocOrders counts the candidate orders BestCollocated's walks were
+	// built from: one per (app, ingress) and price generation, scored and
+	// sorted once, where every greedy call used to score and sort every
+	// node.
+	CollocOrders int64
 }
 
 var counters struct {
-	dpFills     atomic.Int64
-	dpTableHits atomic.Int64
-	banRescans  atomic.Int64
-	linkScans   atomic.Int64
+	dpFills      atomic.Int64
+	dpTableHits  atomic.Int64
+	banRescans   atomic.Int64
+	linkScans    atomic.Int64
+	collocOrders atomic.Int64
 }
 
 // Stats snapshots the package-wide work counters.
 func Stats() CountersSnapshot {
 	return CountersSnapshot{
-		DPFills:     counters.dpFills.Load(),
-		DPTableHits: counters.dpTableHits.Load(),
-		BanRescans:  counters.banRescans.Load(),
-		LinkScans:   counters.linkScans.Load(),
+		DPFills:      counters.dpFills.Load(),
+		DPTableHits:  counters.dpTableHits.Load(),
+		BanRescans:   counters.banRescans.Load(),
+		LinkScans:    counters.linkScans.Load(),
+		CollocOrders: counters.collocOrders.Load(),
 	}
 }

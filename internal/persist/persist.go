@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/plan"
@@ -102,6 +103,8 @@ func SavePlan(w io.Writer, p *plan.Plan) error {
 
 // LoadPlan reads a plan written by SavePlan, rebuilding and revalidating
 // every share embedding against the given substrate and application set.
+// A class must name a known app and a substrate node as its ingress, have
+// a finite positive demand, and keep θ of every share on that ingress.
 func LoadPlan(r io.Reader, g *graph.Graph, apps []*vnet.App) (*plan.Plan, error) {
 	var f planFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -114,6 +117,14 @@ func LoadPlan(r io.Reader, g *graph.Graph, apps []*vnet.App) (*plan.Plan, error)
 	for _, rec := range f.Classes {
 		if rec.App < 0 || rec.App >= len(apps) {
 			return nil, fmt.Errorf("persist: class references app %d of %d", rec.App, len(apps))
+		}
+		if rec.Ingress < 0 || int(rec.Ingress) >= g.NumNodes() {
+			return nil, fmt.Errorf("persist: class (%d,%d) ingress is not one of the substrate's %d nodes",
+				rec.App, rec.Ingress, g.NumNodes())
+		}
+		if !(rec.Demand > 0) || math.IsInf(rec.Demand, 1) {
+			return nil, fmt.Errorf("persist: class (%d,%d) demand %g, want finite and positive",
+				rec.App, rec.Ingress, rec.Demand)
 		}
 		app := apps[rec.App]
 		cp := plan.ClassPlan{
@@ -141,6 +152,10 @@ func LoadPlan(r io.Reader, g *graph.Graph, apps []*vnet.App) (*plan.Plan, error)
 			emb, err := vnet.NewEmbedding(g, app, sr.NodeMap, pathMap)
 			if err != nil {
 				return nil, fmt.Errorf("persist: class (%d,%d) share %d: %w", rec.App, rec.Ingress, si, err)
+			}
+			if root := emb.NodeMap[vnet.Root]; root != rec.Ingress {
+				return nil, fmt.Errorf("persist: class (%d,%d) share %d places θ on node %d, not the class ingress",
+					rec.App, rec.Ingress, si, root)
 			}
 			cp.Shares = append(cp.Shares, plan.Share{E: emb, Fraction: sr.Fraction})
 		}

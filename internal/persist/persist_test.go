@@ -2,11 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
+	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/plan"
 	"github.com/olive-vne/olive/internal/topo"
 	"github.com/olive-vne/olive/internal/vnet"
@@ -146,19 +148,75 @@ func TestLoadPlanRejectsMismatchedApps(t *testing.T) {
 	}
 }
 
+// TestLoadPlanRejectsBadInput: a plan file that cannot be right is an
+// error, not a plan. Beside undecodable input, a wrong version and an
+// unknown app, that covers a class whose ingress is not a substrate node
+// (an engine indexes its class table with it), whose demand is not
+// positive, or whose share keeps θ off the class ingress — a saved plan
+// with one class's ingress edited.
 func TestLoadPlanRejectsBadInput(t *testing.T) {
 	g := topo.MustBuild(topo.CittaStudi, 1)
 	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(5))
-	if _, err := LoadPlan(strings.NewReader("nope"), g, apps); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := LoadPlan(strings.NewReader(`{"version":2}`), g, apps); err == nil {
-		t.Error("wrong version accepted")
-	}
-	if _, err := LoadPlan(strings.NewReader(`{"version":1,"classes":[{"app":77}]}`), g, apps); err == nil {
-		t.Error("out-of-range app accepted")
-	}
 	if err := SavePlan(&bytes.Buffer{}, nil); err == nil {
 		t.Error("nil plan accepted")
 	}
+	cases := []struct{ name, file string }{
+		{"garbage", "nope"},
+		{"wrong version", `{"version":2}`},
+		{"out-of-range app", `{"version":1,"classes":[{"app":77}]}`},
+		{"ingress past the substrate", `{"version":1,"classes":[{"app":0,"ingress":999999,"demand":1}]}`},
+		{"negative ingress", `{"version":1,"classes":[{"app":0,"ingress":-4,"demand":1}]}`},
+		{"negative demand", `{"version":1,"classes":[{"app":0,"ingress":0,"demand":-7}]}`},
+		{"zero demand", `{"version":1,"classes":[{"app":0,"ingress":0,"demand":0}]}`},
+		{"share θ off the class ingress", rootMovedPlan(t, g, apps)},
+	}
+	for _, c := range cases {
+		if _, err := LoadPlan(strings.NewReader(c.file), g, apps); err == nil {
+			t.Errorf("%s: plan accepted", c.name)
+		}
+	}
+}
+
+// rootMovedPlan returns a valid saved plan over g in which one class with
+// a share has its ingress changed to another node, its shares untouched.
+func rootMovedPlan(t *testing.T, g *graph.Graph, apps []*vnet.App) string {
+	t.Helper()
+	rng := testRNG(6)
+	wp := workload.DefaultParams()
+	wp.Slots = 60
+	wp.LambdaPerNode = 2
+	hist, err := workload.GenerateMMPP(g, wp, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := plan.DefaultOptions()
+	opts.BootstrapB = 20
+	p, err := plan.BuildFromHistory(g, apps, hist, opts, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SavePlan(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPlan(bytes.NewReader(buf.Bytes()), g, apps); err != nil {
+		t.Fatalf("the unedited plan does not load: %v", err)
+	}
+	var f planFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.Classes {
+		c := &f.Classes[i]
+		if len(c.Shares) > 0 {
+			c.Ingress = (c.Ingress + 1) % graph.NodeID(g.NumNodes())
+			out, err := json.Marshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(out)
+		}
+	}
+	t.Fatal("the plan has no class with a share")
+	return ""
 }

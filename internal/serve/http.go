@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -217,6 +218,10 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		arrive = s.clockSlot()
 	} else if arrive < 0 {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "arrive %d must be ≥ 0", arrive)
+		return
+	}
+	if er.Duration > math.MaxInt-arrive {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "duration %d from slot %d overflows the departure slot", er.Duration, arrive)
 		return
 	}
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -125,6 +126,7 @@ func TestEmbedValidation(t *testing.T) {
 		{App: 0, Ingress: -1, Demand: 1, Duration: 1},
 		{App: 0, Ingress: 0, Demand: 0, Duration: 1},
 		{App: 0, Ingress: 0, Demand: 1, Duration: 0},
+		{App: 0, Ingress: 0, Demand: 1, Duration: math.MaxInt, Arrive: 5}, // departure overflows
 	}
 	for i, er := range bad {
 		resp, _ := postEmbed(t, ts.URL, er)
