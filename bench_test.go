@@ -1,20 +1,13 @@
-// Package olive's benchmark harness regenerates every table and figure of
-// the paper's evaluation (§IV) and benchmarks the ablations called out in
-// DESIGN.md §6. Each benchmark prints the same rows/series the paper
-// reports (via b.Log) while testing.B measures the end-to-end runtime of
-// the experiment at smoke scale.
-//
-// Scale: benches default to SmokeScale (~100× fewer requests than
-// Table III) so the full suite completes in minutes on a laptop. Set
-// OLIVE_BENCH_SCALE=paper to run the full 30-rep × 6000-slot experiments
-// (hours). cmd/vnesim exposes the same experiments with finer control.
+// Package olive's root benchmarks measure the experiment runner, the
+// ablations called out in DESIGN.md §6, the time-varying plan extension
+// and the core machinery (plan construction, per-request processing).
+// The paper's tables and figures are registered scenarios; regenerate
+// them with cmd/vnesim (-exp NAME, or -exp all).
 package olive_test
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strings"
 	"testing"
 
 	"github.com/olive-vne/olive/internal/core"
@@ -23,233 +16,12 @@ import (
 	"github.com/olive-vne/olive/internal/topo"
 )
 
-func benchScale() sim.Scale {
-	if os.Getenv("OLIVE_BENCH_SCALE") == "paper" {
-		return sim.PaperScale()
-	}
-	s := sim.SmokeScale()
-	s.Reps = 1 // testing.B supplies repetition; keep each iter lean
-	return s
-}
-
-func logTable(b *testing.B, t *sim.Table) {
-	b.Helper()
-	var sb strings.Builder
-	t.Fprint(&sb)
-	b.Log("\n" + sb.String())
-}
-
-// BenchmarkTable2Topologies regenerates Table II (topology inventory).
-func BenchmarkTable2Topologies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := sim.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkFig6RejectionRate regenerates Fig. 6: rejection rate vs
-// utilization, all four topologies, OLIVE vs QUICKG vs SLOTOFF.
-func BenchmarkFig6RejectionRate(b *testing.B) {
-	s := benchScale()
-	for _, t := range topo.All() {
-		b.Run(string(t), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rej, _, err := sim.Fig6And7(t, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					logTable(b, rej)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig7Cost regenerates Fig. 7: total cost vs utilization (the
-// same runs as Fig. 6; reported separately as in the paper).
-func BenchmarkFig7Cost(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		_, cost, err := sim.Fig6And7(topo.Iris, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, cost)
-		}
-	}
-}
-
-// BenchmarkFig8BurstZoom regenerates Fig. 8: per-slot allocated demand
-// during bursts, Iris @140%.
-func BenchmarkFig8BurstZoom(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := sim.Fig8(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkFig9AppTypes regenerates Fig. 9: rejection by application type
-// (including the FULLG reference).
-func BenchmarkFig9AppTypes(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := sim.Fig9(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkFig10GPU regenerates Fig. 10: the GPU scenario.
-func BenchmarkFig10GPU(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := sim.Fig10(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkFig11Quantiles regenerates Fig. 11: rejection balance index vs
-// quantile count — also the quantile ablation of DESIGN.md §6.
-func BenchmarkFig11Quantiles(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := sim.Fig11(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkFig12NodeDetail regenerates Fig. 12: per-application guaranteed
-// vs borrowed vs preempted allocations at the Franklin node.
-func BenchmarkFig12NodeDetail(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := sim.Fig12(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkFig13PlanDeviation regenerates Fig. 13: plans built for 60%
-// and 100% demand running at 140%.
-func BenchmarkFig13PlanDeviation(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		t, err := sim.Fig13(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkFig14ShiftedPlan regenerates Fig. 14: the plan built from a
-// spatially shuffled history.
-func BenchmarkFig14ShiftedPlan(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		rej, cost, err := sim.Fig14(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, rej)
-			logTable(b, cost)
-		}
-	}
-}
-
-// BenchmarkFig15CAIDA regenerates Fig. 15: the CAIDA-like trace.
-func BenchmarkFig15CAIDA(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		rej, cost, err := sim.Fig15(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, rej)
-			logTable(b, cost)
-		}
-	}
-}
-
-// BenchmarkFig16aArrivalRate regenerates Fig. 16a: runtime vs arrival
-// rate at fixed utilization.
-func BenchmarkFig16aArrivalRate(b *testing.B) {
-	s := benchScale()
-	lambdas := []float64{2, 4, 8}
-	if os.Getenv("OLIVE_BENCH_SCALE") == "paper" {
-		lambdas = []float64{5, 10, 20, 40}
-	}
-	for i := 0; i < b.N; i++ {
-		t, err := sim.Fig16a(s, lambdas)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logTable(b, t)
-		}
-	}
-}
-
-// BenchmarkFig16Runtime regenerates Figs. 16b–e: runtime vs utilization
-// per topology.
-func BenchmarkFig16Runtime(b *testing.B) {
-	s := benchScale()
-	for _, t := range topo.All() {
-		b.Run(string(t), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tbl, err := sim.Fig16Runtime(t, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					logTable(b, tbl)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRunnerParallelVsSequential measures the experiment runner's
 // fan-out: the same 8-cell sweep (2 utilizations × 4 reps) with 1 worker
 // versus GOMAXPROCS workers. On an N-core machine the parallel
 // sub-benchmark's ns/op approaches 1/N of the sequential one; the results
 // are bit-identical either way (the runner's determinism contract, proven
-// by TestRunRepeatedParallelMatchesSequential).
+// by TestRunSweepParallelMatchesSequential).
 func BenchmarkRunnerParallelVsSequential(b *testing.B) {
 	sweepCells := func() []sim.SweepCell {
 		cells := make([]sim.SweepCell, 0, 2)

@@ -8,15 +8,18 @@
 // Usage:
 //
 //	vnesim -list
-//	vnesim -exp fig6 -topo iris -scale smoke
+//	vnesim -exp fig6+7 -topo iris -scale smoke
 //	vnesim -exp all -scale smoke -workers 8
 //	vnesim -exp fig16a -scale paper -out results/ -resume -progress
 //	vnesim -scenario myspec.json -scale smoke -out results/ -progress
 //
-// Experiments resolve through the scenario registry (internal/scenario):
-// every figure and table of the paper is a registered declarative spec,
-// and -scenario runs a spec loaded from JSON through the same machinery —
-// see examples/customscenario for a sweep no paper figure expresses.
+// Every figure and table of the paper is a declarative spec in the
+// scenario registry (internal/scenario). -exp NAME looks NAME up there
+// (-list prints the names; all runs every one, in name order) and
+// -scenario runs a spec loaded from JSON; both render through
+// sim.RunScenario. A registered spec whose report titles name {topo}
+// runs once per topology: all four, or the one -topo names. See
+// examples/customscenario for a sweep no paper figure expresses.
 // Scales: smoke (minutes) and paper (Table III: 30 reps × 6000 slots —
 // hours sequentially; the runner divides that by the worker count).
 package main
@@ -26,12 +29,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -42,27 +46,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vnesim:", err)
 		os.Exit(1)
 	}
 }
 
-// expNames are the -exp tokens, in print order for error messages.
-// "fig6+7" (the registered scenario generating both figures from one
-// sweep) is accepted alongside the individual aliases fig6 and fig7.
-var expNames = []string{
-	"all", "table2", "table3", "fig6", "fig7", "fig6+7", "fig8", "fig9",
-	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16a", "fig16",
-}
-
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("vnesim", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: "+strings.Join(expNames, " "))
+	exp := fs.String("exp", "all", "experiment: all, or a registered scenario name (see -list)")
 	golden := fs.String("golden", "", "write the golden-fingerprint suite (one file per config) into this directory and exit")
 	list := fs.Bool("list", false, "list the registered scenarios with their descriptions and exit")
 	scenarioFile := fs.String("scenario", "", "run a user-defined scenario spec loaded from this JSON file")
-	topoFlag := fs.String("topo", "", "topology for fig6/fig7/fig16 (iris, cittastudi, 5gen, 100n150e); empty = all four")
+	topoFlag := fs.String("topo", "", "topology for the experiments reported per topology (iris, cittastudi, 5gen, 100n150e); empty = all four")
 	scaleFlag := fs.String("scale", "smoke", "experiment scale: smoke or paper")
 	reps := fs.Int("reps", 0, "override repetition count")
 	seed := fs.Uint64("seed", 0, "override base seed")
@@ -77,17 +73,28 @@ func run(args []string) error {
 		return err
 	}
 	if *list {
-		w := os.Stdout
 		for _, name := range scenario.Names() {
-			fmt.Fprintf(w, "%-8s %s\n", name, scenario.Describe(name))
+			fmt.Fprintf(stdout, "%-8s %s\n", name, scenario.Describe(name))
 		}
 		return nil
 	}
 	if *resume && *out == "" {
 		return errors.New("-resume requires -out")
 	}
-	if *scenarioFile == "" && !slices.Contains(expNames, *exp) {
-		return fmt.Errorf("unknown experiment %q (valid: %s)", *exp, strings.Join(expNames, ", "))
+	specs, err := loadSpecs(*scenarioFile, *exp)
+	if err != nil {
+		return err
+	}
+	topos := topo.All()
+	if *topoFlag != "" {
+		topos = []topo.Name{topo.Name(*topoFlag)}
+		if _, ok := topo.Specs()[topos[0]]; !ok {
+			names := make([]string, len(topo.All()))
+			for i, t := range topo.All() {
+				names[i] = string(t)
+			}
+			return fmt.Errorf("unknown topology %q (valid: %s)", *topoFlag, strings.Join(names, ", "))
+		}
 	}
 
 	// Profiling hooks: hot-path work (the online embedding loop, the
@@ -145,6 +152,9 @@ func run(args []string) error {
 		scale.Utils = nil
 		for _, tok := range strings.Split(*utils, ",") {
 			u, err := strconv.ParseFloat(strings.TrimSpace(tok), 64)
+			if err == nil && (!(u > 0) || math.IsInf(u, 1)) {
+				err = errors.New("utilization must be positive and finite")
+			}
 			if err != nil {
 				return fmt.Errorf("bad -utils entry %q (want comma-separated utilizations, e.g. 0.6,1.0,1.4): %w", tok, err)
 			}
@@ -176,30 +186,71 @@ func run(args []string) error {
 		scale.Runner.Reporter = runner.NewTextReporter(os.Stderr)
 	}
 
-	// A user-defined scenario runs through the same scale and runner
-	// machinery as the registered experiments: -workers, -out, -resume
-	// and -progress all apply.
-	if *scenarioFile != "" {
-		f, err := os.Open(*scenarioFile)
-		if err != nil {
-			return err
+	// Registered and user-defined scenarios alike run through the same
+	// scale and runner machinery: -workers, -out, -resume and -progress
+	// all apply.
+	for _, sp := range specs {
+		runs := []*scenario.Spec{sp}
+		if *scenarioFile == "" && perTopology(sp) {
+			runs = nil
+			for _, tn := range topos {
+				c := sp.Clone()
+				c.Base.Topology = string(tn)
+				runs = append(runs, c)
+			}
 		}
-		sp, err := scenario.Load(f)
-		f.Close()
-		if err != nil {
-			return err
+		for _, r := range runs {
+			tbls, err := sim.RunScenario(r, scale)
+			if err != nil {
+				return err
+			}
+			for _, t := range tbls {
+				t.Fprint(stdout)
+			}
 		}
-		tbls, err := sim.RunScenario(sp, scale)
-		if err != nil {
-			return err
-		}
-		for _, t := range tbls {
-			t.Fprint(os.Stdout)
-		}
-		return nil
 	}
+	return nil
+}
 
-	return runExperiments(*exp, *topoFlag, *scaleFlag, scale)
+// loadSpecs resolves what to run: the spec in file when one is named,
+// else the registered scenario exp, or every registered one for "all".
+func loadSpecs(file, exp string) ([]*scenario.Spec, error) {
+	if file != "" {
+		f, err := os.Open(file)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		sp, err := scenario.Load(f)
+		if err != nil {
+			return nil, err
+		}
+		return []*scenario.Spec{sp}, nil
+	}
+	names := []string{exp}
+	if exp == "all" {
+		names = scenario.Names()
+	}
+	specs := make([]*scenario.Spec, len(names))
+	for i, name := range names {
+		sp, ok := scenario.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (valid: all, %s)", exp, strings.Join(scenario.Names(), ", "))
+		}
+		specs[i] = sp
+	}
+	return specs, nil
+}
+
+// perTopology reports whether a registered spec runs once per topology:
+// its report titles name the topology through the {topo} placeholder.
+func perTopology(sp *scenario.Spec) bool {
+	for _, r := range sp.Reports {
+		if strings.Contains(r.Title, "{topo}") {
+			return true
+		}
+	}
+	return false
 }
 
 // runGolden regenerates the golden-fingerprint determinism suite: one
@@ -219,126 +270,6 @@ func runGolden(dir string) error {
 		}
 		if err := os.WriteFile(filepath.Join(dir, gc.Name+".fp"), []byte(fp), 0o644); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-func runExperiments(exp, topoFlag, scaleFlag string, scale sim.Scale) error {
-	topos := topo.All()
-	if topoFlag != "" {
-		topos = []topo.Name{topo.Name(topoFlag)}
-		if _, ok := topo.Specs()[topos[0]]; !ok {
-			names := make([]string, len(topo.All()))
-			for i, t := range topo.All() {
-				names[i] = string(t)
-			}
-			return fmt.Errorf("unknown topology %q (valid: %s)", topoFlag, strings.Join(names, ", "))
-		}
-	}
-
-	want := func(name string) bool { return exp == "all" || exp == name }
-
-	if want("table2") {
-		t, err := sim.Table2()
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
-	}
-	if want("table3") {
-		sim.Table3().Fprint(os.Stdout)
-	}
-	if want("fig6") || want("fig7") || want("fig6+7") {
-		for _, tn := range topos {
-			rej, cost, err := sim.Fig6And7(tn, scale)
-			if err != nil {
-				return err
-			}
-			if exp != "fig7" {
-				rej.Fprint(os.Stdout)
-			}
-			if exp != "fig6" {
-				cost.Fprint(os.Stdout)
-			}
-		}
-	}
-	if want("fig8") {
-		t, err := sim.Fig8(scale)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
-	}
-	if want("fig9") {
-		t, err := sim.Fig9(scale)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
-	}
-	if want("fig10") {
-		t, err := sim.Fig10(scale)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
-	}
-	if want("fig11") {
-		t, err := sim.Fig11(scale)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
-	}
-	if want("fig12") {
-		t, err := sim.Fig12(scale)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
-	}
-	if want("fig13") {
-		t, err := sim.Fig13(scale)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
-	}
-	if want("fig14") {
-		rej, cost, err := sim.Fig14(scale)
-		if err != nil {
-			return err
-		}
-		rej.Fprint(os.Stdout)
-		cost.Fprint(os.Stdout)
-	}
-	if want("fig15") {
-		rej, cost, err := sim.Fig15(scale)
-		if err != nil {
-			return err
-		}
-		rej.Fprint(os.Stdout)
-		cost.Fprint(os.Stdout)
-	}
-	if want("fig16a") {
-		lambdas := []float64{2, 4, 8}
-		if scaleFlag == "paper" {
-			lambdas = []float64{5, 10, 20, 40}
-		}
-		t, err := sim.Fig16a(scale, lambdas)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
-	}
-	if want("fig16") {
-		for _, tn := range topos {
-			t, err := sim.Fig16Runtime(tn, scale)
-			if err != nil {
-				return err
-			}
-			t.Fprint(os.Stdout)
 		}
 	}
 	return nil

@@ -61,13 +61,11 @@ type Options struct {
 	// DisablePreemption turns off PREEMPT (Alg. 2 line 35). Ablation
 	// only.
 	DisablePreemption bool
-	// MaxExactRetries scales the budget of FULLG's capacity branch-out
-	// (retries with saturated elements excluded): the search expands at
-	// most 4 × MaxExactRetries branch-and-bound nodes per request. Zero
-	// selects the default (6, so 24 expansions).
-	MaxExactRetries int
 }
 
+// defaultExactRetries scales the budget of FULLG's capacity branch-out
+// (retries with saturated elements excluded): the search expands at most
+// 4 × defaultExactRetries branch-and-bound nodes per request.
 const defaultExactRetries = 6
 
 // Outcome reports the processing result for one request.
@@ -280,9 +278,6 @@ func NewEngine(g *graph.Graph, apps []*vnet.App, opts Options) (*Engine, error) 
 func NewEngineOn(oracle *embedder.Oracle, apps []*vnet.App, opts Options) (*Engine, error) {
 	if oracle == nil || len(apps) == 0 {
 		return nil, errors.New("core: engine needs a substrate and applications")
-	}
-	if opts.MaxExactRetries == 0 {
-		opts.MaxExactRetries = defaultExactRetries
 	}
 	st := oracle.State()
 	st.ResetResidual()
@@ -746,8 +741,8 @@ type bbNode struct {
 // VNFs the relaxation co-located there, and a child is created per such
 // move. Branching on an overloaded link excludes the link wholesale,
 // which approximates path re-routing (DESIGN.md §3). The search budget is
-// 4 × Options.MaxExactRetries expansions (24 by default), each of which
-// may solve several children.
+// 4 × defaultExactRetries = 24 expansions, each of which may solve several
+// children.
 //
 // Every solve goes through the engine's shared oracle and keeps its DP
 // table for the rest of the search. The root relaxation shares the
@@ -792,7 +787,7 @@ func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embeddi
 	}
 	open := append(e.bbOpen[:0], root)
 	var found *vnet.Embedding
-	for budget := e.opts.MaxExactRetries * 4; budget > 0 && len(open) > 0; {
+	for budget := defaultExactRetries * 4; budget > 0 && len(open) > 0; {
 		// Pop the lowest-bound node (lists stay tiny; linear scan).
 		best := 0
 		for i := range open {

@@ -72,7 +72,7 @@ func exactEmbedReference(e *Engine, app *vnet.App, r workload.Request, viewSolve
 		return nil
 	}
 	open := []*refNode{root}
-	for budget := e.opts.MaxExactRetries * 4; budget > 0 && len(open) > 0; budget-- {
+	for budget := defaultExactRetries * 4; budget > 0 && len(open) > 0; budget-- {
 		best := 0
 		for i := range open {
 			if open[i].cost < open[best].cost {

@@ -3,11 +3,10 @@ package scenario
 import "fmt"
 
 // Built-in scenarios: every figure and table of the paper's evaluation
-// (§IV), expressed as data. The thin sim.Fig*/Table* wrappers load these
-// specs (parameterizing topology or λ values where the original functions
-// took arguments) and render them through sim.RunScenario; `vnesim -exp`
-// resolves experiment names to these entries, and `vnesim -list` prints
-// their descriptions.
+// (§IV), expressed as data. `vnesim -exp NAME` looks NAME up here and
+// renders the spec through sim.RunScenario; specs whose report titles
+// name {topo} run once per topology. `vnesim -list` prints their
+// descriptions.
 
 // Algorithm names as they appear in Patch.Algorithms and Column.Algo.
 // They mirror internal/core's Algorithm constants; internal/sim validates

@@ -113,7 +113,7 @@ func (s *Server) TriggerReplan() (int64, error) {
 	}
 	gen := s.planGen.Load() + 1
 	rng := rand.New(rand.NewPCG(s.opts.Replan.Seed, uint64(gen)))
-	p, err := r.solver.BuildFromHistory(hist, s.opts.Replan.Plan, rng)
+	p, err := r.solver.BuildFromHistory(hist, plan.DefaultOptions(), rng)
 	if err != nil {
 		r.failed.Add(1)
 		return 0, fmt.Errorf("serve: replan generation %d: %w", gen, err)

@@ -107,9 +107,6 @@ type Replan struct {
 	// MinHistory is the minimum total captured requests a rebuild needs;
 	// triggers below it are skipped (default 64).
 	MinHistory int
-	// Plan overrides the rebuild's plan-construction options; the zero
-	// value means plan.DefaultOptions().
-	Plan plan.Options
 	// Seed derives each rebuild's aggregation-bootstrap rng stream
 	// (PCG(Seed, generation)), so generation g's rebuild is a pure
 	// function of the captured history.
@@ -128,9 +125,6 @@ type Options struct {
 	// Plan is the PLAN-VNE plan guiding OLIVE (generation 0 when
 	// replanning is on). Ignored by QUICKG/FULLG.
 	Plan *plan.Plan
-	// Engine carries ablation switches forwarded to every shard's engine
-	// (Plan and Exact are overwritten from Algorithm/Plan).
-	Engine core.Options
 	// SlotDuration maps wall-clock time to slots in real-time mode
 	// (default 1s). Departure timers fire on slot boundaries.
 	SlotDuration time.Duration
@@ -193,9 +187,6 @@ func (o *Options) normalize() error {
 		}
 		if o.Replan.MinHistory <= 0 {
 			o.Replan.MinHistory = 64
-		}
-		if o.Replan.Plan.Quantiles == 0 {
-			o.Replan.Plan = plan.DefaultOptions()
 		}
 	}
 	return nil
@@ -268,9 +259,7 @@ func New(g *graph.Graph, apps []*vnet.App, opts Options) (*Server, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	eopts := opts.Engine
-	eopts.Plan = nil
-	eopts.Exact = opts.Algorithm == core.AlgoFullG
+	eopts := core.Options{Exact: opts.Algorithm == core.AlgoFullG}
 	if opts.Algorithm == core.AlgoOLIVE {
 		eopts.Plan = opts.Plan
 	}

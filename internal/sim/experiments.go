@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"github.com/olive-vne/olive/internal/scenario"
 	"github.com/olive-vne/olive/internal/topo"
 )
 
@@ -50,7 +49,7 @@ func (t *Table) Fprint(w io.Writer) {
 
 // Scale bundles the knobs that trade fidelity for runtime. PaperScale
 // reproduces Table III; SmokeScale shrinks every dimension for tests and
-// benchmark smoke runs while preserving the comparisons' shape.
+// smoke runs while preserving the comparisons' shape.
 type Scale struct {
 	Reps          int
 	HistSlots     int
@@ -82,7 +81,7 @@ func PaperScale() Scale {
 }
 
 // SmokeScale returns a reduced configuration (~100× fewer requests) for
-// tests and smoke benches.
+// tests and smoke runs.
 func SmokeScale() Scale {
 	return Scale{
 		Reps: 2, HistSlots: 150, OnlineSlots: 50, LambdaPerNode: 3,
@@ -112,130 +111,4 @@ func fmtCI(m MetricSummary) string {
 
 func fmtCIg(m MetricSummary) string {
 	return fmt.Sprintf("%.3g±%.2g", m.Mean, m.Hi-m.Mean)
-}
-
-// The paper's figures and tables are registered as declarative scenarios
-// (internal/scenario, builtin.go); the generators below are thin wrappers
-// that load a registered spec — parameterizing it where the original
-// function took arguments — and render it through RunScenario. Arbitrary
-// further scenarios run through the same machinery: `vnesim -scenario`.
-
-// firstTable unwraps a single-report scenario result.
-func firstTable(tbls []*Table, err error) (*Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return tbls[0], nil
-}
-
-// Fig6And7 regenerates Fig. 6 (rejection rate vs utilization) and Fig. 7
-// (total cost) for one topology: OLIVE vs QUICKG vs SLOTOFF over the
-// utilization sweep.
-func Fig6And7(t topo.Name, s Scale) (rejection, cost *Table, err error) {
-	sp := scenario.MustLookup("fig6+7")
-	sp.Base.Topology = string(t)
-	tbls, err := RunScenario(sp, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tbls[0], tbls[1], nil
-}
-
-// Fig8 regenerates the burst zoom (Fig. 8): per-slot requested vs
-// allocated demand on Iris at 140% utilization over a 30-slot window
-// (slots 200–230 at paper scale; scaled proportionally otherwise).
-func Fig8(s Scale) (*Table, error) {
-	return firstTable(RunScenario(scenario.MustLookup("fig8"), s))
-}
-
-// Fig9 regenerates the application-type sensitivity (Fig. 9): rejection
-// rate on Iris at 100% utilization with uniform app sets (chain, tree,
-// accelerator) and the default mix, for QUICKG, FULLG, OLIVE and SLOTOFF.
-func Fig9(s Scale) (*Table, error) {
-	return firstTable(RunScenario(scenario.MustLookup("fig9"), s))
-}
-
-// Fig10 regenerates the GPU scenario (Fig. 10): Iris split into GPU and
-// non-GPU datacenters, four GPU-chain applications, FULLG vs OLIVE vs
-// SLOTOFF (QUICKG cannot run: collocation is impossible for GPU chains).
-func Fig10(s Scale) (*Table, error) {
-	return firstTable(RunScenario(scenario.MustLookup("fig10"), s))
-}
-
-// Fig11 regenerates the balance-index ablation (Fig. 11): the rejection
-// balance index (Eq. 20) of OLIVE with 1, 2, 10 and 50 quantiles, and of
-// QUICKG, on Iris at 140% utilization.
-func Fig11(s Scale) (*Table, error) {
-	return firstTable(RunScenario(scenario.MustLookup("fig11"), s))
-}
-
-// Fig12 regenerates the per-node allocation detail (Fig. 12): OLIVE on
-// Iris at 100%, zooming into the Franklin edge node — per application, the
-// guaranteed (planned) demand threshold and the classification of its
-// requests into guaranteed / borrowed / preempted / rejected.
-func Fig12(s Scale) (*Table, error) {
-	return firstTable(RunScenario(scenario.MustLookup("fig12"), s))
-}
-
-// Fig13 regenerates the plan-deviation stressor (Fig. 13): OLIVE running
-// at 140% utilization with plans built for 60%, 100% and 140% expected
-// demand, with QUICKG and SLOTOFF for reference.
-func Fig13(s Scale) (*Table, error) {
-	return firstTable(RunScenario(scenario.MustLookup("fig13"), s))
-}
-
-// Fig14 regenerates the spatial-distribution stressor (Fig. 14): the plan
-// is built from a history whose ingress nodes were shuffled; OLIVE must
-// still beat QUICKG on rejection with comparable cost.
-func Fig14(s Scale) (rejection, cost *Table, err error) {
-	tbls, err := RunScenario(scenario.MustLookup("fig14"), s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tbls[0], tbls[1], nil
-}
-
-// Fig15 regenerates the CAIDA-trace experiment (Fig. 15): rejection and
-// cost on Iris under the heavy-tailed trace substitute.
-func Fig15(s Scale) (rejection, cost *Table, err error) {
-	tbls, err := RunScenario(scenario.MustLookup("fig15"), s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tbls[0], tbls[1], nil
-}
-
-// Fig16a regenerates the arrival-rate runtime scaling (Fig. 16a): OLIVE
-// and QUICKG runtime on Iris at 100% utilization while the arrival rate
-// grows. Utilization stays fixed across the λ sweep: Run's calibration
-// scales the demand mean with 1/λ (§IV-B "Runtime").
-func Fig16a(s Scale, lambdas []float64) (*Table, error) {
-	sp := scenario.MustLookup("fig16a")
-	sp.Axes[0].Values = scenario.LambdaValues(lambdas)
-	return firstTable(RunScenario(sp, s))
-}
-
-// Fig16Runtime regenerates Figs. 16b–e: OLIVE vs QUICKG runtime per
-// topology across the utilization sweep.
-func Fig16Runtime(t topo.Name, s Scale) (*Table, error) {
-	sp := scenario.MustLookup("fig16")
-	sp.Base.Topology = string(t)
-	return firstTable(RunScenario(sp, s))
-}
-
-// Table2 regenerates Table II: the topology inventory.
-func Table2() (*Table, error) {
-	return firstTable(RunScenario(scenario.MustLookup("table2"), Scale{}))
-}
-
-// Table3 echoes the experimental settings (Table III) as realized by this
-// reproduction.
-func Table3() *Table {
-	tbls, err := RunScenario(scenario.MustLookup("table3"), Scale{})
-	if err != nil {
-		// The registered spec names a known static table; rendering it
-		// cannot fail.
-		panic(err)
-	}
-	return tbls[0]
 }

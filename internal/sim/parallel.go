@@ -34,7 +34,7 @@ type RunnerOptions struct {
 
 // SweepCell is one aggregation unit of a sweep: a configuration repeated
 // Reps times (seeds Config.Seed, Config.Seed+1, …) and summarized with
-// 95% confidence intervals, exactly like RunRepeated.
+// 95% confidence intervals.
 type SweepCell struct {
 	Config Config
 	Reps   int
@@ -56,7 +56,7 @@ type SweepCell struct {
 const cellSchema = "olive/sim-cell/v3"
 
 // repMetrics is one algorithm's persisted outcome in one rep: exactly the
-// headline metrics RunRepeated aggregates.
+// headline metrics RepeatedResult aggregates.
 type repMetrics struct {
 	Rejection  float64 `json:"rejection"`
 	Cost       float64 `json:"cost"`
@@ -126,7 +126,7 @@ func artifactOf(cfg Config, rr *RunResult) repArtifact {
 // aggregated RepeatedResult per cell, in cell order. Aggregation is
 // canonicalized — rep order within a cell, configured algorithm order
 // within a rep — so the deterministic metrics (rejection, cost, balance)
-// are identical to a sequential RunRepeated loop for any worker count.
+// are identical to a sequential loop of Run calls for any worker count.
 // Only the wall-clock Runtime summaries vary between executions.
 func RunSweep(cells []SweepCell, opts RunnerOptions) ([]*RepeatedResult, error) {
 	jobs := make([]runner.Job[repArtifact], 0, len(cells))

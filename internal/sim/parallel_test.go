@@ -83,18 +83,15 @@ func requireSameDeterministicMetrics(t *testing.T, want, got *RepeatedResult, la
 	}
 }
 
-// TestRunRepeatedParallelMatchesSequential is the determinism contract of
-// the tentpole: for the same config and seed, the parallel runner's
+// TestRunSweepParallelMatchesSequential is the runner's determinism
+// contract: for the same config and seed, the parallel runner's
 // RepeatedResult equals the sequential loop's, for any worker count.
-func TestRunRepeatedParallelMatchesSequential(t *testing.T) {
+func TestRunSweepParallelMatchesSequential(t *testing.T) {
 	cfg := parallelConfig(7)
 	const reps = 3
 	want := runRepeatedSequential(t, cfg, reps)
 	for _, workers := range []int{1, 4} {
-		got, err := RunRepeatedWith(cfg, reps, RunnerOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := sweepOne(t, cfg, reps, RunnerOptions{Workers: workers})
 		requireSameDeterministicMetrics(t, want, got, "workers="+itoa(workers))
 		if got.Reps != reps {
 			t.Fatalf("reps = %d, want %d", got.Reps, reps)

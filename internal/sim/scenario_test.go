@@ -69,7 +69,7 @@ func TestApplyPatchTranslatesAndValidates(t *testing.T) {
 
 // TestScenarioMatchesHandWrittenSweep locks the executor's rendering to
 // the pre-refactor hand-written generator structure: a manual RunSweep
-// plus explicit formatting (the code every Fig* function used to
+// plus explicit formatting (the code every figure generator used to
 // duplicate) must yield byte-identical tables to the registered spec.
 func TestScenarioMatchesHandWrittenSweep(t *testing.T) {
 	if testing.Short() {
@@ -113,11 +113,7 @@ func TestScenarioMatchesHandWrittenSweep(t *testing.T) {
 			fmtCI(rr.Rejection[core.AlgoSlotOff]))
 	}
 
-	got, err := Fig9(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got := runRegistered(t, "fig9", s)[0]; !reflect.DeepEqual(got, want) {
 		t.Errorf("scenario fig9 diverges from the hand-written sweep:\ngot  %+v\nwant %+v", got, want)
 	}
 }
@@ -129,12 +125,8 @@ func TestScenarioPerAlgoRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	tbl, err := Fig13(microScale())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var labels []string
-	for _, r := range tbl.Rows {
+	for _, r := range runRegistered(t, "fig13", microScale())[0].Rows {
 		labels = append(labels, r[0])
 	}
 	want := []string{
@@ -147,7 +139,7 @@ func TestScenarioPerAlgoRows(t *testing.T) {
 }
 
 // TestCustomScenarioBeyondFigures runs a two-axis grid (topology × trace)
-// that no Fig* function can express.
+// that no registered scenario expresses.
 func TestCustomScenarioBeyondFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")

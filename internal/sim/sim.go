@@ -2,8 +2,9 @@
 // it drives the OLIVE/QUICKG/FULLG engines and the SLOTOFF baseline over
 // generated traces, accounts costs exactly as the paper's objective
 // (resource cost Eq. 3 plus rejection cost Eq. 4), and aggregates repeated
-// runs with 95% confidence intervals. The experiment definitions that
-// regenerate every figure of the paper live in experiments.go.
+// runs with 95% confidence intervals. Every figure and table of the
+// paper is a registered scenario (internal/scenario) that RunScenario
+// renders (scenario_exec.go).
 package sim
 
 import (
@@ -204,6 +205,12 @@ func Run(cfg Config) (*RunResult, error) {
 	cfg.normalize()
 	if cfg.HistSlots <= 0 || cfg.OnlineSlots <= 0 {
 		return nil, errors.New("sim: HistSlots and OnlineSlots must be positive")
+	}
+	// An empty window would count no request and report a perfect score.
+	// A MeasureTo past the online phase is legal: it is clipped.
+	if cfg.MeasureFrom < 0 || cfg.MeasureFrom >= min(cfg.MeasureTo, cfg.OnlineSlots) {
+		return nil, fmt.Errorf("sim: measurement window [%d, %d) holds no slot of the %d-slot online phase",
+			cfg.MeasureFrom, cfg.MeasureTo, cfg.OnlineSlots)
 	}
 
 	g, err := topo.Build(cfg.Topology, cfg.TopologySeed)
@@ -531,23 +538,4 @@ type RepeatedResult struct {
 	Cost      map[core.Algorithm]MetricSummary
 	Balance   map[core.Algorithm]MetricSummary
 	Runtime   map[core.Algorithm]MetricSummary // seconds
-}
-
-// RunRepeated executes reps independent runs (seeds Seed, Seed+1, ...) and
-// aggregates the headline metrics with 95% confidence intervals. The runs
-// fan out across GOMAXPROCS workers via the experiment runner; seeding is
-// positional and aggregation order canonical, so the deterministic
-// metrics are identical to a sequential loop. Use RunRepeatedWith to
-// control parallelism, artifact caching and resume.
-func RunRepeated(cfg Config, reps int) (*RepeatedResult, error) {
-	return RunRepeatedWith(cfg, reps, RunnerOptions{})
-}
-
-// RunRepeatedWith is RunRepeated under explicit runner options.
-func RunRepeatedWith(cfg Config, reps int, opts RunnerOptions) (*RepeatedResult, error) {
-	rs, err := RunSweep([]SweepCell{{Config: cfg, Reps: reps}}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
 }

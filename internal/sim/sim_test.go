@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/olive-vne/olive/internal/core"
+	"github.com/olive-vne/olive/internal/scenario"
 	"github.com/olive-vne/olive/internal/topo"
 	"github.com/olive-vne/olive/internal/vnet"
 )
@@ -17,6 +18,26 @@ func tinyConfig(util float64, seed uint64) Config {
 	c.LambdaPerNode = 3
 	c.MeasureFrom, c.MeasureTo = 5, 35
 	return c
+}
+
+// sweepOne runs one cell of reps repetitions through the runner.
+func sweepOne(t *testing.T, cfg Config, reps int, opts RunnerOptions) *RepeatedResult {
+	t.Helper()
+	rs, err := RunSweep([]SweepCell{{Config: cfg, Reps: reps}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs[0]
+}
+
+// runRegistered renders a registered scenario at scale s.
+func runRegistered(t *testing.T, name string, s Scale) []*Table {
+	t.Helper()
+	tbls, err := RunScenario(scenario.MustLookup(name), s)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return tbls
 }
 
 func TestRunProducesAllAlgorithms(t *testing.T) {
@@ -65,11 +86,7 @@ func TestRunProducesAllAlgorithms(t *testing.T) {
 // rejection rate is at most QUICKG's (usually strictly lower) at high
 // utilization, and close to SLOTOFF.
 func TestHeadlineOrdering(t *testing.T) {
-	cfg := tinyConfig(1.4, 3)
-	rr, err := RunRepeated(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rr := sweepOne(t, tinyConfig(1.4, 3), 3, RunnerOptions{})
 	olive := rr.Rejection[core.AlgoOLIVE].Mean
 	quick := rr.Rejection[core.AlgoQuickG].Mean
 	if olive > quick+0.02 {
@@ -80,11 +97,8 @@ func TestHeadlineOrdering(t *testing.T) {
 	}
 }
 
-func TestRunRepeatedSummaries(t *testing.T) {
-	rr, err := RunRepeated(tinyConfig(1.0, 5), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestRunSweepSummaries(t *testing.T) {
+	rr := sweepOne(t, tinyConfig(1.0, 5), 2, RunnerOptions{})
 	if rr.Reps != 2 {
 		t.Fatalf("Reps = %d, want 2", rr.Reps)
 	}
@@ -98,14 +112,43 @@ func TestRunRepeatedSummaries(t *testing.T) {
 	}
 }
 
-func TestRunRepeatedValidation(t *testing.T) {
-	if _, err := RunRepeated(tinyConfig(1, 1), 0); err == nil {
-		t.Fatal("reps=0 accepted")
+func TestRunSweepValidation(t *testing.T) {
+	for _, reps := range []int{0, -1} {
+		if _, err := RunSweep([]SweepCell{{Config: tinyConfig(1, 1), Reps: reps}}, RunnerOptions{}); err == nil {
+			t.Errorf("reps=%d accepted", reps)
+		}
 	}
-	bad := tinyConfig(1, 1)
-	bad.HistSlots = 0
-	if _, err := Run(bad); err == nil {
-		t.Fatal("HistSlots=0 accepted")
+}
+
+// TestRunRejectsBadConfigs: a config Run cannot simulate fails up front.
+// An empty measurement window is one: it would count no request and
+// report rejection 0 and balance 1, a perfect score.
+func TestRunRejectsBadConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"no history", func(c *Config) { c.HistSlots = 0 }, "HistSlots"},
+		{"no online phase", func(c *Config) { c.OnlineSlots = 0 }, "OnlineSlots"},
+		{"reversed window", func(c *Config) { c.MeasureFrom, c.MeasureTo = 30, 10 }, "measurement window"},
+		{"window past the phase", func(c *Config) { c.MeasureFrom, c.MeasureTo = 60, 100 }, "measurement window"},
+		{"window from the phase end", func(c *Config) { c.MeasureFrom, c.MeasureTo = 40, 50 }, "measurement window"},
+		{"one-point window", func(c *Config) { c.MeasureFrom, c.MeasureTo = 20, 20 }, "measurement window"},
+		{"negative window start", func(c *Config) { c.MeasureFrom = -1 }, "measurement window"},
+	} {
+		cfg := tinyConfig(1, 1)
+		tc.edit(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// A window that ends past the online phase is clipped, not refused.
+	cfg := tinyConfig(1, 1)
+	cfg.Algorithms = []core.Algorithm{core.AlgoQuickG}
+	cfg.MeasureFrom, cfg.MeasureTo = 5, 100
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("window 5..100 over 40 online slots: %v", err)
 	}
 }
 
@@ -240,22 +283,17 @@ func TestTablePrinting(t *testing.T) {
 }
 
 func TestTable2And3(t *testing.T) {
-	t2, err := Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t2.Rows) != 4 {
+	if t2 := runRegistered(t, "table2", Scale{})[0]; len(t2.Rows) != 4 {
 		t.Fatalf("Table II has %d rows, want 4", len(t2.Rows))
 	}
-	t3 := Table3()
-	if len(t3.Rows) < 8 {
+	if t3 := runRegistered(t, "table3", Scale{})[0]; len(t3.Rows) < 8 {
 		t.Fatalf("Table III has %d rows, want ≥8", len(t3.Rows))
 	}
 }
 
-// TestExperimentsSmoke runs every figure generator at a micro scale to
-// confirm end-to-end wiring. Shape assertions live in the benches and in
-// EXPERIMENTS.md; here we only require successful, well-formed output.
+// TestExperimentsSmoke runs every registered scenario at a micro scale
+// to confirm end-to-end wiring: one table per report (detail and static
+// scenarios render one), none of them empty.
 func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke experiments are slow")
@@ -264,36 +302,16 @@ func TestExperimentsSmoke(t *testing.T) {
 		Reps: 1, HistSlots: 100, OnlineSlots: 40, LambdaPerNode: 2,
 		MeasureFrom: 5, MeasureTo: 35, Utils: []float64{1.0}, Seed: 2,
 	}
-	rej, cost, err := Fig6And7(topo.CittaStudi, s)
-	if err != nil {
-		t.Fatalf("Fig6And7: %v", err)
-	}
-	if len(rej.Rows) != 1 || len(cost.Rows) != 1 {
-		t.Fatal("Fig6And7 row counts wrong")
-	}
-	if _, err := Fig8(s); err != nil {
-		t.Fatalf("Fig8: %v", err)
-	}
-	if _, err := Fig10(s); err != nil {
-		t.Fatalf("Fig10: %v", err)
-	}
-	if _, err := Fig12(s); err != nil {
-		t.Fatalf("Fig12: %v", err)
-	}
-	if _, err := Fig13(s); err != nil {
-		t.Fatalf("Fig13: %v", err)
-	}
-	if _, _, err := Fig14(s); err != nil {
-		t.Fatalf("Fig14: %v", err)
-	}
-	if _, _, err := Fig15(s); err != nil {
-		t.Fatalf("Fig15: %v", err)
-	}
-	if _, err := Fig16a(s, []float64{2, 4}); err != nil {
-		t.Fatalf("Fig16a: %v", err)
-	}
-	if _, err := Fig16Runtime(topo.CittaStudi, s); err != nil {
-		t.Fatalf("Fig16Runtime: %v", err)
+	for _, name := range scenario.Names() {
+		tbls := runRegistered(t, name, s)
+		if want := max(len(scenario.MustLookup(name).Reports), 1); len(tbls) != want {
+			t.Errorf("%s: %d tables, want %d", name, len(tbls), want)
+		}
+		for _, tbl := range tbls {
+			if len(tbl.Rows) == 0 {
+				t.Errorf("%s: %q has no rows", name, tbl.Title)
+			}
+		}
 	}
 }
 

@@ -35,12 +35,12 @@
 //
 // # Parallel experiments
 //
-// Repeated runs and whole sweeps fan out across a deterministic parallel
-// runner: seeds are derived from each cell's identity (never from
-// execution order), aggregation order is canonical, and with an
-// ArtifactStore attached every completed cell is persisted as versioned
-// JSON so interrupted sweeps resume instead of recomputing. RunSimRepeated
-// is parallel out of the box; RunSweep exposes the full machinery:
+// Repeated runs fan out across a deterministic parallel runner: seeds are
+// derived from each cell's identity (never from execution order),
+// aggregation order is canonical, and with an ArtifactStore attached
+// every completed cell is persisted as versioned JSON so interrupted
+// sweeps resume instead of recomputing. RunSweep is the entry point; one
+// cell of Reps repetitions is a repeated run:
 //
 //	store, _ := olive.OpenArtifactStore("results")
 //	cells := []olive.SweepCell{{Config: cfg, Reps: 30}}
@@ -261,7 +261,9 @@ type (
 	// Engine is the OLIVE online embedding engine (QUICKG/FULLG when
 	// configured without a plan).
 	Engine = core.Engine
-	// EngineOptions configures an Engine.
+	// EngineOptions configures an Engine: its plan (none means QUICKG),
+	// the exact FULLG fallback, and the borrowing and preemption
+	// ablation switches. FULLG's branch-out budget is fixed.
 	EngineOptions = core.Options
 	// Outcome is the result of processing one request.
 	Outcome = core.Outcome
@@ -375,12 +377,6 @@ func QuickSimConfig(t TopologyName, util float64, seed uint64) SimConfig {
 // RunSim executes one simulation run.
 func RunSim(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 
-// RunSimRepeated executes repeated runs and aggregates the headline
-// metrics with confidence intervals.
-func RunSimRepeated(cfg SimConfig, reps int) (*RepeatedResult, error) {
-	return sim.RunRepeated(cfg, reps)
-}
-
 // PaperScale returns the full Table III experiment scale (30 reps × 6000
 // slots).
 func PaperScale() ExperimentScale { return sim.PaperScale() }
@@ -420,12 +416,6 @@ func NewProgressReporter(w io.Writer) ProgressReporter { return runner.NewTextRe
 // aggregation order is canonical, not arrival-ordered.
 func RunSweep(cells []SweepCell, opts RunnerOptions) ([]*RepeatedResult, error) {
 	return sim.RunSweep(cells, opts)
-}
-
-// RunSimRepeatedWith is RunSimRepeated under explicit runner options
-// (worker count, artifact store, resume, progress).
-func RunSimRepeatedWith(cfg SimConfig, reps int, opts RunnerOptions) (*RepeatedResult, error) {
-	return sim.RunRepeatedWith(cfg, reps, opts)
 }
 
 // ---- Declarative scenarios ----
@@ -493,8 +483,9 @@ type (
 	// depth (full queues answer 429) and the token-bucket rate limits.
 	ServerLimits = serve.Limits
 	// ServerReplan configures live adaptive replanning: the rolling
-	// request-history depth, the rebuild cadence, and the plan options
-	// rebuilds solve under. See the README "Replanning" section.
+	// request-history depth, the rebuild cadence and the rebuild seed.
+	// Rebuilds solve under DefaultPlanOptions. See the README
+	// "Replanning" section.
 	ServerReplan = serve.Replan
 	// ServerObservability groups the metrics registry and access-log
 	// wiring.
