@@ -10,7 +10,7 @@ test:
 
 race:
 	go test -race ./internal/serve/... ./internal/runner/... \
-	    ./internal/substrate/... ./internal/lp/... \
+	    ./internal/graph/... ./internal/substrate/... ./internal/lp/... \
 	    ./internal/obs/... ./internal/scenario/... ./internal/plan/... \
 	    ./internal/embedder/... ./internal/core/...
 

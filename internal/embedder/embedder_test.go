@@ -175,14 +175,18 @@ func TestMinCostEmbedMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: DP found no embedding", trial)
 		}
 		// Brute force over all (u1, u2) placements with shortest paths.
-		ap := g.AllPairsShortestPaths(graph.CostWeight)
+		lw := make([]float64, g.NumLinks())
+		for i, l := range g.Links() {
+			lw[i] = l.Cost
+		}
+		dist := func(a, b graph.NodeID) float64 { return g.DijkstraLinkWeightsInto(nil, a, lw).Dist[b] }
 		best := math.Inf(1)
 		for u1 := 0; u1 < 5; u1++ {
 			for u2 := 0; u2 < 5; u2++ {
 				c := app.VNFs[1].Size*g.Node(graph.NodeID(u1)).Cost +
 					app.VNFs[2].Size*g.Node(graph.NodeID(u2)).Cost +
-					app.Links[0].Size*ap.Dist(ingress, graph.NodeID(u1)) +
-					app.Links[1].Size*ap.Dist(graph.NodeID(u1), graph.NodeID(u2))
+					app.Links[0].Size*dist(ingress, graph.NodeID(u1)) +
+					app.Links[1].Size*dist(graph.NodeID(u1), graph.NodeID(u2))
 				if c < best {
 					best = c
 				}

@@ -7,7 +7,7 @@ import (
 
 // TestCloneDeepCopySemantics extends TestCloneIsDeep to every mutable
 // part of a Graph: link fields, cost fields, and — the subtle one — the
-// adjacency lists, which a shallow copy would share with the original.
+// adjacency, which a shallow copy would share with the original.
 func TestCloneDeepCopySemantics(t *testing.T) {
 	g := New()
 	a := g.AddNode(Node{Name: "a", Tier: TierEdge, Cap: 10, Cost: 1})
@@ -27,8 +27,7 @@ func TestCloneDeepCopySemantics(t *testing.T) {
 		t.Error("mutating clone link capacity changed original")
 	}
 
-	// Adding a link to the clone must not grow the original's adjacency
-	// lists (they are per-node slices a shallow clone would alias).
+	// Adding a link to the clone must not grow the original's adjacency.
 	c.AddLink(1, 2, 7, 1)
 	if g.NumLinks() != 1 {
 		t.Fatalf("original gained a link: NumLinks = %d, want 1", g.NumLinks())
@@ -41,10 +40,10 @@ func TestCloneDeepCopySemantics(t *testing.T) {
 	}
 
 	// The clone is a fully functional graph: paths work on both.
-	if _, ok := g.ShortestPath(1, 2, CostWeight); ok {
+	if _, ok := g.DijkstraLinkWeightsInto(nil, 1, costs(g)).PathTo(2); ok {
 		t.Error("original unexpectedly routes b→c")
 	}
-	if _, ok := c.ShortestPath(1, 2, CostWeight); !ok {
+	if _, ok := c.DijkstraLinkWeightsInto(nil, 1, costs(c)).PathTo(2); !ok {
 		t.Error("clone cannot route over its own new link")
 	}
 }
@@ -64,32 +63,26 @@ func square() *Graph {
 }
 
 // TestExcludedElementQueries covers restricted shortest-path queries
-// directly at the graph layer: a weight function returning +Inf for an
+// directly at the graph layer: a weight vector holding +Inf for an
 // exclusion set must reroute, and excluding a cut set must report
-// unreachability. (Previously only exercised indirectly via the
-// embedder's branch-out.)
+// unreachability.
 func TestExcludedElementQueries(t *testing.T) {
 	g := square()
 
-	excl := map[LinkID]bool{1: true}
-	w := func(l Link) float64 {
-		if excl[l.ID] {
-			return math.Inf(1)
-		}
-		return l.Cost
-	}
-
-	p, ok := g.ShortestPath(0, 2, w)
+	lw := costs(g)
+	lw[1] = math.Inf(1)
+	p, ok := g.DijkstraLinkWeightsInto(nil, 0, lw).PathTo(2)
 	if !ok || p.Cost != 3 || p.Len() != 2 || p.Links[0] != 3 || p.Links[1] != 2 {
 		t.Fatalf("excluded query path = %+v, %v; want links [3 2] cost 3", p, ok)
 	}
 
 	// Excluding the 0-1/3-0 cut isolates node 0.
-	excl = map[LinkID]bool{0: true, 3: true}
-	if _, ok := g.ShortestPath(0, 2, w); ok {
+	lw = costs(g)
+	lw[0], lw[3] = math.Inf(1), math.Inf(1)
+	tr := g.DijkstraLinkWeightsInto(nil, 0, lw)
+	if _, ok := tr.PathTo(2); ok {
 		t.Fatal("query across an excluded cut reported a path")
 	}
-	tr := g.Dijkstra(0, w)
 	for dst := 1; dst < 4; dst++ {
 		if !math.IsInf(tr.Dist[dst], 1) {
 			t.Fatalf("Dist[%d] = %g across an excluded cut, want +Inf", dst, tr.Dist[dst])
@@ -104,11 +97,13 @@ func TestDijkstraIntoReuse(t *testing.T) {
 	g := square()
 	var tr *ShortestPathTree
 	for iter := 0; iter < 3; iter++ {
+		lw := costs(g)
+		for i := range lw {
+			lw[i] *= float64(iter + 1)
+		}
 		for src := 0; src < g.NumNodes(); src++ {
-			scale := float64(iter + 1)
-			w := func(l Link) float64 { return l.Cost * scale }
-			tr = g.DijkstraInto(tr, NodeID(src), w)
-			fresh := g.Dijkstra(NodeID(src), w)
+			tr = g.DijkstraLinkWeightsInto(tr, NodeID(src), lw)
+			fresh := g.DijkstraLinkWeightsInto(nil, NodeID(src), lw)
 			for dst := 0; dst < g.NumNodes(); dst++ {
 				if tr.Dist[dst] != fresh.Dist[dst] {
 					t.Fatalf("iter %d src %d: reused Dist[%d] = %g, fresh %g",

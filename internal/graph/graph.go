@@ -1,8 +1,8 @@
 // Package graph models the physical substrate network of the VNE problem:
 // a connected graph of datacenters (nodes) and inter-datacenter links, each
 // carrying a capacity and a per-capacity-unit usage cost. It also provides
-// the path algorithms (Dijkstra, all-pairs shortest paths, Yen's k-shortest
-// paths) that the planning and embedding layers are built on.
+// the shortest-path kernel (Dijkstra over a per-link weight vector, with
+// incremental repair) that the planning and embedding layers are built on.
 //
 // Substrate elements — nodes and links — share a single flat index space
 // (see ElementID) so that loads, capacities and residuals can be handled as
@@ -88,13 +88,14 @@ func (l Link) Other(n NodeID) NodeID {
 // [NumNodes, NumNodes+NumLinks).
 type ElementID int
 
-// csrAdj is the compressed-sparse-row adjacency of a graph: the incident
-// links of node n are link[off[n]:off[n+1]], with other holding the
-// opposite endpoints in parallel, so traversals walk contiguous memory
-// instead of chasing one heap slice per node. Per-node order matches
-// construction (AddLink) order exactly — Dijkstra's relaxation order,
-// and with it every tie-break downstream, is unchanged. A csrAdj is
-// immutable once published.
+// csrAdj is the compressed-sparse-row adjacency of a graph, its only
+// adjacency: the incident links of node n are link[off[n]:off[n+1]], with
+// other holding the opposite endpoints in parallel, so traversals walk
+// contiguous memory. It is packed straight from the link list in link-ID
+// order, so each node's links appear in construction (AddLink) order — a
+// self-loop twice in a row — which fixes Dijkstra's relaxation order and
+// with it every tie-break downstream. A csrAdj is immutable once
+// published.
 type csrAdj struct {
 	off   []int32
 	link  []LinkID
@@ -106,10 +107,6 @@ type csrAdj struct {
 type Graph struct {
 	nodes []Node
 	links []Link
-	// adj[n] lists the incident links of node n in insertion order; it
-	// is the construction-time source of truth the CSR layout is packed
-	// from.
-	adj [][]LinkID
 	// csr caches the packed adjacency, built lazily and invalidated by
 	// AddNode/AddLink. Concurrent builders race benignly (identical
 	// results, last write wins).
@@ -124,7 +121,6 @@ func New() *Graph { return &Graph{} }
 func (g *Graph) AddNode(n Node) NodeID {
 	n.ID = NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, n)
-	g.adj = append(g.adj, nil)
 	g.csr.Store(nil)
 	return n.ID
 }
@@ -138,13 +134,13 @@ func (g *Graph) AddLink(from, to NodeID, cap, cost float64) LinkID {
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, From: from, To: to, Cap: cap, Cost: cost})
-	g.adj[from] = append(g.adj[from], id)
-	g.adj[to] = append(g.adj[to], id)
 	g.csr.Store(nil)
 	return id
 }
 
-// adjacency returns the packed CSR adjacency, building it on first use.
+// adjacency returns the packed CSR adjacency, building it on first use
+// with a counting sort of the link list: degrees, then offsets, then one
+// pass in link-ID order that places each link at both endpoints.
 func (g *Graph) adjacency() *csrAdj {
 	if c := g.csr.Load(); c != nil {
 		return c
@@ -155,18 +151,22 @@ func (g *Graph) adjacency() *csrAdj {
 		link:  make([]LinkID, 2*len(g.links)),
 		other: make([]NodeID, 2*len(g.links)),
 	}
-	pos := int32(0)
-	for i := 0; i < n; i++ {
-		c.off[i] = pos
-		for _, lid := range g.adj[i] {
-			c.link[pos] = lid
-			c.other[pos] = g.links[lid].Other(NodeID(i))
-			pos++
-		}
+	for _, l := range g.links {
+		c.off[l.From+1]++
+		c.off[l.To+1]++
 	}
-	c.off[n] = pos
-	c.link = c.link[:pos]
-	c.other = c.other[:pos]
+	for i := 0; i < n; i++ {
+		c.off[i+1] += c.off[i]
+	}
+	next := append([]int32(nil), c.off[:n]...)
+	for _, l := range g.links {
+		p := next[l.From]
+		c.link[p], c.other[p] = l.ID, l.To
+		next[l.From]++
+		p = next[l.To]
+		c.link[p], c.other[p] = l.ID, l.From
+		next[l.To]++
+	}
 	g.csr.Store(c)
 	return c
 }
@@ -356,6 +356,7 @@ func (g *Graph) Connected() bool {
 	if len(g.nodes) == 0 {
 		return false
 	}
+	adj := g.adjacency()
 	seen := make([]bool, len(g.nodes))
 	stack := []NodeID{0}
 	seen[0] = true
@@ -363,8 +364,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, lid := range g.adj[n] {
-			m := g.links[lid].Other(n)
+		for _, m := range adj.other[adj.off[n]:adj.off[n+1]] {
 			if !seen[m] {
 				seen[m] = true
 				count++
@@ -375,29 +375,16 @@ func (g *Graph) Connected() bool {
 	return count == len(g.nodes)
 }
 
-// Degree returns the number of links incident to n.
-func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
+// Degree returns the number of links incident to n (a self-loop counts
+// twice).
+func (g *Graph) Degree(n NodeID) int { return len(g.Incident(n)) }
 
 // Clone returns a deep copy of the graph. Mutating the clone (capacities,
-// GPU flags, added links) leaves the original untouched. The per-node
-// adjacency lists share one backing array — safe because AddLink on
-// either graph reallocates the appended list (each inner slice is at
-// full capacity) and rebuilds its own CSR cache.
+// GPU flags, added links) leaves the original untouched; each graph packs
+// its own adjacency on first use.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
+	return &Graph{
 		nodes: append([]Node(nil), g.nodes...),
 		links: append([]Link(nil), g.links...),
-		adj:   make([][]LinkID, len(g.adj)),
 	}
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	backing := make([]LinkID, 0, total)
-	for i, a := range g.adj {
-		start := len(backing)
-		backing = append(backing, a...)
-		c.adj[i] = backing[start:len(backing):len(backing)]
-	}
-	return c
 }

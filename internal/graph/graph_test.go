@@ -146,7 +146,7 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestDijkstraLine(t *testing.T) {
 	g := line(t, 1, 2, 3)
-	tr := g.Dijkstra(0, CostWeight)
+	tr := g.DijkstraLinkWeightsInto(nil, 0, costs(g))
 	want := []float64{0, 1, 3, 6}
 	for i, w := range want {
 		if tr.Dist[i] != w {
@@ -171,7 +171,7 @@ func TestDijkstraPrefersCheaperDetour(t *testing.T) {
 	g.AddLink(0, 1, 1, 10)
 	g.AddLink(0, 2, 1, 1)
 	g.AddLink(2, 1, 1, 1)
-	p, ok := g.ShortestPath(0, 1, CostWeight)
+	p, ok := g.DijkstraLinkWeightsInto(nil, 0, costs(g)).PathTo(1)
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -182,8 +182,8 @@ func TestDijkstraPrefersCheaperDetour(t *testing.T) {
 
 func TestShortestPathSameNode(t *testing.T) {
 	g := line(t, 1)
-	p, ok := g.ShortestPath(0, 0, CostWeight)
-	if !ok || p.Len() != 0 {
+	p, ok := g.DijkstraLinkWeightsInto(nil, 0, costs(g)).PathTo(0)
+	if !ok || p.Len() != 0 || p.Src() != 0 || p.Dst() != 0 {
 		t.Fatalf("self path = %+v, %v; want empty path", p, ok)
 	}
 }
@@ -191,83 +191,17 @@ func TestShortestPathSameNode(t *testing.T) {
 func TestShortestPathUnreachable(t *testing.T) {
 	g := line(t, 1)
 	g.AddNode(Node{Cap: 1}) // isolated node 2
-	if _, ok := g.ShortestPath(0, 2, CostWeight); ok {
+	if _, ok := g.DijkstraLinkWeightsInto(nil, 0, costs(g)).PathTo(2); ok {
 		t.Fatal("found path to isolated node")
 	}
 }
 
-func TestWeightFuncCanForbidLinks(t *testing.T) {
+func TestInfWeightForbidsLinks(t *testing.T) {
 	g := line(t, 1, 1)
-	w := func(l Link) float64 {
-		if l.ID == 0 {
-			return math.Inf(1)
-		}
-		return l.Cost
-	}
-	if _, ok := g.ShortestPath(0, 2, w); ok {
+	lw := costs(g)
+	lw[0] = math.Inf(1)
+	if _, ok := g.DijkstraLinkWeightsInto(nil, 0, lw).PathTo(2); ok {
 		t.Fatal("path found through forbidden link")
-	}
-}
-
-func TestAllPairsMatchesSingleSource(t *testing.T) {
-	g := line(t, 2, 5, 1)
-	ap := g.AllPairsShortestPaths(CostWeight)
-	for s := 0; s < g.NumNodes(); s++ {
-		tr := g.Dijkstra(NodeID(s), CostWeight)
-		for d := 0; d < g.NumNodes(); d++ {
-			if ap.Dist(NodeID(s), NodeID(d)) != tr.Dist[d] {
-				t.Errorf("AllPairs dist(%d,%d) = %g, want %g", s, d, ap.Dist(NodeID(s), NodeID(d)), tr.Dist[d])
-			}
-		}
-	}
-	if p, ok := ap.Path(1, 1); !ok || p.Len() != 0 {
-		t.Error("AllPairs self path not empty")
-	}
-}
-
-func TestKShortestPathsOrderAndLooplessness(t *testing.T) {
-	// Diamond with an extra long way around.
-	//   0-1 (1), 1-3 (1), 0-2 (1.5), 2-3 (1.5), 0-3 (5)
-	g := New()
-	for i := 0; i < 4; i++ {
-		g.AddNode(Node{Cap: 1})
-	}
-	g.AddLink(0, 1, 1, 1)
-	g.AddLink(1, 3, 1, 1)
-	g.AddLink(0, 2, 1, 1.5)
-	g.AddLink(2, 3, 1, 1.5)
-	g.AddLink(0, 3, 1, 5)
-	paths := g.KShortestPaths(0, 3, 3, CostWeight)
-	if len(paths) != 3 {
-		t.Fatalf("got %d paths, want 3", len(paths))
-	}
-	wantCosts := []float64{2, 3, 5}
-	for i, p := range paths {
-		if math.Abs(p.Cost-wantCosts[i]) > 1e-9 {
-			t.Errorf("path %d cost %g, want %g", i, p.Cost, wantCosts[i])
-		}
-		seen := map[NodeID]bool{}
-		for _, n := range p.Nodes {
-			if seen[n] {
-				t.Errorf("path %d revisits node %d", i, n)
-			}
-			seen[n] = true
-		}
-	}
-}
-
-func TestKShortestPathsFewerAvailable(t *testing.T) {
-	g := line(t, 1, 1)
-	paths := g.KShortestPaths(0, 2, 5, CostWeight)
-	if len(paths) != 1 {
-		t.Fatalf("line graph has exactly 1 simple path, got %d", len(paths))
-	}
-}
-
-func TestKShortestPathsZeroK(t *testing.T) {
-	g := line(t, 1)
-	if got := g.KShortestPaths(0, 1, 0, CostWeight); got != nil {
-		t.Fatalf("k=0 returned %v, want nil", got)
 	}
 }
 
@@ -284,4 +218,14 @@ func TestLinkOther(t *testing.T) {
 	if l.Other(3) != 8 || l.Other(8) != 3 {
 		t.Fatalf("Other: got (%d,%d), want (8,3)", l.Other(3), l.Other(8))
 	}
+}
+
+// costs returns g's per-link cost vector, the weights the tests route
+// under unless they say otherwise.
+func costs(g *Graph) []float64 {
+	lw := make([]float64, g.NumLinks())
+	for i, l := range g.Links() {
+		lw[i] = l.Cost
+	}
+	return lw
 }

@@ -3,8 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync/atomic"
 )
 
 // Path is a substrate path: an ordered list of link IDs joining consecutive
@@ -15,8 +13,8 @@ type Path struct {
 	Nodes []NodeID
 	// Links lists the traversed link IDs in order.
 	Links []LinkID
-	// Cost is the sum of link costs along the path under the weight
-	// function used to compute it.
+	// Cost is the sum of link weights along the path under the weights
+	// used to compute it.
 	Cost float64
 }
 
@@ -28,16 +26,6 @@ func (p Path) Src() NodeID { return p.Nodes[0] }
 
 // Dst returns the last node of the path.
 func (p Path) Dst() NodeID { return p.Nodes[len(p.Nodes)-1] }
-
-// WeightFunc assigns a traversal weight to a link. Weights must be
-// non-negative; return math.Inf(1) to forbid a link.
-type WeightFunc func(Link) float64
-
-// CostWeight weighs links by their per-CU usage cost.
-func CostWeight(l Link) float64 { return l.Cost }
-
-// HopWeight weighs every link as 1.
-func HopWeight(Link) float64 { return 1 }
 
 type pqItem struct {
 	node NodeID
@@ -107,78 +95,20 @@ type ShortestPathTree struct {
 	// unreachable nodes.
 	prevLink []LinkID
 	g        *Graph
-	// pq retains the priority-queue backing array across DijkstraInto
-	// recomputations of this tree.
+	// pq retains the priority-queue backing array across
+	// DijkstraLinkWeightsInto recomputations of this tree.
 	pq priorityQueue
 }
 
-// Dijkstra computes single-source shortest paths from src under w.
-func (g *Graph) Dijkstra(src NodeID, w WeightFunc) *ShortestPathTree {
-	return g.DijkstraInto(nil, src, w)
-}
-
-// DijkstraInto recomputes single-source shortest paths from src under w,
-// reusing t's internal slices when t is non-nil and sized for this graph.
-// It returns the (possibly reallocated) tree. Repeated queries over
-// changing weights — the substrate layer's lazy path cache and its
-// exclusion views — call this to stay allocation-free after warm-up. The
-// result is identical to a fresh Dijkstra call: the scan order and the
-// tie-breaking of equal-distance pops do not depend on the buffers'
-// previous contents.
-//
-//olive:hotpath allocation-free after warm-up; buffers reused across recomputations
-func (g *Graph) DijkstraInto(t *ShortestPathTree, src NodeID, w WeightFunc) *ShortestPathTree {
-	n := len(g.nodes)
-	if t == nil || cap(t.Dist) < n || cap(t.prevLink) < n {
-		t = &ShortestPathTree{
-			Dist:     make([]float64, n),
-			prevLink: make([]LinkID, n),
-		}
-	}
-	t.Source = src
-	t.g = g
-	t.Dist = t.Dist[:n]
-	t.prevLink = t.prevLink[:n]
-	for i := range t.Dist {
-		t.Dist[i] = math.Inf(1)
-		t.prevLink[i] = -1
-	}
-	t.Dist[src] = 0
-	adj := g.adjacency()
-	pq := t.pq[:0]
-	pq.push(pqItem{node: src, dist: 0})
-	for len(pq) > 0 {
-		it := pq.pop()
-		if it.dist > t.Dist[it.node] {
-			continue // stale entry
-		}
-		// The CSR walk visits incident links in exactly the per-node
-		// insertion order the old [][]LinkID layout had, so equal-distance
-		// relaxations resolve identically.
-		for p, end := adj.off[it.node], adj.off[it.node+1]; p < end; p++ {
-			lid := adj.link[p]
-			wl := w(g.links[lid])
-			if math.IsInf(wl, 1) {
-				continue
-			}
-			m := adj.other[p]
-			if d := it.dist + wl; d < t.Dist[m] {
-				t.Dist[m] = d
-				t.prevLink[m] = lid
-				pq.push(pqItem{node: m, dist: d})
-			}
-		}
-	}
-	t.pq = pq
-	return t
-}
-
-// DijkstraLinkWeightsInto is DijkstraInto with weights given as a dense
-// per-link vector (lw[lid], +Inf to forbid a link) instead of a
-// callback. The substrate layer's price-driven trees use it: their
-// weight lookup is a plain slice index, and skipping the closure and the
-// Link copy per scanned edge roughly halves the relaxation loop's cost.
-// Results are bit-identical to DijkstraInto with w(l) == lw[l.ID].
+// DijkstraLinkWeightsInto computes single-source shortest paths from src
+// under the dense per-link weight vector lw (lw[lid] ≥ 0, +Inf to forbid
+// a link), reusing t's internal slices when t is non-nil and sized for
+// this graph, and returns the (possibly reallocated) tree; pass a nil t
+// for a fresh one. It is the graph layer's only shortest-path kernel: the
+// substrate layer's price-keyed path cache and its exclusion views both
+// recompute trees through it and stay allocation-free after warm-up. The
+// result does not depend on t's previous contents: the scan order and the
+// tie-breaking of equal-distance pops are fixed by the CSR adjacency.
 //
 //olive:hotpath allocation-free after warm-up; the price-driven tree recompute path
 func (g *Graph) DijkstraLinkWeightsInto(t *ShortestPathTree, src NodeID, lw []float64) *ShortestPathTree {
@@ -206,6 +136,8 @@ func (g *Graph) DijkstraLinkWeightsInto(t *ShortestPathTree, src NodeID, lw []fl
 		if it.dist > t.Dist[it.node] {
 			continue // stale entry
 		}
+		// The CSR walk visits incident links in AddLink order, so
+		// equal-distance relaxations always resolve the same way.
 		for p, end := adj.off[it.node], adj.off[it.node+1]; p < end; p++ {
 			lid := adj.link[p]
 			wl := lw[lid]
@@ -250,61 +182,10 @@ func (t *ShortestPathTree) PathTo(dst NodeID) (Path, bool) {
 	return Path{Nodes: nodes, Links: links, Cost: t.Dist[dst]}, true
 }
 
-// ShortestPath returns the least-weight path from src to dst under w.
-func (g *Graph) ShortestPath(src, dst NodeID, w WeightFunc) (Path, bool) {
-	if src == dst {
-		return Path{Nodes: []NodeID{src}}, true
-	}
-	return g.Dijkstra(src, w).PathTo(dst)
-}
-
-// AllPairs holds all-pairs shortest path results: a shortest path tree per
-// source node, computed lazily or eagerly.
-type AllPairs struct {
-	trees []*ShortestPathTree
-	g     *Graph
-}
-
-// allPairsCalls counts AllPairsShortestPaths invocations process-wide.
-// Tests use it to assert that the online per-request path never falls back
-// to an eager all-pairs rebuild (the substrate layer's lazy cache contract).
-var allPairsCalls atomic.Uint64
-
-// AllPairsCalls returns the number of AllPairsShortestPaths invocations
-// since process start. Test hook; see internal/core's hot-path regression
-// test.
-func AllPairsCalls() uint64 { return allPairsCalls.Load() }
-
-// AllPairsShortestPaths computes a Dijkstra tree from every node under w.
-// For the topology sizes in the paper (≤100 nodes) this is fast and gives
-// O(1) distance lookups afterwards. Online hot paths must not call this —
-// they go through the substrate layer's lazy per-source cache instead; the
-// AllPairsCalls counter enforces that in tests.
-func (g *Graph) AllPairsShortestPaths(w WeightFunc) *AllPairs {
-	allPairsCalls.Add(1)
-	ap := &AllPairs{trees: make([]*ShortestPathTree, len(g.nodes)), g: g}
-	for i := range g.nodes {
-		ap.trees[i] = g.Dijkstra(NodeID(i), w)
-	}
-	return ap
-}
-
-// Dist returns the shortest distance from src to dst.
-func (ap *AllPairs) Dist(src, dst NodeID) float64 { return ap.trees[src].Dist[dst] }
-
-// Path returns the shortest path from src to dst; ok is false if
-// unreachable.
-func (ap *AllPairs) Path(src, dst NodeID) (Path, bool) {
-	if src == dst {
-		return Path{Nodes: []NodeID{src}}, true
-	}
-	return ap.trees[src].PathTo(dst)
-}
-
 // PathFromLinks reconstructs a Path from a start node and an ordered link
-// sequence, validating adjacency and computing the cost under w. An empty
-// link list yields the empty path at start.
-func (g *Graph) PathFromLinks(start NodeID, links []LinkID, w WeightFunc) (Path, error) {
+// sequence, validating adjacency and summing the links' per-CU costs. An
+// empty link list yields the empty path at start.
+func (g *Graph) PathFromLinks(start NodeID, links []LinkID) (Path, error) {
 	if int(start) < 0 || int(start) >= len(g.nodes) {
 		return Path{}, fmt.Errorf("graph: path start %d out of range", start)
 	}
@@ -321,111 +202,7 @@ func (g *Graph) PathFromLinks(start NodeID, links []LinkID, w WeightFunc) (Path,
 		cur = l.Other(cur)
 		p.Links = append(p.Links, lid)
 		p.Nodes = append(p.Nodes, cur)
-		p.Cost += w(l)
+		p.Cost += l.Cost
 	}
 	return p, nil
-}
-
-// KShortestPaths returns up to k loopless shortest paths from src to dst in
-// increasing weight order (Yen's algorithm). It returns fewer than k paths
-// if the graph does not contain them.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int, w WeightFunc) []Path {
-	if k <= 0 {
-		return nil
-	}
-	first, ok := g.ShortestPath(src, dst, w)
-	if !ok {
-		return nil
-	}
-	paths := []Path{first}
-	var candidates []Path
-	for len(paths) < k {
-		prev := paths[len(paths)-1]
-		// Each node of the previous path except the last is a spur node.
-		for i := 0; i < len(prev.Nodes)-1; i++ {
-			spur := prev.Nodes[i]
-			rootLinks := prev.Links[:i]
-			rootNodes := prev.Nodes[:i+1]
-
-			banLinks := make(map[LinkID]bool)
-			banNodes := make(map[NodeID]bool)
-			for _, p := range paths {
-				if sharesPrefix(p, rootLinks) && p.Len() > i {
-					banLinks[p.Links[i]] = true
-				}
-			}
-			for _, n := range rootNodes[:i] {
-				banNodes[n] = true
-			}
-
-			wf := func(l Link) float64 {
-				if banLinks[l.ID] || banNodes[l.From] || banNodes[l.To] {
-					return math.Inf(1)
-				}
-				return w(l)
-			}
-			spurPath, ok := g.ShortestPath(spur, dst, wf)
-			if !ok {
-				continue
-			}
-			total := concatPaths(g, rootNodes, rootLinks, spurPath, w)
-			if !containsPath(paths, total) && !containsPath(candidates, total) {
-				candidates = append(candidates, total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.Slice(candidates, func(a, b int) bool { return candidates[a].Cost < candidates[b].Cost })
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
-	}
-	return paths
-}
-
-func sharesPrefix(p Path, rootLinks []LinkID) bool {
-	if p.Len() < len(rootLinks) {
-		return false
-	}
-	for i, l := range rootLinks {
-		if p.Links[i] != l {
-			return false
-		}
-	}
-	return true
-}
-
-func concatPaths(g *Graph, rootNodes []NodeID, rootLinks []LinkID, spur Path, w WeightFunc) Path {
-	links := make([]LinkID, 0, len(rootLinks)+spur.Len())
-	links = append(links, rootLinks...)
-	links = append(links, spur.Links...)
-	nodes := make([]NodeID, 0, len(rootNodes)+len(spur.Nodes)-1)
-	nodes = append(nodes, rootNodes...)
-	nodes = append(nodes, spur.Nodes[1:]...)
-	var cost float64
-	for _, lid := range links {
-		cost += w(g.links[lid])
-	}
-	return Path{Nodes: nodes, Links: links, Cost: cost}
-}
-
-func containsPath(ps []Path, p Path) bool {
-	for _, q := range ps {
-		if samePath(q, p) {
-			return true
-		}
-	}
-	return false
-}
-
-func samePath(a, b Path) bool {
-	if len(a.Links) != len(b.Links) {
-		return false
-	}
-	for i := range a.Links {
-		if a.Links[i] != b.Links[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -26,18 +26,30 @@ func randomConnected(n int, extra int, rng *rand.Rand) *Graph {
 	return g
 }
 
+// costTrees returns the cost-weighted shortest-path tree from every node
+// of g, indexed by source.
+func costTrees(g *Graph) []*ShortestPathTree {
+	lw := costs(g)
+	trees := make([]*ShortestPathTree, g.NumNodes())
+	for src := range trees {
+		trees[src] = g.DijkstraLinkWeightsInto(nil, NodeID(src), lw)
+	}
+	return trees
+}
+
 // Property: Dijkstra distances satisfy the triangle inequality
 // d(a,c) ≤ d(a,b) + d(b,c) and symmetry on undirected graphs.
 func TestDijkstraMetricProperties(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
 	g := randomConnected(24, 20, rng)
-	ap := g.AllPairsShortestPaths(CostWeight)
+	trees := costTrees(g)
+	dist := func(a, b NodeID) float64 { return trees[a].Dist[b] }
 	f := func(aRaw, bRaw, cRaw uint8) bool {
 		a := NodeID(int(aRaw) % g.NumNodes())
 		b := NodeID(int(bRaw) % g.NumNodes())
 		c := NodeID(int(cRaw) % g.NumNodes())
-		dab, dbc, dac := ap.Dist(a, b), ap.Dist(b, c), ap.Dist(a, c)
-		if math.Abs(ap.Dist(a, b)-ap.Dist(b, a)) > 1e-9 {
+		dab, dbc, dac := dist(a, b), dist(b, c), dist(a, c)
+		if math.Abs(dab-dist(b, a)) > 1e-9 {
 			return false
 		}
 		return dac <= dab+dbc+1e-9
@@ -53,10 +65,10 @@ func TestShortestPathInternalConsistency(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 34))
 	for trial := 0; trial < 20; trial++ {
 		g := randomConnected(16, 12, rng)
-		ap := g.AllPairsShortestPaths(CostWeight)
+		trees := costTrees(g)
 		for a := 0; a < g.NumNodes(); a++ {
 			for b := 0; b < g.NumNodes(); b++ {
-				p, ok := ap.Path(NodeID(a), NodeID(b))
+				p, ok := trees[a].PathTo(NodeID(b))
 				if !ok {
 					t.Fatalf("trial %d: no path %d→%d in connected graph", trial, a, b)
 				}
@@ -73,49 +85,8 @@ func TestShortestPathInternalConsistency(t *testing.T) {
 				if cur != NodeID(b) {
 					t.Fatalf("trial %d: path %d→%d ends at %d", trial, a, b, cur)
 				}
-				if math.Abs(sum-ap.Dist(NodeID(a), NodeID(b))) > 1e-9 {
-					t.Fatalf("trial %d: path cost %g ≠ dist %g", trial, sum, ap.Dist(NodeID(a), NodeID(b)))
-				}
-			}
-		}
-	}
-}
-
-// Property: KShortestPaths costs are non-decreasing and all paths connect
-// src to dst without node repetition.
-func TestKShortestPathsProperties(t *testing.T) {
-	rng := rand.New(rand.NewPCG(35, 36))
-	for trial := 0; trial < 15; trial++ {
-		g := randomConnected(12, 14, rng)
-		src := NodeID(rng.IntN(g.NumNodes()))
-		dst := NodeID(rng.IntN(g.NumNodes()))
-		if src == dst {
-			continue
-		}
-		paths := g.KShortestPaths(src, dst, 5, CostWeight)
-		if len(paths) == 0 {
-			t.Fatalf("trial %d: no paths in connected graph", trial)
-		}
-		for i, p := range paths {
-			if p.Src() != src || p.Dst() != dst {
-				t.Fatalf("trial %d: path %d endpoints (%d,%d)", trial, i, p.Src(), p.Dst())
-			}
-			if i > 0 && p.Cost < paths[i-1].Cost-1e-9 {
-				t.Fatalf("trial %d: costs not sorted: %g after %g", trial, p.Cost, paths[i-1].Cost)
-			}
-			seen := map[NodeID]bool{}
-			for _, n := range p.Nodes {
-				if seen[n] {
-					t.Fatalf("trial %d: path %d revisits node %d", trial, i, n)
-				}
-				seen[n] = true
-			}
-		}
-		// Paths must be pairwise distinct.
-		for i := range paths {
-			for j := i + 1; j < len(paths); j++ {
-				if samePath(paths[i], paths[j]) {
-					t.Fatalf("trial %d: duplicate paths %d and %d", trial, i, j)
+				if math.Abs(sum-trees[a].Dist[b]) > 1e-9 {
+					t.Fatalf("trial %d: path cost %g ≠ dist %g", trial, sum, trees[a].Dist[b])
 				}
 			}
 		}
@@ -125,11 +96,11 @@ func TestKShortestPathsProperties(t *testing.T) {
 func TestPathFromLinksRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(37, 38))
 	g := randomConnected(20, 15, rng)
-	ap := g.AllPairsShortestPaths(CostWeight)
+	trees := costTrees(g)
 	for a := 0; a < g.NumNodes(); a += 3 {
 		for b := 0; b < g.NumNodes(); b += 4 {
-			want, _ := ap.Path(NodeID(a), NodeID(b))
-			got, err := g.PathFromLinks(NodeID(a), want.Links, CostWeight)
+			want, _ := trees[a].PathTo(NodeID(b))
+			got, err := g.PathFromLinks(NodeID(a), want.Links)
 			if err != nil {
 				t.Fatalf("PathFromLinks(%d,%v): %v", a, want.Links, err)
 			}
@@ -149,30 +120,19 @@ func TestPathFromLinksErrors(t *testing.T) {
 	l01 := g.AddLink(0, 1, 1, 1)
 	g.AddLink(1, 2, 1, 1)
 
-	if _, err := g.PathFromLinks(9, nil, CostWeight); err == nil {
+	if _, err := g.PathFromLinks(9, nil); err == nil {
 		t.Error("out-of-range start accepted")
 	}
-	if _, err := g.PathFromLinks(0, []LinkID{99}, CostWeight); err == nil {
+	if _, err := g.PathFromLinks(0, []LinkID{99}); err == nil {
 		t.Error("out-of-range link accepted")
 	}
 	// Link 0-1 is not incident to node 2.
-	if _, err := g.PathFromLinks(2, []LinkID{l01}, CostWeight); err == nil {
+	if _, err := g.PathFromLinks(2, []LinkID{l01}); err == nil {
 		t.Error("non-adjacent link accepted")
 	}
 	// Empty path is valid.
-	p, err := g.PathFromLinks(1, nil, CostWeight)
+	p, err := g.PathFromLinks(1, nil)
 	if err != nil || p.Len() != 0 || p.Src() != 1 {
 		t.Fatalf("empty path: %+v, %v", p, err)
-	}
-}
-
-func TestHopWeight(t *testing.T) {
-	g := New()
-	g.AddNode(Node{Cap: 1})
-	g.AddNode(Node{Cap: 1})
-	g.AddLink(0, 1, 1, 500) // expensive but one hop
-	p, ok := g.ShortestPath(0, 1, HopWeight)
-	if !ok || p.Cost != 1 {
-		t.Fatalf("hop path cost %g, want 1", p.Cost)
 	}
 }

@@ -104,7 +104,10 @@ func SavePlan(w io.Writer, p *plan.Plan) error {
 // LoadPlan reads a plan written by SavePlan, rebuilding and revalidating
 // every share embedding against the given substrate and application set.
 // A class must name a known app and a substrate node as its ingress, have
-// a finite positive demand, and keep θ of every share on that ingress.
+// a finite positive demand, and keep θ of every share on that ingress; the
+// loaded plan must then pass plan.Validate against g (share fractions and
+// rejected share in [0,1], planned load within capacity), whose error
+// LoadPlan returns.
 func LoadPlan(r io.Reader, g *graph.Graph, apps []*vnet.App) (*plan.Plan, error) {
 	var f planFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -142,7 +145,7 @@ func LoadPlan(r io.Reader, g *graph.Graph, apps []*vnet.App) (*plan.Plan, error)
 					return nil, fmt.Errorf("persist: class (%d,%d) share %d: node map too short", rec.App, rec.Ingress, si)
 				}
 				start := sr.NodeMap[app.Links[li].From]
-				path, err := g.PathFromLinks(start, linkSeq, graph.CostWeight)
+				path, err := g.PathFromLinks(start, linkSeq)
 				if err != nil {
 					return nil, fmt.Errorf("persist: class (%d,%d) share %d path %d: %w",
 						rec.App, rec.Ingress, si, li, err)
@@ -161,5 +164,9 @@ func LoadPlan(r io.Reader, g *graph.Graph, apps []*vnet.App) (*plan.Plan, error)
 		}
 		classes = append(classes, cp)
 	}
-	return plan.FromClasses(classes, f.Obj), nil
+	p := plan.FromClasses(classes, f.Obj)
+	if err := p.Validate(g); err != nil {
+		return nil, fmt.Errorf("persist: loaded plan invalid: %w", err)
+	}
+	return p, nil
 }

@@ -153,7 +153,9 @@ func TestLoadPlanRejectsMismatchedApps(t *testing.T) {
 // unknown app, that covers a class whose ingress is not a substrate node
 // (an engine indexes its class table with it), whose demand is not
 // positive, or whose share keeps θ off the class ingress — a saved plan
-// with one class's ingress edited.
+// with one class's ingress edited — and saved plans that plan.Validate
+// rejects: one share's fraction or one class's rejected share edited out
+// of [0,1].
 func TestLoadPlanRejectsBadInput(t *testing.T) {
 	g := topo.MustBuild(topo.CittaStudi, 1)
 	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(5))
@@ -168,7 +170,13 @@ func TestLoadPlanRejectsBadInput(t *testing.T) {
 		{"negative ingress", `{"version":1,"classes":[{"app":0,"ingress":-4,"demand":1}]}`},
 		{"negative demand", `{"version":1,"classes":[{"app":0,"ingress":0,"demand":-7}]}`},
 		{"zero demand", `{"version":1,"classes":[{"app":0,"ingress":0,"demand":0}]}`},
-		{"share θ off the class ingress", rootMovedPlan(t, g, apps)},
+		{"share θ off the class ingress", editedPlan(t, g, apps, func(c *classRec) {
+			c.Ingress = (c.Ingress + 1) % graph.NodeID(g.NumNodes())
+		})},
+		{"share fraction −3", editedPlan(t, g, apps, func(c *classRec) { c.Shares[0].Fraction = -3 })},
+		{"share fraction 5", editedPlan(t, g, apps, func(c *classRec) { c.Shares[0].Fraction = 5 })},
+		{"share fraction 1e300", editedPlan(t, g, apps, func(c *classRec) { c.Shares[0].Fraction = 1e300 })},
+		{"rejected share −5", editedPlan(t, g, apps, func(c *classRec) { c.Rejected = -5 })},
 	}
 	for _, c := range cases {
 		if _, err := LoadPlan(strings.NewReader(c.file), g, apps); err == nil {
@@ -177,9 +185,9 @@ func TestLoadPlanRejectsBadInput(t *testing.T) {
 	}
 }
 
-// rootMovedPlan returns a valid saved plan over g in which one class with
-// a share has its ingress changed to another node, its shares untouched.
-func rootMovedPlan(t *testing.T, g *graph.Graph, apps []*vnet.App) string {
+// editedPlan returns a valid saved plan over g with edit applied to the
+// first class that has a share.
+func editedPlan(t *testing.T, g *graph.Graph, apps []*vnet.App, edit func(*classRec)) string {
 	t.Helper()
 	rng := testRNG(6)
 	wp := workload.DefaultParams()
@@ -209,7 +217,7 @@ func rootMovedPlan(t *testing.T, g *graph.Graph, apps []*vnet.App) string {
 	for i := range f.Classes {
 		c := &f.Classes[i]
 		if len(c.Shares) > 0 {
-			c.Ingress = (c.Ingress + 1) % graph.NodeID(g.NumNodes())
+			edit(c)
 			out, err := json.Marshal(f)
 			if err != nil {
 				t.Fatal(err)

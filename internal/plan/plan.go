@@ -772,14 +772,18 @@ func (p *Plan) TotalPlannedLoad(numElements int) []float64 {
 }
 
 // Validate checks plan invariants against the substrate: share fractions
-// in [0,1] with Σφ + rejected ≤ 1+ε per class, and total planned load
-// within capacity.
+// and the rejected share in [0,1] with Σφ + rejected ≤ 1+ε per class, and
+// total planned load within capacity.
 func (p *Plan) Validate(g *graph.Graph) error {
 	const eps = 1e-5
 	for _, cp := range p.Classes {
+		if !(cp.Rejected >= -eps && cp.Rejected <= 1+eps) {
+			return fmt.Errorf("plan: class (%d,%d) rejected share %g outside [0,1]",
+				cp.Class.App, cp.Class.Ingress, cp.Rejected)
+		}
 		var f float64
 		for _, s := range cp.Shares {
-			if s.Fraction < -eps || s.Fraction > 1+eps {
+			if !(s.Fraction >= -eps && s.Fraction <= 1+eps) {
 				return fmt.Errorf("plan: class (%d,%d) share fraction %g outside [0,1]",
 					cp.Class.App, cp.Class.Ingress, s.Fraction)
 			}

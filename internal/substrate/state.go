@@ -23,15 +23,17 @@
 //
 // Exclusion queries (FULLG's capacity branch-out retries around saturated
 // elements) go through transient Views: a View overlays an exclusion set
-// (+Inf link weights, +Inf node prices) on the State's prices and keeps
-// its own lazily built trees, pooled and recycled so a retry costs no
-// steady-state allocations. A recycled View also keeps the trees
-// themselves when it is re-acquired with the same set of excluded links
-// and no link price has moved since they were built: only excluded links
-// and link prices enter a tree, so node exclusions — read live from the
-// caller's map — never cost a Dijkstra. FULLG's sibling branch-and-bound
-// children differ in banned (VNF, node) pairs, not in excluded links, and
-// so share one set of trees.
+// (+Inf link weights, +Inf node prices) on the State's prices. It keeps
+// its own per-link weight vector — the link prices with the excluded
+// links at +Inf — and its own lazily built trees, computed by the same
+// graph.DijkstraLinkWeightsInto kernel as the State's, pooled and
+// recycled so a retry costs no steady-state allocations. A recycled View
+// also keeps the vector and the trees when it is re-acquired with the
+// same set of excluded links and no link price has moved since they were
+// built: only excluded links and link prices enter a tree, so node
+// exclusions — read live from the caller's map — never cost a Dijkstra.
+// FULLG's sibling branch-and-bound children differ in banned (VNF, node)
+// pairs, not in excluded links, and so share one set of trees.
 //
 // A State is not safe for concurrent use. The parallel experiment runner
 // gives every simulation cell its own State over its own graph; the
@@ -58,7 +60,6 @@ type State struct {
 	nodePrice []float64
 	epoch     uint64
 	priceGen  uint64
-	linkW     graph.WeightFunc
 
 	// trees[src] caches the Dijkstra tree from src under the current
 	// prices; entries with a stale epoch are incrementally repaired (or
@@ -146,8 +147,6 @@ func newState(g *graph.Graph, pr []float64) *State {
 		logFloor:  1,
 	}
 	copy(s.nodePrice, pr[:g.NumNodes()])
-	linkBase := g.NumNodes()
-	s.linkW = func(l graph.Link) float64 { return s.prices[linkBase+int(l.ID)] }
 	return s
 }
 
@@ -388,7 +387,7 @@ func (s *State) DistRow(src graph.NodeID) []float64 { return s.Tree(src).Dist }
 
 // PathBetween returns the price-shortest path from src to dst; ok is
 // false if dst is unreachable under finite link prices. src == dst yields
-// the empty path, mirroring graph.AllPairs.Path.
+// the empty path.
 func (s *State) PathBetween(src, dst graph.NodeID) (graph.Path, bool) {
 	if src == dst {
 		return s.selfPath(src), true
@@ -412,9 +411,10 @@ func (s *State) selfPath(src graph.NodeID) graph.Path {
 
 // View overlays an exclusion set on a State's prices: excluded links get
 // +Inf path weight, excluded nodes +Inf placement price. Views hold their
-// own lazily built shortest-path trees whose buffers are recycled through
-// the State's pool, so repeated branch-out retries allocate nothing in
-// steady state. Release a View with Close when the query batch is done.
+// own per-link weight vector and lazily built shortest-path trees, whose
+// buffers are recycled through the State's pool, so repeated branch-out
+// retries allocate nothing in steady state. Release a View with Close
+// when the query batch is done.
 type View struct {
 	st    *State
 	excl  map[graph.ElementID]bool
@@ -424,8 +424,12 @@ type View struct {
 	// next acquisition collects its own set into.
 	links, spare []graph.ElementID
 	gen          uint64
-	w            graph.WeightFunc
-	pooled       bool
+	// lw is the view's per-link weight vector: the State's link prices
+	// with every link in links at +Inf, filled for generation lwGen at
+	// link-price epoch lwEpoch (0, never a State epoch, until first use).
+	lw             []float64
+	lwGen, lwEpoch uint64
+	pooled         bool
 }
 
 // viewTree is one view-private tree: valid for the view's current
@@ -456,13 +460,6 @@ func (s *State) AcquireView(excl map[graph.ElementID]bool) *View {
 		s.viewPool = s.viewPool[:n-1]
 	} else {
 		v = &View{st: s, trees: make([]viewTree, s.g.NumNodes())}
-		linkBase := s.g.NumNodes()
-		v.w = func(l graph.Link) float64 {
-			if v.excl != nil && v.excl[graph.ElementID(linkBase+int(l.ID))] {
-				return math.Inf(1)
-			}
-			return s.prices[linkBase+int(l.ID)]
-		}
 	}
 	links := v.spare[:0]
 	for e, on := range excl {
@@ -509,11 +506,26 @@ func (v *View) NodePrice(u graph.NodeID) float64 {
 func (v *View) Tree(src graph.NodeID) *graph.ShortestPathTree {
 	vt := &v.trees[src]
 	if vt.t == nil || vt.gen != v.gen || vt.epoch != v.st.epoch {
-		vt.t = v.st.g.DijkstraInto(vt.t, src, v.w)
+		vt.t = v.st.g.DijkstraLinkWeightsInto(vt.t, src, v.weights())
 		vt.gen, vt.epoch = v.gen, v.st.epoch
 		v.st.viewTreeBuilds++
 	}
 	return vt.t
+}
+
+// weights returns the view's per-link weight vector, refilling it from
+// the State's link prices when the excluded-link set or the link-price
+// epoch has moved since it was last filled.
+func (v *View) weights() []float64 {
+	if v.lwGen != v.gen || v.lwEpoch != v.st.epoch {
+		linkBase := v.st.g.NumNodes()
+		v.lw = append(v.lw[:0], v.st.prices[linkBase:]...)
+		for _, e := range v.links {
+			v.lw[int(e)-linkBase] = math.Inf(1)
+		}
+		v.lwGen, v.lwEpoch = v.gen, v.st.epoch
+	}
+	return v.lw
 }
 
 // Dist returns the shortest distance from src to dst avoiding excluded

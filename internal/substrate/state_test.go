@@ -42,9 +42,12 @@ func TestStatePricesMirrorCosts(t *testing.T) {
 func TestLazyTreeMatchesEagerDijkstra(t *testing.T) {
 	g := diamond()
 	s := New(g)
-	w := func(l graph.Link) float64 { return l.Cost }
+	lw := make([]float64, g.NumLinks())
+	for i, l := range g.Links() {
+		lw[i] = l.Cost
+	}
 	for src := 0; src < g.NumNodes(); src++ {
-		want := g.Dijkstra(graph.NodeID(src), w)
+		want := g.DijkstraLinkWeightsInto(nil, graph.NodeID(src), lw)
 		for dst := 0; dst < g.NumNodes(); dst++ {
 			if got := s.Dist(graph.NodeID(src), graph.NodeID(dst)); got != want.Dist[dst] {
 				t.Fatalf("Dist(%d,%d) = %g, want %g", src, dst, got, want.Dist[dst])

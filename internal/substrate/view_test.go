@@ -2,6 +2,7 @@ package substrate
 
 import (
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -12,10 +13,12 @@ import (
 // TestViewKeepsTreesOnlyWhenKeyAndEpochMatch drives the view pool through
 // random acquire / close sequences over a small family of exclusion maps
 // (with node elements and false-valued entries in them), interleaved with
-// link and node price changes and with callers rewriting a map they used
-// before, and checks every distance, path and node price of every view
-// against a view freshly built over a pristine State with the same prices.
-// Alongside, the tree-build counter must say that trees were kept exactly
+// link and node price changes (some while a view is held) and with
+// callers rewriting a map they used before. It checks every distance,
+// path and node price of every view against a view freshly built over a
+// pristine State with the same prices, and every view tree bit for bit
+// against a fresh graph.DijkstraLinkWeightsInto over a hand-built vector:
+// the prices, with the links the map excludes at +Inf. Alongside, the tree-build counter must say that trees were kept exactly
 // when the excluded links and the link-price epoch were what they were
 // built under: never a rebuild then, always one otherwise.
 func TestViewKeepsTreesOnlyWhenKeyAndEpochMatch(t *testing.T) {
@@ -62,12 +65,30 @@ func TestViewKeepsTreesOnlyWhenKeyAndEpochMatch(t *testing.T) {
 		epoch uint64
 	}
 	built := make(map[*View]builtUnder)
-	kept, rebuilt := 0, 0
+	kept, rebuilt, heldMoves := 0, 0, 0
 
 	check := func(step int, v *View, excl map[graph.ElementID]bool) {
 		fresh := NewWithPrices(g, prices).AcquireView(maps.Clone(excl))
+		lw := slices.Clone(prices[n:])
+		for e, on := range excl {
+			if on && !g.ElementIsNode(e) {
+				lw[int(e)-n] = math.Inf(1)
+			}
+		}
 		before := s.ViewTreeBuilds()
 		for src := 0; src < n; src++ {
+			got, want := v.Tree(graph.NodeID(src)), g.DijkstraLinkWeightsInto(nil, graph.NodeID(src), lw)
+			for dst := 0; dst < n; dst++ {
+				if math.Float64bits(got.Dist[dst]) != math.Float64bits(want.Dist[dst]) {
+					t.Fatalf("step %d: tree %d→%d dist %v, hand-built vector %v", step, src, dst, got.Dist[dst], want.Dist[dst])
+				}
+				gp, gok := got.PathTo(graph.NodeID(dst))
+				wp, wok := want.PathTo(graph.NodeID(dst))
+				if gok != wok || !slices.Equal(gp.Links, wp.Links) || !slices.Equal(gp.Nodes, wp.Nodes) ||
+					math.Float64bits(gp.Cost) != math.Float64bits(wp.Cost) {
+					t.Fatalf("step %d: tree path %d→%d = %v/%v, hand-built vector %v/%v", step, src, dst, gp.Links, gok, wp.Links, wok)
+				}
+			}
 			if got, want := v.NodePrice(graph.NodeID(src)), fresh.NodePrice(graph.NodeID(src)); got != want {
 				t.Fatalf("step %d: NodePrice(%d) = %g, fresh view %g", step, src, got, want)
 			}
@@ -130,10 +151,19 @@ func TestViewKeepsTreesOnlyWhenKeyAndEpochMatch(t *testing.T) {
 		} else {
 			check(step, v, excl)
 		}
+		if rng.Intn(8) == 0 {
+			// A link price moves while v is held: its trees and its
+			// weight vector must follow on the next query.
+			e := g.LinkElement(graph.LinkID(rng.Intn(numLinks)))
+			prices[e] += 0.25
+			s.SetPrice(e, prices[e])
+			check(step, v, excl)
+			heldMoves++
+		}
 		v.Close()
 	}
-	t.Logf("%d acquisitions kept their trees, %d rebuilt them", kept, rebuilt)
-	if kept < 20 || rebuilt < 20 {
+	t.Logf("%d acquisitions kept their trees, %d rebuilt them, %d epoch moves under a held view", kept, rebuilt, heldMoves)
+	if kept < 20 || rebuilt < 20 || heldMoves < 10 {
 		t.Fatal("vacuous run")
 	}
 }

@@ -234,7 +234,11 @@ func chainApp() *App {
 
 func mustPath(t *testing.T, g *graph.Graph, from, to graph.NodeID) graph.Path {
 	t.Helper()
-	p, ok := g.ShortestPath(from, to, graph.CostWeight)
+	lw := make([]float64, g.NumLinks())
+	for i, l := range g.Links() {
+		lw[i] = l.Cost
+	}
+	p, ok := g.DijkstraLinkWeightsInto(nil, from, lw).PathTo(to)
 	if !ok {
 		t.Fatalf("no path %d→%d", from, to)
 	}
