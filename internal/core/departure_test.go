@@ -32,8 +32,10 @@ func TestDepartureRecordLifecycle(t *testing.T) {
 				t.Fatalf("%v %s: %v", name, step, err)
 			}
 			var got []int
-			for id := range e.active {
-				got = append(got, id)
+			for _, ar := range e.recs {
+				if ar.emb != nil {
+					got = append(got, ar.req.ID)
+				}
 			}
 			slices.Sort(got)
 			if !slices.Equal(got, want) {
@@ -86,8 +88,8 @@ func TestDepartureRecordLifecycle(t *testing.T) {
 
 		e.StartSlot(10) // drain
 		check("after the drain")
-		if len(e.depHeap) != 0 || len(e.freeRecs) != len(e.recs) {
-			t.Fatalf("%v: drained engine holds %d entries and %d of %d records free", name, len(e.depHeap), len(e.freeRecs), len(e.recs))
+		if e.cal.pending != 0 || len(e.freeRecs) != len(e.recs) {
+			t.Fatalf("%v: drained engine holds %d entries and %d of %d records free", name, e.cal.pending, len(e.freeRecs), len(e.recs))
 		}
 		if !sameFloats(e.Residual(), g.Capacities()) {
 			t.Fatalf("%v: residual %v after the drain, capacity %v", name, e.Residual(), g.Capacities())
@@ -142,8 +144,8 @@ func TestDepartureRecordsUnderPreemption(t *testing.T) {
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if e.ActiveCount() != 0 || len(e.depHeap) != 0 || len(e.freeRecs) != len(e.recs) {
-		t.Fatalf("drain left %d active, %d entries, %d of %d records free", e.ActiveCount(), len(e.depHeap), len(e.freeRecs), len(e.recs))
+	if e.ActiveCount() != 0 || e.cal.pending != 0 || len(e.freeRecs) != len(e.recs) {
+		t.Fatalf("drain left %d active, %d entries, %d of %d records free", e.ActiveCount(), e.cal.pending, len(e.freeRecs), len(e.recs))
 	}
 	caps := f.g.Capacities()
 	for i, c := range e.Residual() {

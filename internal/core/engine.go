@@ -107,16 +107,19 @@ type Engine struct {
 	// (whose classes may name any ingress), and nil without a plan.
 	classOf []int32
 
-	active map[int]*activeReq
-	// recs is the record table the departure heap's entries index into.
-	// A record's index is named by exactly one heap entry from ALLOCATE
-	// until that entry pops, and is on freeRecs otherwise.
-	recs    []*activeReq
-	depHeap departureHeap
-	now     int
+	// recs is the record table the departure calendar's entries index
+	// into. A record's index is named by exactly one calendar entry from
+	// ALLOCATE until that entry pops, and is on freeRecs otherwise. ids
+	// maps each active request's ID to its record.
+	recs []*activeReq
+	cal  calendar
+	ids  idIndex
+	// now is the slot of the last StartSlot, 0 before the first: every
+	// accepted request departs after it.
+	now int
 	// maxID is the highest request ID ever made active. Traces number
-	// requests in arrival order, so an arrival above it is new without a
-	// map lookup.
+	// requests in arrival order, so an arrival above it is new without an
+	// index lookup.
 	maxID int
 
 	// borrowers is the per-substrate-element index of the active
@@ -207,59 +210,6 @@ type PreemptStats struct {
 	Victims int
 }
 
-// departure is one departure-heap entry: the slot, and the index in
-// Engine.recs of the record whose allocation departs then. It holds no
-// pointer, so the collector does not scan the heap.
-type departure struct {
-	slot int
-	rec  int32
-}
-
-// departureHeap is a concrete min-heap on departure slot. It deliberately
-// does not implement container/heap — the interface round-trips every
-// pushed and popped element through interface{}, boxing one 16-byte
-// struct per call on the hottest per-request path.
-type departureHeap []departure
-
-func (h *departureHeap) push(d departure) {
-	*h = append(*h, d)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q[parent].slot <= q[i].slot {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-}
-
-func (h *departureHeap) pop() departure {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && q[r].slot < q[c].slot {
-			c = r
-		}
-		if q[i].slot <= q[c].slot {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-	return top
-}
-
 // NewEngine builds an engine over a fresh substrate state (residuals at
 // full capacity, prices = element costs).
 func NewEngine(g *graph.Graph, apps []*vnet.App, opts Options) (*Engine, error) {
@@ -287,7 +237,7 @@ func NewEngineOn(oracle *embedder.Oracle, apps []*vnet.App, opts Options) (*Engi
 		opts:   opts,
 		st:     st,
 		oracle: oracle,
-		active: make(map[int]*activeReq),
+		cal:    newCalendar(),
 		maxID:  math.MinInt,
 	}
 	e.shareRes = planResiduals(opts.Plan)
@@ -370,21 +320,29 @@ func (e *Engine) ResidualView() []float64 { return e.st.ResidualVec() }
 func (e *Engine) State() *substrate.State { return e.st }
 
 // ActiveCount returns the number of currently embedded requests.
-func (e *Engine) ActiveCount() int { return len(e.active) }
+func (e *Engine) ActiveCount() int { return e.ids.n }
 
 // StartSlot advances time to slot t, releasing every request that departs
-// at or before t (Alg. 2 line 5). Each due entry names its record, which
-// is released unless it already was (a zombie), and then freed.
+// at or before t (Alg. 2 line 5) — in slot order, and within a slot in
+// acceptance order. Each due entry names its record, which is released
+// unless it already was (a zombie), and then freed. The clock never runs
+// backward: a t at or before the current slot releases nothing.
 //
-//olive:hotpath once per slot; one heap pop per departure, no lookup
+//olive:hotpath once per slot; one bucket step per departure, no lookup
 func (e *Engine) StartSlot(t int) {
+	if t <= e.now {
+		return
+	}
 	e.now = t
-	for len(e.depHeap) > 0 && e.depHeap[0].slot <= t {
-		d := e.depHeap.pop()
-		if ar := e.recs[d.rec]; ar.emb != nil {
+	for {
+		ri := e.cal.pop(t)
+		if ri < 0 {
+			return
+		}
+		if ar := e.recs[ri]; ar.emb != nil {
 			e.release(ar)
 		}
-		e.freeRecs = append(e.freeRecs, d.rec)
+		e.freeRecs = append(e.freeRecs, ri)
 	}
 }
 
@@ -401,7 +359,7 @@ func (e *Engine) release(ar *activeReq) {
 	} else if e.borrowers != nil {
 		e.retireBorrower(emb)
 	}
-	delete(e.active, ar.req.ID)
+	e.ids.remove(ar.req.ID)
 }
 
 // ReleaseByID releases the active request with the given ID before its
@@ -411,14 +369,14 @@ func (e *Engine) release(ar *activeReq) {
 // teardown. The request's record stays a zombie until its departure entry
 // pops, and only then is it reused. An ID that is released early and then
 // Processed again gets a record and an entry of its own, and departs at
-// its own entry: within that slot it is released in its own entry's heap
+// its own entry: within that slot it is released in its own entry's push
 // order, not the stale one's.
 func (e *Engine) ReleaseByID(id int) bool {
-	ar, ok := e.active[id]
+	ri, ok := e.ids.get(id)
 	if !ok {
 		return false
 	}
-	e.release(ar)
+	e.release(e.recs[ri])
 	return true
 }
 
@@ -426,8 +384,9 @@ func (e *Engine) ReleaseByID(id int) bool {
 // the outcome. Requests must be fed in arrival order, interleaved with
 // StartSlot calls. A request whose app is unknown, whose ingress is not a
 // substrate node, whose demand is not finite and positive, whose duration
-// is below one slot or whose departure slot overflows an int, or whose ID
-// is still active, is an error and leaves the engine untouched.
+// is below one slot, whose departure slot overflows an int or is not after
+// the current slot (see StartSlot), or whose ID is still active, is an
+// error and leaves the engine untouched.
 //
 //olive:hotpath per-request decision entry point; only Outcome.Preempted may allocate
 func (e *Engine) Process(r workload.Request) (Outcome, error) {
@@ -442,14 +401,15 @@ func (e *Engine) Process(r workload.Request) (Outcome, error) {
 		// negative one raises them above capacity.
 		return Outcome{}, errBadDemand(r)
 	}
-	if r.Duration < 1 || r.Duration > math.MaxInt-max(r.Arrive, 0) {
-		// A request that departs at or before it arrives would hold its
-		// capacity until the next StartSlot; one whose departure slot
-		// wraps around would be released at once.
-		return Outcome{}, errBadDuration(r)
+	if r.Duration < 1 || r.Departs() <= e.now {
+		// A request that departs at or before it arrives, or by the
+		// current slot, would hold its capacity until the next StartSlot.
+		// A departure slot past math.MaxInt wraps around to a negative
+		// one, before the clock, which never runs below zero.
+		return Outcome{}, errBadDuration(r, e.now)
 	}
 	if r.ID <= e.maxID {
-		if _, dup := e.active[r.ID]; dup {
+		if _, dup := e.ids.get(r.ID); dup {
 			// Overwriting the record would strand the first allocation:
 			// its capacity could never be released (nor its index entries).
 			return Outcome{}, errDuplicateID(r.ID)
@@ -501,8 +461,8 @@ func errBadDemand(r workload.Request) error {
 	return fmt.Errorf("core: request %d has demand %g, want finite and positive", r.ID, r.Demand)
 }
 
-func errBadDuration(r workload.Request) error {
-	return fmt.Errorf("core: request %d arrives at %d for %d slots, want at least one slot and a departure within an int", r.ID, r.Arrive, r.Duration)
+func errBadDuration(r workload.Request, now int) error {
+	return fmt.Errorf("core: request %d arrives at %d for %d slots, want at least one slot and a departure after slot %d within an int", r.ID, r.Arrive, r.Duration, now)
 }
 
 func errDuplicateID(id int) error {
@@ -530,9 +490,9 @@ func (e *Engine) allocate(r workload.Request, emb *vnet.Embedding, planned bool,
 	} else if e.borrowers != nil {
 		e.indexBorrower(ar)
 	}
-	e.active[r.ID] = ar
+	e.ids.put(r.ID, ri)
 	e.maxID = max(e.maxID, r.ID)
-	e.depHeap.push(departure{slot: r.Departs(), rec: ri})
+	e.cal.push(ri, r.Departs())
 }
 
 // planEmbed implements PLANEMBED (Alg. 2 lines 23–30): full fit in the
@@ -853,7 +813,7 @@ func (e *Engine) SwapPlan(p *plan.Plan) {
 	e.opts.Plan = p
 	e.shareRes = planResiduals(p)
 	e.classOf = e.classTable(p)
-	for _, ar := range e.active {
+	for _, ar := range e.recs {
 		ar.planned = false
 		ar.classIdx, ar.shareIdx = -1, -1
 	}
@@ -864,7 +824,7 @@ func (e *Engine) SwapPlan(p *plan.Plan) {
 // dropped for an engine without a plan, otherwise every non-planned active
 // request is listed afresh (after SwapPlan that is all of them). Insertion
 // runs in request-ID order so the lists' layout is a function of the
-// request sequence, not of map iteration.
+// request sequence, not of which record each request took.
 func (e *Engine) resetBorrowerIndex() {
 	if e.opts.Plan.Empty() {
 		e.borrowers, e.preDeficit = nil, nil
@@ -881,8 +841,8 @@ func (e *Engine) resetBorrowerIndex() {
 		l.refs, l.dead = l.refs[:0], 0
 	}
 	ars := e.preCands[:0]
-	for _, ar := range e.active {
-		if !ar.planned {
+	for _, ar := range e.recs {
+		if ar.emb != nil && !ar.planned {
 			ars = append(ars, ar)
 		}
 	}
@@ -952,8 +912,10 @@ func (e *Engine) PlannedResidual(app int, ingress graph.NodeID) float64 {
 // and failure-injection harnesses.
 func (e *Engine) CheckInvariants() error {
 	recomputed := e.g.Capacities()
-	for _, ar := range e.active {
-		ar.emb.Apply(recomputed, ar.req.Demand)
+	for _, ar := range e.recs {
+		if ar.emb != nil {
+			ar.emb.Apply(recomputed, ar.req.Demand)
+		}
 	}
 	res := e.st.ResidualVec()
 	for i := range recomputed {
@@ -1004,22 +966,38 @@ func (e *Engine) checkClassTable() error {
 	return nil
 }
 
-// checkRecords audits the departure bookkeeping: each record is named by
-// exactly one heap entry or sits on the free list, never both; a named
-// record is active, departing at its entry's slot, or a zombie; a free
-// one holds no embedding; and every active request is a named record.
+// checkRecords audits the departure bookkeeping: the calendar and the ID
+// index are well formed and the calendar's cursor is the engine's clock;
+// each record is named by exactly one calendar entry or sits on the free
+// list, never both; a live record (one holding an embedding) departs at its
+// entry's slot and is what the index maps its ID to; a free one holds no
+// embedding; and the index holds exactly the live records.
 func (e *Engine) checkRecords() error {
+	if e.cal.cur != e.now {
+		return fmt.Errorf("core: departure calendar at slot %d, engine clock at %d", e.cal.cur, e.now)
+	}
 	named := make([]int, len(e.recs))
-	for _, d := range e.depHeap {
-		if d.rec < 0 || int(d.rec) >= len(e.recs) {
-			return fmt.Errorf("core: departure entry names record %d of %d", d.rec, len(e.recs))
+	if err := e.cal.check(named); err != nil {
+		return err
+	}
+	if err := e.ids.check(); err != nil {
+		return err
+	}
+	live := 0
+	for ri, ar := range e.recs {
+		if ar.emb == nil {
+			continue
 		}
-		named[d.rec]++
-		ar := e.recs[d.rec]
-		if ar.emb != nil && (e.active[ar.req.ID] != ar || ar.req.Departs() != d.slot) {
-			return fmt.Errorf("core: departure entry at slot %d names request %d, active %v, departing at %d",
-				d.slot, ar.req.ID, e.active[ar.req.ID] == ar, ar.req.Departs())
+		live++
+		if named[ri] != 1 || e.cal.at[ri] != ar.req.Departs() {
+			return fmt.Errorf("core: request %d departs at %d, its record is named by %d calendar entries", ar.req.ID, ar.req.Departs(), named[ri])
 		}
+		if got, ok := e.ids.get(ar.req.ID); !ok || int(got) != ri {
+			return fmt.Errorf("core: request %d is at record %d, the ID index says (%d, %v)", ar.req.ID, ri, got, ok)
+		}
+	}
+	if live != e.ids.n {
+		return fmt.Errorf("core: %d records hold an embedding, the ID index holds %d", live, e.ids.n)
 	}
 	for _, ri := range e.freeRecs {
 		if ri < 0 || int(ri) >= len(e.recs) {
@@ -1032,17 +1010,8 @@ func (e *Engine) checkRecords() error {
 	}
 	for ri, k := range named {
 		if k != 1 {
-			return fmt.Errorf("core: record %d is named %d times by the heap and free list, want once", ri, k)
+			return fmt.Errorf("core: record %d is named %d times by the calendar and free list, want once", ri, k)
 		}
-	}
-	live := 0
-	for _, ar := range e.recs {
-		if ar.emb != nil {
-			live++
-		}
-	}
-	if live != len(e.active) {
-		return fmt.Errorf("core: %d records hold an embedding, %d requests are active", live, len(e.active))
 	}
 	return nil
 }
@@ -1073,7 +1042,7 @@ func (e *Engine) checkBorrowerIndex() error {
 			if inList[ar] || !ar.borrows(el) {
 				continue
 			}
-			if e.active[ar.req.ID] != ar {
+			if ri, ok := e.ids.get(ar.req.ID); !ok || e.recs[ri] != ar {
 				return fmt.Errorf("core: element %d lists request %d, which is not active", el, ar.req.ID)
 			}
 			inList[ar] = true
@@ -1086,9 +1055,9 @@ func (e *Engine) checkBorrowerIndex() error {
 			return fmt.Errorf("core: element %d borrower list left uncompacted (%d dead of %d)", el, l.dead, len(l.refs))
 		}
 	}
-	for _, ar := range e.active {
-		if want := len(ar.emb.UnitUse()); !ar.planned && listed[ar] != want {
-			return fmt.Errorf("core: borrower %d is listed under %d of its %d elements", ar.req.ID, listed[ar], want)
+	for _, ar := range e.recs {
+		if ar.emb != nil && !ar.planned && listed[ar] != len(ar.emb.UnitUse()) {
+			return fmt.Errorf("core: borrower %d is listed under %d of its %d elements", ar.req.ID, listed[ar], len(ar.emb.UnitUse()))
 		}
 	}
 	for _, v := range e.preDeficit {

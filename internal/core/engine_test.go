@@ -714,8 +714,8 @@ func preemptReference(e *Engine, emb *vnet.Embedding, d float64) []int {
 	}
 	// Candidates: active non-planned allocations (R_DONE \ R_PLAN).
 	var cands []*activeReq
-	for _, ar := range e.active {
-		if !ar.planned {
+	for _, ar := range e.recs {
+		if ar.emb != nil && !ar.planned {
 			cands = append(cands, ar)
 		}
 	}

@@ -119,3 +119,40 @@ func TestSaturatingBranchOutKeepsInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateChurnAllocatesNothing: once the record table, the
+// departure calendar and the ID index have grown to the working set, a
+// slot of departures and arrivals allocates nothing — under QUICKG and
+// under OLIVE with every request planned, so that no preemption (whose
+// victim list is the one allowed allocation) runs.
+func TestSteadyStateChurnAllocatesNothing(t *testing.T) {
+	g := tinySubstrate()
+	app := tinyApp()
+	for _, opts := range []Options{{}, {Plan: manualPlan(t, g, app, 100)}} {
+		e, err := NewEngine(g, []*vnet.App{app}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot, id := 0, 0
+		churn := func() {
+			slot++
+			e.StartSlot(slot)
+			for k := 0; k < 4; k++ {
+				out, err := e.Process(req(id, 0, 0, 1, slot, 1+id%7))
+				if err != nil || !out.Accepted || out.Preempted != nil {
+					t.Fatalf("%v: request %d = (%+v, %v), want accepted without preemption", e.Algorithm(), id, out, err)
+				}
+				id++
+			}
+		}
+		for range 100 {
+			churn()
+		}
+		if a := testing.AllocsPerRun(200, churn); a != 0 {
+			t.Fatalf("%v: %v allocations per slot of churn, want 0", e.Algorithm(), a)
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

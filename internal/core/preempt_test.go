@@ -225,7 +225,8 @@ func TestDuplicateActiveIDRejected(t *testing.T) {
 // OLIVE, QUICKG and FULLG alike. A NaN demand used to fit everywhere, be
 // accepted and leave NaN in the residuals, and a negative one raised
 // residuals above capacity. A duration below one slot was accepted and
-// held its capacity until the next StartSlot, a departure slot past
+// held its capacity until the next StartSlot, and so did a request that
+// departs at or before the current slot; a departure slot past
 // math.MaxInt wrapped around and was released at once, and an ingress
 // outside the substrate was counted as a rejection. Each engine is warmed
 // with a few slots of an overload trace first, and each bad request
@@ -244,6 +245,8 @@ func TestBadDemandRejected(t *testing.T) {
 		{"zero duration", func(r *workload.Request) { r.Duration = 0 }},
 		{"negative duration", func(r *workload.Request) { r.Duration = -3 }},
 		{"overflowing departure", func(r *workload.Request) { r.Arrive, r.Duration = 5, math.MaxInt }},
+		{"departure before the current slot", func(r *workload.Request) { r.Arrive, r.Duration = 0, 2 }},
+		{"departure at the current slot", func(r *workload.Request) { r.Arrive, r.Duration = 1, 2 }},
 		{"negative ingress", func(r *workload.Request) { r.Ingress = -1 }},
 		{"ingress past the substrate", func(r *workload.Request) { r.Ingress = 1 << 20 }},
 	}
@@ -341,8 +344,10 @@ func TestBorrowerIndexLifecycle(t *testing.T) {
 	feed(e, 0, 6)
 	e.SwapPlan(f.plans[0])
 	uses := 0
-	for _, ar := range e.active {
-		uses += len(ar.emb.UnitUse())
+	for _, ar := range e.recs {
+		if ar.emb != nil {
+			uses += len(ar.emb.UnitUse())
+		}
 	}
 	if got := listed(e); got != uses || uses == 0 {
 		t.Fatalf("after SwapPlan the index lists %d entries, the actives use %d elements", got, uses)
