@@ -707,11 +707,15 @@ type bbNode struct {
 // Every solve goes through the engine's shared oracle and keeps its DP
 // table for the rest of the search. The root relaxation shares the
 // oracle's memoized table (the engine's prices never move, so it is filled
-// once per app). A child that bans one more (VNF, node) pair is derived
-// from its parent's table, recomputing only the entries the ban can change
-// (embedder.Oracle.SolveBan). A child that excludes a link is refilled over
-// a pooled substrate view, whose trees are kept while siblings exclude the
-// same links. Only popped nodes are turned into Embeddings.
+// once per app). Every child is derived from its parent's table, never
+// refilled: a child that bans one more (VNF, node) pair recomputes only
+// the entries the ban can change (embedder.Oracle.SolveBan), and a child
+// that excludes a link only the entries whose chosen path in the State's
+// shortest-path tree crosses an excluded link, and those above them that
+// chose a changed entry (embedder.Oracle.SolveExclude). Its rescans read
+// distances through a pooled substrate view, which answers with the
+// State's rows where it can and keeps its own trees while siblings
+// exclude the same links. Only popped nodes are turned into Embeddings.
 func (e *Engine) exactEmbed(app *vnet.App, r workload.Request) *vnet.Embedding {
 	emb := e.branchAndBound(app, r)
 	for _, n := range e.bbUsed {
@@ -766,21 +770,12 @@ func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embeddi
 		}
 		budget--
 
-		if e.st.Fits(n.emb, r.Demand) {
+		// Accept a fitting embedding, or branch on the first element it
+		// overloads: the one test Fits makes.
+		violated, over := n.emb.FirstViolated(e.st.ResidualVec(), r.Demand)
+		if !over {
 			found = n.emb
 			break
-		}
-		// Branch on the first violated element.
-		res := e.st.ResidualVec()
-		var violated graph.ElementID = -1
-		for _, u := range n.emb.UnitUse() {
-			if u.Amount*r.Demand > res[u.Elem] {
-				violated = u.Elem
-				break
-			}
-		}
-		if violated < 0 {
-			continue
 		}
 		if node, isNode := e.g.ElementNode(violated); isNode {
 			for i, host := range n.emb.NodeMap {

@@ -29,11 +29,13 @@
 // still.
 //
 // FULLG's capacity branch-out runs a restricted search over Tables (see
-// Solve): its root shares the memo table, a child that bans one more
-// (VNF, node) pair is derived from its parent's table by recomputing only
-// the entries the ban can change, and merging them into the parent's
-// scan orders (SolveBan), and a child that excludes one more element is
-// refilled through a pooled substrate View (SolveExclude).
+// Solve): its root shares the memo table, and a child that bans one more
+// (VNF, node) pair (SolveBan) or excludes one more element (SolveExclude)
+// is derived from its parent's table by recomputing only the entries the
+// change can move, and merging them into the parent's scan orders. An
+// excluded link moves only the entries whose chosen path in the State's
+// shortest-path tree crosses it, and those are rescanned through a pooled
+// substrate View that shares the State's distance rows where it can.
 // A search's rows live in the State's scratch arena until the next Solve,
 // and an Embedding is built only for the tables the search asks about.
 package embedder
@@ -82,7 +84,8 @@ func AdjustedPricesInto(dst Prices, g *graph.Graph, dual []float64) Prices {
 // pather answers price and shortest-path queries for the embedding DP:
 // either a substrate.State directly (no exclusions, cached trees shared by
 // every query under the same prices) or a substrate.View (exclusion
-// overlay with view-private trees).
+// overlay: the State's distance rows where no excluded link is in the
+// State's tree, view-private trees elsewhere and for every path).
 type pather interface {
 	NodePrice(u graph.NodeID) float64
 	Dist(src, dst graph.NodeID) float64
@@ -116,10 +119,16 @@ type Oracle struct {
 	shapes map[*vnet.App]*appShape
 
 	// Restricted-search scratch: the exclusion set handed to pooled
-	// Views, and SolveBan's changed-entry lists and membership marks.
-	exclSet             map[graph.ElementID]bool
-	banMark             []bool
-	banChanged, banNext []graph.NodeID
+	// Views, and derive's per-row changed-entry lists, its list of
+	// entries due for a re-sum, two per-node flags — mark (a changed
+	// entry of the row below, or of the row whose order is re-derived)
+	// and isDue (on the due list) — and each source's cut distance
+	// (substrate.State.CutDist) under a link exclusion.
+	exclSet     map[graph.ElementID]bool
+	changed     [][]graph.NodeID
+	due         []graph.NodeID
+	mark, isDue []bool
+	cut         []float64
 
 	// ranks holds the entries rowOrder and deriveOrder sort, rankBuf is
 	// sortRanked's merge buffer.
@@ -198,7 +207,9 @@ func ForState(st *substrate.State) *Oracle {
 		tables:  make(map[*vnet.App]*memoTable),
 		shapes:  make(map[*vnet.App]*appShape),
 		exclSet: make(map[graph.ElementID]bool),
-		banMark: make([]bool, st.Graph().NumNodes()),
+		mark:    make([]bool, st.Graph().NumNodes()),
+		isDue:   make([]bool, st.Graph().NumNodes()),
+		cut:     make([]float64, st.Graph().NumNodes()),
 	}
 }
 
@@ -311,7 +322,10 @@ func (o *Oracle) shape(app *vnet.App) *appShape {
 // only — the one entry a restricted query reads — and is +Inf elsewhere;
 // a negative ingress fills it whole, as the ingress-independent memo needs.
 // Each non-root row's order is sorted once the row is final, before its
-// parent's links scan it.
+// parent's links scan it. fill builds the memo tables and the tables Solve
+// is asked for with bans or exclusions; a restricted search derives every
+// other table from its parent's (derive), and the tests hold those to a
+// fill.
 func (o *Oracle) fill(t *dpTable, rows *substrate.Arena, pa pather, app *vnet.App, bans []Ban, ingress graph.NodeID) {
 	counters.dpFills.Add(1)
 	n := o.g.NumNodes()
@@ -392,7 +406,7 @@ func (o *Oracle) baseCost(pa pather, v vnet.VNF, u graph.NodeID) float64 {
 // leaves out can never be that minimum), with each candidate summed by
 // the same float operations.
 //
-//olive:hotpath the DP's inner loop: every fill and ban rescan runs it per entry
+//olive:hotpath the DP's inner loop: every fill and rescan runs it per entry
 func minLink(du []float64, size float64, childCost []float64, order []graph.NodeID) (float64, graph.NodeID, int) {
 	best := math.Inf(1)
 	bestW := graph.NodeID(-1)
@@ -491,7 +505,7 @@ func (o *Oracle) rowOrder(rows *substrate.Arena, row []float64) []graph.NodeID {
 // finite are sorted on their own and merged in: O(n) plus the sort of the
 // few changed entries, where rowOrder would sort the whole row again.
 //
-//olive:hotpath SolveBan re-derives the order of every row it changes
+//olive:hotpath derive re-derives the order of every row it changes
 func (o *Oracle) deriveOrder(rows *substrate.Arena, old []graph.NodeID, row []float64, changed []graph.NodeID, mark []bool) []graph.NodeID {
 	add := o.ranks[:0]
 	for _, x := range changed {

@@ -78,17 +78,32 @@ func (o *Oracle) Solve(t *Table, app *vnet.App, ingress graph.NodeID, bans []Ban
 	return o.solve(t)
 }
 
-// SolveExclude solves child as parent with element e excluded as well —
-// a full fill, since an excluded link moves shortest paths everywhere.
-// parent must have been solved on this oracle in the current search.
+// SolveExclude solves child as parent with element e excluded as well,
+// deriving its table from parent's (see derive) instead of refilling it,
+// bit-identical to a full fill under the same bans and exclusions. An
+// excluded node's entry goes to +Inf in every row. An excluded link only
+// raises distances, and a distance whose path in the State's
+// shortest-path tree avoids every excluded link does not move at all
+// (substrate.State.CutDist), so only the entries whose chosen path there
+// crosses an excluded link are rescanned, with those above them that
+// chose an entry that moved. Their distance rows come from an exclusion
+// View, which answers with the State's own row where the source's tree
+// holds no excluded link. Excluding e again changes nothing. parent must
+// have been solved, with ok, on this oracle in the current search.
 func (o *Oracle) SolveExclude(child, parent *Table, e graph.ElementID) bool {
-	child.app, child.ingress = parent.app, parent.ingress
-	child.bans = append(child.bans[:0], parent.bans...)
-	child.excl = append(child.excl[:0], parent.excl...)
-	if i, found := slices.BinarySearch(child.excl, e); !found {
-		child.excl = slices.Insert(child.excl, i, e)
+	o.inherit(child, parent)
+	if math.IsInf(child.price, 1) {
+		return false
 	}
-	return o.solve(child)
+	i, found := slices.BinarySearch(child.excl, e)
+	if found {
+		return true
+	}
+	child.excl = slices.Insert(child.excl, i, e)
+	if u, isNode := o.g.ElementNode(e); isNode {
+		return o.derive(child, delta{node: u})
+	}
+	return o.derive(child, delta{node: -1, links: true})
 }
 
 // solve fills t for its recorded inputs: a read-only share of the memo
@@ -117,116 +132,209 @@ func (o *Oracle) solve(t *Table) bool {
 }
 
 // SolveBan solves child as parent with ban b added, deriving its table
-// from parent's instead of refilling it, bit-identical to a full fill
-// under the same bans. parent must have been solved, with ok, on this
-// oracle in the current search.
-//
-// The ban sets cost[V][U] to +Inf; then, walking up from V, only the
-// parent-row entries whose stored choice lies in the set of entries that
-// just changed are rescanned (at θ, only the ingress), each re-summed as
-// base + Σ best in child-link order — fill's float operations in fill's
-// order — and the entries whose value moved form the next level's set.
-// Every other entry keeps its value and choice: bans only raise costs, and
-// a scan keeps the lowest-node minimum, so raising an entry that is not
-// the argmin cannot move the argmin. A ban on an entry that is already
-// +Inf changes nothing. Every row that changed gets its order re-derived
-// from the parent's (deriveOrder), before the level above scans it — even
-// where nothing above rescans, since this table's own ban children read
-// it. Modified rows and orders are copied into the arena first; the
-// parent's are never written.
+// from parent's (see derive) instead of refilling it, bit-identical to a
+// full fill under the same bans. The ban sets cost[V][U] to +Inf; a ban
+// on an entry that is already +Inf, or on θ, changes nothing. parent must
+// have been solved, with ok, on this oracle in the current search.
 //
 //olive:hotpath FULLG branch-out: a ban child is its parent's table plus a delta
 func (o *Oracle) SolveBan(child, parent *Table, b Ban) bool {
-	child.app, child.ingress, child.shape, child.price = parent.app, parent.ingress, parent.shape, parent.price
-	child.bans = append(child.bans[:0], parent.bans...)
+	o.inherit(child, parent)
 	if i, found := slices.BinarySearchFunc(child.bans, b, compareBans); !found {
 		child.bans = slices.Insert(child.bans, i, b)
 	}
-	child.excl = append(child.excl[:0], parent.excl...)
-	child.cost = append(child.cost[:0], parent.cost...)
-	child.choice = append(child.choice[:0], parent.choice...)
-	child.best = append(child.best[:0], parent.best...)
-	child.order = append(child.order[:0], parent.order...)
 	if math.IsInf(child.price, 1) {
 		return false
 	}
 	if b.V == vnet.Root || math.IsInf(child.cost[b.V][b.U], 1) {
 		return true
 	}
+	return o.derive(child, delta{ban: b, node: -1})
+}
 
+// inherit makes child a copy of parent sharing all of its rows.
+func (o *Oracle) inherit(child, parent *Table) {
+	child.app, child.ingress, child.shape, child.price = parent.app, parent.ingress, parent.shape, parent.price
+	child.bans = append(child.bans[:0], parent.bans...)
+	child.excl = append(child.excl[:0], parent.excl...)
+	child.cost = append(child.cost[:0], parent.cost...)
+	child.choice = append(child.choice[:0], parent.choice...)
+	child.best = append(child.best[:0], parent.best...)
+	child.order = append(child.order[:0], parent.order...)
+}
+
+// delta is what a derived child adds to the table it inherited: a ban
+// (V > θ), an excluded node (node ≥ 0), or, with links set, an excluded
+// link (the child's excl already holds it).
+type delta struct {
+	ban   Ban
+	node  graph.NodeID
+	links bool
+}
+
+// derive turns t, which shares its parent's rows, into the table of its
+// own inputs, given the one delta they add. It walks the rows bottom-up
+// (children before parents); in each row the delta seeds entries and the
+// rows below propagate:
+//
+//   - a ban sets its entry to +Inf, and an excluded node its entry in
+//     every row (at θ, only when it is the ingress);
+//   - an entry is rescanned on a child link when its stored choice is an
+//     entry of the child row that changed, or, after a link exclusion,
+//     when the State's tree path from the entry's node to that choice
+//     crosses one of t's excluded links. Each source's tree is checked
+//     once per call (substrate.State.CutDist), and a path is walked only
+//     as far up as a cut in it can be (avoids). Each rescan is one
+//     minLink, and each rescanned entry is re-summed as base + Σ best in
+//     child-link order: fill's float operations in fill's order.
+//
+// Every other entry keeps its value and choice, bit for bit. Deltas only
+// raise costs and distances, and a scan keeps the lowest-node minimum, so
+// a candidate that is not the argmin cannot become it; the argmin keeps
+// its cost when its child entry did not change and its distance when its
+// tree path stays open, and so keeps its value and its choice. At θ only
+// the ingress is rescanned. The entries whose value moved are the row's
+// changed set; a row with any gets its order re-derived from the
+// parent's (deriveOrder) before the row above scans it — even where
+// nothing above rescans, since this table's own ban children read it.
+// Modified rows and orders are copied into the arena first; the parent's
+// are never written.
+//
+//olive:hotpath FULLG branch-out: every child is its parent's table plus a delta
+func (o *Oracle) derive(t *Table, d delta) bool {
 	rows := o.st.ScratchArena()
-	app, sh := child.app, child.shape
-	child.cost[b.V] = cloneFloats(rows, child.cost[b.V])
-	child.cost[b.V][b.U] = math.Inf(1)
-
+	app, sh, n := t.app, t.shape, o.g.NumNodes()
+	var links []graph.ElementID
+	if d.links {
+		k, _ := slices.BinarySearch(t.excl, graph.ElementID(n))
+		links = t.excl[k:]
+		for x := range n {
+			o.cut[x] = o.st.CutDist(graph.NodeID(x), links)
+		}
+	}
 	// The pather is acquired on the first rescan: an exclusion view
 	// acquired for nothing would still cost its trees when the next
 	// acquisition brings back another link set.
 	var pa pather
 	var view *substrate.View
-	mark := o.banMark
-	changed := append(o.banChanged[:0], b.U)
-	next := o.banNext[:0]
+	changed := resizeOuter(&o.changed, len(app.VNFs))
+	mark, due := o.mark, o.due[:0]
 	rescans, scans := 0, 0
-	for v := b.V; v != vnet.Root && len(changed) > 0; {
-		li := sh.up[v]
-		l := app.Links[li]
-		p := l.From
-		for _, x := range changed {
-			mark[x] = true
+	for _, i := range sh.order {
+		lo, hi := 0, n
+		if vnet.VNFID(i) == vnet.Root {
+			lo, hi = int(t.ingress), int(t.ingress)+1
 		}
-		child.order[v] = o.deriveOrder(rows, child.order[v], child.cost[v], changed, mark)
-		lo, hi := 0, o.g.NumNodes()
-		if p == vnet.Root {
-			lo, hi = int(child.ingress), int(child.ingress)+1
+		ci, ch := t.cost[i], changed[i][:0]
+		seed := graph.NodeID(-1)
+		if d.ban.V != vnet.Root && d.ban.V == vnet.VNFID(i) {
+			seed = d.ban.U
+		} else if int(d.node) >= lo && int(d.node) < hi {
+			seed = d.node
 		}
-		pcost, choice := child.cost[p], child.choice[li]
-		copied := false
-		next = next[:0]
-		for x := lo; x < hi; x++ {
-			if math.IsInf(pcost[x], 1) || !mark[choice[x]] {
+		if seed >= 0 && !math.IsInf(ci[seed], 1) {
+			ci = cloneFloats(rows, ci)
+			ci[seed] = math.Inf(1)
+			ch = append(ch, seed)
+		}
+		copied := len(ch) > 0
+		for _, li := range sh.children[i] {
+			l := app.Links[li]
+			below := changed[l.To]
+			if len(below) == 0 && !d.links {
 				continue
 			}
-			if !copied {
-				pcost, choice = cloneFloats(rows, pcost), cloneIDs(rows, choice)
-				child.cost[p], child.choice[li] = pcost, choice
-				child.best[li] = cloneFloats(rows, child.best[li])
-				if pa == nil {
-					pa, view = o.acquire(child.excl)
-				}
-				copied = true
+			for _, w := range below {
+				mark[w] = true
 			}
-			rescans++
-			u := graph.NodeID(x)
-			var k int
-			child.best[li][x], choice[x], k = minLink(pa.DistRow(u), l.Size, child.cost[v], child.order[v])
-			scans += k
-			c := o.baseCost(pa, app.VNFs[p], u)
-			for _, lj := range sh.children[p] {
+			choice, best := t.choice[li], t.best[li]
+			linkCopied := false
+			for x := lo; x < hi; x++ {
+				if math.IsInf(ci[x], 1) {
+					continue
+				}
+				w := choice[x]
+				if !mark[w] && (!d.links || o.avoids(graph.NodeID(x), w, links)) {
+					continue
+				}
+				if !linkCopied {
+					choice, best = cloneIDs(rows, choice), cloneFloats(rows, best)
+					t.choice[li], t.best[li] = choice, best
+					if pa == nil {
+						pa, view = o.acquire(t.excl)
+					}
+					linkCopied = true
+				}
+				rescans++
+				var k int
+				best[x], choice[x], k = minLink(pa.DistRow(graph.NodeID(x)), l.Size, t.cost[l.To], t.order[l.To])
+				scans += k
+				if !o.isDue[x] {
+					o.isDue[x] = true
+					due = append(due, graph.NodeID(x))
+				}
+			}
+			for _, w := range below {
+				mark[w] = false
+			}
+		}
+		for _, x := range due {
+			o.isDue[x] = false
+			c := o.baseCost(pa, app.VNFs[i], x)
+			for _, lj := range sh.children[i] {
 				if math.IsInf(c, 1) {
 					break
 				}
-				c += child.best[lj][x]
+				c += t.best[lj][x]
 			}
-			if c != pcost[x] {
-				pcost[x] = c
-				next = append(next, u)
+			if c != ci[x] {
+				if !copied {
+					ci, copied = cloneFloats(rows, ci), true
+				}
+				ci[x] = c
+				ch = append(ch, x)
 			}
 		}
-		for _, x := range changed {
-			mark[x] = false
+		due = due[:0]
+		t.cost[i], changed[i] = ci, ch
+		if len(ch) > 0 && vnet.VNFID(i) != vnet.Root {
+			for _, x := range ch {
+				mark[x] = true
+			}
+			t.order[i] = o.deriveOrder(rows, t.order[i], ci, ch, mark)
+			for _, x := range ch {
+				mark[x] = false
+			}
 		}
-		changed, next = next, changed
-		v = p
 	}
-	o.banChanged, o.banNext = changed[:0], next[:0]
+	o.due = due
 	if view != nil {
 		view.Close()
 	}
-	counters.banRescans.Add(int64(rescans))
+	if d.ban.V != vnet.Root {
+		counters.banRescans.Add(int64(rescans))
+	} else {
+		counters.exclRescans.Add(int64(rescans))
+	}
 	counters.linkScans.Add(int64(scans))
-	child.price = child.cost[vnet.Root][child.ingress]
-	return !math.IsInf(child.price, 1)
+	t.price = t.cost[vnet.Root][t.ingress]
+	return !math.IsInf(t.price, 1)
+}
+
+// avoids reports whether the State's tree path from x to w crosses none
+// of the excluded links. The walk up from w stops short of x at the
+// first node nearer to x than x's cut distance: no link above it is
+// excluded.
+func (o *Oracle) avoids(x, w graph.NodeID, links []graph.ElementID) bool {
+	tr := o.st.Tree(x)
+	for u := w; u != x && tr.Dist[u] >= o.cut[x]; {
+		lid := tr.ParentLink(u)
+		if slices.Contains(links, o.g.LinkElement(lid)) {
+			return false
+		}
+		u = o.g.Link(lid).Other(u)
+	}
+	return true
 }
 
 // Embedding materializes the min-cost embedding t encodes, with its paths

@@ -60,47 +60,106 @@ func diffOrders(t *Table) string {
 	return ""
 }
 
-// revertEntry returns a copy of child's table in which entry x of the row
-// above the banned VNF b.V has the value, choice and best term it had in
-// parent: what SolveBan would produce if it skipped that entry's rescan.
-func revertEntry(child, parent *Table, b Ban, x int) *Table {
+// revertEntry returns a copy of child's table in which entry x of VNF
+// i's row has the value, and on every child link the choice and best
+// term, it had in parent: what a derivation would produce if it skipped
+// that entry's rescans.
+func revertEntry(child, parent *Table, i vnet.VNFID, x int) *Table {
 	m := *child
-	li := child.shape.up[b.V]
-	p := child.app.Links[li].From
 	m.cost = slices.Clone(child.cost)
 	m.choice = slices.Clone(child.choice)
 	m.best = slices.Clone(child.best)
-	m.cost[p] = slices.Clone(child.cost[p])
-	m.choice[li] = slices.Clone(child.choice[li])
-	m.best[li] = slices.Clone(child.best[li])
-	m.cost[p][x], m.choice[li][x], m.best[li][x] = parent.cost[p][x], parent.choice[li][x], parent.best[li][x]
+	m.cost[i] = slices.Clone(child.cost[i])
+	m.cost[i][x] = parent.cost[i][x]
+	for _, li := range child.shape.children[i] {
+		m.choice[li] = slices.Clone(child.choice[li])
+		m.best[li] = slices.Clone(child.best[li])
+		m.choice[li][x], m.best[li][x] = parent.choice[li][x], parent.best[li][x]
+	}
 	return &m
 }
 
+// freshFill solves tab's inputs from scratch on a fresh oracle over g
+// under prices.
+func freshFill(g *graph.Graph, prices Prices, tab *Table) (*Table, *Oracle) {
+	ref := NewOracle(g, prices)
+	want := new(Table)
+	ref.Solve(want, tab.app, tab.ingress, tab.bans, tab.excl)
+	return want, ref
+}
+
+// diffFill describes how tab, a table o derived, differs from a
+// from-scratch fill of its inputs (freshFill), or returns "": in a scan
+// order (diffOrders), its price, bit for bit, an entry (diffTables), or
+// the embedding it materializes.
+func diffFill(o *Oracle, g *graph.Graph, prices Prices, tab *Table) string {
+	if d := diffOrders(tab); d != "" {
+		return d
+	}
+	want, ref := freshFill(g, prices, tab)
+	if math.Float64bits(tab.Price()) != math.Float64bits(want.Price()) {
+		return fmt.Sprintf("price %v, fill %v", tab.Price(), want.Price())
+	}
+	if math.IsInf(want.Price(), 1) {
+		return ""
+	}
+	if d := diffTables(tab, want); d != "" {
+		return d
+	}
+	ge, gok := o.Embedding(tab)
+	we, wok := ref.Embedding(want)
+	return diffAnswer(ge, tab.Price(), gok, we, want.Price(), wok)
+}
+
+// firstMoved returns the first entry, lowest VNF first, that is finite in
+// parent and holds another value in child (at θ, only the ingress), or
+// ok false. The banned entry of seed, unless seed bans θ, is passed over:
+// it is set, not rescanned.
+func firstMoved(child, parent *Table, seed Ban) (vnet.VNFID, int, bool) {
+	for i := range child.cost {
+		lo, hi := 0, len(child.cost[i])
+		if vnet.VNFID(i) == vnet.Root {
+			lo, hi = int(child.ingress), int(child.ingress)+1
+		}
+		for x := lo; x < hi; x++ {
+			if seed.V != vnet.Root && seed.V == vnet.VNFID(i) && seed.U == graph.NodeID(x) {
+				continue
+			}
+			if !math.IsInf(parent.cost[i][x], 1) && child.cost[i][x] != parent.cost[i][x] {
+				return vnet.VNFID(i), x, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
 // TestSolveBanMatchesFill drives restricted searches through random
-// sequences of bans and link exclusions — chain, tree, accelerator and GPU
+// sequences of bans and exclusions — chain, tree, accelerator and GPU
 // apps on the GPU variant of Città Studi, under cost prices and under
 // perturbed ones — and demands of every derived table that it equal a
-// from-scratch fill under the same bans and exclusions on a fresh oracle:
-// entry for entry (diffTables), and in the embedding it materializes (the
-// root price bit for bit, the NodeMap, every path). Every row's scan order
-// must equal a from-scratch sort of the row (diffOrders), whether fill
-// sorted it or SolveBan derived it from the parent's. Bans land mostly
-// where the relaxation placed a VNF, as FULLG's branching does, sometimes
-// on any finite entry — often one no parent entry chose, so the walk
-// changes a row and rescans nothing above it, and the order must be
-// re-derived all the same — and sometimes on an entry that is already
-// +Inf (a GPU mismatch or a repeated ban), which must change nothing and
-// rescan nothing. The test also shows it would catch a SolveBan that skips
-// the rescan of an entry whose choice was in the changed set: every ban
-// child whose rescans moved an entry is checked again with that entry
-// reverted to its parent's, and must fail.
+// from-scratch fill under the same bans and exclusions on a fresh oracle
+// (diffFill): entry for entry, in the embedding it materializes (the
+// root price bit for bit, the NodeMap, every path), and in every row's
+// scan order, whether fill sorted it or a derivation re-derived it from
+// the parent's. Bans land mostly where the relaxation placed a VNF, as
+// FULLG's branching does, sometimes on any finite entry — often one no
+// parent entry chose, so the walk changes a row and rescans nothing above
+// it, and the order must be re-derived all the same — and sometimes on an
+// entry that is already +Inf (a GPU mismatch or a repeated ban), which
+// must change nothing and rescan nothing. Exclusions take a link of the
+// parent's materialized paths, as FULLG's branching does, any link, or a
+// node; parents are drawn from every table of the search, so exclusions
+// nest. The test also shows it would catch a derivation that skips the
+// rescans of an entry that moved: every ban child and link-exclusion
+// child with such an entry is checked again with that entry reverted to
+// its parent's, and must fail.
 func TestSolveBanMatchesFill(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 2
 	}
-	var derived, bans, quiet, noops, excls, infeasible, mutants int
+	var derived, bans, quiet, noops, excls, pathExcls, nested, nodeExcls, infeasible, mutants int
+	var shared uint64
 	before := Stats()
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0xba17))
@@ -120,32 +179,26 @@ func TestSolveBanMatchesFill(t *testing.T) {
 			vnet.GenerateGPU("gpu", p, rng),
 		}
 		o := ForState(substrate.NewWithPrices(g, prices))
-		fresh := func(tab *Table) (*Table, *Oracle) {
-			ref := NewOracle(g, prices)
-			want := new(Table)
-			ref.Solve(want, tab.app, tab.ingress, tab.bans, tab.excl)
-			return want, ref
-		}
 		check := func(where string, tab *Table) {
 			t.Helper()
-			if d := diffOrders(tab); d != "" {
+			if d := diffFill(o, g, prices, tab); d != "" {
 				t.Fatalf("%s: %s", where, d)
 			}
-			want, ref := fresh(tab)
-			if math.Float64bits(tab.Price()) != math.Float64bits(want.Price()) {
-				t.Fatalf("%s: price %v, fill %v", where, tab.Price(), want.Price())
-			}
-			if math.IsInf(want.Price(), 1) {
+		}
+		// mutant checks that reverting the first entry child's rescans
+		// moved away from parent's is caught by the comparison with a
+		// fill.
+		mutant := func(where string, child, parent *Table, seed Ban) {
+			t.Helper()
+			i, x, ok := firstMoved(child, parent, seed)
+			if !ok {
 				return
 			}
-			if d := diffTables(tab, want); d != "" {
-				t.Fatalf("%s: %s", where, d)
+			want, _ := freshFill(g, prices, child)
+			if diffTables(revertEntry(child, parent, i, x), want) == "" {
+				t.Fatalf("%s: skipping the rescan of cost[%d][%d] went unnoticed", where, i, x)
 			}
-			ge, gok := o.Embedding(tab)
-			we, wok := ref.Embedding(want)
-			if d := diffAnswer(ge, tab.Price(), gok, we, want.Price(), wok); d != "" {
-				t.Fatalf("%s: %s", where, d)
-			}
+			mutants++
 		}
 
 		for _, app := range apps {
@@ -165,7 +218,7 @@ func TestSolveBanMatchesFill(t *testing.T) {
 					where := fmt.Sprintf("seed %d %s@%d step %d (bans %v, excluded %v)", seed, app.Name, ingress, step, parent.bans, parent.excl)
 					child := new(Table)
 					var ok bool
-					switch op := rng.IntN(9); {
+					switch op := rng.IntN(11); {
 					case op < 5: // ban a VNF where the relaxation placed it
 						e, _ := o.Embedding(parent)
 						v := vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1))
@@ -174,22 +227,8 @@ func TestSolveBanMatchesFill(t *testing.T) {
 						ok = o.SolveBan(child, parent, b)
 						bans++
 						check(where+fmt.Sprintf(" ban %v", b), child)
-						li := child.shape.up[v]
-						pr := app.Links[li].From
-						lo, hi := 0, n
-						if pr == vnet.Root {
-							lo, hi = int(ingress), int(ingress)+1
-						}
-						for x := lo; x < hi && Stats().BanRescans > r0; x++ {
-							if math.IsInf(parent.cost[pr][x], 1) || child.cost[pr][x] == parent.cost[pr][x] {
-								continue
-							}
-							want, _ := fresh(child)
-							if diffTables(revertEntry(child, parent, b, x), want) == "" {
-								t.Fatalf("%s ban %v: skipping the rescan of cost[%d][%d] went unnoticed", where, b, pr, x)
-							}
-							mutants++
-							break
+						if Stats().BanRescans > r0 {
+							mutant(where+fmt.Sprintf(" ban %v", b), child, parent, b)
 						}
 					case op < 6: // ban any finite entry
 						v := vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1))
@@ -223,11 +262,34 @@ func TestSolveBanMatchesFill(t *testing.T) {
 							}
 						}
 						check(where+" no-op ban", child)
-					default: // exclude a link
-						e := g.LinkElement(graph.LinkID(rng.IntN(g.NumLinks())))
+					case op < 10: // exclude a link: on the parent's paths, or any
+						var e graph.ElementID = -1
+						if op < 9 {
+							emb, _ := o.Embedding(parent)
+							var used []graph.LinkID
+							for _, pa := range emb.PathMap {
+								used = append(used, pa.Links...)
+							}
+							if len(used) > 0 {
+								e = g.LinkElement(used[rng.IntN(len(used))])
+								pathExcls++
+							}
+						}
+						if e < 0 {
+							e = g.LinkElement(graph.LinkID(rng.IntN(g.NumLinks())))
+						}
+						if len(parent.excl) > 0 {
+							nested++
+						}
 						ok = o.SolveExclude(child, parent, e)
 						excls++
 						check(where+fmt.Sprintf(" exclude %d", e), child)
+						mutant(where+fmt.Sprintf(" exclude %d", e), child, parent, Ban{})
+					default: // exclude a node
+						e := g.NodeElement(graph.NodeID(rng.IntN(n)))
+						ok = o.SolveExclude(child, parent, e)
+						nodeExcls++
+						check(where+fmt.Sprintf(" exclude node %d", e), child)
 					}
 					derived++
 					if ok {
@@ -238,11 +300,14 @@ func TestSolveBanMatchesFill(t *testing.T) {
 				}
 			}
 		}
+		shared += o.State().ViewStats().RowsShared
 	}
-	rescans := Stats().BanRescans - before.BanRescans
-	t.Logf("%d derived tables (%d bans, %d of them rescanning nothing, %d no-op bans, %d exclusions, %d infeasible), %d rescans, %d skipped-rescan mutants caught",
-		derived, bans, quiet, noops, excls, infeasible, rescans, mutants)
-	if bans == 0 || quiet == 0 || noops == 0 || excls == 0 || infeasible == 0 || rescans == 0 || mutants == 0 {
+	after := Stats()
+	rescans, xrescans := after.BanRescans-before.BanRescans, after.ExclRescans-before.ExclRescans
+	t.Logf("%d derived tables (%d bans, %d of them rescanning nothing, %d no-op bans; %d link exclusions, %d on the parent's paths, %d nested; %d node exclusions; %d infeasible), %d ban rescans, %d exclusion rescans, %d view rows shared with the State, %d skipped-rescan mutants caught",
+		derived, bans, quiet, noops, excls, pathExcls, nested, nodeExcls, infeasible, rescans, xrescans, shared, mutants)
+	if bans == 0 || quiet == 0 || noops == 0 || excls == 0 || pathExcls == 0 || nested == 0 || nodeExcls == 0 ||
+		infeasible == 0 || rescans == 0 || xrescans == 0 || shared == 0 || mutants == 0 {
 		t.Fatal("vacuous run")
 	}
 }

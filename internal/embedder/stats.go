@@ -7,8 +7,9 @@ import "sync/atomic"
 type CountersSnapshot struct {
 	// DPFills counts embedding DP tables filled bottom-up from scratch —
 	// memoized and restricted alike: up to n link scans per child link and
-	// one sort per non-root row. A ban child that SolveBan derives from its
-	// parent's table is not a fill; its work is counted in BanRescans.
+	// one sort per non-root row. A child that SolveBan or SolveExclude
+	// derives from its parent's table is not a fill; its work is counted
+	// in BanRescans or ExclRescans.
 	DPFills int64
 	// DPTableHits counts unrestricted queries answered from an app's
 	// memoized table without a fill.
@@ -17,8 +18,13 @@ type CountersSnapshot struct {
 	// and one re-sum each, where a full fill would have redone every entry
 	// of every row.
 	BanRescans int64
+	// ExclRescans counts the link scans SolveExclude ran, each followed by
+	// its entry's re-sum: the entries whose chosen path the exclusion may
+	// have closed or whose chosen child changed, where a fill would have
+	// rescanned every entry of every row.
+	ExclRescans int64
 	// LinkScans counts the child entries examined by link scans, in fills
-	// and ban rescans alike: each scan visits a child row's finite entries
+	// and rescans alike: each scan visits a child row's finite entries
 	// in (cost, node) order and stops at the first that cannot win, where
 	// a scan over every node would examine n.
 	LinkScans int64
@@ -33,6 +39,7 @@ var counters struct {
 	dpFills      atomic.Int64
 	dpTableHits  atomic.Int64
 	banRescans   atomic.Int64
+	exclRescans  atomic.Int64
 	linkScans    atomic.Int64
 	collocOrders atomic.Int64
 }
@@ -43,6 +50,7 @@ func Stats() CountersSnapshot {
 		DPFills:      counters.dpFills.Load(),
 		DPTableHits:  counters.dpTableHits.Load(),
 		BanRescans:   counters.banRescans.Load(),
+		ExclRescans:  counters.exclRescans.Load(),
 		LinkScans:    counters.linkScans.Load(),
 		CollocOrders: counters.collocOrders.Load(),
 	}

@@ -156,6 +156,10 @@ func (g *Graph) DijkstraLinkWeightsInto(t *ShortestPathTree, src NodeID, lw []fl
 	return t
 }
 
+// ParentLink returns the link the tree reaches n by: -1 at the source and
+// for unreachable nodes.
+func (t *ShortestPathTree) ParentLink(n NodeID) LinkID { return t.prevLink[n] }
+
 // PathTo reconstructs the shortest path from the tree's source to dst.
 // ok is false if dst is unreachable.
 //

@@ -75,7 +75,7 @@ func TestViewKeepsTreesOnlyWhenKeyAndEpochMatch(t *testing.T) {
 				lw[int(e)-n] = math.Inf(1)
 			}
 		}
-		before := s.ViewTreeBuilds()
+		before := s.ViewStats().TreeBuilds
 		for src := 0; src < n; src++ {
 			got, want := v.Tree(graph.NodeID(src)), g.DijkstraLinkWeightsInto(nil, graph.NodeID(src), lw)
 			for dst := 0; dst < n; dst++ {
@@ -103,7 +103,7 @@ func TestViewKeepsTreesOnlyWhenKeyAndEpochMatch(t *testing.T) {
 				}
 			}
 		}
-		builds := s.ViewTreeBuilds() - before
+		builds := s.ViewStats().TreeBuilds - before
 		key := linkKey(excl)
 		was, seen := built[v]
 		switch same := seen && was.epoch == s.Epoch() && slices.Equal(was.key, key); {
@@ -165,5 +165,76 @@ func TestViewKeepsTreesOnlyWhenKeyAndEpochMatch(t *testing.T) {
 	t.Logf("%d acquisitions kept their trees, %d rebuilt them, %d epoch moves under a held view", kept, rebuilt, heldMoves)
 	if kept < 20 || rebuilt < 20 || heldMoves < 10 {
 		t.Fatal("vacuous run")
+	}
+}
+
+// TestViewDistRowMatchesDijkstra checks View.DistRow, row for row and
+// bit for bit, against graph.DijkstraLinkWeightsInto over a hand-built
+// weight vector: the State's link prices with the view's excluded links
+// at +Inf. Prices are small integers, so distances tie often and a
+// State's tree is one of several of equal length. Each exclusion set
+// draws links from the State's trees as well as from anywhere, so that
+// both of DistRow's answers are exercised: the State's own row, for a
+// source whose tree holds no excluded link, and a view tree's row
+// otherwise. Each shared row must be the State's row itself.
+func TestViewDistRowMatchesDijkstra(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := randSubstrateGraph(rng, 25)
+	n := g.NumNodes()
+	prices := make([]float64, g.NumElements())
+	for i := range prices {
+		prices[i] = float64(1 + rng.Intn(3))
+	}
+	s := NewWithPrices(g, prices)
+	var shared, built int
+	for round := 0; round < 200; round++ {
+		excl := make(map[graph.ElementID]bool)
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			var lid graph.LinkID
+			if rng.Intn(2) == 0 {
+				// A tree link: the parent link of some node in some
+				// State tree (-1 at the source: drawn again below).
+				lid = s.Tree(graph.NodeID(rng.Intn(n))).ParentLink(graph.NodeID(rng.Intn(n)))
+			}
+			if lid <= 0 {
+				lid = graph.LinkID(rng.Intn(g.NumLinks()))
+			}
+			excl[g.LinkElement(lid)] = true
+		}
+		if rng.Intn(4) == 0 {
+			excl[g.NodeElement(graph.NodeID(rng.Intn(n)))] = true
+		}
+		lw := slices.Clone(prices[n:])
+		for e := range excl {
+			if lid, ok := g.ElementLink(e); ok {
+				lw[lid] = math.Inf(1)
+			}
+		}
+		v := s.AcquireView(excl)
+		for src := 0; src < n; src++ {
+			before := s.ViewStats()
+			got := v.DistRow(graph.NodeID(src))
+			after := s.ViewStats()
+			want := g.DijkstraLinkWeightsInto(nil, graph.NodeID(src), lw).Dist
+			for dst := range want {
+				if math.Float64bits(got[dst]) != math.Float64bits(want[dst]) {
+					t.Fatalf("round %d: DistRow(%d)[%d] = %v, Dijkstra over the hand-built vector %v (excluded %v)",
+						round, src, dst, got[dst], want[dst], excl)
+				}
+			}
+			if after.RowsShared > before.RowsShared {
+				if &got[0] != &s.DistRow(graph.NodeID(src))[0] {
+					t.Fatalf("round %d: row %d counted as shared is not the State's", round, src)
+				}
+				shared++
+			} else {
+				built++
+			}
+		}
+		v.Close()
+	}
+	t.Logf("%d rows shared with the State, %d read from view trees", shared, built)
+	if shared == 0 || built == 0 {
+		t.Fatal("vacuous run: one of DistRow's branches never ran")
 	}
 }

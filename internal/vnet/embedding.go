@@ -125,12 +125,20 @@ func (e *Embedding) Cost(d float64) float64 { return e.unitCost * d }
 // FitsResidual reports whether demand d fits within the residual capacity
 // vector res (indexed by ElementID), i.e. Eq. 18 of the paper.
 func (e *Embedding) FitsResidual(res []float64, d float64) bool {
+	_, over := e.FirstViolated(res, d)
+	return !over
+}
+
+// FirstViolated returns the lowest element on which demand d does not fit
+// within res, the one test FitsResidual makes of every element: over by
+// more than capEps. ok is false when d fits.
+func (e *Embedding) FirstViolated(res []float64, d float64) (graph.ElementID, bool) {
 	for _, u := range e.use {
 		if u.Amount*d > res[u.Elem]+capEps {
-			return false
+			return u.Elem, true
 		}
 	}
-	return true
+	return -1, false
 }
 
 // MaxDemandWithin returns the largest demand that fits within res along
