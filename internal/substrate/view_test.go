@@ -190,13 +190,13 @@ func TestViewDistRowMatchesDijkstra(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		excl := make(map[graph.ElementID]bool)
 		for k := 1 + rng.Intn(3); k > 0; k-- {
-			var lid graph.LinkID
+			lid := graph.LinkID(-1)
 			if rng.Intn(2) == 0 {
 				// A tree link: the parent link of some node in some
 				// State tree (-1 at the source: drawn again below).
 				lid = s.Tree(graph.NodeID(rng.Intn(n))).ParentLink(graph.NodeID(rng.Intn(n)))
 			}
-			if lid <= 0 {
+			if lid < 0 {
 				lid = graph.LinkID(rng.Intn(g.NumLinks()))
 			}
 			excl[g.LinkElement(lid)] = true
