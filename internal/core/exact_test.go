@@ -49,12 +49,16 @@ type refNode struct {
 // table from scratch, builds its own exclusion view and shortest-path
 // trees, and materializes its embedding at once. The search around the
 // solves is exactEmbed's, line for line.
-// viewSolves counts the solves that excluded at least one element.
-func exactEmbedReference(e *Engine, app *vnet.App, r workload.Request, viewSolves *int) *vnet.Embedding {
+// viewSolves counts the solves that excluded at least one element, and
+// linkSets collects the distinct sets of links they excluded.
+func exactEmbedReference(e *Engine, app *vnet.App, r workload.Request, viewSolves *int, linkSets map[string]bool) *vnet.Embedding {
 	prices := embedder.CostPrices(e.g)
 	solve := func(n *refNode) bool {
 		if len(n.excl) > 0 {
 			*viewSolves++
+			links := slices.DeleteFunc(slices.Clone(n.excl), e.g.ElementIsNode)
+			slices.Sort(links)
+			linkSets[fmt.Sprint(links)] = true
 		}
 		o := embedder.NewOracle(e.g, prices)
 		var t embedder.Table
@@ -185,6 +189,7 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 	}
 	es := embedder.Stats()
 	requests, accepted, split, viewSolves := 0, 0, 0, 0
+	linkSets := make(map[string]bool)
 	for ts, rs := range perSlot {
 		got.StartSlot(ts)
 		ref.StartSlot(ts)
@@ -193,7 +198,7 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := exactEmbedReference(ref, apps[r.App], r, &viewSolves)
+			want := exactEmbedReference(ref, apps[r.App], r, &viewSolves, linkSets)
 			if want != nil && !ref.st.Fits(want, r.Demand) {
 				want = nil
 			}
@@ -222,23 +227,20 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 		}
 	}
 	ed := embedder.Stats()
-	hits, vs := ed.DPTableHits-es.DPTableHits, got.State().ViewStats()
+	hits, trees := ed.DPTableHits-es.DPTableHits, got.State().ViewTreeBuilds()
 	xrescans := ed.ExclRescans - es.ExclRescans
-	t.Logf("%d requests, %d accepted (%d split), %d table hits, %d fills on both sides, %d ban rescans, %d exclusion rescans, %d solves through a view, %d view trees built by the engine under %d link sets, %d rows shared with the State",
-		requests, accepted, split, hits, ed.DPFills-es.DPFills, ed.BanRescans-es.BanRescans, xrescans, viewSolves, vs.TreeBuilds, vs.LinkSets, vs.RowsShared)
+	t.Logf("%d requests, %d accepted (%d split), %d table hits, %d fills on both sides, %d ban rescans, %d exclusion rescans, %d solves through a view under %d excluded-link sets, %d view trees built by the engine",
+		requests, accepted, split, hits, ed.DPFills-es.DPFills, ed.BanRescans-es.BanRescans, xrescans, viewSolves, len(linkSets), trees)
 	if hits == 0 || accepted == requests || split == 0 {
 		t.Fatal("vacuous run: the trace never reused a table, never rejected or never split an embedding")
 	}
-	// Exclusion children are derived, not refilled: they must have
-	// rescanned entries, and built view trees — only for the sources they
-	// rescan, so far fewer than one per view solve — under more than one
-	// excluded-link set. The rows views share with the State are logged,
-	// not required: on Iris every link FULLG excludes here is the only
-	// link of an edge node, so it lies in every State tree and no view
-	// row can be the State's (TestSolveBanMatchesFill requires them).
-	if xrescans == 0 || vs.LinkSets < 2 || vs.TreeBuilds >= uint64(viewSolves) {
-		t.Fatalf("vacuous run: %d exclusion rescans, %d view trees built over %d view solves under %d link sets",
-			xrescans, vs.TreeBuilds, viewSolves, vs.LinkSets)
+	// Exclusion children are derived, not refilled: the search must have
+	// excluded more than one set of links, and its exclusion children
+	// must have rescanned entries and built view trees — only for the
+	// sources they rescan, so far fewer than one per view solve.
+	if len(linkSets) < 2 || xrescans == 0 || trees == 0 || trees >= uint64(viewSolves) {
+		t.Fatalf("vacuous run: %d exclusion rescans, %d view trees built over %d view solves under %d excluded-link sets",
+			xrescans, trees, viewSolves, len(linkSets))
 	}
 	for _, e := range []*Engine{got, ref} {
 		if err := e.CheckInvariants(); err != nil {
@@ -276,7 +278,7 @@ func BenchmarkExactEmbedBranchOut(b *testing.B) {
 		}
 	}
 	pass()
-	trees, es := st.ViewStats().TreeBuilds, embedder.Stats()
+	trees, es := st.ViewTreeBuilds(), embedder.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -284,7 +286,7 @@ func BenchmarkExactEmbedBranchOut(b *testing.B) {
 	}
 	b.StopTimer()
 	ed := embedder.Stats()
-	b.ReportMetric(float64(st.ViewStats().TreeBuilds-trees)/float64(b.N), "viewtrees/op")
+	b.ReportMetric(float64(st.ViewTreeBuilds()-trees)/float64(b.N), "viewtrees/op")
 	b.ReportMetric(float64(ed.DPFills-es.DPFills)/float64(b.N), "fills/op")
 	b.ReportMetric(float64(ed.BanRescans-es.BanRescans)/float64(b.N), "rescans/op")
 	b.ReportMetric(float64(ed.ExclRescans-es.ExclRescans)/float64(b.N), "xrescans/op")

@@ -35,7 +35,7 @@
 // change can move, and merging them into the parent's scan orders. An
 // excluded link moves only the entries whose chosen path in the State's
 // shortest-path tree crosses it, and those are rescanned through a pooled
-// substrate View that shares the State's distance rows where it can.
+// substrate View.
 // A search's rows live in the State's scratch arena until the next Solve,
 // and an Embedding is built only for the tables the search asks about.
 package embedder
@@ -84,8 +84,7 @@ func AdjustedPricesInto(dst Prices, g *graph.Graph, dual []float64) Prices {
 // pather answers price and shortest-path queries for the embedding DP:
 // either a substrate.State directly (no exclusions, cached trees shared by
 // every query under the same prices) or a substrate.View (exclusion
-// overlay: the State's distance rows where no excluded link is in the
-// State's tree, view-private trees elsewhere and for every path).
+// overlay with view-private trees).
 type pather interface {
 	NodePrice(u graph.NodeID) float64
 	Dist(src, dst graph.NodeID) float64
@@ -122,13 +121,11 @@ type Oracle struct {
 	// Views, and derive's per-row changed-entry lists, its list of
 	// entries due for a re-sum, two per-node flags — mark (a changed
 	// entry of the row below, or of the row whose order is re-derived)
-	// and isDue (on the due list) — and each source's cut distance
-	// (substrate.State.CutDist) under a link exclusion.
+	// and isDue (on the due list).
 	exclSet     map[graph.ElementID]bool
 	changed     [][]graph.NodeID
 	due         []graph.NodeID
 	mark, isDue []bool
-	cut         []float64
 
 	// ranks holds the entries rowOrder and deriveOrder sort, rankBuf is
 	// sortRanked's merge buffer.
@@ -209,7 +206,6 @@ func ForState(st *substrate.State) *Oracle {
 		exclSet: make(map[graph.ElementID]bool),
 		mark:    make([]bool, st.Graph().NumNodes()),
 		isDue:   make([]bool, st.Graph().NumNodes()),
-		cut:     make([]float64, st.Graph().NumNodes()),
 	}
 }
 

@@ -83,12 +83,10 @@ func (o *Oracle) Solve(t *Table, app *vnet.App, ingress graph.NodeID, bans []Ban
 // bit-identical to a full fill under the same bans and exclusions. An
 // excluded node's entry goes to +Inf in every row. An excluded link only
 // raises distances, and a distance whose path in the State's
-// shortest-path tree avoids every excluded link does not move at all
-// (substrate.State.CutDist), so only the entries whose chosen path there
-// crosses an excluded link are rescanned, with those above them that
-// chose an entry that moved. Their distance rows come from an exclusion
-// View, which answers with the State's own row where the source's tree
-// holds no excluded link. Excluding e again changes nothing. parent must
+// shortest-path tree avoids every excluded link does not move at all, so
+// only the entries whose chosen path there crosses an excluded link are
+// rescanned, through an exclusion View, with those above them that chose
+// an entry that moved. Excluding e again changes nothing. parent must
 // have been solved, with ok, on this oracle in the current search.
 func (o *Oracle) SolveExclude(child, parent *Table, e graph.ElementID) bool {
 	o.inherit(child, parent)
@@ -182,9 +180,7 @@ type delta struct {
 //   - an entry is rescanned on a child link when its stored choice is an
 //     entry of the child row that changed, or, after a link exclusion,
 //     when the State's tree path from the entry's node to that choice
-//     crosses one of t's excluded links. Each source's tree is checked
-//     once per call (substrate.State.CutDist), and a path is walked only
-//     as far up as a cut in it can be (avoids). Each rescan is one
+//     crosses one of t's excluded links (avoids). Each rescan is one
 //     minLink, and each rescanned entry is re-summed as base + Σ best in
 //     child-link order: fill's float operations in fill's order.
 //
@@ -208,9 +204,6 @@ func (o *Oracle) derive(t *Table, d delta) bool {
 	if d.links {
 		k, _ := slices.BinarySearch(t.excl, graph.ElementID(n))
 		links = t.excl[k:]
-		for x := range n {
-			o.cut[x] = o.st.CutDist(graph.NodeID(x), links)
-		}
 	}
 	// The pather is acquired on the first rescan: an exclusion view
 	// acquired for nothing would still cost its trees when the next
@@ -322,12 +315,13 @@ func (o *Oracle) derive(t *Table, d delta) bool {
 }
 
 // avoids reports whether the State's tree path from x to w crosses none
-// of the excluded links. The walk up from w stops short of x at the
-// first node nearer to x than x's cut distance: no link above it is
-// excluded.
+// of the excluded links, walking it up from w. If so, the view's distance
+// from x to w is the State's, bit for bit: with non-negative weights a
+// Dijkstra distance is the least left-to-right float sum over the paths
+// open to it, excluding links only closes paths, and this one stays open.
 func (o *Oracle) avoids(x, w graph.NodeID, links []graph.ElementID) bool {
 	tr := o.st.Tree(x)
-	for u := w; u != x && tr.Dist[u] >= o.cut[x]; {
+	for u := w; u != x; {
 		lid := tr.ParentLink(u)
 		if slices.Contains(links, o.g.LinkElement(lid)) {
 			return false

@@ -33,10 +33,7 @@
 // built: only excluded links and link prices enter a tree, so node
 // exclusions — read live from the caller's map — never cost a Dijkstra.
 // FULLG's sibling branch-and-bound children differ in banned (VNF, node)
-// pairs, not in excluded links, and so share one set of trees. A View
-// builds no tree at all for a distance row the exclusion cannot change:
-// when no excluded link is in the State's tree from a source, DistRow
-// answers with the State's own row (CutDist).
+// pairs, not in excluded links, and so share one set of trees.
 //
 // A State is not safe for concurrent use. The parallel experiment runner
 // gives every simulation cell its own State over its own graph; the
@@ -81,9 +78,9 @@ type State struct {
 	repair  graph.RepairScratch
 	repairs repairStats
 
-	viewPool  []*View
-	viewStats ViewStats
-	arena     Arena
+	viewPool       []*View
+	viewTreeBuilds uint64
+	arena          Arena
 
 	// selfPaths memoizes the trivial src==dst paths (one per node):
 	// they are immutable and end up shared across many embeddings.
@@ -372,50 +369,11 @@ func (s *State) RepairStats() (repaired, recomputed uint64) {
 	return s.repairs.Repaired, s.repairs.Recomputed
 }
 
-// ViewStats counts the work of a State's exclusion views since the State
-// was created.
-type ViewStats struct {
-	// TreeBuilds counts the shortest-path trees views built, one Dijkstra
-	// each: the work a View re-acquired under an unchanged excluded-link
-	// set and epoch does not repeat.
-	TreeBuilds uint64
-	// LinkSets counts the excluded-link sets views built trees under: one
-	// per view and set it was acquired with, if it built any tree there.
-	LinkSets uint64
-	// RowsShared counts the DistRow calls a view answered with the State's
-	// own row, building no tree (see View.DistRow).
-	RowsShared uint64
-}
-
-// ViewStats reports the work of the State's exclusion views.
-func (s *State) ViewStats() ViewStats { return s.viewStats }
-
-// CutDist returns how far from src the State's tree from src first
-// crosses one of excl's links: the least distance of a node whose tree
-// parent link is in excl (node elements are ignored), +Inf when none is.
-// Excluding those links leaves the distance from src to every node nearer
-// than that as it is, bit for bit, and every distance from src when it is
-// +Inf: with non-negative weights a Dijkstra distance is the least
-// left-to-right float sum over the paths open to it, excluding links only
-// closes paths, and the tree path to such a node stays open.
-func (s *State) CutDist(src graph.NodeID, excl []graph.ElementID) float64 {
-	t := s.Tree(src)
-	linkBase := s.g.NumNodes()
-	cut := math.Inf(1)
-	for _, e := range excl {
-		if int(e) < linkBase {
-			continue
-		}
-		lid := graph.LinkID(int(e) - linkBase)
-		l := s.g.Link(lid)
-		for _, u := range [2]graph.NodeID{l.From, l.To} {
-			if t.ParentLink(u) == lid && t.Dist[u] < cut {
-				cut = t.Dist[u]
-			}
-		}
-	}
-	return cut
-}
+// ViewTreeBuilds reports how many shortest-path trees the State's
+// exclusion views have built (one Dijkstra each) since the State was
+// created — the work a View re-acquired under an unchanged excluded-link
+// set and epoch does not repeat.
+func (s *State) ViewTreeBuilds() uint64 { return s.viewTreeBuilds }
 
 // Dist returns the price-weighted shortest distance from src to dst.
 func (s *State) Dist(src, dst graph.NodeID) float64 { return s.Tree(src).Dist[dst] }
@@ -471,9 +429,7 @@ type View struct {
 	// link-price epoch lwEpoch (0, never a State epoch, until first use).
 	lw             []float64
 	lwGen, lwEpoch uint64
-	// setBuilt records that a tree was built under the current set.
-	setBuilt bool
-	pooled   bool
+	pooled         bool
 }
 
 // viewTree is one view-private tree: valid for the view's current
@@ -517,7 +473,6 @@ func (s *State) AcquireView(excl map[graph.ElementID]bool) *View {
 	} else {
 		v.links, v.spare = links, v.links
 		v.gen++
-		v.setBuilt = false
 	}
 	v.excl = excl
 	v.pooled = false
@@ -553,11 +508,7 @@ func (v *View) Tree(src graph.NodeID) *graph.ShortestPathTree {
 	if vt.t == nil || vt.gen != v.gen || vt.epoch != v.st.epoch {
 		vt.t = v.st.g.DijkstraLinkWeightsInto(vt.t, src, v.weights())
 		vt.gen, vt.epoch = v.gen, v.st.epoch
-		v.st.viewStats.TreeBuilds++
-		if !v.setBuilt {
-			v.setBuilt = true
-			v.st.viewStats.LinkSets++
-		}
+		v.st.viewTreeBuilds++
 	}
 	return vt.t
 }
@@ -582,18 +533,8 @@ func (v *View) weights() []float64 {
 func (v *View) Dist(src, dst graph.NodeID) float64 { return v.Tree(src).Dist[dst] }
 
 // DistRow returns the view's full distance row from src; read-only,
-// invalid after Close. When no excluded link is a link of the State's
-// tree from src, the row is the State's own (see CutDist) and no view
-// tree is built; otherwise it is the row of the view's tree from src.
-// Paths are not shared: PathBetween always walks the view's tree, since
-// under a tie the State's tree may hold another path of equal length.
-func (v *View) DistRow(src graph.NodeID) []float64 {
-	if math.IsInf(v.st.CutDist(src, v.links), 1) {
-		v.st.viewStats.RowsShared++
-		return v.st.Tree(src).Dist
-	}
-	return v.Tree(src).Dist
-}
+// invalid after Close.
+func (v *View) DistRow(src graph.NodeID) []float64 { return v.Tree(src).Dist }
 
 // PathBetween returns the shortest src→dst path avoiding excluded links;
 // ok is false if dst is unreachable. src == dst yields the empty path.
