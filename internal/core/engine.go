@@ -713,9 +713,9 @@ type bbNode struct {
 // that excludes a link only the entries whose chosen path in the State's
 // shortest-path tree crosses an excluded link, and those above them that
 // chose a changed entry (embedder.Oracle.SolveExclude). Its rescans read
-// distances through a pooled substrate view, which answers with the
-// State's rows where it can and keeps its own trees while siblings
-// exclude the same links. Only popped nodes are turned into Embeddings.
+// distances through a pooled substrate view, which keeps its trees while
+// siblings exclude the same links. Only popped nodes are turned into
+// Embeddings.
 func (e *Engine) exactEmbed(app *vnet.App, r workload.Request) *vnet.Embedding {
 	emb := e.branchAndBound(app, r)
 	for _, n := range e.bbUsed {
