@@ -1,8 +1,8 @@
 // Package graph models the physical substrate network of the VNE problem:
 // a connected graph of datacenters (nodes) and inter-datacenter links, each
 // carrying a capacity and a per-capacity-unit usage cost. It also provides
-// the shortest-path kernel (Dijkstra over a per-link weight vector, with
-// incremental repair) that the planning and embedding layers are built on.
+// the shortest-path kernel (Dijkstra over a per-link weight vector) that
+// the planning and embedding layers are built on.
 //
 // Substrate elements — nodes and links — share a single flat index space
 // (see ElementID) so that loads, capacities and residuals can be handled as

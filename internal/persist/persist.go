@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/plan"
@@ -103,11 +102,11 @@ func SavePlan(w io.Writer, p *plan.Plan) error {
 
 // LoadPlan reads a plan written by SavePlan, rebuilding and revalidating
 // every share embedding against the given substrate and application set.
-// A class must name a known app and a substrate node as its ingress, have
-// a finite positive demand, and keep θ of every share on that ingress; the
-// loaded plan must then pass plan.Validate against g (share fractions and
-// rejected share in [0,1], planned load within capacity), whose error
-// LoadPlan returns.
+// A class must pass plan.Class.Check (a known app, a substrate node as its
+// ingress, a finite positive demand) and keep θ of every share on that
+// ingress; the loaded plan must then pass plan.Validate against g (share
+// fractions and rejected share in [0,1], planned load within capacity),
+// whose error LoadPlan returns.
 func LoadPlan(r io.Reader, g *graph.Graph, apps []*vnet.App) (*plan.Plan, error) {
 	var f planFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -118,22 +117,14 @@ func LoadPlan(r io.Reader, g *graph.Graph, apps []*vnet.App) (*plan.Plan, error)
 	}
 	classes := make([]plan.ClassPlan, 0, len(f.Classes))
 	for _, rec := range f.Classes {
-		if rec.App < 0 || rec.App >= len(apps) {
-			return nil, fmt.Errorf("persist: class references app %d of %d", rec.App, len(apps))
-		}
-		if rec.Ingress < 0 || int(rec.Ingress) >= g.NumNodes() {
-			return nil, fmt.Errorf("persist: class (%d,%d) ingress is not one of the substrate's %d nodes",
-				rec.App, rec.Ingress, g.NumNodes())
-		}
-		if !(rec.Demand > 0) || math.IsInf(rec.Demand, 1) {
-			return nil, fmt.Errorf("persist: class (%d,%d) demand %g, want finite and positive",
-				rec.App, rec.Ingress, rec.Demand)
-		}
-		app := apps[rec.App]
 		cp := plan.ClassPlan{
 			Class:    plan.Class{App: rec.App, Ingress: rec.Ingress, Demand: rec.Demand},
 			Rejected: rec.Rejected,
 		}
+		if err := cp.Class.Check(g, len(apps)); err != nil {
+			return nil, fmt.Errorf("persist: %w", err)
+		}
+		app := apps[rec.App]
 		for si, sr := range rec.Shares {
 			if len(sr.Paths) != len(app.Links) {
 				return nil, fmt.Errorf("persist: class (%d,%d) share %d has %d paths for %d virtual links",

@@ -40,6 +40,26 @@ type Class struct {
 	Demand float64
 }
 
+// Check returns why c cannot be planned over g with numApps applications
+// — an app outside [0, numApps), an ingress that is not one of g's nodes,
+// or a demand that is not finite and positive — and nil if it can. Build
+// and persist.LoadPlan both check their classes with it.
+func (c Class) Check(g *graph.Graph, numApps int) error {
+	if c.App < 0 || c.App >= numApps {
+		return fmt.Errorf("class references app %d of %d", c.App, numApps)
+	}
+	if c.Ingress < 0 || int(c.Ingress) >= g.NumNodes() {
+		return fmt.Errorf("class (%d,%d) ingress is not one of the substrate's %d nodes",
+			c.App, c.Ingress, g.NumNodes())
+	}
+	// Written to catch NaN too: a non-finite demand makes a non-finite
+	// column cost, which the LP refuses.
+	if !(c.Demand > 0) || math.IsInf(c.Demand, 1) {
+		return fmt.Errorf("class (%d,%d) has demand %g, want finite and positive", c.App, c.Ingress, c.Demand)
+	}
+	return nil
+}
+
 // Share is one fractional slice of a class's planned allocation: Fraction
 // of the class demand is planned onto the integral embedding E.
 type Share struct {
@@ -300,8 +320,10 @@ type Solver struct {
 	// than indices, so the next Build — whose master may order classes
 	// and columns differently — can warm-start from it. SLOTOFF's
 	// consecutive per-slot masters and windowed plans differ by a few
-	// columns and demands, which is exactly the regime where a warm
-	// vertex stays feasible and saves most of the cold phase-1 pivots.
+	// columns and demands, but that does not keep the warm vertex
+	// feasible: on SLOTOFF's consecutive masters it was measured
+	// primal-infeasible in 148 of 149 slots on 100n150e and 98 of 149 on
+	// Iris, so most warm starts still pay phase-1 pivots (ROADMAP item 1).
 	// The memory persists across Builds under an LRU cap (see lru.go),
 	// so masters that alternate on one Solver all keep their bases.
 	warmVars *warmLRU
@@ -369,13 +391,8 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("plan: InitialCandidates is %d, want ≥ 0", opts.InitialCandidates)
 	}
 	for _, c := range classes {
-		if c.App < 0 || c.App >= len(apps) {
-			return nil, fmt.Errorf("plan: class references app %d of %d", c.App, len(apps))
-		}
-		// Written to catch NaN too: a non-finite demand makes a
-		// non-finite column cost, which the LP refuses.
-		if !(c.Demand > 0) || math.IsInf(c.Demand, 1) {
-			return nil, fmt.Errorf("plan: class (%d,%d) has demand %g, want finite and positive", c.App, c.Ingress, c.Demand)
+		if err := c.Check(g, len(apps)); err != nil {
+			return nil, fmt.Errorf("plan: %w", err)
 		}
 	}
 
@@ -428,13 +445,20 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 			warm = sol.Basis()
 		}
 	}
+	p := &Plan{Obj: sol.Obj, Iterations: sol.Iterations, PricingRounds: rounds}
+	p.Classes = m.extract(sol)
+	// The simplex holds its vertex to its own tolerances only, and a
+	// badly scaled master (class demands many orders of magnitude apart)
+	// can end outside them: a negative fraction, a capacity overrun. Such
+	// a solution is an error, never a plan.
+	if err := p.Validate(g); err != nil {
+		return nil, fmt.Errorf("%w (master LP solution)", err)
+	}
 	if useWarm {
 		s.captureWarm(m, sol)
 	}
 
 	counters.builds.Add(1)
-	p := &Plan{Obj: sol.Obj, Iterations: sol.Iterations, PricingRounds: rounds}
-	p.Classes = m.extract(sol)
 	p.buildIndex()
 	return p, nil
 }

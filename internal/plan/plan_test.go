@@ -246,6 +246,24 @@ func TestBuildOptionValidation(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsIngressOffSubstrate: a class whose ingress is not a
+// substrate node is an error, as it is for persist.LoadPlan, not a class
+// the plan rejects in full beside a plannable one.
+func TestBuildRejectsIngressOffSubstrate(t *testing.T) {
+	g := topo.MustBuild(topo.Iris, 1)
+	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(3))
+	good := Class{App: 0, Ingress: 3, Demand: 5}
+	if _, err := Build(g, apps, []Class{good}, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	for _, ingress := range []graph.NodeID{-1, graph.NodeID(g.NumNodes()), 1 << 20} {
+		bad := Class{App: 1, Ingress: ingress, Demand: 5}
+		if _, err := Build(g, apps, []Class{good, bad}, DefaultOptions()); err == nil {
+			t.Errorf("class at ingress %d of %d nodes accepted", ingress, g.NumNodes())
+		}
+	}
+}
+
 func TestLookupFindsEveryClass(t *testing.T) {
 	g, apps, hist := smallScenario(t, 8, 1.0)
 	p, err := BuildFromHistory(g, apps, hist, DefaultOptions(), testRNG(8))

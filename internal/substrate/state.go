@@ -62,21 +62,9 @@ type State struct {
 	priceGen  uint64
 
 	// trees[src] caches the Dijkstra tree from src under the current
-	// prices; entries with a stale epoch are incrementally repaired (or
-	// recomputed) in place.
+	// prices; an entry with a stale epoch is recomputed into its own
+	// buffers on the next query.
 	trees []cachedTree
-
-	// deltaLog records every link-price change since logFloor, newest
-	// last, so a stale tree knows exactly which weights moved since the
-	// epoch it was computed at. When the log would outgrow its cap it is
-	// discarded and logFloor jumps to the current epoch: trees older
-	// than logFloor lost their delta trail and must fully recompute.
-	deltaLog []priceDelta
-	logFloor uint64
-
-	dirty   []graph.LinkDelta
-	repair  graph.RepairScratch
-	repairs repairStats
 
 	viewPool       []*View
 	viewTreeBuilds uint64
@@ -90,34 +78,7 @@ type State struct {
 type cachedTree struct {
 	t     *graph.ShortestPathTree
 	epoch uint64
-	// tieFree certifies that every reachable node of t has a unique
-	// shortest-path achiever, making parent links weight-determined —
-	// the precondition for bit-exact incremental repair.
-	tieFree bool
 }
-
-// priceDelta is one entry of the link-price delta log: link lid changed
-// away from old at the given (post-bump) epoch.
-type priceDelta struct {
-	epoch uint64
-	lid   graph.LinkID
-	old   float64
-}
-
-// repairStats counts incremental-repair outcomes, exposed for tests and
-// observability (RepairStats).
-type repairStats struct {
-	Repaired, Recomputed uint64
-}
-
-// Delta-log and repair tuning. The log cap bounds memory and per-tree
-// delta-collection cost; the dirty cap bounds teardown work (past it a
-// full recompute is cheaper anyway); damage is capped in Tree at half
-// the node count for the same reason.
-const (
-	maxDeltaLog   = 512
-	maxDirtyLinks = 32
-)
 
 // New returns a State over g with the residual vector initialized to the
 // element capacities and prices initialized to the element costs — the
@@ -144,7 +105,6 @@ func newState(g *graph.Graph, pr []float64) *State {
 		nodePrice: make([]float64, g.NumNodes()),
 		trees:     make([]cachedTree, g.NumNodes()),
 		epoch:     1,
-		logFloor:  1,
 	}
 	copy(s.nodePrice, pr[:g.NumNodes()])
 	return s
@@ -181,7 +141,6 @@ func (s *State) SetPrice(e graph.ElementID, p float64) {
 	if s.prices[e] == p {
 		return
 	}
-	old := s.prices[e]
 	s.prices[e] = p
 	s.priceGen++
 	if n, ok := s.g.ElementNode(e); ok {
@@ -189,51 +148,25 @@ func (s *State) SetPrice(e graph.ElementID, p float64) {
 		return
 	}
 	s.epoch++
-	s.logDelta(graph.LinkID(int(e)-s.g.NumNodes()), old)
-}
-
-// logDelta appends one link-price change to the delta log, discarding
-// the log (and stranding older trees on the full-recompute path) when
-// it would outgrow its cap.
-func (s *State) logDelta(lid graph.LinkID, old float64) {
-	if len(s.deltaLog) >= maxDeltaLog {
-		s.deltaLog = s.deltaLog[:0]
-		s.logFloor = s.epoch
-		return
-	}
-	s.deltaLog = append(s.deltaLog, priceDelta{epoch: s.epoch, lid: lid, old: old})
 }
 
 // SetPrices replaces the whole price vector (copied). The price epoch is
-// bumped only if some link price actually changed, so re-pricing rounds
-// that leave link weights untouched keep the path cache warm.
+// bumped once if any link price changed, however many moved, and not at
+// all otherwise: re-pricing rounds that leave link weights untouched keep
+// the path cache warm.
 func (s *State) SetPrices(pr []float64) {
 	if len(pr) != len(s.prices) {
 		panic("substrate: SetPrices with wrong-length vector")
 	}
 	linkBase := s.g.NumNodes()
-	changed, linksChanged := false, false
-	for i, p := range pr[:linkBase] {
-		if p != s.prices[i] {
-			changed = true
-			break
-		}
-	}
-	// Link elements are scanned in full so every change lands in the
-	// delta log; one SetPrices bumps the epoch once however many links
-	// move, and the log entries all carry that epoch.
-	for i := linkBase; i < len(pr); i++ {
-		if pr[i] != s.prices[i] {
-			if !linksChanged {
-				linksChanged = true
-				s.epoch++
-			}
-			s.logDelta(graph.LinkID(i-linkBase), s.prices[i])
-		}
-	}
+	nodesChanged := !slices.Equal(pr[:linkBase], s.prices[:linkBase])
+	linksChanged := !slices.Equal(pr[linkBase:], s.prices[linkBase:])
 	copy(s.prices, pr)
 	copy(s.nodePrice, pr[:linkBase])
-	if changed || linksChanged {
+	if linksChanged {
+		s.epoch++
+	}
+	if nodesChanged || linksChanged {
 		s.priceGen++
 	}
 }
@@ -296,77 +229,16 @@ func (s *State) Release(e *vnet.Embedding, d float64) { e.Release(s.res, d) }
 
 // Tree returns the shortest-path tree rooted at src under the current
 // prices, computing it on first use and caching it. A cached tree left
-// stale by a link-price change is incrementally repaired when the delta
-// log shows few links moved and the tree is certified tie-free (repair
-// is then provably bit-identical to recomputing — see
-// graph.RepairLinkWeights); otherwise it is recomputed into its
-// existing buffers. The returned tree is owned by the State; callers
-// must not retain it across price changes.
+// stale by a link-price change is recomputed into its existing buffers
+// by graph.DijkstraLinkWeightsInto. The returned tree is owned by the
+// State; callers must not retain it across price changes.
 func (s *State) Tree(src graph.NodeID) *graph.ShortestPathTree {
 	ct := &s.trees[src]
-	if ct.t != nil && ct.epoch == s.epoch {
-		return ct.t
+	if ct.t == nil || ct.epoch != s.epoch {
+		ct.t = s.g.DijkstraLinkWeightsInto(ct.t, src, s.prices[s.g.NumNodes():])
+		ct.epoch = s.epoch
 	}
-	lw := s.prices[s.g.NumNodes():]
-	if ct.t != nil && ct.tieFree && ct.epoch >= s.logFloor {
-		if dirty, ok := s.collectDirty(ct.epoch); ok &&
-			ct.t.RepairLinkWeights(&s.repair, lw, dirty, s.g.NumNodes()/2) {
-			ct.epoch = s.epoch
-			s.repairs.Repaired++
-			return ct.t
-		}
-	}
-	ct.t = s.g.DijkstraLinkWeightsInto(ct.t, src, lw)
-	ct.tieFree = ct.t.TieFreeLinkWeights(lw)
-	ct.epoch = s.epoch
-	s.repairs.Recomputed++
 	return ct.t
-}
-
-// collectDirty condenses the delta-log suffix newer than since into one
-// LinkDelta per net-changed link (Old the weight at epoch since, New
-// the current weight), reporting false when more than maxDirtyLinks
-// moved — there a full recompute beats repair.
-func (s *State) collectDirty(since uint64) ([]graph.LinkDelta, bool) {
-	dirty := s.dirty[:0]
-	linkBase := s.g.NumNodes()
-outer:
-	for _, d := range s.deltaLog {
-		if d.epoch <= since {
-			continue
-		}
-		for i := range dirty {
-			if dirty[i].Link == d.lid {
-				continue outer // keep the first (oldest) Old per link
-			}
-		}
-		if len(dirty) > maxDirtyLinks {
-			s.dirty = dirty
-			return nil, false
-		}
-		dirty = append(dirty, graph.LinkDelta{
-			Link: d.lid, Old: d.old, New: s.prices[linkBase+int(d.lid)],
-		})
-	}
-	// Compact out links that netted back to their old weight — they are
-	// no-ops for the tree even though the log mentions them.
-	kept := dirty[:0]
-	for _, d := range dirty {
-		if d.New != d.Old {
-			kept = append(kept, d)
-		}
-	}
-	s.dirty = dirty[:0]
-	if len(kept) > maxDirtyLinks {
-		return nil, false
-	}
-	return kept, true
-}
-
-// RepairStats reports how many stale-tree refreshes were served by
-// incremental repair vs full recomputation since the State was created.
-func (s *State) RepairStats() (repaired, recomputed uint64) {
-	return s.repairs.Repaired, s.repairs.Recomputed
 }
 
 // ViewTreeBuilds reports how many shortest-path trees the State's

@@ -122,8 +122,15 @@ func TestSetPricesEpochSemantics(t *testing.T) {
 
 	pr[g.NumNodes()] = 99 // link change
 	s.SetPrices(pr)
-	if s.Epoch() == ep {
-		t.Fatal("link SetPrices did not bump the path epoch")
+	if s.Epoch() != ep+1 {
+		t.Fatalf("link SetPrices moved the path epoch by %d, want 1", s.Epoch()-ep)
+	}
+
+	ep = s.Epoch()
+	pr[len(pr)-1], pr[len(pr)-2] = 42, 43 // two links, neither the first
+	s.SetPrices(pr)
+	if s.Epoch() != ep+1 {
+		t.Fatalf("two-link SetPrices moved the path epoch by %d, want 1", s.Epoch()-ep)
 	}
 }
 

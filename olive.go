@@ -230,7 +230,9 @@ type (
 )
 
 // DefaultPlanOptions returns the paper's plan parameters (P=10 quantiles,
-// P̂80 aggregation, column generation to optimality).
+// P̂80 aggregation) with column generation capped at 8 pricing rounds
+// (MaxPricingRounds), so a plan need not be the master LP's optimum over
+// all columns: most builds on a congested substrate stop at the cap.
 func DefaultPlanOptions() PlanOptions { return plan.DefaultOptions() }
 
 // AggregateHistory groups a request history into per-(app, ingress)
