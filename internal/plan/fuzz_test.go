@@ -26,9 +26,8 @@ func FuzzPlanBuild(f *testing.F) {
 	g := topo.MustBuild(topo.Iris, 1)
 	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(3))
 	n := g.NumNodes()
-	// A plannable class beside one at ingress −1 (byte 0) and one at
-	// ingress NumNodes() (byte n+1): the classes Build once planned as
-	// fully rejected.
+	// A plannable class beside one at ingress −1 (byte 0), and beside one
+	// at ingress NumNodes() (byte n+1): Build must refuse both.
 	f.Add([]byte{0, 2, 1, 1, 1, 4, 9, 2, 0, 9})
 	f.Add([]byte{0, 2, 1, 1, 1, 4, 9, 2, byte(n + 1), 9})
 	f.Add([]byte{1, 1, 2, 3, 1, 3, 8, 2, 7, 9, 3, 20, 10, 4, 30, 7})
