@@ -21,6 +21,7 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -77,8 +78,9 @@ type Outcome struct {
 	// (partial-fit) and greedy allocations have Planned == false.
 	Planned bool
 	// Emb is the chosen embedding (nil when rejected). It may be shared
-	// — with a plan share, with other requests, or with the embedder's
-	// collocated-candidate memo — and must be treated as immutable.
+	// — with a plan share, with other requests, with the embedder's
+	// collocated-candidate memo or with FULLG's search memo — and must be
+	// treated as immutable.
 	Emb *vnet.Embedding
 	// Preempted lists request IDs preempted to make room.
 	Preempted []int
@@ -149,8 +151,14 @@ type Engine struct {
 	freeRecs []int32
 
 	// FULLG's branch-and-bound scratch: pooled search nodes, the nodes of
-	// the search in progress and its open list.
+	// the search in progress, its open list and a memo key buffer.
 	bbFree, bbUsed, bbOpen []*bbNode
+	bbKey                  []byte
+	// bbMemo remembers search nodes by key (see exactEmbed) while the
+	// State's price generation is bbGen; FULLG engines only.
+	bbMemo  map[string]*bbEntry
+	bbGen   uint64
+	bbStats bbMemoStats
 }
 
 type activeReq struct {
@@ -239,6 +247,9 @@ func NewEngineOn(oracle *embedder.Oracle, apps []*vnet.App, opts Options) (*Engi
 		oracle: oracle,
 		cal:    newCalendar(),
 		maxID:  math.MinInt,
+	}
+	if opts.Exact {
+		e.bbMemo, e.bbGen = make(map[string]*bbEntry), st.PriceGen()
 	}
 	e.shareRes = planResiduals(opts.Plan)
 	e.classOf = e.classTable(opts.Plan)
@@ -684,13 +695,47 @@ func (e *Engine) greedyEmbed(r workload.Request) *vnet.Embedding {
 	return e.exactEmbed(app, r)
 }
 
-// bbNode is one branch-and-bound search node: the oracle's solved table
-// for its bans and excluded links — whose price is the node's relaxed
-// (capacity-ignoring) lower bound — and, once the node is popped, the
-// min-cost embedding that table encodes. Nodes are pooled by the engine.
+// bbMemoCap bounds the engine's search memo: a full memo is cleared whole
+// before the next entry goes in. One pass of the repository benchmark's
+// FULLG workload meets about 1,300 distinct nodes.
+const bbMemoCap = 4096
+
+// bbEntry is what the search memo knows about one node key: the price of
+// the node's table (+Inf: infeasible, as a failed solve) and, once a node
+// with the key has been popped, the embedding its table encodes (popped;
+// emb nil when Embedding found none).
+type bbEntry struct {
+	price  float64
+	popped bool
+	emb    *vnet.Embedding
+}
+
+// bbMemoStats counts the search memo's traffic since the engine was built.
+type bbMemoStats struct {
+	// hits and misses count node keys looked up in the memo.
+	hits, misses int
+	// embHits counts popped nodes whose embedding the memo held.
+	embHits int
+	// chained counts the misses whose parent was a hit without a table,
+	// so that solving them re-derived the parent's first.
+	chained int
+}
+
+// bbNode is one branch-and-bound search node: the bans and excluded
+// elements that make its key (both sorted), its memo entry, and the
+// parent it was branched from with the one delta it adds — a ban (ban.V
+// above θ) or an excluded element (elem). Its table is solved only when
+// needed: at once for a key the memo missed, on demand for a hit.
+// Nodes are pooled by the engine.
 type bbNode struct {
-	tab embedder.Table
-	emb *vnet.Embedding
+	parent *bbNode
+	ban    embedder.Ban
+	elem   graph.ElementID
+	bans   []embedder.Ban
+	excl   []graph.ElementID
+	ent    *bbEntry
+	solved bool
+	tab    embedder.Table
 }
 
 // exactEmbed implements FULLG's per-request exact embedding as best-first
@@ -704,23 +749,39 @@ type bbNode struct {
 // 4 × defaultExactRetries = 24 expansions, each of which may solve several
 // children.
 //
-// Every solve goes through the engine's shared oracle and keeps its DP
-// table for the rest of the search. The root relaxation shares the
-// oracle's memoized table (the engine's prices never move, so it is filled
-// once per app). Every child is derived from its parent's table, never
-// refilled: a child that bans one more (VNF, node) pair recomputes only
-// the entries the ban can change (embedder.Oracle.SolveBan), and a child
-// that excludes a link only the entries whose chosen path in the State's
-// shortest-path tree crosses an excluded link, and those above them that
-// chose a changed entry (embedder.Oracle.SolveExclude). Its rescans read
-// distances through a pooled substrate view, which keeps its trees while
-// siblings exclude the same links. Only popped nodes are turned into
-// Embeddings.
+// A node's table, and so its price and its embedding, is a pure function
+// of its key — (app, ingress, bans, excluded elements) — and of the
+// State's prices, which FULLG never moves. The engine remembers each key's
+// price and feasibility and, once popped, its embedding (bbEntry) while
+// State.PriceGen stands still, so a node whose key the memo holds is
+// pushed and popped without a table. Only a miss needs one: it is derived
+// from its parent's, after re-deriving, root first, every ancestor on the
+// node's own search path that was a hit and so has none. The root's
+// relaxation shares the oracle's memoized table; a child that bans one
+// more (VNF, node) pair recomputes only the entries the ban can change
+// (embedder.Oracle.SolveBan), and a child that excludes a link only the
+// entries whose chosen path in the State's shortest-path tree crosses an
+// excluded link, and those above them that chose a changed entry
+// (embedder.Oracle.SolveExclude). Its rescans read distances through a
+// pooled substrate view, which keeps its trees while siblings exclude the
+// same links. Only popped nodes are turned into Embeddings.
+//
+// Every decision is the one a search without the memo makes: each derived
+// table is bit-identical to a fresh fill under the same bans and
+// exclusions, whatever path derived it, so a remembered price or
+// embedding is the one this node's own derivation would give; and the
+// open list, its tie-breaking, the budget and FirstViolated against the
+// current residuals run unchanged.
 func (e *Engine) exactEmbed(app *vnet.App, r workload.Request) *vnet.Embedding {
+	if gen := e.st.PriceGen(); gen != e.bbGen {
+		clear(e.bbMemo)
+		e.bbGen = gen
+	}
 	emb := e.branchAndBound(app, r)
 	for _, n := range e.bbUsed {
 		n.tab.Reset()
-		n.emb = nil
+		n.parent, n.ent, n.solved = nil, nil, false
+		n.bans, n.excl = n.bans[:0], n.excl[:0]
 	}
 	e.bbFree = append(e.bbFree, e.bbUsed...)
 	clear(e.bbUsed)
@@ -746,7 +807,7 @@ func (e *Engine) newBBNode() *bbNode {
 // from newBBNode.
 func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embedding {
 	root := e.newBBNode()
-	if !e.oracle.Solve(&root.tab, app, r.Ingress, nil, nil) {
+	if !e.lookup(app, r, root) {
 		return nil
 	}
 	open := append(e.bbOpen[:0], root)
@@ -755,14 +816,21 @@ func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embeddi
 		// Pop the lowest-bound node (lists stay tiny; linear scan).
 		best := 0
 		for i := range open {
-			if open[i].tab.Price() < open[best].tab.Price() {
+			if open[i].ent.price < open[best].ent.price {
 				best = i
 			}
 		}
 		n := open[best]
 		open = append(open[:best], open[best+1:]...)
-		var ok bool
-		if n.emb, ok = e.oracle.Embedding(&n.tab); !ok {
+		if ent := n.ent; ent.popped {
+			e.bbStats.embHits++
+		} else {
+			e.solveNode(app, r, n)
+			ent.emb, _ = e.oracle.Embedding(&n.tab)
+			ent.popped = true
+		}
+		emb := n.ent.emb
+		if emb == nil {
 			// A finite table always yields an embedding; were it not to,
 			// the node is dropped as a failed solve would have been,
 			// without spending an expansion.
@@ -772,31 +840,101 @@ func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embeddi
 
 		// Accept a fitting embedding, or branch on the first element it
 		// overloads: the one test Fits makes.
-		violated, over := n.emb.FirstViolated(e.st.ResidualVec(), r.Demand)
+		violated, over := emb.FirstViolated(e.st.ResidualVec(), r.Demand)
 		if !over {
-			found = n.emb
+			found = emb
 			break
 		}
 		if node, isNode := e.g.ElementNode(violated); isNode {
-			for i, host := range n.emb.NodeMap {
+			for i, host := range emb.NodeMap {
 				vid := vnet.VNFID(i)
 				if vid == vnet.Root || host != node {
 					continue
 				}
-				c := e.newBBNode()
-				if e.oracle.SolveBan(&c.tab, &n.tab, embedder.Ban{V: vid, U: node}) {
+				if c := e.branch(app, r, n, embedder.Ban{V: vid, U: node}, -1); c != nil {
 					open = append(open, c)
 				}
 			}
-		} else {
-			c := e.newBBNode()
-			if e.oracle.SolveExclude(&c.tab, &n.tab, violated) {
-				open = append(open, c)
-			}
+		} else if c := e.branch(app, r, n, embedder.Ban{}, violated); c != nil {
+			open = append(open, c)
 		}
 	}
 	e.bbOpen = open[:0]
 	return found
+}
+
+// branch makes the child of n that adds ban b (b.V above θ) or excludes
+// elem, and returns it when its table is feasible, nil otherwise.
+func (e *Engine) branch(app *vnet.App, r workload.Request, n *bbNode, b embedder.Ban, elem graph.ElementID) *bbNode {
+	c := e.newBBNode()
+	c.parent, c.ban, c.elem = n, b, elem
+	c.bans = append(c.bans[:0], n.bans...)
+	c.excl = append(c.excl[:0], n.excl...)
+	if b.V != vnet.Root {
+		if i, found := slices.BinarySearchFunc(c.bans, b, embedder.CompareBans); !found {
+			c.bans = slices.Insert(c.bans, i, b)
+		}
+	} else if i, found := slices.BinarySearch(c.excl, elem); !found {
+		c.excl = slices.Insert(c.excl, i, elem)
+	}
+	if !e.lookup(app, r, c) {
+		return nil
+	}
+	return c
+}
+
+// lookup sets n's memo entry, solving n's table first when the memo
+// misses its key, and reports whether the table is feasible.
+func (e *Engine) lookup(app *vnet.App, r workload.Request, n *bbNode) bool {
+	key := binary.LittleEndian.AppendUint32(e.bbKey[:0], uint32(r.App))
+	key = binary.LittleEndian.AppendUint32(key, uint32(r.Ingress))
+	key = binary.LittleEndian.AppendUint32(key, uint32(len(n.bans)))
+	for _, b := range n.bans {
+		key = binary.LittleEndian.AppendUint32(key, uint32(b.V))
+		key = binary.LittleEndian.AppendUint32(key, uint32(b.U))
+	}
+	for _, x := range n.excl {
+		key = binary.LittleEndian.AppendUint32(key, uint32(x))
+	}
+	e.bbKey = key
+	if ent := e.bbMemo[string(key)]; ent != nil {
+		e.bbStats.hits++
+		n.ent = ent
+		return !math.IsInf(ent.price, 1)
+	}
+	e.bbStats.misses++
+	if p := n.parent; p != nil && !p.solved {
+		e.bbStats.chained++
+	}
+	e.solveNode(app, r, n)
+	if len(e.bbMemo) >= bbMemoCap {
+		clear(e.bbMemo)
+	}
+	n.ent = &bbEntry{price: n.tab.Price()}
+	e.bbMemo[string(key)] = n.ent
+	return !math.IsInf(n.ent.price, 1)
+}
+
+// solveNode solves n's table unless it has been: the root's by Solve, the
+// first table of the request's search, so that it reclaims only tables of
+// earlier searches; a child's from its parent's, after solving the parent
+// if it has not been (a hit).
+func (e *Engine) solveNode(app *vnet.App, r workload.Request, n *bbNode) {
+	if n.solved {
+		return
+	}
+	n.solved = true
+	p := n.parent
+	if p == nil {
+		e.oracle.Solve(&n.tab, app, r.Ingress, nil, nil)
+		return
+	}
+	e.solveNode(app, r, p)
+	if n.ban.V != vnet.Root {
+		e.oracle.SolveBan(&n.tab, &p.tab, n.ban)
+	} else {
+		e.oracle.SolveExclude(&n.tab, &p.tab, n.elem)
+	}
 }
 
 // SwapPlan replaces the engine's plan mid-run — the time-varying plan

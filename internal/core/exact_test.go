@@ -214,11 +214,7 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 			if !want.Collocated() {
 				split++
 			}
-			same := slices.Equal(out.Emb.NodeMap, want.NodeMap)
-			for li := 0; same && li < len(want.PathMap); li++ {
-				same = slices.Equal(out.Emb.PathMap[li].Links, want.PathMap[li].Links)
-			}
-			if !same {
+			if !sameEmbedding(out.Emb, want) {
 				t.Fatalf("slot %d request %d: embedded on %v, reference %v", ts, r.ID, out.Emb.NodeMap, want.NodeMap)
 			}
 			if !sameFloats(got.ResidualView(), ref.ResidualView()) {
@@ -242,10 +238,133 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 		t.Fatalf("vacuous run: %d exclusion rescans, %d view trees built over %d view solves under %d excluded-link sets",
 			xrescans, trees, viewSolves, len(linkSets))
 	}
+	// The search memo must have served nodes, popped embeddings and, for
+	// a miss below a hit, re-derived the hit's table along the search path.
+	ms := got.bbStats
+	t.Logf("search memo: %d hits, %d misses, %d popped embeddings served, %d misses below a hit without a table",
+		ms.hits, ms.misses, ms.embHits, ms.chained)
+	if ms.hits == 0 || ms.embHits == 0 || ms.chained == 0 {
+		t.Fatalf("vacuous run: the search memo served %d nodes and %d popped embeddings, and re-derived %d tables for a miss",
+			ms.hits, ms.embHits, ms.chained)
+	}
 	for _, e := range []*Engine{got, ref} {
 		if err := e.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// sameEmbedding reports whether a and b place every VNF on the same node
+// and route every virtual link over the same substrate links.
+func sameEmbedding(a, b *vnet.Embedding) bool {
+	same := slices.Equal(a.NodeMap, b.NodeMap)
+	for li := 0; same && li < len(a.PathMap); li++ {
+		same = slices.Equal(a.PathMap[li].Links, b.PathMap[li].Links)
+	}
+	return same
+}
+
+// TestExactEmbedMemoFollowsPrices: FULLG's search memo holds for one price
+// vector only. An engine serves half of a trace, then the busiest link of
+// its embeddings becomes 20 times dearer on its State. From then on, its
+// decisions and embeddings must be those of a fresh engine built at the
+// new prices and given the same allocations, and they must differ, for
+// some requests, from what a search at the old prices answers.
+func TestExactEmbedMemoFollowsPrices(t *testing.T) {
+	g, apps, perSlot := overloadSlots(t, topo.Iris, 3, 14, 1.0)
+	got, err := NewEngine(g, apps, Options{Exact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type alloc struct {
+		r   workload.Request
+		emb *vnet.Embedding
+	}
+	half := len(perSlot) / 2
+	var before [][]alloc
+	use := make([]int, g.NumElements())
+	for ts, rs := range perSlot[:half] {
+		got.StartSlot(ts)
+		var slot []alloc
+		for _, r := range rs {
+			out, err := got.Process(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Accepted {
+				continue
+			}
+			slot = append(slot, alloc{r, out.Emb})
+			for _, u := range out.Emb.UnitUse() {
+				if !g.ElementIsNode(u.Elem) {
+					use[u.Elem]++
+				}
+			}
+		}
+		before = append(before, slot)
+	}
+	st := got.State()
+	link := graph.ElementID(slices.Index(use, slices.Max(use)))
+	oldPrices := make([]float64, g.NumElements())
+	for i := range oldPrices {
+		oldPrices[i] = st.Price(graph.ElementID(i))
+	}
+	st.SetPrice(link, 20*st.Price(link))
+	newPrices := slices.Clone(oldPrices)
+	newPrices[link] = st.Price(link)
+
+	// mirror builds an engine on its own State at the given prices and
+	// replays the allocations got made before the change.
+	mirror := func(prices []float64) *Engine {
+		e, err := NewEngineOn(embedder.ForState(substrate.NewWithPrices(g, prices)), apps, Options{Exact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ts, slot := range before {
+			e.StartSlot(ts)
+			for _, a := range slot {
+				e.allocate(a.r, a.emb, false, -1, -1)
+			}
+		}
+		if !sameFloats(e.ResidualView(), got.ResidualView()) {
+			t.Fatal("replayed residuals differ")
+		}
+		return e
+	}
+	fresh, stale := mirror(newPrices), mirror(oldPrices)
+	requests, moved := 0, 0
+	for ts := half; ts < len(perSlot); ts++ {
+		for _, e := range []*Engine{got, fresh, stale} {
+			e.StartSlot(ts)
+		}
+		for _, r := range perSlot[ts] {
+			out, err := got.Process(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Process(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Accepted != want.Accepted {
+				t.Fatalf("slot %d request %d: accepted = %v, fresh engine %v", ts, r.ID, out.Accepted, want.Accepted)
+			}
+			requests++
+			if !out.Accepted {
+				continue
+			}
+			if !sameEmbedding(out.Emb, want.Emb) {
+				t.Fatalf("slot %d request %d: embedded on %v, fresh engine on %v", ts, r.ID, out.Emb.NodeMap, want.Emb.NodeMap)
+			}
+			if old := stale.exactEmbed(apps[r.App], r); old == nil || !sameEmbedding(old, out.Emb) {
+				moved++
+			}
+			stale.allocate(r, out.Emb, false, -1, -1)
+		}
+	}
+	t.Logf("link %d repriced; %d requests after it, %d embedded otherwise than at the old prices", link, requests, moved)
+	if moved == 0 {
+		t.Fatal("vacuous run: the price change moved no embedding")
 	}
 }
 

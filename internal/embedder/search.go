@@ -18,7 +18,8 @@ type Ban struct {
 	U graph.NodeID
 }
 
-func compareBans(a, b Ban) int {
+// CompareBans orders bans by VNF, then node: the order of a Table's bans.
+func CompareBans(a, b Ban) int {
 	if c := cmp.Compare(a.V, b.V); c != 0 {
 		return c
 	}
@@ -72,7 +73,7 @@ func (o *Oracle) Solve(t *Table, app *vnet.App, ingress graph.NodeID, bans []Ban
 	o.st.ScratchArena().Reset()
 	t.app, t.ingress = app, ingress
 	t.bans = append(t.bans[:0], bans...)
-	slices.SortFunc(t.bans, compareBans)
+	slices.SortFunc(t.bans, CompareBans)
 	t.excl = append(t.excl[:0], excl...)
 	slices.Sort(t.excl)
 	return o.solve(t)
@@ -138,7 +139,7 @@ func (o *Oracle) solve(t *Table) bool {
 //olive:hotpath FULLG branch-out: a ban child is its parent's table plus a delta
 func (o *Oracle) SolveBan(child, parent *Table, b Ban) bool {
 	o.inherit(child, parent)
-	if i, found := slices.BinarySearchFunc(child.bans, b, compareBans); !found {
+	if i, found := slices.BinarySearchFunc(child.bans, b, CompareBans); !found {
 		child.bans = slices.Insert(child.bans, i, b)
 	}
 	if math.IsInf(child.price, 1) {

@@ -16,9 +16,15 @@ type ElementUse struct {
 }
 
 // Embedding is an integral (unsplittable) mapping of an application onto a
-// substrate: every VNF to a node, every virtual link to a path. Embeddings
-// are immutable once built; per-unit usage and cost are precomputed so the
-// online engine can test feasibility in O(|support|).
+// substrate: every VNF to a node, every virtual link to a path. Per-unit
+// usage and cost are precomputed so the online engine can test feasibility
+// in O(|support|).
+//
+// An Embedding is immutable once NewEmbedding returns it: nothing may
+// write its maps, paths or usage afterwards. One Embedding is shared
+// between requests — by the embedder's collocated-candidate memo, by
+// FULLG's search memo (core.Engine) and by plan shares — and between the
+// engine's active set and the caller that received it.
 type Embedding struct {
 	App *App
 	// NodeMap[i] is the substrate node hosting VNF i; NodeMap[0] is the

@@ -90,17 +90,34 @@ func (t *Trace) Split(histSlots int) (hist, online *Trace, err error) {
 	return hist, online, nil
 }
 
-// PerSlot returns the requests grouped by arrival slot. The groups share
-// one backing array, carved per slot.
+// PerSlot returns the requests grouped by arrival slot; a request arriving
+// outside [0, Slots) is in no group. An arrival-sorted trace (every
+// generator here produces one) is grouped without copying: each group is a
+// view of t.Requests clipped to its own length, so it shares the trace's
+// elements and an append to one group never writes into the next. An
+// unsorted trace is copied into one new backing array, carved per slot.
 func (t *Trace) PerSlot() [][]Request {
 	slots := make([][]Request, t.Slots)
 	cnt := make([]int, t.Slots)
-	total := 0
-	for _, r := range t.Requests {
-		if r.Arrive >= 0 && r.Arrive < t.Slots {
+	total, first, sorted := 0, 0, true
+	for i, r := range t.Requests {
+		if i > 0 && r.Arrive < t.Requests[i-1].Arrive {
+			sorted = false
+		}
+		if r.Arrive < 0 {
+			first = i + 1
+		} else if r.Arrive < t.Slots {
 			cnt[r.Arrive]++
 			total++
 		}
+	}
+	if sorted {
+		off := first
+		for s, n := range cnt {
+			slots[s] = t.Requests[off : off+n : off+n]
+			off += n
+		}
+		return slots
 	}
 	backing := make([]Request, total)
 	off := 0

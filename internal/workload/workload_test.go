@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/olive-vne/olive/internal/graph"
@@ -201,6 +202,79 @@ func TestPerSlot(t *testing.T) {
 	slots := tr.PerSlot()
 	if len(slots[0]) != 1 || len(slots[1]) != 0 || len(slots[2]) != 2 {
 		t.Fatalf("PerSlot counts = %d/%d/%d, want 1/0/2", len(slots[0]), len(slots[1]), len(slots[2]))
+	}
+}
+
+// perSlotReference is PerSlot as a copy: every in-range request appended
+// to its slot's own fresh slice, in trace order.
+func perSlotReference(t *Trace) [][]Request {
+	slots := make([][]Request, t.Slots)
+	for _, r := range t.Requests {
+		if r.Arrive >= 0 && r.Arrive < t.Slots {
+			slots[r.Arrive] = append(slots[r.Arrive], r)
+		}
+	}
+	return slots
+}
+
+// TestPerSlotMatchesCopy holds PerSlot to a copying reference on sorted
+// traces (which it groups as views of the trace), unsorted ones (which it
+// copies) and traces with arrivals before slot 0 or past the last slot, and
+// checks that appending to one slot's group leaves the next one as it was.
+func TestPerSlotMatchesCopy(t *testing.T) {
+	g := topo.MustBuild(topo.CittaStudi, 1)
+	gen, err := GenerateMMPP(g, smallParams(), testRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := func(slots int, arr ...int) *Trace {
+		tr := &Trace{Slots: slots}
+		for i, a := range arr {
+			tr.Requests = append(tr.Requests, Request{ID: i, Arrive: a, Demand: float64(i + 1), Duration: 1})
+		}
+		return tr
+	}
+	reversed := &Trace{Slots: gen.Slots, Requests: slices.Clone(gen.Requests)}
+	slices.Reverse(reversed.Requests)
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+		view bool
+	}{
+		{"generated", gen, true},
+		{"sorted", arrivals(4, 0, 0, 1, 3, 3, 3), true},
+		{"out of range, sorted", arrivals(3, -2, -1, 0, 2, 2, 3, 7), true},
+		{"only out of range", arrivals(2, -1, 5), true},
+		{"empty", arrivals(3), true},
+		{"unsorted", arrivals(4, 1, 0, 3, 1, 2), false},
+		{"out of range, unsorted", arrivals(3, 2, -1, 0, 5, 1, -3), false},
+		{"reversed", reversed, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := slices.Clone(c.tr.Requests)
+			got, want := c.tr.PerSlot(), perSlotReference(c.tr)
+			if len(got) != len(want) {
+				t.Fatalf("%d slots, want %d", len(got), len(want))
+			}
+			for s := range want {
+				if !slices.Equal(got[s], want[s]) {
+					t.Fatalf("slot %d = %v, want %v", s, got[s], want[s])
+				}
+				if len(got[s]) > 0 && (&got[s][0] == &c.tr.Requests[got[s][0].ID]) != c.view {
+					t.Fatalf("slot %d aliases the trace: %v, want %v", s, !c.view, c.view)
+				}
+			}
+			for s := 0; s+1 < len(got); s++ {
+				next := slices.Clone(got[s+1])
+				got[s] = append(got[s], Request{ID: -1, Arrive: s})
+				if !slices.Equal(got[s+1], next) {
+					t.Fatalf("appending to slot %d changed slot %d", s, s+1)
+				}
+			}
+			if !slices.Equal(c.tr.Requests, before) {
+				t.Fatal("appending to the groups changed the trace")
+			}
+		})
 	}
 }
 
