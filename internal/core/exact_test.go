@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -173,12 +175,50 @@ func TestExactEmbedMatchesReference(t *testing.T) {
 	}{{1.4, 2}, {1.0, 1}} {
 		t.Run(fmt.Sprintf("u=%.1f", c.u), func(t *testing.T) {
 			g, apps, perSlot := overloadSlots(t, topo.Iris, c.seed, 14, c.u)
-			exactEmbedMatchesReference(t, g, apps, perSlot)
+			exactEmbedMatchesReference(t, g, apps, perSlot, (*Engine).Process)
 		})
 	}
 }
 
-func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, perSlot [][]workload.Request) {
+// TestExactEmbedMemoClearsWhenFull runs TestExactEmbedMatchesReference's
+// lock-step at u = 1.0 with the search memo topped up with placeholders
+// to one entry short of bbMemoCap before each request, until a search has
+// cleared it whole after putting in entries of its own: nodes already on
+// that search's open list then hold entries the memo no longer has, and
+// its later lookups miss keys it met before. The placeholders' keys are 4
+// bytes long, shorter than the 12-byte (app, ingress, ban count) prefix
+// of every real key, so none can answer a real lookup.
+func TestExactEmbedMemoClearsWhenFull(t *testing.T) {
+	g, apps, perSlot := overloadSlots(t, topo.Iris, 1, 14, 1.0)
+	placeholder := &bbEntry{price: math.Inf(1)}
+	k, requests, midSearch := uint32(0), 0, -1
+	process := func(e *Engine, r workload.Request) (Outcome, error) {
+		for midSearch < 0 && len(e.bbMemo) < bbMemoCap-1 {
+			e.bbMemo[string(binary.LittleEndian.AppendUint32(nil, k))] = placeholder
+			k++
+		}
+		misses := e.bbStats.misses
+		out, err := e.Process(r)
+		// Without a clear the memo gains every miss; after a clear at the
+		// search's first miss it holds exactly them, and after a later one
+		// fewer.
+		if midSearch < 0 && len(e.bbMemo) < e.bbStats.misses-misses {
+			midSearch = requests
+		}
+		requests++
+		return out, err
+	}
+	exactEmbedMatchesReference(t, g, apps, perSlot, process)
+	t.Logf("%d placeholders put in; request %d of %d cleared the memo mid-search", k, midSearch, requests)
+	if midSearch < 0 {
+		t.Fatal("vacuous run: no search cleared the memo after putting in entries of its own")
+	}
+}
+
+// exactEmbedMatchesReference runs got, an Exact engine, through perSlot by
+// process (Engine.Process, or a wrapper around it) in lock-step with
+// exactEmbedReference, and checks every decision, embedding and residual.
+func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, perSlot [][]workload.Request, process func(*Engine, workload.Request) (Outcome, error)) {
 	got, err := NewEngine(g, apps, Options{Exact: true})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +234,7 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 		got.StartSlot(ts)
 		ref.StartSlot(ts)
 		for _, r := range rs {
-			out, err := got.Process(r)
+			out, err := process(got, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -374,10 +414,10 @@ func TestExactEmbedMemoFollowsPrices(t *testing.T) {
 // the time it reports the machine-independent work of a pass: DP tables
 // filled from scratch (none: the memo tables are warm, and every child is
 // derived from its parent's table), DP entries rescanned by ban children
-// and by exclusion children, child entries examined by the link scans of
-// both (embedder.Stats().LinkScans), and shortest-path trees built by
-// exclusion views — only for the sources an excluded link cuts, and not
-// again by siblings that exclude the same links.
+// and by exclusion children (each one link scan over all n child entries),
+// and shortest-path trees built by exclusion views — only for the sources
+// an excluded link cuts, and not again by siblings that exclude the same
+// links.
 func BenchmarkExactEmbedBranchOut(b *testing.B) {
 	g, apps, perSlot := overloadSlots(b, topo.Iris, 1, 12, 1.4)
 	st := substrate.New(g)
@@ -409,5 +449,4 @@ func BenchmarkExactEmbedBranchOut(b *testing.B) {
 	b.ReportMetric(float64(ed.DPFills-es.DPFills)/float64(b.N), "fills/op")
 	b.ReportMetric(float64(ed.BanRescans-es.BanRescans)/float64(b.N), "rescans/op")
 	b.ReportMetric(float64(ed.ExclRescans-es.ExclRescans)/float64(b.N), "xrescans/op")
-	b.ReportMetric(float64(ed.LinkScans-es.LinkScans)/float64(b.N), "scans/op")
 }

@@ -6,10 +6,7 @@
 // with shortest paths on the substrate: for tree-shaped virtual networks
 // it returns the exact cost-minimal mapping (each virtual link's path
 // chosen independently along a shortest path under the given prices).
-// Each DP entry scans its child row for the cheapest child node; the scan
-// visits the child's finite entries sorted by cost and stops at the first
-// entry whose own cost is already above the best sum: on Iris, after
-// fewer than 7 of the 50 nodes on average (see minLink).
+// Each DP entry scans its child row for the cheapest child node (minLink).
 // It is used three ways in the reproduction:
 //
 //   - as the FULLG baseline's per-request exact embedder (paper §IV-A),
@@ -19,7 +16,7 @@
 //
 // Collocated embeddings (all functional VNFs on one node — the restriction
 // QUICKG and OLIVE's GREEDYEMBED use, §III-C) are produced by
-// BestCollocated and CollocatedOnNode.
+// BestCollocated and KCheapestCollocated.
 //
 // An Oracle is a thin view over a substrate.State: path queries hit the
 // State's lazy per-source Dijkstra cache (no eager all-pairs rebuild), and
@@ -32,10 +29,9 @@
 // Solve): its root shares the memo table, and a child that bans one more
 // (VNF, node) pair (SolveBan) or excludes one more element (SolveExclude)
 // is derived from its parent's table by recomputing only the entries the
-// change can move, and merging them into the parent's scan orders. An
-// excluded link moves only the entries whose chosen path in the State's
-// shortest-path tree crosses it, and those are rescanned through a pooled
-// substrate View.
+// change can move. An excluded link moves only the entries whose chosen
+// path in the State's shortest-path tree crosses it, and those are
+// rescanned through a pooled substrate View.
 // A search's rows live in the State's scratch arena until the next Solve,
 // and an Embedding is built only for the tables the search asks about.
 package embedder
@@ -61,15 +57,10 @@ func CostPrices(g *graph.Graph) Prices {
 	return p
 }
 
-// AdjustedPrices returns cost(s) − dual[s] for column-generation pricing:
-// capacity-row duals are ≤ 0 at optimality, so congested elements become
-// more expensive. dual is indexed by element.
-func AdjustedPrices(g *graph.Graph, dual []float64) Prices {
-	return AdjustedPricesInto(nil, g, dual)
-}
-
-// AdjustedPricesInto is AdjustedPrices writing into dst (reused when large
-// enough) — the plan's pricing loop calls it once per round.
+// AdjustedPricesInto returns cost(s) − dual[s] for column-generation
+// pricing, written into dst (reused when large enough): capacity-row duals
+// are ≤ 0 at optimality, so congested elements become more expensive. dual
+// is indexed by element. The plan's pricing loop calls it once per round.
 func AdjustedPricesInto(dst Prices, g *graph.Graph, dual []float64) Prices {
 	if cap(dst) < g.NumElements() {
 		dst = make(Prices, g.NumElements())
@@ -120,17 +111,13 @@ type Oracle struct {
 	// Restricted-search scratch: the exclusion set handed to pooled
 	// Views, and derive's per-row changed-entry lists, its list of
 	// entries due for a re-sum, two per-node flags — mark (a changed
-	// entry of the row below, or of the row whose order is re-derived)
-	// and isDue (on the due list).
+	// entry of the row below) and isDue (on the due list).
 	exclSet     map[graph.ElementID]bool
 	changed     [][]graph.NodeID
 	due         []graph.NodeID
 	mark, isDue []bool
 
-	// ranks holds the entries rowOrder and deriveOrder sort, rankBuf is
-	// sortRanked's merge buffer.
-	ranks, rankBuf []rankedNode
-	cands          []scoredNode
+	cands []scoredNode
 }
 
 // appShape is the tree structure the DP runs along: children[i] lists the
@@ -148,17 +135,12 @@ type appShape struct {
 // best child node for link li given its parent on u, and best[li][u] that
 // child's subtree price plus the link's path price — the term fill adds
 // to cost[From][u], kept so a ban child can re-sum an entry it rescans.
-// Entries whose cost is +Inf carry no valid choice or best. order[i]
-// lists the nodes whose cost[i] entry is finite (+Inf and NaN left out),
-// sorted by (cost, node): the order in which a link scan from VNF i's
-// parent visits its candidates (minLink). θ's row has no parent and no
-// order.
+// Entries whose cost is +Inf carry no valid choice or best.
 type dpTable struct {
 	shape  *appShape
 	cost   [][]float64
 	choice [][]graph.NodeID
 	best   [][]float64
-	order  [][]graph.NodeID
 }
 
 // memoTable is a kept dpTable: gen is the State.PriceGen its rows were
@@ -317,11 +299,10 @@ func (o *Oracle) shape(app *vnet.App) *appShape {
 // are summed in. With ingress ≥ 0 the root row is computed at the ingress
 // only — the one entry a restricted query reads — and is +Inf elsewhere;
 // a negative ingress fills it whole, as the ingress-independent memo needs.
-// Each non-root row's order is sorted once the row is final, before its
-// parent's links scan it. fill builds the memo tables and the tables Solve
-// is asked for with bans or exclusions; a restricted search derives every
-// other table from its parent's (derive), and the tests hold those to a
-// fill.
+// Each entry runs one minLink per child link. fill builds the memo tables
+// and the tables Solve is asked for with bans or exclusions; a restricted
+// search derives every other table from its parent's (derive), and the
+// tests hold those to a fill.
 func (o *Oracle) fill(t *dpTable, rows *substrate.Arena, pa pather, app *vnet.App, bans []Ban, ingress graph.NodeID) {
 	counters.dpFills.Add(1)
 	n := o.g.NumNodes()
@@ -330,8 +311,6 @@ func (o *Oracle) fill(t *dpTable, rows *substrate.Arena, pa pather, app *vnet.Ap
 	cost := resizeOuter(&t.cost, len(app.VNFs))
 	choice := resizeOuter(&t.choice, len(app.Links))
 	best := resizeOuter(&t.best, len(app.Links))
-	order := resizeOuter(&t.order, len(app.VNFs))
-	scans := 0
 
 	for _, i := range sh.order {
 		v := app.VNFs[i]
@@ -353,25 +332,19 @@ func (o *Oracle) fill(t *dpTable, rows *substrate.Arena, pa pather, app *vnet.Ap
 		}
 		for _, li := range sh.children[i] {
 			l := app.Links[li]
-			childCost, childOrder := cost[l.To], order[l.To]
+			childCost := cost[l.To]
 			ch, bs := rows.NodeIDs(n), rows.Float64s(n)
 			for u := lo; u < hi; u++ {
 				if math.IsInf(ci[u], 1) {
 					continue
 				}
-				var k int
-				bs[u], ch[u], k = minLink(pa.DistRow(graph.NodeID(u)), l.Size, childCost, childOrder)
-				scans += k
+				bs[u], ch[u] = minLink(pa.DistRow(graph.NodeID(u)), l.Size, childCost)
 				ci[u] += bs[u]
 			}
 			choice[li], best[li] = ch, bs
 		}
 		cost[i] = ci
-		if v.ID != vnet.Root {
-			order[i] = o.rowOrder(rows, ci)
-		}
 	}
-	counters.linkScans.Add(int64(scans))
 }
 
 // baseCost is VNF v's own placement price on node u: +Inf where η or the
@@ -385,156 +358,23 @@ func (o *Oracle) baseCost(pa pather, v vnet.VNF, u graph.NodeID) float64 {
 }
 
 // minLink is one DP entry's scan over a child link: the minimum of
-// size·dist + child cost over the child's nodes w, the lowest w that
-// attains it (-1 when every candidate is +Inf), and how many of the
-// child's entries it examined. du is the parent node's distance row — one
-// row fetch per entry, so the scan indexes the cached row directly
-// instead of paying an interface call per w.
-//
-// The scan visits the child's finite entries in the child row's
-// (cost, node) order and stops at the first whose own cost is above the
-// best so far. Prices are non-negative and link sizes positive, so
-// size·dist ≥ +0 and every candidate costs at least its child entry: no
-// later entry can improve on the best, or tie it. An entry whose cost
-// equals the best can still tie, hence the strict >, and a tie goes to
-// the lower node. The result is bit for bit the first strict minimum of
-// a scan over every w in index order (the +Inf and NaN entries the order
-// leaves out can never be that minimum), with each candidate summed by
-// the same float operations.
+// size·dist + child cost over the child's nodes w, and the lowest w that
+// attains it — the first strict minimum of a scan in index order, so a tie
+// goes to the lower node, and -1 when every candidate is +Inf or NaN. du is
+// the parent node's distance row — one row fetch per entry, so the scan
+// indexes the cached row directly instead of paying an interface call per
+// w.
 //
 //olive:hotpath the DP's inner loop: every fill and rescan runs it per entry
-func minLink(du []float64, size float64, childCost []float64, order []graph.NodeID) (float64, graph.NodeID, int) {
+func minLink(du []float64, size float64, childCost []float64) (float64, graph.NodeID) {
 	best := math.Inf(1)
 	bestW := graph.NodeID(-1)
-	for k, w := range order {
-		cw := childCost[w]
-		if cw > best {
-			return best, bestW, k + 1
-		}
-		if c := size*du[w] + cw; c < best || (c == best && w < bestW) {
-			best, bestW = c, w
+	for w, cw := range childCost {
+		if c := size*du[w] + cw; c < best {
+			best, bestW = c, graph.NodeID(w)
 		}
 	}
-	return best, bestW, len(order)
-}
-
-// rankedNode is one finite DP entry waiting to be ordered: its cost and
-// its node.
-type rankedNode struct {
-	c float64
-	w graph.NodeID
-}
-
-// lessRanked orders entries by cost, then node: the order minLink scans
-// in. Costs are never NaN here, so this is a strict total order (-0 and
-// +0 compare equal, and fall to the node).
-func lessRanked(a, b rankedNode) bool {
-	return a.c < b.c || (a.c == b.c && a.w < b.w)
-}
-
-// sortRanked sorts rs by lessRanked: insertion-sorted runs of 16, then
-// bottom-up merges through o.rankBuf: O(n log n) on any substrate and,
-// unlike slices.SortFunc, whose comparator is an indirect call, with
-// every comparison inlined.
-//
-//olive:hotpath once per filled row and per re-derived order
-func (o *Oracle) sortRanked(rs []rankedNode) {
-	const run = 16
-	n := len(rs)
-	for lo := 0; lo < n; lo += run {
-		hi := min(lo+run, n)
-		for i := lo + 1; i < hi; i++ {
-			for j := i; j > lo && lessRanked(rs[j], rs[j-1]); j-- {
-				rs[j], rs[j-1] = rs[j-1], rs[j]
-			}
-		}
-	}
-	if n <= run {
-		return
-	}
-	src, dst := rs, resizeOuter(&o.rankBuf, n)
-	for w := run; w < n; w *= 2 {
-		for lo := 0; lo < n; lo += 2 * w {
-			mid, hi := min(lo+w, n), min(lo+2*w, n)
-			i, j := lo, mid
-			for k := lo; k < hi; k++ {
-				if j == hi || (i < mid && !lessRanked(src[j], src[i])) {
-					dst[k] = src[i]
-					i++
-				} else {
-					dst[k] = src[j]
-					j++
-				}
-			}
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &rs[0] {
-		copy(rs, src)
-	}
-}
-
-// rowOrder returns, in a fresh chunk of rows, the nodes of row's finite
-// entries sorted by (cost, node).
-//
-//olive:hotpath once per filled row
-func (o *Oracle) rowOrder(rows *substrate.Arena, row []float64) []graph.NodeID {
-	rs := o.ranks[:0]
-	for w, c := range row {
-		if c < math.Inf(1) {
-			rs = append(rs, rankedNode{c, graph.NodeID(w)})
-		}
-	}
-	o.sortRanked(rs)
-	o.ranks = rs
-	out := rows.NodeIDs(len(rs))
-	for k, r := range rs {
-		out[k] = r.w
-	}
-	return out
-}
-
-// deriveOrder returns, in a fresh chunk of rows, the order of row after
-// the entries in changed (those with mark set) took new values, given
-// old, the row's order before they did: old's unmarked entries keep their
-// cost and their relative order, so the changed entries that are still
-// finite are sorted on their own and merged in: O(n) plus the sort of the
-// few changed entries, where rowOrder would sort the whole row again.
-//
-//olive:hotpath derive re-derives the order of every row it changes
-func (o *Oracle) deriveOrder(rows *substrate.Arena, old []graph.NodeID, row []float64, changed []graph.NodeID, mark []bool) []graph.NodeID {
-	add := o.ranks[:0]
-	for _, x := range changed {
-		if c := row[x]; c < math.Inf(1) {
-			add = append(add, rankedNode{c, x})
-		}
-	}
-	o.sortRanked(add)
-	o.ranks = add
-	n := len(add)
-	for _, w := range old {
-		if !mark[w] {
-			n++
-		}
-	}
-	out := rows.NodeIDs(n)
-	k, j := 0, 0
-	for _, w := range old {
-		if mark[w] {
-			continue
-		}
-		for ; j < len(add) && lessRanked(add[j], rankedNode{row[w], w}); j++ {
-			out[k] = add[j].w
-			k++
-		}
-		out[k] = w
-		k++
-	}
-	for ; j < len(add); j++ {
-		out[k] = add[j].w
-		k++
-	}
-	return out
+	return best, bestW
 }
 
 // place maps the subtree below VNF i, whose node nodeMap[i] is already
@@ -579,8 +419,12 @@ func (o *Oracle) syncCollocGen() {
 }
 
 // collocated returns the memoized collocated embedding of app on node u
-// with θ at ingress, building and caching it on first use. Entries are
-// invalidated wholesale when the State's prices change.
+// with θ at ingress: every functional VNF on u, every θ-adjacent virtual
+// link along the price-shortest ingress→u path. ok is false if u is
+// excluded (price or η) or unreachable. It builds and caches the entry on
+// first use; entries are invalidated wholesale when the State's prices
+// change, and callers receive a shared immutable Embedding. Callers check
+// ingress and pass u in [0, n).
 func (o *Oracle) collocated(app *vnet.App, ingress, u graph.NodeID) (*vnet.Embedding, float64, bool) {
 	o.syncCollocGen()
 	key := collocKey{app, ingress, u}
@@ -590,19 +434,6 @@ func (o *Oracle) collocated(app *vnet.App, ingress, u graph.NodeID) (*vnet.Embed
 	e, price, ok := o.buildCollocated(app, ingress, u)
 	o.colloc[key] = collocEntry{e, price, ok}
 	return e, price, ok
-}
-
-// CollocatedOnNode builds the embedding that places every functional VNF
-// of app on node u, with θ at ingress and every θ-adjacent virtual link
-// routed along the price-shortest ingress→u path. ok is false if u is
-// excluded (price or η), unreachable, or not a substrate node (likewise
-// ingress). Results are memoized per (app, ingress, u) until the State's
-// prices change; callers receive a shared immutable Embedding.
-func (o *Oracle) CollocatedOnNode(app *vnet.App, ingress, u graph.NodeID) (*vnet.Embedding, float64, bool) {
-	if !o.validNode(ingress) || !o.validNode(u) {
-		return nil, 0, false
-	}
-	return o.collocated(app, ingress, u)
 }
 
 func (o *Oracle) buildCollocated(app *vnet.App, ingress, u graph.NodeID) (*vnet.Embedding, float64, bool) {

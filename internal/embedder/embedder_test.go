@@ -202,7 +202,7 @@ func TestAdjustedPricesAddCongestion(t *testing.T) {
 	g := starSubstrate()
 	dual := make([]float64, g.NumElements())
 	dual[g.NodeElement(0)] = -5 // congested hub
-	pr := AdjustedPrices(g, dual)
+	pr := AdjustedPricesInto(nil, g, dual)
 	if pr[g.NodeElement(0)] != g.Node(0).Cost+5 {
 		t.Fatalf("adjusted hub price = %g, want %g", pr[g.NodeElement(0)], g.Node(0).Cost+5)
 	}
@@ -215,7 +215,7 @@ func TestCollocatedOnNode(t *testing.T) {
 	g := starSubstrate()
 	o := NewOracle(g, CostPrices(g))
 	app := fixedChain()
-	e, price, ok := o.CollocatedOnNode(app, 1, 2)
+	e, price, ok := o.collocated(app, 1, 2)
 	if !ok {
 		t.Fatal("no collocated embedding")
 	}
@@ -235,7 +235,7 @@ func TestCollocatedOnNodeSameAsIngress(t *testing.T) {
 	g := starSubstrate()
 	o := NewOracle(g, CostPrices(g))
 	app := fixedChain()
-	e, price, ok := o.CollocatedOnNode(app, 3, 3)
+	e, price, ok := o.collocated(app, 3, 3)
 	if !ok {
 		t.Fatal("no self-collocated embedding")
 	}
@@ -254,7 +254,7 @@ func TestCollocatedRejectsGPUMix(t *testing.T) {
 	g.SetNodeGPU(2, true)
 	o := NewOracle(g, CostPrices(g))
 	app := fixedChain() // both VNFs CPU
-	if _, _, ok := o.CollocatedOnNode(app, 1, 2); ok {
+	if _, _, ok := o.collocated(app, 1, 2); ok {
 		t.Fatal("CPU VNFs collocated on GPU node")
 	}
 	// A GPU chain cannot be collocated anywhere if it mixes GPU and CPU

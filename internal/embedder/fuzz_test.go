@@ -37,8 +37,8 @@ func fuzzSubstrate() *graph.Graph {
 // uses, or at any node), by SolveExclude (a link on the parent's paths,
 // any link, or a node), or starting the search over with Solve — and
 // checks every table against a from-scratch fill of the same inputs on a
-// fresh oracle (diffFill): its entries, its scan orders, its price and
-// the embedding it materializes.
+// fresh oracle (diffFill): its entries, its price and the embedding it
+// materializes.
 func FuzzRestrictedSearch(f *testing.F) {
 	g := fuzzSubstrate()
 	prices := CostPrices(g)

@@ -416,12 +416,6 @@ func TestCollocatedRejectsOutOfRangeIngress(t *testing.T) {
 		if _, _, ok := o.BestCollocated(app, ingress, nil, 1); ok {
 			t.Fatalf("BestCollocated accepted ingress %d", ingress)
 		}
-		if _, _, ok := o.CollocatedOnNode(app, ingress, 0); ok {
-			t.Fatalf("CollocatedOnNode accepted ingress %d", ingress)
-		}
-		if _, _, ok := o.CollocatedOnNode(app, 0, ingress); ok {
-			t.Fatalf("CollocatedOnNode accepted host %d", ingress)
-		}
 		if es := o.KCheapestCollocated(app, ingress, 3); len(es) != 0 {
 			t.Fatalf("KCheapestCollocated returned %d embeddings for ingress %d", len(es), ingress)
 		}

@@ -29,11 +29,11 @@ func CompareBans(a, b Ban) int {
 // Table is one solved node of a restricted search: app's embedding DP for
 // one ingress under a sorted set of bans and a sorted set of excluded
 // substrate elements (+Inf placement price for nodes, +Inf path weight for
-// links). Its rows and their scan orders are shared copy-on-write with the
-// table it was derived from and live in the State's scratch arena, so a
-// Table is valid only until the next Solve on its oracle or the next
-// change of the State's prices. The zero value is ready to be solved into;
-// a Table keeps its own slices' capacity from one search to the next.
+// links). Its rows are shared copy-on-write with the table it was derived
+// from and live in the State's scratch arena, so a Table is valid only
+// until the next Solve on its oracle or the next change of the State's
+// prices. The zero value is ready to be solved into; a Table keeps its own
+// slices' capacity from one search to the next.
 type Table struct {
 	dpTable
 	app     *vnet.App
@@ -54,8 +54,7 @@ func (t *Table) Reset() {
 	clear(t.cost[:cap(t.cost)])
 	clear(t.choice[:cap(t.choice)])
 	clear(t.best[:cap(t.best)])
-	clear(t.order[:cap(t.order)])
-	t.cost, t.choice, t.best, t.order = t.cost[:0], t.choice[:0], t.best[:0], t.order[:0]
+	t.cost, t.choice, t.best = t.cost[:0], t.choice[:0], t.best[:0]
 	t.shape, t.app = nil, nil
 	t.bans, t.excl = t.bans[:0], t.excl[:0]
 	t.price = 0
@@ -118,7 +117,6 @@ func (o *Oracle) solve(t *Table) bool {
 		t.cost = append(t.cost[:0], m.cost...)
 		t.choice = append(t.choice[:0], m.choice...)
 		t.best = append(t.best[:0], m.best...)
-		t.order = append(t.order[:0], m.order...)
 	} else {
 		pa, view := o.acquire(t.excl)
 		o.fill(&t.dpTable, o.st.ScratchArena(), pa, t.app, t.bans, t.ingress)
@@ -159,7 +157,6 @@ func (o *Oracle) inherit(child, parent *Table) {
 	child.cost = append(child.cost[:0], parent.cost...)
 	child.choice = append(child.choice[:0], parent.choice...)
 	child.best = append(child.best[:0], parent.best...)
-	child.order = append(child.order[:0], parent.order...)
 }
 
 // delta is what a derived child adds to the table it inherited: a ban
@@ -191,11 +188,8 @@ type delta struct {
 // its cost when its child entry did not change and its distance when its
 // tree path stays open, and so keeps its value and its choice. At θ only
 // the ingress is rescanned. The entries whose value moved are the row's
-// changed set; a row with any gets its order re-derived from the
-// parent's (deriveOrder) before the row above scans it — even where
-// nothing above rescans, since this table's own ban children read it.
-// Modified rows and orders are copied into the arena first; the parent's
-// are never written.
+// changed set, which seeds the row above. Modified rows are copied into
+// the arena first; the parent's are never written.
 //
 //olive:hotpath FULLG branch-out: every child is its parent's table plus a delta
 func (o *Oracle) derive(t *Table, d delta) bool {
@@ -213,7 +207,7 @@ func (o *Oracle) derive(t *Table, d delta) bool {
 	var view *substrate.View
 	changed := resizeOuter(&o.changed, len(app.VNFs))
 	mark, due := o.mark, o.due[:0]
-	rescans, scans := 0, 0
+	rescans := 0
 	for _, i := range sh.order {
 		lo, hi := 0, n
 		if vnet.VNFID(i) == vnet.Root {
@@ -260,9 +254,7 @@ func (o *Oracle) derive(t *Table, d delta) bool {
 					linkCopied = true
 				}
 				rescans++
-				var k int
-				best[x], choice[x], k = minLink(pa.DistRow(graph.NodeID(x)), l.Size, t.cost[l.To], t.order[l.To])
-				scans += k
+				best[x], choice[x] = minLink(pa.DistRow(graph.NodeID(x)), l.Size, t.cost[l.To])
 				if !o.isDue[x] {
 					o.isDue[x] = true
 					due = append(due, graph.NodeID(x))
@@ -291,15 +283,6 @@ func (o *Oracle) derive(t *Table, d delta) bool {
 		}
 		due = due[:0]
 		t.cost[i], changed[i] = ci, ch
-		if len(ch) > 0 && vnet.VNFID(i) != vnet.Root {
-			for _, x := range ch {
-				mark[x] = true
-			}
-			t.order[i] = o.deriveOrder(rows, t.order[i], ci, ch, mark)
-			for _, x := range ch {
-				mark[x] = false
-			}
-		}
 	}
 	o.due = due
 	if view != nil {
@@ -310,7 +293,6 @@ func (o *Oracle) derive(t *Table, d delta) bool {
 	} else {
 		counters.exclRescans.Add(int64(rescans))
 	}
-	counters.linkScans.Add(int64(scans))
 	t.price = t.cost[vnet.Root][t.ingress]
 	return !math.IsInf(t.price, 1)
 }

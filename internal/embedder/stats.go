@@ -4,12 +4,14 @@ import "sync/atomic"
 
 // CountersSnapshot is a point-in-time copy of the package's work
 // counters, cumulative since process start (same shape as plan.Stats).
+// Every link scan examines all n entries of its child row, so DPFills,
+// BanRescans and ExclRescans fix the scans' work too.
 type CountersSnapshot struct {
 	// DPFills counts embedding DP tables filled bottom-up from scratch —
-	// memoized and restricted alike: up to n link scans per child link and
-	// one sort per non-root row. A child that SolveBan or SolveExclude
-	// derives from its parent's table is not a fill; its work is counted
-	// in BanRescans or ExclRescans.
+	// memoized and restricted alike: up to n link scans per child link,
+	// each of which examines all n child entries. A child that SolveBan or
+	// SolveExclude derives from its parent's table is not a fill; its work
+	// is counted in BanRescans or ExclRescans.
 	DPFills int64
 	// DPTableHits counts unrestricted queries answered from an app's
 	// memoized table without a fill.
@@ -23,11 +25,6 @@ type CountersSnapshot struct {
 	// have closed or whose chosen child changed, where a fill would have
 	// rescanned every entry of every row.
 	ExclRescans int64
-	// LinkScans counts the child entries examined by link scans, in fills
-	// and rescans alike: each scan visits a child row's finite entries
-	// in (cost, node) order and stops at the first that cannot win, where
-	// a scan over every node would examine n.
-	LinkScans int64
 	// CollocOrders counts the candidate orders BestCollocated's walks were
 	// built from: one per (app, ingress) and price generation, scored and
 	// sorted once, where every greedy call used to score and sort every
@@ -40,7 +37,6 @@ var counters struct {
 	dpTableHits  atomic.Int64
 	banRescans   atomic.Int64
 	exclRescans  atomic.Int64
-	linkScans    atomic.Int64
 	collocOrders atomic.Int64
 }
 
@@ -51,7 +47,6 @@ func Stats() CountersSnapshot {
 		DPTableHits:  counters.dpTableHits.Load(),
 		BanRescans:   counters.banRescans.Load(),
 		ExclRescans:  counters.exclRescans.Load(),
-		LinkScans:    counters.linkScans.Load(),
 		CollocOrders: counters.collocOrders.Load(),
 	}
 }

@@ -240,6 +240,13 @@ var errSingular = errors.New("lp: singular basis during refactorization")
 // feasible starting basis; the caller falls back to a cold solve.
 var errWarmStart = errors.New("lp: warm-start basis unusable")
 
+// errNotFeasible marks an Optimal vertex that, read back from a clean
+// factorization, breaks a bound or a row of the problem: the simplex held
+// it to its ratio-test tolerances only, and a badly scaled problem can end
+// outside them. SolveFrom falls back to a cold solve; a cold solve reports
+// it.
+var errNotFeasible = errors.New("lp: optimal vertex is not primal feasible")
+
 // weakPivot is the magnitude below which a pivot is considered a threat to
 // basis conditioning.
 const weakPivot = 1e-7
@@ -269,7 +276,8 @@ func (p *Problem) Solve() (*Solution, error) {
 // fraction of the pivots of a cold start. Any warm-path failure — an
 // unusable snapshot, a singularity repair that could not restore
 // feasibility, even an iteration stall from a pathological warm vertex
-// — silently falls back to a cold Solve, so SolveFrom never does worse
+// or an Optimal vertex that is not primal feasible (errNotFeasible) —
+// silently falls back to a cold Solve, so SolveFrom never does worse
 // than Solve by more than the failed warm attempt.
 func (p *Problem) SolveFrom(b *Basis) (*Solution, error) {
 	if b != nil {
@@ -357,6 +365,10 @@ func (p *Problem) solveOnce(perturb float64, warm *Basis) (*Solution, error) {
 	}
 	x := s.primal()
 	sol.X = x[:s.nStruct]
+	// rbuf and rhobuf are free once the basis is final.
+	if err := p.checkPrimal(sol.X, s.rbuf, s.rhobuf); err != nil {
+		return nil, err
+	}
 	sol.Obj = 0
 	for j := 0; j < s.nStruct; j++ {
 		sol.Obj += p.cost[j] * sol.X[j]
@@ -369,4 +381,35 @@ func (p *Problem) solveOnce(perturb float64, warm *Basis) (*Solution, error) {
 	}
 	sol.basis = s.captureBasis()
 	return sol, nil
+}
+
+// checkPrimal reports the first bound or row of p that x, the structural
+// values of an Optimal vertex, breaks by more than feasTol scaled by the
+// magnitudes involved: |x_j| for a bound, |rhs_i| + Σ_j |a_ij·x_j| for a
+// row. act and mag are m-long scratch rows, overwritten.
+func (p *Problem) checkPrimal(x, act, mag []float64) error {
+	for j, v := range x {
+		tol := feasTol * (1 + math.Abs(v))
+		if !(v >= p.lo[j]-tol && v <= p.up[j]+tol) {
+			return fmt.Errorf("%w: x[%d] = %g outside [%g, %g]", errNotFeasible, j, v, p.lo[j], p.up[j])
+		}
+	}
+	clear(act)
+	clear(mag)
+	for j, v := range x {
+		for _, e := range p.cols[j] {
+			t := e.Coef * v
+			act[e.Row] += t
+			mag[e.Row] += math.Abs(t)
+		}
+	}
+	for i, a := range act {
+		rhs := p.rhs[i]
+		tol := feasTol * (1 + math.Abs(rhs) + mag[i])
+		sense := p.rowSense[i]
+		if !(sense == GE || a <= rhs+tol) || !(sense == LE || a >= rhs-tol) {
+			return fmt.Errorf("%w: row %d activity %g, right-hand side %g", errNotFeasible, i, a, rhs)
+		}
+	}
+	return nil
 }

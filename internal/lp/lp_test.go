@@ -27,6 +27,37 @@ func solveOptimal(t *testing.T, p *Problem) *Solution {
 	return sol
 }
 
+// TestCheckPrimal feeds checkPrimal points on and off each kind of
+// bound and row: inside, within the magnitude-scaled tolerance, past it,
+// and NaN.
+func TestCheckPrimal(t *testing.T) {
+	p := NewProblem()
+	mustVar(t, p, 1, 0, 4, []Entry{{p.AddRow(LE, 3), 1}})
+	mustVar(t, p, 1, 0, math.Inf(1), []Entry{{p.AddRow(EQ, 1e6), 1}})
+	mustVar(t, p, 1, 0, 1, []Entry{{p.AddRow(GE, 0.5), 1}})
+	act, mag := make([]float64, 3), make([]float64, 3)
+	for _, c := range []struct {
+		x  []float64
+		ok bool
+	}{
+		{[]float64{3, 1e6, 0.5}, true},
+		{[]float64{3 + 2e-7, 1e6, 0.5}, true},  // LE within 1e-7·(1 + 3 + 3)
+		{[]float64{3 + 1e-3, 1e6, 0.5}, false}, // LE over
+		{[]float64{-1e-3, 1e6, 0.5}, false},    // below x0's bound
+		{[]float64{3, 1e6 + 1e-2, 0.5}, true},  // EQ within 1e-7·(1 + 2e6)
+		{[]float64{3, 1e6 + 1, 0.5}, false},    // EQ over
+		{[]float64{3, 1e6 - 1, 0.5}, false},    // EQ short
+		{[]float64{3, 1e6, 0.5 - 1e-8}, true},  // GE within 1e-7·(1 + 0.5 + 0.5)
+		{[]float64{3, 1e6, 0.5 - 1e-6}, false}, // GE short
+		{[]float64{3, 1e6, 1 + 1e-3}, false},   // above x2's bound
+		{[]float64{3, math.NaN(), 0.5}, false},
+	} {
+		if err := p.checkPrimal(c.x, act, mag); (err == nil) != c.ok {
+			t.Errorf("x = %v: %v", c.x, err)
+		}
+	}
+}
+
 func TestSimpleLE(t *testing.T) {
 	// min −x−y  s.t. x+y ≤ 1, x,y ∈ [0,1]  ⇒ obj −1.
 	p := NewProblem()

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/olive-vne/olive/internal/graph"
@@ -14,14 +15,75 @@ import (
 // finite ones it must accept.
 var fuzzDemands = []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-300, 1e300, 1e6, 0.5, 1, 5, 20}
 
-// FuzzPlanBuild decodes its input into small plan options — Quantiles
-// 1–4, InitialCandidates 0–3, MaxPricingRounds 0–3 — and one to four
-// classes on Iris, each with an app index in [−1, len(apps)], an ingress
-// in [−1, NumNodes()] and a demand from fuzzDemands. A class that
-// Class.Check refuses must make Build fail. A Build that succeeds must
-// return a plan that passes Validate, keeps every class ingress on a
-// substrate node, and has the same objective bits when built again on a
-// fresh Solver.
+// decodeBuild decodes data into small plan options — Quantiles 1–4,
+// InitialCandidates 0–3, MaxPricingRounds 0–3 — and one to four classes
+// on g, each with an app index in [−1, nApps], an ingress in
+// [−1, NumNodes()] and a demand from fuzzDemands. Missing bytes read as 0.
+func decodeBuild(data []byte, g *graph.Graph, nApps int) (Options, []Class) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	opts := DefaultOptions()
+	opts.Quantiles = 1 + next()%4
+	opts.InitialCandidates = next() % 4
+	opts.MaxPricingRounds = next() % 4
+	classes := make([]Class, 1+next()%4)
+	for i := range classes {
+		classes[i] = Class{
+			App:     next()%(nApps+2) - 1,
+			Ingress: graph.NodeID(next()%(g.NumNodes()+2) - 1),
+			Demand:  fuzzDemands[next()%len(fuzzDemands)],
+		}
+	}
+	return opts, classes
+}
+
+// Two masters whose simplex ends at an "Optimal" vertex that is not
+// primal feasible: a warm-started pricing round over two classes of
+// demand 1e6 ends with a basic fraction at −6.4e-4, and a cold solve over
+// 1e300 demands beside demands of 20 ends with a fraction far below 0.
+var (
+	seedWarmNegativeFraction = []byte{0, 3, 1, 1, 3, 50, 7, 3, 16, 7}
+	seedColdHugeDemands      = []byte{3, 2, 1, 3, 1, 3, 11, 2, 50, 11, 1, 48, 6, 1, 50, 6}
+)
+
+// TestBuildRefusesInfeasibleVertex holds lp's own primal check on the two
+// masters above. The warm solve must fall back cold and Build must return
+// a plan that passes Validate. The cold solve has nothing to fall back to,
+// so Build must fail with lp's error, not with Validate's.
+func TestBuildRefusesInfeasibleVertex(t *testing.T) {
+	g := topo.MustBuild(topo.Iris, 1)
+	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(3))
+
+	opts, classes := decodeBuild(seedWarmNegativeFraction, g, len(apps))
+	p, err := Build(g, apps, classes, opts)
+	if err != nil {
+		t.Fatalf("classes %v: %v, want the cold fallback's plan", classes, err)
+	}
+	if err := p.Validate(g); err != nil {
+		t.Fatalf("classes %v: %v", classes, err)
+	}
+
+	opts, classes = decodeBuild(seedColdHugeDemands, g, len(apps))
+	_, err = Build(g, apps, classes, opts)
+	if err == nil {
+		t.Fatalf("classes %v: planned", classes)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "plan: master LP: lp: ") || strings.Contains(msg, "(master LP solution)") {
+		t.Fatalf("classes %v: %v, want lp's error", classes, err)
+	}
+}
+
+// FuzzPlanBuild decodes its input into plan options and classes
+// (decodeBuild). A class that Class.Check refuses must make Build fail. A
+// Build that succeeds must return a plan that passes Validate, keeps every
+// class ingress on a substrate node, and has the same objective bits when
+// built again on a fresh Solver.
 func FuzzPlanBuild(f *testing.F) {
 	g := topo.MustBuild(topo.Iris, 1)
 	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(3))
@@ -33,33 +95,16 @@ func FuzzPlanBuild(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 3, 1, 3, 8, 2, 7, 9, 3, 20, 10, 4, 30, 7})
 	f.Add([]byte{3, 0, 0, 0, 2, 5, 6})
 	f.Add([]byte{0, 3, 3, 2, 1, 4, 0, 2, 11, 2})
-	// Masters whose simplex solution fails Validate: a warm-started
-	// pricing round that ends with a negative fraction (two classes of
-	// demand 1e6), and 1e300 demands beside demands of 20.
-	f.Add([]byte{0, 3, 1, 1, 3, 50, 7, 3, 16, 7})
-	f.Add([]byte{3, 2, 1, 3, 1, 3, 11, 2, 50, 11, 1, 48, 6, 1, 50, 6})
+	// Masters whose simplex vertex is not primal feasible: lp refuses
+	// it, so the warm one falls back cold and plans, and the cold one
+	// fails (TestBuildRefusesInfeasibleVertex).
+	f.Add(seedWarmNegativeFraction)
+	f.Add(seedColdHugeDemands)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		opts := DefaultOptions()
-		opts.Quantiles = 1 + next()%4
-		opts.InitialCandidates = next() % 4
-		opts.MaxPricingRounds = next() % 4
-		classes := make([]Class, 1+next()%4)
+		opts, classes := decodeBuild(data, g, len(apps))
 		malformed := false
-		for i := range classes {
-			classes[i] = Class{
-				App:     next()%(len(apps)+2) - 1,
-				Ingress: graph.NodeID(next()%(n+2) - 1),
-				Demand:  fuzzDemands[next()%len(fuzzDemands)],
-			}
-			malformed = malformed || classes[i].Check(g, len(apps)) != nil
+		for _, c := range classes {
+			malformed = malformed || c.Check(g, len(apps)) != nil
 		}
 		p, err := Build(g, apps, classes, opts)
 		if malformed {

@@ -447,10 +447,11 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 	}
 	p := &Plan{Obj: sol.Obj, Iterations: sol.Iterations, PricingRounds: rounds}
 	p.Classes = m.extract(sol)
-	// The simplex holds its vertex to its own tolerances only, and a
-	// badly scaled master (class demands many orders of magnitude apart)
-	// can end outside them: a negative fraction, a capacity overrun. Such
-	// a solution is an error, never a plan.
+	// lp refuses a vertex that breaks a bound or a row of the master, but
+	// only to its own magnitude-scaled tolerance, and a badly scaled
+	// master (class demands many orders of magnitude apart) can still
+	// yield fractions or loads Validate refuses. Such a solution is an
+	// error, never a plan.
 	if err := p.Validate(g); err != nil {
 		return nil, fmt.Errorf("%w (master LP solution)", err)
 	}
