@@ -31,12 +31,14 @@ lint:
 	    echo "lint: staticcheck not installed locally; skipped (CI runs it)" >&2; \
 	fi
 
-# Short local fuzz passes over the external-bytes parsers, FULLG's
-# restricted search and plan.Build's options and classes (same targets as
-# the CI smoke step; raise FUZZTIME to grow the corpus).
+# Short local fuzz passes over the external-bytes parsers, the simplex
+# against its dense reference, FULLG's restricted search and plan.Build's
+# options and classes (same targets as the CI smoke step; raise FUZZTIME
+# to grow the corpus).
 FUZZTIME ?= 30s
 fuzz:
 	go test -run=NONE -fuzz='^FuzzLPLoad$$' -fuzztime=$(FUZZTIME) ./internal/lp
+	go test -run=NONE -fuzz='^FuzzSolveAgainstReference$$' -fuzztime=$(FUZZTIME) ./internal/lp
 	go test -run=NONE -fuzz='^FuzzObsParseText$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	go test -run=NONE -fuzz='^FuzzRestrictedSearch$$' -fuzztime=$(FUZZTIME) ./internal/embedder
 	go test -run=NONE -fuzz='^FuzzPlanBuild$$' -fuzztime=$(FUZZTIME) ./internal/plan

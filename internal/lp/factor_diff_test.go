@@ -276,7 +276,7 @@ type capturedBasis struct {
 }
 
 // fixtureBases solves the seed-4 fixture and returns every basis it
-// refactorized, in order (67 of them).
+// refactorized, in order (64 of them).
 func fixtureBases(tb testing.TB) []capturedBasis {
 	var out []capturedBasis
 	p := loadFixture(tb, "../../testdata/lp/random100-u140-seed4.lp.gz")
@@ -292,7 +292,7 @@ func fixtureBases(tb testing.TB) []capturedBasis {
 }
 
 // BenchmarkFactorBasis replays the refactorizations of one solve of the
-// seed-4 fixture: one op is all 67 of them. visits/op is the
+// seed-4 fixture: one op is all 64 of them. visits/op is the
 // machine-independent cost TestPivotCountGuard pins; a warm workspace
 // must not allocate.
 func BenchmarkFactorBasis(b *testing.B) {

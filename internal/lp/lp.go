@@ -352,11 +352,13 @@ func (p *Problem) solveOnce(perturb float64, warm *Basis) (*Solution, error) {
 	if st != Optimal {
 		return sol, nil
 	}
-	// Certify from a clean factorization: eta updates accumulated since
-	// the last refactorization drift the duals (and through them the
-	// reduced costs column generation prices against) by up to ~1e-6 on
-	// badly scaled bases. One rebuild at termination removes that drift;
-	// warm-started re-solves that pivot zero times skip it.
+	// Certify from a clean factorization. iterate declared optimality on
+	// reduced costs recomputed from scratch, but through the eta file:
+	// eta updates accumulated since the last refactorization drift the
+	// duals (and through them the reduced costs column generation prices
+	// against) by up to ~1e-6 on badly scaled bases. One rebuild at
+	// termination removes that drift before the primal check and the
+	// duals below; warm-started re-solves that pivot zero times skip it.
 	if s.lu.nEtas() > 0 {
 		if err := s.refactorize(); err != nil {
 			return nil, fmt.Errorf("lp: final refactorization: %w", err)

@@ -320,6 +320,8 @@ func checkKKT(t *testing.T, p *Problem, sol *Solution, senses []Sense, rhs []flo
 		}
 		interior := sol.X[j] > lo[j]+tol && sol.X[j] < up[j]-tol
 		switch {
+		case up[j]-lo[j] <= tol:
+			// Fixed: at both bounds, any reduced cost is optimal.
 		case interior && math.Abs(d) > tol:
 			t.Fatalf("var %d interior with reduced cost %g", j, d)
 		case sol.X[j] <= lo[j]+tol && d < -tol:

@@ -13,6 +13,16 @@ import "math"
 // what keeps the pivot count down; partial pricing cuts the
 // per-iteration scan cost on wide problems. Bland's rule (priceBland)
 // takes over on long degenerate streaks to guarantee termination.
+//
+// Pricing reads the reduced costs d_j = c_j − y·A_j from a column-space
+// array rather than forming them from the duals. One pivot row serves
+// two updates: each basis change computes ρ = e_r·B⁻¹ (its only BTRAN)
+// and α_r = ρ·A, which updates both the Devex weights and d
+// (d_j ← d_j − (d_q/α_rq)·α_rj; Maros 2003, Koberstein 2005). d is
+// recomputed from scratch (recomputeReducedCosts) at the start of each
+// phase, after every refactorization, after a Bland pivot, when the
+// pivot element is too small to divide by, and before optimality is
+// declared, so drift in the updates can never fake an optimum.
 
 // Devex and partial-pricing policy.
 const (
@@ -50,18 +60,20 @@ func (s *simplex) devexReset() {
 	}
 }
 
-// price selects the entering column, returning enter = −1 at
-// optimality. enterDir is +1 for a column rising from its lower bound,
-// −1 for one falling from its upper bound; enterRC is the column's
-// reduced cost.
+// price selects the entering column from the maintained reduced costs
+// d, returning enter = −1 when no column improves. enterDir is +1 for a
+// column rising from its lower bound, −1 for one falling from its upper
+// bound; the column's reduced cost is d[enter].
 //
 // The scan starts at a cursor that rotates across calls and proceeds
 // section by section, stopping at the end of the first section
 // containing an improving candidate; the winner maximizes d²/γ over the
-// scanned improving set. Optimality is declared only after a full wrap
-// finds no improving column, so partial pricing never weakens the
-// optimality certificate.
-func (s *simplex) price(cost, y []float64) (enter int, enterDir, enterRC float64) {
+// scanned improving set. A return of −1 follows a full wrap, so partial
+// pricing never weakens the optimality certificate; iterate accepts it
+// only from reduced costs recomputed from scratch.
+//
+//olive:hotpath one call per pivot of every solve
+func (s *simplex) price(cost []float64) (enter int, enterDir float64) {
 	n := len(s.cols)
 	sect := n/pricingSections + 1
 	if sect < pricingMinSection {
@@ -84,25 +96,20 @@ func (s *simplex) price(cost, y []float64) (enter int, enterDir, enterRC float64
 			if j >= n {
 				j -= n
 			}
-			if s.status[j] == basic {
-				continue
-			}
 			// Scale-aware optimality tolerance: with objective
 			// coefficients spanning many orders of magnitude (the
 			// PLAN-VNE costs reach 1e8), an absolute cutoff chases
 			// floating-point phantoms in c_j − y·A_j forever.
-			tol := dualTol * (1 + math.Abs(costOf(cost, j)))
-			var d, dir float64
+			var dir float64
+			d := s.d[j]
 			switch s.status[j] {
 			case atLower:
-				d = s.reducedCost(cost, y, j)
-				if !(d < -tol && s.lo[j] < s.up[j]) {
+				if !(d < -dualTol*(1+math.Abs(costOf(cost, j))) && s.lo[j] < s.up[j]) {
 					continue
 				}
 				dir = 1
 			case atUpper:
-				d = s.reducedCost(cost, y, j)
-				if !(d > tol) {
+				if !(d > dualTol*(1+math.Abs(costOf(cost, j)))) {
 					continue
 				}
 				dir = -1
@@ -111,7 +118,7 @@ func (s *simplex) price(cost, y []float64) (enter int, enterDir, enterRC float64
 			}
 			if score := d * d / s.gamma[j]; score > bestScore {
 				bestScore = score
-				enter, enterDir, enterRC = j, dir, d
+				enter, enterDir = j, dir
 			}
 		}
 		if enter >= 0 {
@@ -124,25 +131,22 @@ func (s *simplex) price(cost, y []float64) (enter int, enterDir, enterRC float64
 		cur -= n
 	}
 	s.scanCursor = cur
-	return enter, enterDir, enterRC
+	return enter, enterDir
 }
 
 // priceBland is the anti-cycling fallback: lowest-index improving
 // column, full scan — what guarantees termination on degenerate streaks.
-func (s *simplex) priceBland(cost, y []float64) (enter int, enterDir float64) {
+func (s *simplex) priceBland(cost []float64) (enter int, enterDir float64) {
 	for j := 0; j < len(s.cols); j++ {
-		if s.status[j] == basic {
-			continue
-		}
 		tol := dualTol * (1 + math.Abs(costOf(cost, j)))
-		switch s.status[j] {
+		switch d := s.d[j]; s.status[j] {
 		case atLower:
-			if d := s.reducedCost(cost, y, j); d < -tol && s.lo[j] < s.up[j] {
+			if d < -tol && s.lo[j] < s.up[j] {
 				s.pscans += j + 1
 				return j, 1
 			}
 		case atUpper:
-			if d := s.reducedCost(cost, y, j); d > tol {
+			if d > tol {
 				s.pscans += j + 1
 				return j, -1
 			}
@@ -154,9 +158,9 @@ func (s *simplex) priceBland(cost, y []float64) (enter int, enterDir float64) {
 
 // ensureRowIndex extends the row-wise matrix index to cover every
 // column (repair paths append artificial columns mid-solve). The index
-// turns the devexUpdate pivot-row pass from "sparse dot per nonbasic
-// column" — O(total nnz) per pivot, a full pricing scan's worth — into
-// a scatter over only the columns intersecting ρ's support.
+// turns the pivot-row pass from "sparse dot per nonbasic column" —
+// O(total nnz) per pivot, a full pricing scan's worth — into a scatter
+// over only the columns intersecting ρ's support.
 func (s *simplex) ensureRowIndex() {
 	for j := s.rowIdxN; j < len(s.cols); j++ {
 		for _, e := range s.cols[j] {
@@ -166,86 +170,89 @@ func (s *simplex) ensureRowIndex() {
 	s.rowIdxN = len(s.cols)
 }
 
-// devexDropTol discards pivot-row entries too small to ever move a
-// reference weight past an existing one; ρ rows under it contribute
-// (αρ)² ≈ 0 to every candidate weight.
+// devexDropTol discards pivot-row entries too small to matter: ρ rows
+// under it contribute (αρ)² ≈ 0 to every candidate weight and a
+// negligible term to every reduced-cost update.
 const devexDropTol = 1e-12
 
-// devexUpdate folds one basis-changing pivot into the reference
-// weights: entering column enter (FTRAN image w) replaces the basis
-// column at position leave. The classic update needs the pivot row
-// α_r = e_rᵀB⁻¹A — one BTRAN of a unit vector, then a row-indexed
-// scatter restricted to ρ's nonzero rows:
+// pivotRowUpdate folds one basis-changing pivot into the reduced costs
+// and the reference weights: entering column q = enter (FTRAN image w)
+// replaces the basis column x at position r = leave. It forms the pivot
+// row α_r = e_rᵀB⁻¹A — one BTRAN of a unit vector, then a row-indexed
+// scatter restricted to ρ's nonzero rows — and with θ = d_q/α_rq sets
 //
-//	γ_j  ← max(γ_j, (α_rj/α_rq)²·γ_q)   for nonbasic j
-//	γ_x  ← max(γ_q/α_rq², 1)            for the leaving column x
+//	d_j  ← d_j − θ·α_rj,  γ_j ← max(γ_j, (α_rj/α_rq)²·γ_q)   for nonbasic j ≠ q
+//	d_q  ← 0,             d_x ← −θ,  γ_x ← max(γ_q/α_rq², 1)
 //
-// Called with the pre-pivot basis and statuses (B is the matrix the
-// pivot row belongs to); the caller mutates them afterwards.
-func (s *simplex) devexUpdate(enter, leave int, w []float64) {
+// On a reference-framework reset the weights restart at 1 and only d
+// moves. Called with the pre-pivot basis and statuses (B is the matrix
+// the pivot row belongs to); the caller mutates them afterwards.
+//
+//olive:hotpath one call per basis-changing pivot of every solve
+func (s *simplex) pivotRowUpdate(enter, leave int, w []float64) {
 	s.ensureGamma()
 	alphaQ := w[leave]
 	if math.Abs(alphaQ) < pivotTol {
+		// Too small to divide by: recompute d, and leave the weights.
+		s.dStale = true
 		return
 	}
 	gq := s.gamma[enter]
 	if gq < 1 {
 		gq = 1
 	}
+	scale := gq / (alphaQ * alphaQ)
 	if gq > devexResetWeight {
+		// With every weight back at 1 and scale 0, the sweep below
+		// leaves the weights alone and γ_x ends at 1.
 		s.devexReset()
-		return
+		scale = 0
 	}
 	// rho = e_leave·B⁻¹ in matrix-row space.
 	unit := s.unitbuf
-	for i := range unit {
-		unit[i] = 0
-	}
+	clear(unit)
 	unit[leave] = 1
 	rho := s.rhobuf
 	s.lu.btran(unit, rho)
-	exiting := s.basis[leave]
-	scale := gq / (alphaQ * alphaQ)
 	s.ensureRowIndex()
-	// Scatter α_rj = Σ_i ρ_i·A_ij over ρ's support. acc stays zeroed
-	// between calls; touched remembers what to reset (a column whose
-	// partial sums cancel to exactly 0 may be recorded twice — the
-	// second reset pass is then a no-op).
-	if len(s.devexAcc) < len(s.cols) {
-		s.devexAcc = growSlice(s.devexAcc, len(s.cols))
-		for i := range s.devexAcc {
-			s.devexAcc[i] = 0
-		}
+	// Scatter α_rj = Σ_i ρ_i·A_ij over ρ's support into alpha, which is
+	// all zeros between calls; the sweep below zeroes it again.
+	n := len(s.cols)
+	if len(s.rowAlpha) < n {
+		s.rowAlpha = growSlice(s.rowAlpha, n)
+		clear(s.rowAlpha)
 	}
-	acc := s.devexAcc
-	touched := s.devexTouched[:0]
+	alpha := s.rowAlpha[:n]
 	for i := 0; i < s.m; i++ {
 		r := rho[i]
 		if r > -devexDropTol && r < devexDropTol {
 			continue
 		}
 		for _, re := range s.rowIdx[i] {
-			if acc[re.col] == 0 {
-				touched = append(touched, re.col)
-			}
-			acc[re.col] += r * re.coef
+			alpha[re.col] += r * re.coef
 		}
 	}
-	for _, j32 := range touched {
-		j := int(j32)
-		arj := acc[j]
-		acc[j] = 0
-		if arj == 0 || s.status[j] == basic || j == enter {
+	theta := s.d[enter] / alphaQ
+	d, gamma, status := s.d[:n], s.gamma[:n], s.status[:n]
+	for j, arj := range alpha {
+		if arj == 0 {
 			continue
 		}
-		if cand := arj * arj * scale; cand > s.gamma[j] {
-			s.gamma[j] = cand
+		alpha[j] = 0
+		if status[j] == basic || j == enter {
+			continue
+		}
+		d[j] -= theta * arj
+		if cand := arj * arj * scale; cand > gamma[j] {
+			gamma[j] = cand
 		}
 	}
-	s.devexTouched = touched
-	gx := scale
-	if gx < 1 {
-		gx = 1
+	exiting := s.basis[leave]
+	d[enter] = 0
+	d[exiting] = -theta
+	s.dUpdated = true
+	if scale < 1 {
+		scale = 1
 	}
-	s.gamma[exiting] = gx
+	gamma[exiting] = scale
 }

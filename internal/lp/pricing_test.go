@@ -2,6 +2,7 @@ package lp
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 )
@@ -27,9 +28,9 @@ type pivotBaseline struct {
 }
 
 // referenceFactorVisits is what factorBasisReference's per-step rescans
-// visit over the 67 refactorizations of the fixture solve
+// visit over the 64 refactorizations of the fixture solve
 // (TestFactorMatchesReference re-measures it).
-const referenceFactorVisits = 47_081_508
+const referenceFactorVisits = 45_820_312
 
 // TestPivotCountGuard is the pivot-count regression guard: the solver is
 // deterministic (no randomness, no map-order dependence, no
@@ -87,4 +88,81 @@ func BenchmarkSimplexPricing(b *testing.B) {
 	}
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 	b.ReportMetric(float64(scans)/float64(b.N), "scans/op")
+}
+
+// TestMaintainedReducedCostsMatchRecompute runs checkReducedCosts over
+// the seed-4 fixture and the random LPs of randomLPClasses. Each run must
+// have read d after pivot-row updates and held it bit for bit at least
+// once, or the check proved nothing.
+func TestMaintainedReducedCostsMatchRecompute(t *testing.T) {
+	vacuous := func(t *testing.T, c *reducedCostCheck) {
+		t.Helper()
+		if c.updated == 0 || c.exact == 0 {
+			t.Fatalf("vacuous: %d scans, %d after pivot-row updates, %d held bit for bit", c.scans, c.updated, c.exact)
+		}
+	}
+	t.Run("fixture", func(t *testing.T) {
+		p := loadFixture(t, "../../testdata/lp/random100-u140-seed4.lp.gz")
+		c := checkReducedCosts(p)
+		if sol := solveNoRetry(t, p); sol.Status != Optimal {
+			t.Fatalf("status %v, want optimal", sol.Status)
+		}
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		vacuous(t, c)
+	})
+	for _, rc := range randomLPClasses {
+		t.Run(rc.name, func(t *testing.T) {
+			total := &reducedCostCheck{}
+			rc.each(t, func(trial int, p *Problem) {
+				c := checkReducedCosts(p)
+				if _, err := p.Solve(); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if c.err != nil {
+					t.Fatalf("trial %d: %v", trial, c.err)
+				}
+				total.scans += c.scans
+				total.updated += c.updated
+				total.exact += c.exact
+			})
+			vacuous(t, total)
+		})
+	}
+}
+
+// TestPricingPassesDoNotAllocate: price and the pivot-row pass run once
+// per pivot, so neither may allocate once the workspace has grown.
+func TestPricingPassesDoNotAllocate(t *testing.T) {
+	p := loadFixture(t, "../../testdata/lp/random100-u140-seed4.lp.gz")
+	s, _ := p.newSimplex(0, &workspace{})
+	if err := s.initBasis(); err != nil {
+		t.Fatal(err)
+	}
+	// Phase 1's costs: the fixture's slack basis needs artificials.
+	cost := make([]float64, len(s.cols))
+	for j := s.artBase; j < len(cost); j++ {
+		cost[j] = 1
+	}
+	s.recomputeReducedCosts(cost)
+	s.ensureGamma()
+	enter, _ := s.price(cost)
+	if enter < 0 {
+		t.Fatal("no improving column at the starting basis")
+	}
+	w := make([]float64, s.m)
+	s.lu.ftranCol(s.cols[enter], w)
+	leave := 0
+	for i, v := range w {
+		if math.Abs(v) > math.Abs(w[leave]) {
+			leave = i
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { s.price(cost) }); n != 0 {
+		t.Errorf("price: %v allocs per call", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.pivotRowUpdate(enter, leave, w) }); n != 0 {
+		t.Errorf("pivotRowUpdate: %v allocs per call", n)
+	}
 }

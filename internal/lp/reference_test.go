@@ -208,71 +208,85 @@ func refSolve(p *Problem) (Status, float64) {
 	return Optimal, obj
 }
 
+// randomLPClass is one size class of the random bounded LPs
+// TestRandomLPsAgainstDenseReference draws: narrow instances drawn from
+// one stream, and wider ones (each derived from a per-trial stream of its
+// own) that exercise partial pricing's cursor wrap-around.
+type randomLPClass struct {
+	name         string
+	seed1, seed2 uint64
+	trials       int
+	maxM, maxN   int
+	density      float64
+	fork         bool // draw each instance from its own PCG(trial, 997)
+}
+
+var randomLPClasses = []randomLPClass{
+	{"narrow", 2024, 7, 300, 6, 8, 0.6, false},
+	{"wide", 88, 11, 250, 10, 24, 0.5, true},
+}
+
+// each draws the class's instances in order and hands each to fn.
+func (c randomLPClass) each(t *testing.T, fn func(trial int, p *Problem)) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(c.seed1, c.seed2))
+	for trial := 0; trial < c.trials; trial++ {
+		m := 1 + rng.IntN(c.maxM)
+		n := 1 + rng.IntN(c.maxN)
+		inst := rng
+		if c.fork {
+			inst = rand.New(rand.NewPCG(uint64(trial), 997))
+		}
+		p := NewProblem()
+		for i := 0; i < m; i++ {
+			p.AddRow([]Sense{LE, EQ, GE}[inst.IntN(3)], inst.Float64()*8-2)
+		}
+		for j := 0; j < n; j++ {
+			lo := 0.0
+			if inst.Float64() < 0.3 {
+				lo = inst.Float64() - 0.5
+			}
+			up := lo + inst.Float64()*6 // finite bounds keep instances bounded
+			var entries []Entry
+			for i := 0; i < m; i++ {
+				if inst.Float64() < c.density {
+					entries = append(entries, Entry{Row: i, Coef: inst.Float64()*4 - 2})
+				}
+			}
+			if _, err := p.AddVar(inst.Float64()*4-2, lo, up, entries); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fn(trial, p)
+	}
+}
+
 // TestRandomLPsAgainstDenseReference fuzzes the sparse-LU simplex with
-// random bounded LPs and cross-checks status and objective against the
-// naive dense reference solver — the guard the LU path runs under. Two
-// size classes: narrow instances drawn from one stream, and wider ones
-// (each derived from a per-trial stream of its own) that exercise
-// partial pricing's cursor wrap-around.
+// the random bounded LPs of randomLPClasses and cross-checks status and
+// objective against the naive dense reference solver — the guard the LU
+// path runs under.
 func TestRandomLPsAgainstDenseReference(t *testing.T) {
-	for _, c := range []struct {
-		name         string
-		seed1, seed2 uint64
-		trials       int
-		maxM, maxN   int
-		density      float64
-		fork         bool // draw each instance from its own PCG(trial, 997)
-	}{
-		{"narrow", 2024, 7, 300, 6, 8, 0.6, false},
-		{"wide", 88, 11, 250, 10, 24, 0.5, true},
-	} {
+	for _, c := range randomLPClasses {
 		t.Run(c.name, func(t *testing.T) {
-			rng := rand.New(rand.NewPCG(c.seed1, c.seed2))
 			var optimal, infeasible int
-			for trial := 0; trial < c.trials; trial++ {
-				m := 1 + rng.IntN(c.maxM)
-				n := 1 + rng.IntN(c.maxN)
-				inst := rng
-				if c.fork {
-					inst = rand.New(rand.NewPCG(uint64(trial), 997))
-				}
-				p := NewProblem()
-				for i := 0; i < m; i++ {
-					p.AddRow([]Sense{LE, EQ, GE}[inst.IntN(3)], inst.Float64()*8-2)
-				}
-				for j := 0; j < n; j++ {
-					lo := 0.0
-					if inst.Float64() < 0.3 {
-						lo = inst.Float64() - 0.5
-					}
-					up := lo + inst.Float64()*6 // finite bounds keep instances bounded
-					var entries []Entry
-					for i := 0; i < m; i++ {
-						if inst.Float64() < c.density {
-							entries = append(entries, Entry{Row: i, Coef: inst.Float64()*4 - 2})
-						}
-					}
-					if _, err := p.AddVar(inst.Float64()*4-2, lo, up, entries); err != nil {
-						t.Fatal(err)
-					}
-				}
+			c.each(t, func(trial int, p *Problem) {
 				sol, err := p.Solve()
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 				refSt, refObj := refSolve(p)
 				if sol.Status != refSt {
-					t.Fatalf("trial %d (%dx%d): status %v, reference says %v", trial, m, n, sol.Status, refSt)
+					t.Fatalf("trial %d (%dx%d): status %v, reference says %v", trial, p.NumRows(), p.NumVars(), sol.Status, refSt)
 				}
 				if sol.Status == Optimal {
 					optimal++
 					if d := math.Abs(sol.Obj - refObj); d > 1e-6*(1+math.Abs(refObj)) {
-						t.Fatalf("trial %d (%dx%d): obj %.12g, reference %.12g (Δ %g)", trial, m, n, sol.Obj, refObj, d)
+						t.Fatalf("trial %d (%dx%d): obj %.12g, reference %.12g (Δ %g)", trial, p.NumRows(), p.NumVars(), sol.Obj, refObj, d)
 					}
 				} else {
 					infeasible++
 				}
-			}
+			})
 			if optimal < 20 || infeasible < 20 {
 				t.Fatalf("fuzz mix degenerate: %d optimal, %d infeasible of %d", optimal, infeasible, c.trials)
 			}

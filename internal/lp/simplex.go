@@ -47,6 +47,9 @@ type simplex struct {
 	refacts int // refactorization count, surfaced in Solution
 
 	// pricing state (see pricing.go)
+	d           []float64 // reduced costs c_j − y·A_j under the running phase's costs; 0 for basic columns
+	dStale      bool      // d must be recomputed from scratch before the next scan
+	dUpdated    bool      // the pivot-row pass has moved d since its last recompute
 	gamma       []float64 // Devex reference weights, one per column
 	rhobuf      []float64 // BTRAN(e_r) pivot-row buffer, matrix-row space
 	unitbuf     []float64 // unit-vector input for the pivot-row BTRAN
@@ -54,15 +57,14 @@ type simplex struct {
 	pscans      int       // nonbasic columns examined by pricing
 	blandPivots int       // pivots taken under the Bland fallback
 
-	// Row-wise matrix index for the Devex weight update: rowIdx[i]
-	// lists the columns with a nonzero in row i, so the pivot-row pass
-	// touches only the columns intersecting ρ's support instead of
-	// every nonbasic column. Built lazily on the first Devex pivot,
-	// extended incrementally as repair paths append artificials.
-	rowIdx       [][]rowEnt
-	rowIdxN      int       // columns indexed into rowIdx so far
-	devexAcc     []float64 // scatter accumulator, column space (kept zeroed)
-	devexTouched []int32   // columns dirtied in the current scatter
+	// Row-wise matrix index for the pivot-row pass: rowIdx[i] lists the
+	// columns with a nonzero in row i, so α_r = ρ·A is a scatter over
+	// ρ's support instead of a dot product per nonbasic column. Built
+	// lazily on the first pivot, extended incrementally as repair paths
+	// append artificials.
+	rowIdx   [][]rowEnt
+	rowIdxN  int       // columns indexed into rowIdx so far
+	rowAlpha []float64 // pivot-row scatter accumulator, column space (kept zeroed)
 }
 
 // rowEnt is one row-wise matrix entry: column index and coefficient.
@@ -156,6 +158,7 @@ func (p *Problem) newSimplex(perturb float64, ws *workspace) (*simplex, []float6
 	}
 	s.artBase = len(s.cols)
 	s.buildSlackOf()
+	s.d = growSlice(ws.d, len(s.cols))
 	s.ybuf = growSlice(ws.ybuf, m)
 	s.cbbuf = growSlice(ws.cbbuf, m)
 	s.rbuf = growSlice(ws.rbuf, m)
@@ -169,8 +172,7 @@ func (p *Problem) newSimplex(perturb float64, ws *workspace) (*simplex, []float6
 		s.rowIdx[i] = s.rowIdx[i][:0]
 	}
 	s.rowIdxN = 0
-	s.devexAcc = growSlice(ws.devexAcc, 0)
-	s.devexTouched = growSlice(ws.devexTouched, 0)
+	s.rowAlpha = growSlice(ws.rowAlpha, 0)
 	return s, rowNeg
 }
 
@@ -199,6 +201,7 @@ func (s *simplex) addArtificial(row int, coef, up float64) int {
 	s.up = append(s.up, up)
 	s.status = append(s.status, atLower)
 	s.xN = append(s.xN, 0)
+	s.d = append(s.d, 0)
 	return j
 }
 
@@ -414,7 +417,25 @@ func (s *simplex) dualsInto(cost []float64, y []float64) {
 	s.lu.btran(cb, y)
 }
 
-// reducedCost computes c_j − y·A_j.
+// recomputeReducedCosts sets y = c_B·B⁻¹ and every reduced cost
+// d_j = c_j − y·A_j from scratch under the current factorization (0 for
+// basic columns). Between recomputes the pivot-row pass keeps d current
+// (pricing.go).
+func (s *simplex) recomputeReducedCosts(cost []float64) {
+	y := s.ybuf
+	s.dualsInto(cost, y)
+	for j := range s.cols {
+		if s.status[j] == basic {
+			s.d[j] = 0
+		} else {
+			s.d[j] = s.reducedCost(cost, y, j)
+		}
+	}
+	s.dStale, s.dUpdated = false, false
+}
+
+// reducedCost computes c_j − y·A_j; only recomputeReducedCosts calls
+// it.
 func (s *simplex) reducedCost(cost []float64, y []float64, j int) float64 {
 	d := costOf(cost, j)
 	for _, e := range s.cols[j] {
@@ -431,6 +452,7 @@ func (s *simplex) reducedCost(cost []float64, y []float64, j int) float64 {
 // surfaces errSingular.
 func (s *simplex) refactorize() error {
 	s.refacts++
+	s.dStale = true
 	repaired := false
 	for attempt := 0; ; attempt++ {
 		lu := s.ws.takeLU(s.lu)
@@ -524,6 +546,8 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 	// suggest cycling rather than ordinary degeneracy.
 	blandAfter := 200 + (s.m+len(s.cols))/4
 	degenerate := 0
+	// d belongs to one cost vector: each phase starts from scratch.
+	s.dStale = true
 
 	startIters := s.iters
 	for {
@@ -531,8 +555,12 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 			return 0, fmt.Errorf("%w (m=%d n=%d phaseIters=%d degenerateStreak=%d bland=%v)",
 				ErrIterationLimit, s.m, len(s.cols), s.iters-startIters, degenerate, degenerate > blandAfter)
 		}
-		y := s.ybuf
-		s.dualsInto(cost, y)
+		if s.dStale {
+			s.recomputeReducedCosts(cost)
+		}
+		if s.ws.onPrice != nil {
+			s.ws.onPrice(s, cost, false)
+		}
 
 		// Pricing: Devex; Bland's rule after a long degenerate streak to
 		// guarantee termination (see pricing.go).
@@ -540,12 +568,22 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 		var enterDir float64 // +1 entering rises from lower, −1 falls from upper
 		useBland := degenerate > blandAfter
 		if useBland {
-			enter, enterDir = s.priceBland(cost, y)
+			enter, enterDir = s.priceBland(cost)
 		} else {
 			s.ensureGamma()
-			enter, enterDir, _ = s.price(cost, y)
+			enter, enterDir = s.price(cost)
 		}
 		if enter < 0 {
+			if s.dUpdated {
+				// The scan read updated reduced costs, whose drift could
+				// hide an improving column: recompute them and rescan
+				// before declaring optimality.
+				s.dStale = true
+				continue
+			}
+			if s.ws.onPrice != nil {
+				s.ws.onPrice(s, cost, true)
+			}
 			return Optimal, nil
 		}
 
@@ -556,6 +594,7 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 			// by smallest basis column index. Together with
 			// lowest-index pricing this guarantees termination.
 			st, done, err := s.blandPivot(enter, enterDir, w, &degenerate)
+			s.dStale = true // no pivot row was formed to update d from
 			if err != nil {
 				return 0, err
 			}
@@ -601,7 +640,8 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 
 		if leave < 0 {
 			// Bound flip: entering variable jumps to its other bound.
-			// The basis is unchanged, so Devex weights stay as they are.
+			// The basis is unchanged, so y, the reduced costs and the
+			// Devex weights stay as they are.
 			if enterDir > 0 {
 				s.status[enter] = atUpper
 				s.xN[enter] = s.up[enter]
@@ -612,8 +652,9 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 			continue
 		}
 
-		// Reference-weight update against the pre-pivot basis.
-		s.devexUpdate(enter, leave, w)
+		// Reduced-cost and reference-weight update against the
+		// pre-pivot basis.
+		s.pivotRowUpdate(enter, leave, w)
 
 		// Pivot: enter replaces basis[leave].
 		exiting := s.basis[leave]

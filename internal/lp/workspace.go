@@ -111,14 +111,14 @@ type workspace struct {
 	basis             []int
 	slackOf           []int
 	ybuf, cbbuf, rbuf []float64
+	d                 []float64
 	wbuf              []float64
 	phase1Cost        []float64
 	xbuf              []float64
 	gamma             []float64
 	rhobuf, unitbuf   []float64
 	rowIdx            [][]rowEnt
-	devexAcc          []float64
-	devexTouched      []int32
+	rowAlpha          []float64
 	fw                luWorkspace
 	lus               [2]*basisLU
 
@@ -126,6 +126,11 @@ type workspace struct {
 	// factor. Tests use it to replay the bases of a real solve through
 	// the reference factorization; nothing sets it outside tests.
 	onFactor func(m int, cols [][]Entry, basis []int)
+	// onPrice, when set, sees the reduced costs before every pricing
+	// scan, and once more when a scan proves optimality. Tests use it to
+	// hold the maintained d to a from-scratch recompute; nothing sets it
+	// outside tests.
+	onPrice func(s *simplex, cost []float64, optimal bool)
 }
 
 // takeLU returns a basisLU slot distinct from cur, for refactorize to
@@ -152,10 +157,11 @@ func (ws *workspace) reclaim(s *simplex) {
 	ws.basis = s.basis
 	ws.slackOf = s.slackOf
 	ws.ybuf, ws.cbbuf, ws.rbuf = s.ybuf, s.cbbuf, s.rbuf
+	ws.d = s.d
 	ws.gamma = s.gamma
 	ws.rhobuf, ws.unitbuf = s.rhobuf, s.unitbuf
 	ws.rowIdx = s.rowIdx
-	ws.devexAcc, ws.devexTouched = s.devexAcc, s.devexTouched
+	ws.rowAlpha = s.rowAlpha
 }
 
 // wsPool recycles workspaces across Problem lifetimes. Short-lived

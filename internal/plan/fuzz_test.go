@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/olive-vne/olive/internal/graph"
@@ -43,19 +42,22 @@ func decodeBuild(data []byte, g *graph.Graph, nApps int) (Options, []Class) {
 	return opts, classes
 }
 
-// Two masters whose simplex ends at an "Optimal" vertex that is not
+// Two class sets that once gave an "Optimal" master vertex that is not
 // primal feasible: a warm-started pricing round over two classes of
-// demand 1e6 ends with a basic fraction at −6.4e-4, and a cold solve over
-// 1e300 demands beside demands of 20 ends with a fraction far below 0.
+// demand 1e6 ended with a basic fraction at −6.4e-4, and a cold solve
+// over 1e300 demands beside demands of 20 with a fraction far below 0.
+// The second spans more than maxDemandSpan, so Build refuses it before
+// building a master.
 var (
 	seedWarmNegativeFraction = []byte{0, 3, 1, 1, 3, 50, 7, 3, 16, 7}
 	seedColdHugeDemands      = []byte{3, 2, 1, 3, 1, 3, 11, 2, 50, 11, 1, 48, 6, 1, 50, 6}
 )
 
-// TestBuildRefusesInfeasibleVertex holds lp's own primal check on the two
-// masters above. The warm solve must fall back cold and Build must return
-// a plan that passes Validate. The cold solve has nothing to fall back to,
-// so Build must fail with lp's error, not with Validate's.
+// TestBuildRefusesInfeasibleVertex holds Build to the two class sets
+// above. The warm solve must fall back cold, through lp's own primal
+// check, and Build must return a plan that passes Validate. The 1e300
+// demands beside demands of 20 must be refused before any LP is solved,
+// with an error naming both classes.
 func TestBuildRefusesInfeasibleVertex(t *testing.T) {
 	g := topo.MustBuild(topo.Iris, 1)
 	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(3))
@@ -70,12 +72,17 @@ func TestBuildRefusesInfeasibleVertex(t *testing.T) {
 	}
 
 	opts, classes = decodeBuild(seedColdHugeDemands, g, len(apps))
+	solves := Stats().MasterSolves
 	_, err = Build(g, apps, classes, opts)
 	if err == nil {
 		t.Fatalf("classes %v: planned", classes)
 	}
-	if msg := err.Error(); !strings.HasPrefix(msg, "plan: master LP: lp: ") || strings.Contains(msg, "(master LP solution)") {
-		t.Fatalf("classes %v: %v, want lp's error", classes, err)
+	want := "plan: class (0,47) has demand 1e+300, more than 1e+07 times the demand 20 of class (0,2)"
+	if err.Error() != want {
+		t.Fatalf("classes %v: %v, want %q", classes, err, want)
+	}
+	if got := Stats().MasterSolves; got != solves {
+		t.Fatalf("classes %v: %d master solves before the refusal", classes, got-solves)
 	}
 }
 
@@ -95,9 +102,10 @@ func FuzzPlanBuild(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 3, 1, 3, 8, 2, 7, 9, 3, 20, 10, 4, 30, 7})
 	f.Add([]byte{3, 0, 0, 0, 2, 5, 6})
 	f.Add([]byte{0, 3, 3, 2, 1, 4, 0, 2, 11, 2})
-	// Masters whose simplex vertex is not primal feasible: lp refuses
-	// it, so the warm one falls back cold and plans, and the cold one
-	// fails (TestBuildRefusesInfeasibleVertex).
+	// Class sets whose master vertex once was not primal feasible: the
+	// warm one falls back cold and plans, and the other spans more than
+	// maxDemandSpan, so Build refuses it
+	// (TestBuildRefusesInfeasibleVertex).
 	f.Add(seedWarmNegativeFraction)
 	f.Add(seedColdHugeDemands)
 	f.Fuzz(func(t *testing.T, data []byte) {

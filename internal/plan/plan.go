@@ -157,41 +157,14 @@ func Aggregate(hist *workload.Trace, numApps int, alpha float64, bootstrapB int,
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("plan: percentile α=%g outside (0,1]", alpha)
 	}
-	// diff[key][t] accumulates arrival/departure demand deltas.
-	type seriesKey struct {
-		app     int
-		ingress graph.NodeID
-	}
-	diffs := make(map[seriesKey][]float64)
-	for _, r := range hist.Requests {
-		if r.App < 0 || r.App >= numApps {
-			return nil, fmt.Errorf("plan: request %d references app %d of %d", r.ID, r.App, numApps)
-		}
-		// olive.Aggregate hands over histories nobody validated; these
-		// two index the delta arrays below.
-		if r.Arrive < 0 || r.Arrive >= hist.Slots {
-			return nil, fmt.Errorf("plan: request %d arrives at %d outside [0,%d)", r.ID, r.Arrive, hist.Slots)
-		}
-		if r.Duration < 1 {
-			return nil, fmt.Errorf("plan: request %d has duration %d < 1", r.ID, r.Duration)
-		}
-		k := seriesKey{r.App, r.Ingress}
-		d := diffs[k]
-		if d == nil {
-			d = make([]float64, hist.Slots+1)
-			diffs[k] = d
-		}
-		d[r.Arrive] += r.Demand
-		dep := r.Departs()
-		if dep > hist.Slots {
-			dep = hist.Slots
-		}
-		d[dep] -= r.Demand
+	diffs, err := demandDeltas(hist, numApps)
+	if err != nil {
+		return nil, err
 	}
 	// Consume the rng in canonical class order, not map order: each
 	// class's bootstrap must draw the same stream no matter how the map
 	// iterates, or plans (and everything downstream) vary run to run.
-	keys := make([]seriesKey, 0, len(diffs))
+	keys := make([]classKey, 0, len(diffs))
 	for k := range diffs {
 		keys = append(keys, k)
 	}
@@ -207,12 +180,7 @@ func Aggregate(hist *workload.Trace, numApps int, alpha float64, bootstrapB int,
 	series := make([]float64, hist.Slots)
 	var bsc stats.BootstrapScratch
 	for _, k := range keys {
-		d := diffs[k]
-		var acc float64
-		for t := 0; t < hist.Slots; t++ {
-			acc += d[t]
-			series[t] = acc
-		}
+		activeDemand(diffs[k], series)
 		est, err := stats.BootstrapQuantileWith(&bsc, series, alpha, bootstrapB, rng)
 		if err != nil {
 			return nil, fmt.Errorf("plan: class (%d,%d): %w", k.app, k.ingress, err)
@@ -224,6 +192,68 @@ func Aggregate(hist *workload.Trace, numApps int, alpha float64, bootstrapB int,
 	}
 	sortClasses(classes)
 	return classes, nil
+}
+
+// demandDelta is the change in one class's active demand and active
+// request count at the start of one slot.
+type demandDelta struct {
+	demand float64
+	active int
+}
+
+// demandDeltas records every request of hist as an arrival and a
+// departure (clipped to the history's end) in its class's delta row,
+// one entry per slot plus one. olive.Aggregate and the windowed builds
+// hand over histories nobody validated, so a request that references an
+// app outside [0, numApps), arrives outside the history or lasts less
+// than a slot is an error, not an index out of range.
+func demandDeltas(hist *workload.Trace, numApps int) (map[classKey][]demandDelta, error) {
+	diffs := make(map[classKey][]demandDelta)
+	for _, r := range hist.Requests {
+		if r.App < 0 || r.App >= numApps {
+			return nil, fmt.Errorf("plan: request %d references app %d of %d", r.ID, r.App, numApps)
+		}
+		if r.Arrive < 0 || r.Arrive >= hist.Slots {
+			return nil, fmt.Errorf("plan: request %d arrives at %d outside [0,%d)", r.ID, r.Arrive, hist.Slots)
+		}
+		if r.Duration < 1 {
+			return nil, fmt.Errorf("plan: request %d has duration %d < 1", r.ID, r.Duration)
+		}
+		k := classKey{app: r.App, ingress: r.Ingress}
+		d := diffs[k]
+		if d == nil {
+			d = make([]demandDelta, hist.Slots+1)
+			diffs[k] = d
+		}
+		d[r.Arrive].demand += r.Demand
+		d[r.Arrive].active++
+		dep := r.Departs()
+		if dep > hist.Slots {
+			dep = hist.Slots
+		}
+		d[dep].demand -= r.Demand
+		d[dep].active--
+	}
+	return diffs, nil
+}
+
+// activeDemand fills series with the running sums of d: d(r̃,t), the
+// class's active demand in each slot. A slot with no active request
+// reads exactly 0, where the running sum holds the rounding residue of
+// the arrivals and departures before it (≈ 1e-15, a positive "demand"
+// the bootstrap could return as a class's estimate).
+func activeDemand(d []demandDelta, series []float64) {
+	var acc float64
+	active := 0
+	for t := range series {
+		acc += d[t].demand
+		active += d[t].active
+		if active == 0 {
+			series[t] = 0
+		} else {
+			series[t] = acc
+		}
+	}
 }
 
 func sortClasses(cs []Class) {
@@ -344,6 +374,33 @@ const (
 	warmRowCap = 1 << 13
 )
 
+// maxDemandSpan is the largest ratio of class demands one master can
+// plan: 1/feasTol of package lp. The master scales each class's capacity
+// coefficients by its demand, so beyond this span the smaller class's
+// whole load on a shared capacity row lies inside that row's
+// feasibility tolerance, and its fractions are no longer held to
+// anything.
+const maxDemandSpan = 1e7
+
+// checkDemandSpan refuses a class set whose largest demand exceeds
+// maxDemandSpan times its smallest, naming both classes.
+func checkDemandSpan(classes []Class) error {
+	lo, hi := classes[0], classes[0]
+	for _, c := range classes[1:] {
+		if c.Demand < lo.Demand {
+			lo = c
+		}
+		if c.Demand > hi.Demand {
+			hi = c
+		}
+	}
+	if hi.Demand > maxDemandSpan*lo.Demand {
+		return fmt.Errorf("plan: class (%d,%d) has demand %g, more than %g times the demand %g of class (%d,%d)",
+			hi.App, hi.Ingress, hi.Demand, maxDemandSpan, lo.Demand, lo.App, lo.Ingress)
+	}
+	return nil
+}
+
 // NewSolver returns a Solver for the given substrate and applications.
 func NewSolver(g *graph.Graph, apps []*vnet.App) *Solver {
 	return NewSolverOn(embedder.ForState(substrate.New(g)), apps)
@@ -394,6 +451,9 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 		if err := c.Check(g, len(apps)); err != nil {
 			return nil, fmt.Errorf("plan: %w", err)
 		}
+	}
+	if err := checkDemandSpan(classes); err != nil {
+		return nil, err
 	}
 
 	m := newMaster(g, apps, classes, opts)

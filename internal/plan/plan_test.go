@@ -106,7 +106,10 @@ func TestAggregateErrors(t *testing.T) {
 // trace through, so a request that would index the demand deltas out of
 // range (or subtract demand it never added) must come back as an error
 // naming the request — not a panic, and not a silently skewed series.
+// BuildWindowed reads the same deltas and must refuse the same requests.
 func TestAggregateRejectsOutOfRangeRequests(t *testing.T) {
+	g := topo.MustBuild(topo.Iris, 1)
+	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(3))
 	ok := workload.Request{ID: 0, App: 1, Arrive: 3, Duration: 2, Demand: 5}
 	for name, tc := range map[string]struct {
 		req  workload.Request
@@ -123,11 +126,56 @@ func TestAggregateRejectsOutOfRangeRequests(t *testing.T) {
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%s: err = %v (classes %v), want %q", name, err, classes, tc.want)
 		}
+		if _, err := BuildWindowed(g, apps, hist, 10, 2, DefaultOptions(), testRNG(1)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: BuildWindowed err = %v, want %q", name, err, tc.want)
+		}
 	}
 	// The boundary cases stay legal: last slot, departure past the end.
 	hist := &workload.Trace{Slots: 10, Requests: []workload.Request{ok, {ID: 1, App: 1, Arrive: 9, Duration: 40, Demand: 5}}}
 	if _, err := Aggregate(hist, 4, 0.8, 10, testRNG(1)); err != nil {
 		t.Errorf("request in the last slot rejected: %v", err)
+	}
+}
+
+// TestAggregateEmptySlotsReadZero: once every request of a class has
+// departed, its active demand is exactly 0. A running sum of 0.1 + 0.2
+// − 0.1 − 0.2 leaves 2.8e-17, which a median would otherwise make the
+// class's demand.
+func TestAggregateEmptySlotsReadZero(t *testing.T) {
+	hist := &workload.Trace{Slots: 100, Requests: []workload.Request{
+		{ID: 0, App: 1, Ingress: 2, Arrive: 0, Duration: 2, Demand: 0.1},
+		{ID: 1, App: 1, Ingress: 2, Arrive: 1, Duration: 2, Demand: 0.2},
+	}}
+	series, err := activeDemandSeries(hist, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := series[classKey{app: 1, ingress: 2}]
+	for slot, v := range s[3:] {
+		if v != 0 {
+			t.Fatalf("slot %d: active demand %g with no request active", slot+3, v)
+		}
+	}
+	classes, err := Aggregate(hist, 4, 0.5, 50, testRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(classes) != 0 {
+		t.Fatalf("median of a mostly empty series planned as %v", classes)
+	}
+}
+
+// TestDemandSpanBound: a class set spanning exactly maxDemandSpan is
+// accepted, and one spanning more is refused naming both classes.
+func TestDemandSpanBound(t *testing.T) {
+	classes := []Class{{App: 0, Ingress: 1, Demand: 3}, {App: 2, Ingress: 0, Demand: 3 * maxDemandSpan}, {App: 1, Ingress: 4, Demand: 50}}
+	if err := checkDemandSpan(classes); err != nil {
+		t.Fatalf("span of exactly maxDemandSpan refused: %v", err)
+	}
+	classes[1].Demand = math.Nextafter(classes[1].Demand, math.Inf(1))
+	want := "plan: class (2,0) has demand 3.0000000000000004e+07, more than 1e+07 times the demand 3 of class (0,1)"
+	if err := checkDemandSpan(classes); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

@@ -134,32 +134,14 @@ func BuildWindowed(g *graph.Graph, apps []*vnet.App, hist *workload.Trace, perio
 // activeDemandSeries computes d(r̃,t) — the per-slot active demand of
 // every (app, ingress) class (Eq. 5's grouping with R(t) activity).
 func activeDemandSeries(hist *workload.Trace, numApps int) (map[classKey][]float64, error) {
-	diffs := make(map[classKey][]float64)
-	for _, r := range hist.Requests {
-		if r.App < 0 || r.App >= numApps {
-			return nil, fmt.Errorf("plan: request %d references app %d of %d", r.ID, r.App, numApps)
-		}
-		k := classKey{app: r.App, ingress: r.Ingress}
-		d := diffs[k]
-		if d == nil {
-			d = make([]float64, hist.Slots+1)
-			diffs[k] = d
-		}
-		d[r.Arrive] += r.Demand
-		dep := r.Departs()
-		if dep > hist.Slots {
-			dep = hist.Slots
-		}
-		d[dep] -= r.Demand
+	diffs, err := demandDeltas(hist, numApps)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[classKey][]float64, len(diffs))
 	for k, d := range diffs {
 		series := make([]float64, hist.Slots)
-		var acc float64
-		for t := 0; t < hist.Slots; t++ {
-			acc += d[t]
-			series[t] = acc
-		}
+		activeDemand(d, series)
 		out[k] = series
 	}
 	return out, nil
