@@ -19,12 +19,11 @@ import (
 // OLIVE, active requests may receive a completely different allocation in
 // every slot — an inherent advantage the paper acknowledges.
 type SlotOff struct {
-	g       *graph.Graph
-	apps    []*vnet.App
-	opts    plan.Options
-	solver  *plan.Solver
-	alive   []workload.Request
-	rejects map[int]bool
+	g      *graph.Graph
+	apps   []*vnet.App
+	opts   plan.Options
+	solver *plan.Solver
+	alive  []workload.Request
 	// Alloc maps request ID to its current-slot embedding.
 	Alloc map[int]*vnet.Embedding
 	// resScratch is the per-slot residual snapshot, reused across Steps.
@@ -33,14 +32,15 @@ type SlotOff struct {
 
 // SlotOffOptions tunes the per-slot LP. Pricing rounds are kept small:
 // SLOTOFF solves one LP per slot, and the paper only requires it to be a
-// strong (near-optimal) reference. The shared Solver's warm starts and
-// solution-support column pool matter here: pooled columns are ordinary
-// candidate embeddings for the *current* slot's instance (each slot's LP
-// still optimizes only that slot), so carrying them across slots moves
-// two truncated pricing rounds much closer to the per-slot optimum the
+// strong (near-optimal) reference. The shared Solver's solution-support
+// column pool matters here: pooled columns are ordinary candidate
+// embeddings for the *current* slot's instance (each slot's LP still
+// optimizes only that slot), so carrying them across slots moves two
+// truncated pricing rounds much closer to the per-slot optimum the
 // paper's CPLEX-backed SLOTOFF represents — without them this baseline
 // re-seeded from scratch each slot and was systematically weaker than
-// its definition intends.
+// its definition intends. Each slot's first master solve is cold; only
+// its pricing rounds warm-start, each from the round before.
 func SlotOffOptions() plan.Options {
 	o := plan.DefaultOptions()
 	o.MaxPricingRounds = 2
@@ -76,9 +76,8 @@ func newSlotOff(g *graph.Graph, apps []*vnet.App, opts plan.Options, solver *pla
 		// share its warm substrate state (path cache, collocated
 		// candidate memos, pricing buffers) instead of re-deriving
 		// prices from scratch every slot.
-		solver:  solver,
-		rejects: make(map[int]bool),
-		Alloc:   make(map[int]*vnet.Embedding),
+		solver: solver,
+		Alloc:  make(map[int]*vnet.Embedding),
 	}, nil
 }
 
@@ -210,7 +209,6 @@ func (s *SlotOff) Step(t int, arrivals []workload.Request) (SlotResult, error) {
 		}
 		if isNew {
 			res.RejectedNew = append(res.RejectedNew, r)
-			s.rejects[r.ID] = true
 		} else {
 			res.Dropped = append(res.Dropped, r)
 		}

@@ -116,3 +116,51 @@ func TestLoadRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestBadlyScaledMastersSolve replays three plan masters over classes of
+// demand 1e6 on Iris: capacity rows of 1e5–1.8e6 beside embedding
+// coefficients up to 6e7, so a capacity slack enters by ~1e6 and moves an
+// embedding fraction by ~1e-9 per unit. Each once failed Solve. In the
+// first two the ratio test skipped a row whose delta was below pivotTol,
+// so the step ran a fraction to −5e-4 and a capacity row 2 % over its
+// right-hand side, and the final primal check refused the vertex. In the
+// third it pivoted on 7.5e-9, rounding in a column that reached 3.5e7;
+// the new basis was singular, its repair restored the old one, and Bland's
+// rule chose the same pivot until the iteration cap. Solve's own primal
+// check holds the vertex feasible; its objective must be the dense
+// reference's on the same problem with every row divided by its
+// right-hand side (unscaled, the reference's absolute tolerances misjudge
+// coefficients of 1e7 and miss the second optimum by 7.5e-4).
+func TestBadlyScaledMastersSolve(t *testing.T) {
+	for _, name := range []string{"weak-row-fraction", "weak-row-capacity", "noise-pivot-loop"} {
+		p := loadFixture(t, "../../testdata/lp/"+name+".lp.gz")
+		sol, err := p.Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status = %v, want optimal", name, sol.Status)
+		}
+		scaled := NewProblem()
+		for i, rhs := range p.rhs {
+			scaled.AddRow(p.rowSense[i], 1)
+			if rhs <= 0 {
+				t.Fatalf("%s: row %d has right-hand side %g, want positive", name, i, rhs)
+			}
+		}
+		for j := 0; j < p.numVars; j++ {
+			col := make([]Entry, len(p.cols[j]))
+			for k, e := range p.cols[j] {
+				col[k] = Entry{Row: e.Row, Coef: e.Coef / p.rhs[e.Row]}
+			}
+			scaled.MustAddVar(p.cost[j], p.lo[j], p.up[j], col)
+		}
+		st, want := refSolve(scaled)
+		if st != Optimal {
+			t.Fatalf("%s: reference status %v", name, st)
+		}
+		if rel := math.Abs(sol.Obj-want) / math.Abs(want); rel > 1e-9 {
+			t.Fatalf("%s: objective %v, reference %v (%.2g relative)", name, sol.Obj, want, rel)
+		}
+	}
+}

@@ -688,55 +688,22 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 // iterations, which previously caused stalling on the SLOTOFF master
 // problems. leave < 0 with a finite tMax means a bound flip.
 func (s *simplex) harrisRatio(enter int, enterDir float64, w []float64) (leave int, leaveToUpper bool, tMax float64, unbounded bool) {
-	rmin := s.up[enter] - s.lo[enter] // bound-flip limit
-	for i := 0; i < s.m; i++ {
-		delta := -enterDir * w[i]
-		bj := s.basis[i]
-		var lim float64
-		switch {
-		case delta < -pivotTol: // basic value falls toward its lower bound
-			lim = snapSlack(s.xB[i]-s.lo[bj]) / -delta
-		case delta > pivotTol: // basic value rises toward its upper bound
-			if math.IsInf(s.up[bj], 1) {
-				continue
-			}
-			lim = snapSlack(s.up[bj]-s.xB[i]) / delta
-		default:
-			continue
-		}
-		if lim < rmin {
-			rmin = lim
-		}
-	}
-	if math.IsInf(rmin, 1) {
+	rmin, unbounded := s.ratioLimits(enter, enterDir, w)
+	if unbounded {
 		return -1, false, 0, true
 	}
+	lims := s.ws.lim
 	leave = -1
 	tMax = rmin
 	bestPivot := 0.0
 	for _, tieScale := range []float64{1e-9, 1e-7} {
 		tie := rmin + tieScale*(1+rmin)
-		for i := 0; i < s.m; i++ {
-			delta := -enterDir * w[i]
-			bj := s.basis[i]
-			var lim float64
-			var toUpper bool
-			switch {
-			case delta < -pivotTol:
-				lim, toUpper = snapSlack(s.xB[i]-s.lo[bj])/-delta, false
-			case delta > pivotTol:
-				if math.IsInf(s.up[bj], 1) {
-					continue
-				}
-				lim, toUpper = snapSlack(s.up[bj]-s.xB[i])/delta, true
-			default:
-				continue
-			}
+		for i, lim := range lims {
 			if lim > tie {
 				continue
 			}
-			if piv := math.Abs(delta); piv > bestPivot {
-				bestPivot, leave, leaveToUpper = piv, i, toUpper
+			if piv := math.Abs(w[i]); piv > bestPivot {
+				bestPivot, leave, leaveToUpper = piv, i, -enterDir*w[i] > 0
 			}
 		}
 		if bestPivot >= weakPivot {
@@ -757,51 +724,17 @@ func (s *simplex) blandPivot(enter int, enterDir float64, w []float64, degenerat
 	const tieTol = 1e-12
 	// Pass 1: exact minimum ratio, including the entering variable's
 	// own bound span.
-	rmin := s.up[enter] - s.lo[enter]
-	for i := 0; i < s.m; i++ {
-		delta := -enterDir * w[i]
-		bj := s.basis[i]
-		var lim float64
-		switch {
-		case delta < -pivotTol:
-			lim = snapSlack(s.xB[i]-s.lo[bj]) / -delta
-		case delta > pivotTol:
-			if math.IsInf(s.up[bj], 1) {
-				continue
-			}
-			lim = snapSlack(s.up[bj]-s.xB[i]) / delta
-		default:
-			continue
-		}
-		if lim < rmin {
-			rmin = lim
-		}
-	}
-	if math.IsInf(rmin, 1) {
+	rmin, unbounded := s.ratioLimits(enter, enterDir, w)
+	if unbounded {
 		return Unbounded, true, nil
 	}
 	// Pass 2: among rows achieving the minimum, the smallest basis
 	// column index leaves.
 	leave := -1
 	leaveToUpper := false
-	for i := 0; i < s.m; i++ {
-		delta := -enterDir * w[i]
-		bj := s.basis[i]
-		var lim float64
-		var toUpper bool
-		switch {
-		case delta < -pivotTol:
-			lim, toUpper = snapSlack(s.xB[i]-s.lo[bj])/-delta, false
-		case delta > pivotTol:
-			if math.IsInf(s.up[bj], 1) {
-				continue
-			}
-			lim, toUpper = snapSlack(s.up[bj]-s.xB[i])/delta, true
-		default:
-			continue
-		}
-		if lim <= rmin+tieTol && (leave < 0 || bj < s.basis[leave]) {
-			leave, leaveToUpper = i, toUpper
+	for i, lim := range s.ws.lim {
+		if lim <= rmin+tieTol && (leave < 0 || s.basis[i] < s.basis[leave]) {
+			leave, leaveToUpper = i, -enterDir*w[i] > 0
 		}
 	}
 	if rmin < feasTol {
@@ -842,6 +775,67 @@ func (s *simplex) blandPivot(enter int, enterDir float64, w []float64, degenerat
 		return 0, false, err
 	}
 	return 0, false, nil
+}
+
+// ratioLimits is both ratio tests' first pass. Basic row i changes by
+// delta = −enterDir·w[i] per unit step; ratioLimits sets ws.lim[i] to the
+// step at which the row reaches the bound it moves toward (+Inf if it
+// never limits the step) and returns the smallest such step, or the
+// entering variable's bound span if that is smaller.
+//
+// A row whose |delta| is at most pivotTol, relative to w's largest entry
+// where that exceeds 1, is weak: too small to pivot on where a stronger
+// row ties, but its limit is where it would cross its bound by feasTol,
+// so the step cannot run it further. On a badly scaled master such a
+// delta can be real — a capacity slack entering by 9.4e5 moved an
+// embedding fraction by 6.5e-10 per unit, and a ratio test that skipped
+// the row ran that fraction to −5e-4 — or rounding: a column whose FTRAN
+// image reached 3.5e7 showed 7.5e-9 on a degenerate row, and pivoting
+// there made the basis singular, whose repair restored the basis it
+// left, forever. unbounded reports that no strong row limits the step:
+// weak rows never bound a ray the strong rows leave open.
+func (s *simplex) ratioLimits(enter int, enterDir float64, w []float64) (rmin float64, unbounded bool) {
+	big := 1.0
+	for _, wi := range w {
+		if a := math.Abs(wi); a > big {
+			big = a
+		}
+	}
+	weakTol := pivotTol * big
+	s.ws.lim = growSlice(s.ws.lim, s.m)
+	lims := s.ws.lim
+	rmin = s.up[enter] - s.lo[enter] // bound-flip limit
+	weakMin := math.Inf(1)
+	for i, wi := range w[:s.m] {
+		lims[i] = math.Inf(1)
+		delta := -enterDir * wi
+		bj := s.basis[i]
+		var room float64
+		switch {
+		case delta < 0: // basic value falls toward its lower bound
+			room = s.xB[i] - s.lo[bj]
+		case delta > 0 && !math.IsInf(s.up[bj], 1): // rises toward its upper bound
+			room = s.up[bj] - s.xB[i]
+		default:
+			continue
+		}
+		a := math.Abs(delta)
+		if a <= weakTol {
+			lim := (snapSlack(room) + feasTol) / a
+			lims[i] = lim
+			weakMin = math.Min(weakMin, lim)
+			continue
+		}
+		lim := snapSlack(room) / a
+		lims[i] = lim
+		if lim < rmin {
+			rmin = lim
+		}
+	}
+	if math.IsInf(rmin, 1) {
+		return rmin, true
+	}
+	return math.Min(rmin, weakMin), false
 }
 
 // costOf returns the phase cost of column j (0 for columns beyond the

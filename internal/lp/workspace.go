@@ -113,6 +113,7 @@ type workspace struct {
 	ybuf, cbbuf, rbuf []float64
 	d                 []float64
 	wbuf              []float64
+	lim               []float64
 	phase1Cost        []float64
 	xbuf              []float64
 	gamma             []float64

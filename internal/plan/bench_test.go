@@ -33,44 +33,19 @@ func benchInstance(b testing.TB) (*Solver, []Class, Options) {
 	return NewSolver(g, apps), classes, opts
 }
 
-// BenchmarkPlanSolve measures one column-generation round at fig-scale m
-// on the default (warm-started) path; its allocs/op is pinned in
-// testdata/bench_baseline.json under the CI regression guard. Iteration
-// counts are reported as pivots/op: with the solver's basis memory and
-// column pool active, repeat solves should beat the cold baseline below
-// by well over 2×.
+// BenchmarkPlanSolve measures one plan Build at fig-scale m, with one
+// column-generation round, on a fresh Solver per op: the shape of a
+// cold plan build, of the first Build in every SLOTOFF run and of a
+// replanner's first rebuild. Its allocs/op, B/op and pivots/op (every
+// master solve's, Plan.Iterations) are pinned in
+// testdata/bench_baseline.json under the CI regression guard.
 func BenchmarkPlanSolve(b *testing.B) {
-	solver, classes, opts := benchInstance(b)
-	// Populate the solver's basis memory and column pool before the
-	// timer starts, so even a -benchtime=1x run (the CI guard) measures
-	// the warm-started path — the production regime, where SLOTOFF and
-	// windowed Builds always follow an earlier Build on the same solver.
-	if _, err := solver.Build(classes, opts); err != nil {
-		b.Fatal(err)
-	}
+	s, classes, opts := benchInstance(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var pivots int
 	for i := 0; i < b.N; i++ {
-		p, err := solver.Build(classes, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pivots += p.Iterations
-	}
-	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-}
-
-// BenchmarkPlanSolveCold is the ablation: identical instance with
-// DisableWarmStarts, every master LP re-solved from a cold basis.
-func BenchmarkPlanSolveCold(b *testing.B) {
-	solver, classes, opts := benchInstance(b)
-	opts.DisableWarmStarts = true
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pivots int
-	for i := 0; i < b.N; i++ {
-		p, err := solver.Build(classes, opts)
+		p, err := NewSolver(s.g, s.apps).Build(classes, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

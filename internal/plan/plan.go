@@ -90,7 +90,8 @@ type Plan struct {
 	Classes []ClassPlan
 	// Obj is the LP objective (resource cost + quantile rejection cost).
 	Obj float64
-	// Iterations counts total simplex pivots across pricing rounds.
+	// Iterations counts simplex pivots summed over every master solve of
+	// the Build.
 	Iterations int
 	// PricingRounds counts column-generation rounds performed.
 	PricingRounds int
@@ -289,13 +290,6 @@ type Options struct {
 	// the plan is built from the seed columns only; the ablation bench
 	// uses this).
 	MaxPricingRounds int
-	// DisableWarmStarts runs every master LP from a cold basis and
-	// ignores the Solver's cross-Build basis memory and solution-support
-	// column pool. An ablation/benchmark knob. Every intermediate LP is
-	// still solved to optimality either way, but the resulting plans can
-	// differ: truncated column generation explores different column sets
-	// when rounds (and consecutive Builds) no longer share state.
-	DisableWarmStarts bool
 }
 
 // DefaultOptions returns the paper's plan parameters.
@@ -344,35 +338,16 @@ type Solver struct {
 	dualBuf     []float64
 	priceBuf    embedder.Prices
 
-	// Signature-keyed basis memory accumulated across Builds: column
-	// and row statuses of solved master LP bases, keyed by stable
-	// identities (class, embedding signature, substrate element) rather
-	// than indices, so the next Build — whose master may order classes
-	// and columns differently — can warm-start from it. SLOTOFF's
-	// consecutive per-slot masters and windowed plans differ by a few
-	// columns and demands, but that does not keep the warm vertex
-	// feasible: on SLOTOFF's consecutive masters it was measured
-	// primal-infeasible in 148 of 149 slots on 100n150e and 98 of 149 on
-	// Iris, so most warm starts still pay phase-1 pivots (ROADMAP item 1).
-	// The memory persists across Builds under an LRU cap (see lru.go),
-	// so masters that alternate on one Solver all keep their bases.
-	warmVars *warmLRU
-	warmRows *warmLRU
 	// pool carries each class's solution-support embeddings (columns
 	// basic or at upper bound in the last master) into the next Build's
-	// seed set. Without it the remembered basis would reference priced-in
-	// columns the fresh master lacks, and the warm start could never
-	// reproduce the vertex it came from.
+	// seed set, so a Build starts from the columns its predecessor priced
+	// in rather than from the collocated seeds alone. SLOTOFF's per-slot
+	// masters get two pricing rounds each; the pool is what brings them
+	// close to the per-slot optimum. No basis crosses Builds: every
+	// Build's first master solve is cold (consecutive masters differ in
+	// their demands, so the previous vertex is almost never feasible).
 	pool map[classKey][]*vnet.Embedding
 }
-
-// warmVarCap / warmRowCap bound the signature-keyed basis memory. Sized
-// for several distinct masters of this repo's largest scenarios
-// (thousands of columns each) before eviction starts.
-const (
-	warmVarCap = 1 << 14
-	warmRowCap = 1 << 13
-)
 
 // maxDemandSpan is the largest ratio of class demands one master can
 // plan: 1/feasTol of package lp. The master scales each class's capacity
@@ -401,6 +376,26 @@ func checkDemandSpan(classes []Class) error {
 	return nil
 }
 
+// checkDemandScale refuses a class whose demand exceeds maxDemandSpan
+// times the largest element capacity of g. No element can carry more
+// than about 1/maxDemandSpan of such a class, so its fractions' feasible
+// range lies inside lp's bound tolerance, and a vertex whose fractions
+// all sit within that tolerance of 0 can still overload a capacity row
+// many times over.
+func checkDemandScale(g *graph.Graph, classes []Class) error {
+	maxCap := 0.0
+	for e := range g.NumElements() {
+		maxCap = math.Max(maxCap, g.ElementCap(graph.ElementID(e)))
+	}
+	for _, c := range classes {
+		if c.Demand > maxDemandSpan*maxCap {
+			return fmt.Errorf("plan: class (%d,%d) has demand %g, more than %g times the largest element capacity %g",
+				c.App, c.Ingress, c.Demand, maxDemandSpan, maxCap)
+		}
+	}
+	return nil
+}
+
 // NewSolver returns a Solver for the given substrate and applications.
 func NewSolver(g *graph.Graph, apps []*vnet.App) *Solver {
 	return NewSolverOn(embedder.ForState(substrate.New(g)), apps)
@@ -420,8 +415,6 @@ func NewSolverOn(seedOracle *embedder.Oracle, apps []*vnet.App) *Solver {
 		seedOracle:  seedOracle,
 		priceState:  ps,
 		priceOracle: embedder.ForState(ps),
-		warmVars:    newWarmLRU(warmVarCap),
-		warmRows:    newWarmLRU(warmRowCap),
 	}
 }
 
@@ -455,6 +448,9 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 	if err := checkDemandSpan(classes); err != nil {
 		return nil, err
 	}
+	if err := checkDemandScale(g, classes); err != nil {
+		return nil, err
+	}
 
 	m := newMaster(g, apps, classes, opts)
 	m.solver = s
@@ -465,16 +461,11 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 		return nil, err
 	}
 
-	// Warm-start chain: the first solve reuses the previous Build's
-	// basis (remapped by signature), and each pricing round reuses the
+	// The first solve is cold; each pricing round warm-starts from the
 	// round before it (indices are stable — the master only appends).
-	useWarm := !opts.DisableWarmStarts
 	var warm *lp.Basis
-	if useWarm {
-		warm = m.warmBasis(s.warmVars, s.warmRows)
-	}
 	var sol *lp.Solution
-	rounds := 0
+	rounds, pivots := 0, 0
 	for {
 		var err error
 		counters.masterSolves.Add(1)
@@ -487,6 +478,7 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan: master LP: %w", err)
 		}
+		pivots += sol.Iterations
 		if sol.WarmStarted {
 			counters.warmHits.Add(1)
 		}
@@ -501,11 +493,9 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 		if added == 0 {
 			break
 		}
-		if useWarm {
-			warm = sol.Basis()
-		}
+		warm = sol.Basis()
 	}
-	p := &Plan{Obj: sol.Obj, Iterations: sol.Iterations, PricingRounds: rounds}
+	p := &Plan{Obj: sol.Obj, Iterations: pivots, PricingRounds: rounds}
 	p.Classes = m.extract(sol)
 	// lp refuses a vertex that breaks a bound or a row of the master, but
 	// only to its own magnitude-scaled tolerance, and a badly scaled
@@ -515,9 +505,7 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 	if err := p.Validate(g); err != nil {
 		return nil, fmt.Errorf("%w (master LP solution)", err)
 	}
-	if useWarm {
-		s.captureWarm(m, sol)
-	}
+	s.capturePool(m, sol)
 
 	counters.builds.Add(1)
 	p.buildIndex()
@@ -531,7 +519,7 @@ func BuildFromHistory(g *graph.Graph, apps []*vnet.App, hist *workload.Trace, op
 
 // BuildFromHistory aggregates hist and builds the plan on this solver,
 // so successive rebuilds over rolling histories — the serving layer's
-// online replanner — reuse the warm basis memory and solution-support
+// online replanner — reuse the warm substrate state and solution-support
 // column pool the way repeated Build calls do.
 func (s *Solver) BuildFromHistory(hist *workload.Trace, opts Options, rng *rand.Rand) (*Plan, error) {
 	classes, err := Aggregate(hist, len(s.apps), opts.Alpha, opts.BootstrapB, rng)
@@ -561,12 +549,6 @@ type master struct {
 
 	// quantile column index range per class.
 	quantCols [][]int
-
-	// varKeys/rowKeys give every LP column and row a stable identity
-	// (class, embedding signature, substrate element) for remapping a
-	// previous solve's basis onto this master (Solver warm starts).
-	varKeys []string
-	rowKeys []string
 }
 
 func newMaster(g *graph.Graph, apps []*vnet.App, classes []Class, opts Options) *master {
@@ -586,43 +568,13 @@ func newMaster(g *graph.Graph, apps []*vnet.App, classes []Class, opts Options) 
 	P := opts.Quantiles
 	for i, c := range classes {
 		m.convRow[i] = m.prob.AddRow(lp.EQ, 1)
-		m.rowKeys = append(m.rowKeys, "c:"+strconv.Itoa(c.App)+":"+strconv.Itoa(int(c.Ingress)))
 		for p := 1; p <= P; p++ {
 			cost := m.psi[i] * c.Demand * float64(p)
 			v := m.prob.MustAddVar(cost, 0, 1/float64(P), []lp.Entry{{Row: m.convRow[i], Coef: 1}})
 			m.quantCols[i] = append(m.quantCols[i], v)
-			m.varKeys = append(m.varKeys, "q:"+strconv.Itoa(c.App)+":"+strconv.Itoa(int(c.Ingress))+":"+strconv.Itoa(p))
 		}
 	}
 	return m
-}
-
-// warmBasis remaps a previous solve's signature-keyed basis onto this
-// master's indices, or returns nil when there is nothing to reuse.
-// Columns the memory does not know stay nonbasic at lower bound; rows it
-// does not know keep their logical column basic — the lp defaults for
-// freshly added structure.
-func (m *master) warmBasis(vars, rows *warmLRU) *lp.Basis {
-	if vars.len() == 0 && rows.len() == 0 {
-		return nil
-	}
-	b := &lp.Basis{
-		Vars: make([]lp.VarStatus, m.prob.NumVars()),
-		Rows: make([]lp.VarStatus, m.prob.NumRows()),
-	}
-	for j, key := range m.varKeys {
-		if st, ok := vars.get(key); ok {
-			b.Vars[j] = st
-		}
-	}
-	for i, key := range m.rowKeys {
-		if st, ok := rows.get(key); ok {
-			b.Rows[i] = st
-		} else {
-			b.Rows[i] = lp.StatusBasic
-		}
-	}
-	return b
 }
 
 // rowFor returns (creating on demand) the capacity row of element e.
@@ -632,15 +584,13 @@ func (m *master) rowFor(e graph.ElementID) int {
 	}
 	r := m.prob.AddRow(lp.LE, m.g.ElementCap(e))
 	m.elemRow[e] = r
-	m.rowKeys = append(m.rowKeys, "e:"+strconv.Itoa(int(e)))
 	return r
 }
 
 // addColumn inserts the embedding as a candidate for class ci; returns
 // false if an identical column already exists.
 func (m *master) addColumn(ci int, e *vnet.Embedding) bool {
-	es := embSignature(e)
-	sig := strconv.Itoa(ci) + "|" + es
+	sig := strconv.Itoa(ci) + "|" + embSignature(e)
 	if m.sigs[sig] {
 		return false
 	}
@@ -654,37 +604,18 @@ func (m *master) addColumn(ci int, e *vnet.Embedding) bool {
 	m.prob.MustAddVar(e.UnitCost()*d, 0, 1, entries)
 	m.colClass = append(m.colClass, ci)
 	m.colEmb = append(m.colEmb, e)
-	c := m.classes[ci]
-	m.varKeys = append(m.varKeys, "x:"+strconv.Itoa(c.App)+":"+strconv.Itoa(int(c.Ingress))+":"+es)
 	return true
 }
 
-// captureWarm merges the final basis of a solved master into the
-// Solver's signature-keyed memory for later Builds. Variable statuses
-// are stored sparsely (missing means nonbasic-at-lower, the default) —
-// a variable back at its lower bound is deleted rather than stored, or
-// a stale non-lower status from an earlier Build would shadow it. Row
-// statuses are stored for every row the master had, because an absent
-// row key defaults to logical-basic on replay. Keys from masters this
-// Build did not touch survive until the LRU cap evicts them.
-func (s *Solver) captureWarm(m *master, sol *lp.Solution) {
+// capturePool replaces the Solver's column pool with the solution
+// support of a solved master: its embedding columns basic or at upper
+// bound, for the next Build's seed set. The pool is rebuilt per Build, so
+// it stays bounded by one master's support size.
+func (s *Solver) capturePool(m *master, sol *lp.Solution) {
 	b := sol.Basis()
 	if b == nil {
 		return
 	}
-	for j, key := range m.varKeys {
-		if st := b.Vars[j]; st != lp.StatusLower {
-			s.warmVars.put(key, st)
-		} else {
-			s.warmVars.delete(key)
-		}
-	}
-	for i, key := range m.rowKeys {
-		s.warmRows.put(key, b.Rows[i])
-	}
-	// Pool the solution support (basic or at-upper embedding columns)
-	// for the next Build's seed set. The pool is rebuilt per Build, so
-	// it stays bounded by one master's support size.
 	base := 0
 	for i := range m.quantCols {
 		base += len(m.quantCols[i])
@@ -730,15 +661,11 @@ func (m *master) seedColumns() error {
 	seeded := 0
 	for ci, c := range m.classes {
 		app := m.apps[c.App]
-		// Previous solve's solution support first: these columns carry
-		// the remembered basis (Solver warm starts) across Builds. Part
-		// of the warm-start machinery, so the ablation knob disables it
-		// too — a cold Build must not consume a warm Build's pool.
-		if !m.opts.DisableWarmStarts {
-			for _, e := range m.solver.pool[classKey{c.App, c.Ingress}] {
-				if m.addColumn(ci, e) {
-					seeded++
-				}
+		// The previous Build's solution support first (see
+		// Solver.pool).
+		for _, e := range m.solver.pool[classKey{c.App, c.Ingress}] {
+			if m.addColumn(ci, e) {
+				seeded++
 			}
 		}
 		for _, e := range oracle.KCheapestCollocated(app, c.Ingress, m.opts.InitialCandidates) {

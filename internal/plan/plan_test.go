@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -175,6 +176,26 @@ func TestDemandSpanBound(t *testing.T) {
 	classes[1].Demand = math.Nextafter(classes[1].Demand, math.Inf(1))
 	want := "plan: class (2,0) has demand 3.0000000000000004e+07, more than 1e+07 times the demand 3 of class (0,1)"
 	if err := checkDemandSpan(classes); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// TestDemandScaleBound: a class of exactly maxDemandSpan times the
+// largest element capacity is accepted, and the next float up refused
+// with both numbers named.
+func TestDemandScaleBound(t *testing.T) {
+	g := topo.MustBuild(topo.Iris, 1)
+	maxCap := 0.0
+	for e := range g.NumElements() {
+		maxCap = math.Max(maxCap, g.ElementCap(graph.ElementID(e)))
+	}
+	classes := []Class{{App: 0, Ingress: 1, Demand: 3}, {App: 1, Ingress: 2, Demand: maxDemandSpan * maxCap}}
+	if err := checkDemandScale(g, classes); err != nil {
+		t.Fatalf("demand of exactly maxDemandSpan capacities refused: %v", err)
+	}
+	classes[1].Demand = math.Nextafter(classes[1].Demand, math.Inf(1))
+	want := fmt.Sprintf("plan: class (1,2) has demand %g, more than 1e+07 times the largest element capacity %g", classes[1].Demand, maxCap)
+	if err := checkDemandScale(g, classes); err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}
 }

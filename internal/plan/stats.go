@@ -3,10 +3,10 @@ package plan
 import "sync/atomic"
 
 // Build instrumentation: always-on process-wide counters mirroring the
-// lp package's solve counters one level up, where "warm" means the
-// plan-layer warm-start machinery (signature-keyed basis memory and
-// round-to-round basis chaining) — the hit rate the ROADMAP's replanning
-// work needs to watch. Pivot-level detail lives in lp.Stats().
+// lp package's solve counters one level up, where "warm" means
+// round-to-round basis chaining inside one Build — the hit rate the
+// ROADMAP's replanning work needs to watch. Pivot-level detail lives in
+// lp.Stats().
 
 // CountersSnapshot is a point-in-time copy of the package counters,
 // cumulative since process start.
@@ -16,14 +16,12 @@ type CountersSnapshot struct {
 	// MasterSolves counts master-LP solves across all pricing rounds.
 	MasterSolves int64
 	// WarmAttempts counts master solves that had a basis to warm-start
-	// from (previous Build via signature remap, or the prior round).
+	// from: every pricing round's solve, from the round before it. A
+	// Build's first solve is always cold.
 	WarmAttempts int64
 	// WarmHits counts warm attempts the LP completed without falling
 	// back to a cold solve.
 	WarmHits int64
-	// WarmEvictions counts entries the LRU cap dropped from the
-	// signature-keyed basis memory.
-	WarmEvictions int64
 	// PricePoolHits always reads 0: pricing has no candidate pool, and
 	// every class query goes to the oracle. The field stays only because
 	// the bench module reads it for its plan.price_pool_hits metric.
@@ -38,7 +36,6 @@ var counters struct {
 	masterSolves     atomic.Int64
 	warmAttempts     atomic.Int64
 	warmHits         atomic.Int64
-	warmEvictions    atomic.Int64
 	priceOracleCalls atomic.Int64
 }
 
@@ -49,7 +46,6 @@ func Stats() CountersSnapshot {
 		MasterSolves:     counters.masterSolves.Load(),
 		WarmAttempts:     counters.warmAttempts.Load(),
 		WarmHits:         counters.warmHits.Load(),
-		WarmEvictions:    counters.warmEvictions.Load(),
 		PriceOracleCalls: counters.priceOracleCalls.Load(),
 	}
 }

@@ -1,49 +1,56 @@
 package plan
 
-import "testing"
+import (
+	"testing"
 
-// TestBuildCounters checks the package counters across a cold build and
-// a repeated warm build on the same solver. Counters are process
-// globals, so deltas only.
+	"github.com/olive-vne/olive/internal/lp"
+)
+
+// TestBuildCounters checks the package counters across two Builds on one
+// solver. Only round-to-round chaining warm-starts, so each Build's
+// first master solve is cold and every later one is a warm attempt.
+// Counters are process globals, so deltas only.
 func TestBuildCounters(t *testing.T) {
-	warmSolver, coldSolver, classes, warmOpts, coldOpts := warmScenario(t)
+	s, classes, opts := warmScenario(t)
+	for i := 1; i <= 2; i++ {
+		before := Stats()
+		p, err := s.Build(classes, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := Stats()
+		if d := after.Builds - before.Builds; d != 1 {
+			t.Fatalf("build %d: Builds delta = %d, want 1", i, d)
+		}
+		solves := after.MasterSolves - before.MasterSolves
+		if solves < 2 {
+			t.Fatalf("build %d: %d master solves over %d pricing rounds; the test needs several", i, solves, p.PricingRounds)
+		}
+		attempts := after.WarmAttempts - before.WarmAttempts
+		hits := after.WarmHits - before.WarmHits
+		if attempts != solves-1 {
+			t.Fatalf("build %d: %d warm attempts over %d master solves, want all but the first", i, attempts, solves)
+		}
+		if hits == 0 || hits > attempts {
+			t.Fatalf("build %d: %d of %d warm attempts hit", i, hits, attempts)
+		}
+	}
+}
 
-	before := Stats()
-	if _, err := coldSolver.Build(classes, coldOpts); err != nil {
+// TestPlanIterationsCountEveryMasterSolve holds Plan.Iterations to the
+// simplex pivots lp counted over the Build: every master solve's, not
+// only the last one's.
+func TestPlanIterationsCountEveryMasterSolve(t *testing.T) {
+	s, classes, opts := warmScenario(t)
+	before := lp.Stats().Pivots
+	p, err := s.Build(classes, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mid := Stats()
-	if mid.Builds != before.Builds+1 {
-		t.Fatalf("Builds delta = %d, want 1", mid.Builds-before.Builds)
+	if p.PricingRounds == 0 {
+		t.Fatal("the Build solved one master; the test needs several")
 	}
-	if mid.MasterSolves <= before.MasterSolves {
-		t.Fatal("cold build recorded no master solves")
-	}
-	if mid.WarmAttempts != before.WarmAttempts {
-		t.Fatalf("DisableWarmStarts build attempted %d warm starts", mid.WarmAttempts-before.WarmAttempts)
-	}
-
-	// Two warm builds: the second reuses the first's signature-keyed
-	// basis, so warm attempts must flow and nearly all must hit.
-	if _, err := warmSolver.Build(classes, warmOpts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := warmSolver.Build(classes, warmOpts); err != nil {
-		t.Fatal(err)
-	}
-	after := Stats()
-	attempts := after.WarmAttempts - mid.WarmAttempts
-	hits := after.WarmHits - mid.WarmHits
-	if attempts == 0 {
-		t.Fatal("warm builds attempted no warm starts")
-	}
-	if hits == 0 {
-		t.Fatalf("0 of %d warm attempts hit", attempts)
-	}
-	if hits > attempts {
-		t.Fatalf("hits %d > attempts %d", hits, attempts)
-	}
-	if after.Builds != mid.Builds+2 {
-		t.Fatalf("Builds delta = %d, want 2", after.Builds-mid.Builds)
+	if got := lp.Stats().Pivots - before; int64(p.Iterations) != got {
+		t.Fatalf("Plan.Iterations = %d, lp counted %d pivots over the Build", p.Iterations, got)
 	}
 }

@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"github.com/olive-vne/olive/internal/lp"
 	"github.com/olive-vne/olive/internal/topo"
 	"github.com/olive-vne/olive/internal/vnet"
 	"github.com/olive-vne/olive/internal/workload"
 )
 
 // warmScenario builds a mid-size instance for warm-start behavior tests.
-func warmScenario(t *testing.T) (*Solver, *Solver, []Class, Options, Options) {
+func warmScenario(t *testing.T) (*Solver, []Class, Options) {
 	t.Helper()
 	g := topo.MustBuild(topo.CittaStudi, 9)
 	rng := testRNG(9)
@@ -28,68 +29,66 @@ func warmScenario(t *testing.T) (*Solver, *Solver, []Class, Options, Options) {
 	if len(classes) == 0 {
 		t.Fatal("no classes")
 	}
-	warmOpts := DefaultOptions()
-	coldOpts := DefaultOptions()
-	coldOpts.DisableWarmStarts = true
-	return NewSolver(g, apps), NewSolver(g, apps), classes, warmOpts, coldOpts
+	return NewSolver(g, apps), classes, DefaultOptions()
 }
 
-// TestWarmStartsBeatCold pins the point of the warm-start plumbing: the
-// same plan build costs at least 2× fewer simplex pivots with
-// round-to-round warm starts, and a repeated build (the SLOTOFF per-slot
-// regime, where the Solver's signature-keyed memory and column pool
-// apply) nearly vanishes. Plans must stay valid and agree on cost to
-// within column-generation truncation noise.
+// TestWarmStartsBeatCold pins the point of round-to-round chaining: it
+// drives one master through Build's rounds by hand and, after every
+// pricing round, solves the grown master both from the previous round's
+// basis and cold. Each chained solve must be warm-started, reach the
+// cold solve's objective to 1e-9 relative, and, summed over the rounds,
+// take at most half the cold solves' pivots.
 func TestWarmStartsBeatCold(t *testing.T) {
-	warmSolver, coldSolver, classes, warmOpts, coldOpts := warmScenario(t)
-	g := warmSolver.g
-
-	cold, err := coldSolver.Build(classes, coldOpts)
-	if err != nil {
+	s, classes, opts := warmScenario(t)
+	m := newMaster(s.g, s.apps, classes, opts)
+	m.solver = s
+	defer m.prob.ReleaseWorkspace()
+	if err := m.seedColumns(); err != nil {
 		t.Fatal(err)
 	}
-	warm1, err := warmSolver.Build(classes, warmOpts)
-	if err != nil {
-		t.Fatal(err)
+	sol, err := m.prob.Solve()
+	if err != nil || sol.Status != lp.Optimal {
+		t.Fatalf("first master solve: %v, %v", sol, err)
 	}
-	warm2, err := warmSolver.Build(classes, warmOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("pivots: cold=%d warm=%d repeat=%d", cold.Iterations, warm1.Iterations, warm2.Iterations)
-
-	if warm1.Iterations*2 > cold.Iterations {
-		t.Errorf("round-to-round warm starts saved too little: cold %d pivots, warm %d (want ≥2×)",
-			cold.Iterations, warm1.Iterations)
-	}
-	if warm2.Iterations*10 > cold.Iterations {
-		t.Errorf("repeated build should be nearly free: cold %d pivots, repeat %d (want ≥10×)",
-			cold.Iterations, warm2.Iterations)
-	}
-	for name, p := range map[string]*Plan{"cold": cold, "warm": warm1, "repeat": warm2} {
-		if err := p.Validate(g); err != nil {
-			t.Errorf("%s plan invalid: %v", name, err)
+	rounds, warmPivots, coldPivots := 0, 0, 0
+	for rounds < opts.MaxPricingRounds && m.price(sol) > 0 {
+		rounds++
+		warm, err := m.prob.SolveFrom(sol.Basis())
+		if err != nil || warm.Status != lp.Optimal {
+			t.Fatalf("round %d: chained solve: %v, %v", rounds, warm, err)
 		}
-	}
-	// Truncated column generation may take different column trajectories
-	// warm vs cold; the resulting plans must still land within a small
-	// relative band of each other.
-	for name, p := range map[string]*Plan{"warm": warm1, "repeat": warm2} {
-		if rel := math.Abs(p.Obj-cold.Obj) / (1 + math.Abs(cold.Obj)); rel > 5e-3 {
-			t.Errorf("%s obj %g drifted %.2g%% from cold obj %g", name, p.Obj, 100*rel, cold.Obj)
+		cold, err := m.prob.Solve()
+		if err != nil || cold.Status != lp.Optimal {
+			t.Fatalf("round %d: cold solve: %v, %v", rounds, cold, err)
 		}
+		if !warm.WarmStarted {
+			t.Errorf("round %d: the chained solve fell back cold", rounds)
+		}
+		if rel := math.Abs(warm.Obj-cold.Obj) / math.Max(1, math.Abs(cold.Obj)); rel > 1e-9 {
+			t.Errorf("round %d: chained objective %v, cold %v (%.2g relative)", rounds, warm.Obj, cold.Obj, rel)
+		}
+		warmPivots += warm.Iterations
+		coldPivots += cold.Iterations
+		sol = warm
+	}
+	t.Logf("%d rounds: chained %d pivots, cold %d", rounds, warmPivots, coldPivots)
+	if rounds < 2 {
+		t.Fatalf("column generation ran %d pricing rounds; the scenario needs at least 2", rounds)
+	}
+	if warmPivots*2 > coldPivots {
+		t.Errorf("chaining saved too little: %d pivots chained, %d cold (want ≤ half)", warmPivots, coldPivots)
 	}
 }
 
 // TestWarmStartsDeterministic: two fresh solvers replaying the same
-// build sequence must produce identical plans — the warm-start path
-// (basis memory, column pool) cannot introduce run-to-run variance.
+// build sequence must produce identical plans — round-to-round chaining
+// and the column pool cannot introduce run-to-run variance.
 func TestWarmStartsDeterministic(t *testing.T) {
 	run := func() []*Plan {
-		solver, _, classes, warmOpts, _ := warmScenario(t)
+		solver, classes, opts := warmScenario(t)
 		var out []*Plan
 		for i := 0; i < 3; i++ {
-			p, err := solver.Build(classes, warmOpts)
+			p, err := solver.Build(classes, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,10 +23,10 @@ var (
 	ErrInsufficientHistory = errors.New("serve: insufficient history for replan")
 )
 
-// replanner owns the background rebuild machinery: one warm plan.Solver
-// reused across rebuilds (signature-keyed basis memory, pooled columns —
-// consecutive plans over rolling histories are exactly the
-// few-columns-differ regime the warm start was built for), a busy flag
+// replanner owns the background rebuild machinery: one plan.Solver
+// reused across rebuilds (its warm substrate state, and its column pool,
+// which seeds each rebuild with the columns the previous plan used;
+// every rebuild's first master solve is cold), a busy flag
 // serializing rebuilds, and the outcome counters /stats and /metrics
 // export. Rebuilds run off the request path: the only contact with the
 // shards is snapshotting their history rings and storing the finished
