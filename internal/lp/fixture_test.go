@@ -127,8 +127,8 @@ func TestLoadRejectsMalformed(t *testing.T) {
 // third it pivoted on 7.5e-9, rounding in a column that reached 3.5e7;
 // the new basis was singular, its repair restored the old one, and Bland's
 // rule chose the same pivot until the iteration cap. Solve's own primal
-// check holds the vertex feasible; its objective must be the dense
-// reference's on the same problem with every row divided by its
+// check holds the vertex feasible, and it must pass kktViolation
+// unscaled; its objective must be the dense reference's on the same problem with every row divided by its
 // right-hand side (unscaled, the reference's absolute tolerances misjudge
 // coefficients of 1e7 and miss the second optimum by 7.5e-4).
 func TestBadlyScaledMastersSolve(t *testing.T) {
@@ -140,6 +140,9 @@ func TestBadlyScaledMastersSolve(t *testing.T) {
 		}
 		if sol.Status != Optimal {
 			t.Fatalf("%s: status = %v, want optimal", name, sol.Status)
+		}
+		if err := kktViolation(sol, p.rowSense, p.rhs, p.lo, p.up, p.cost, p.cols); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 		scaled := NewProblem()
 		for i, rhs := range p.rhs {
@@ -163,4 +166,46 @@ func TestBadlyScaledMastersSolve(t *testing.T) {
 			t.Fatalf("%s: objective %v, reference %v (%.2g relative)", name, sol.Obj, want, rel)
 		}
 	}
+}
+
+// TestKKTRejectsVertexOnePivotShort keeps kktViolation sharp on a badly
+// scaled master: it accepts lp's optimal vertex of the weak-row-capacity
+// fixture unscaled (costs reach 1e10), and must refuse every vertex the
+// same solve stood on in phase 2 before it, the one a pivot short of
+// optimal included, each read with its duals at its pricing scan.
+func TestKKTRejectsVertexOnePivotShort(t *testing.T) {
+	p := loadFixture(t, "../../testdata/lp/weak-row-capacity.lp.gz")
+	sol := solveNoRetry(t, p)
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v, want optimal", sol.Status)
+	}
+	if err := kktViolation(sol, p.rowSense, p.rhs, p.lo, p.up, p.cost, p.cols); err != nil {
+		t.Fatalf("optimal vertex: %v", err)
+	}
+	var short error
+	p.ws.Store(&workspace{onPrice: func(s *simplex, cost []float64, optimal bool) {
+		if s.iters >= sol.Iterations || &cost[0] != &s.cost[0] {
+			return
+		}
+		y := make([]float64, s.m)
+		s.dualsInto(cost, y)
+		for i := range y {
+			y[i] *= s.ws.rowNeg[i]
+		}
+		vertex := &Solution{X: s.primal()[:s.nStruct], Dual: y}
+		err := kktViolation(vertex, p.rowSense, p.rhs, p.lo, p.up, p.cost, p.cols)
+		if err == nil {
+			t.Errorf("accepted the phase-2 vertex after %d of %d pivots", s.iters, sol.Iterations)
+		}
+		if s.iters == sol.Iterations-1 {
+			short = err
+		}
+	}})
+	if again := solveNoRetry(t, p); again.Iterations != sol.Iterations {
+		t.Fatalf("the hooked solve took %d pivots, the first %d", again.Iterations, sol.Iterations)
+	}
+	if short == nil {
+		t.Fatalf("no refused phase-2 vertex one pivot short of optimal (pivot %d)", sol.Iterations-1)
+	}
+	t.Logf("one pivot short: %v", short)
 }

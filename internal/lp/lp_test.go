@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -277,6 +278,16 @@ func TestDegenerateLP(t *testing.T) {
 // without a reference implementation.
 func checkKKT(t *testing.T, p *Problem, sol *Solution, senses []Sense, rhs []float64, lo, up, cost []float64, cols [][]Entry) {
 	t.Helper()
+	if err := kktViolation(sol, senses, rhs, lo, up, cost, cols); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// kktViolation returns the first optimality condition sol breaks, or nil.
+// Rows and bounds are held to 1e-6 absolute. A reduced cost is held to
+// dualTol·(1 + |c_j|), the rule price certifies optimality by: beside
+// costs of 1e10 an absolute test would judge rounding noise in the duals.
+func kktViolation(sol *Solution, senses []Sense, rhs []float64, lo, up, cost []float64, cols [][]Entry) error {
 	const tol = 1e-6
 	m := len(rhs)
 	act := make([]float64, m)
@@ -289,47 +300,49 @@ func checkKKT(t *testing.T, p *Problem, sol *Solution, senses []Sense, rhs []flo
 		switch senses[i] {
 		case LE:
 			if act[i] > rhs[i]+tol {
-				t.Fatalf("row %d violated: %g > %g", i, act[i], rhs[i])
+				return fmt.Errorf("row %d violated: %g > %g", i, act[i], rhs[i])
 			}
 			if rhs[i]-act[i] > tol && math.Abs(sol.Dual[i]) > tol {
-				t.Fatalf("row %d slack with nonzero dual %g", i, sol.Dual[i])
+				return fmt.Errorf("row %d slack with nonzero dual %g", i, sol.Dual[i])
 			}
 			if sol.Dual[i] > tol {
-				t.Fatalf("LE row %d has positive dual %g in a minimization", i, sol.Dual[i])
+				return fmt.Errorf("LE row %d has positive dual %g in a minimization", i, sol.Dual[i])
 			}
 		case GE:
 			if act[i] < rhs[i]-tol {
-				t.Fatalf("row %d violated: %g < %g", i, act[i], rhs[i])
+				return fmt.Errorf("row %d violated: %g < %g", i, act[i], rhs[i])
 			}
 			if act[i]-rhs[i] > tol && math.Abs(sol.Dual[i]) > tol {
-				t.Fatalf("row %d slack with nonzero dual %g", i, sol.Dual[i])
+				return fmt.Errorf("row %d slack with nonzero dual %g", i, sol.Dual[i])
 			}
 		case EQ:
 			if math.Abs(act[i]-rhs[i]) > tol {
-				t.Fatalf("row %d not tight: %g ≠ %g", i, act[i], rhs[i])
+				return fmt.Errorf("row %d not tight: %g ≠ %g", i, act[i], rhs[i])
 			}
 		}
 	}
 	for j := range cols {
 		if sol.X[j] < lo[j]-tol || sol.X[j] > up[j]+tol {
-			t.Fatalf("var %d = %g outside [%g,%g]", j, sol.X[j], lo[j], up[j])
+			return fmt.Errorf("var %d = %g outside [%g,%g]", j, sol.X[j], lo[j], up[j])
 		}
 		d := cost[j]
 		for _, e := range cols[j] {
 			d -= sol.Dual[e.Row] * e.Coef
 		}
+		dtol := dualTol * (1 + math.Abs(cost[j]))
 		interior := sol.X[j] > lo[j]+tol && sol.X[j] < up[j]-tol
 		switch {
 		case up[j]-lo[j] <= tol:
 			// Fixed: at both bounds, any reduced cost is optimal.
-		case interior && math.Abs(d) > tol:
-			t.Fatalf("var %d interior with reduced cost %g", j, d)
-		case sol.X[j] <= lo[j]+tol && d < -tol:
-			t.Fatalf("var %d at lower with negative reduced cost %g", j, d)
-		case sol.X[j] >= up[j]-tol && !math.IsInf(up[j], 1) && sol.X[j] > lo[j]+tol && d > tol:
-			t.Fatalf("var %d at upper with positive reduced cost %g", j, d)
+		case interior && math.Abs(d) > dtol:
+			return fmt.Errorf("var %d interior with reduced cost %g", j, d)
+		case sol.X[j] <= lo[j]+tol && d < -dtol:
+			return fmt.Errorf("var %d at lower with negative reduced cost %g", j, d)
+		case sol.X[j] >= up[j]-tol && !math.IsInf(up[j], 1) && sol.X[j] > lo[j]+tol && d > dtol:
+			return fmt.Errorf("var %d at upper with positive reduced cost %g", j, d)
 		}
 	}
+	return nil
 }
 
 // TestRandomLPsSatisfyKKT fuzzes the solver with random dense LPs and

@@ -15,22 +15,31 @@ import (
 // failure), with one column-generation round per solve.
 func benchInstance(b testing.TB) (*Solver, []Class, Options) {
 	b.Helper()
-	g := topo.MustBuild(topo.Random100, 4)
-	rng := rand.New(rand.NewPCG(4, 1234))
+	s, classes := historyInstance(b, topo.Random100, 4)
+	opts := DefaultOptions()
+	opts.MaxPricingRounds = 1
+	return s, classes, opts
+}
+
+// historyInstance returns a fresh Solver on topology name (built with
+// seed) and the classes aggregated from a 150-slot MMPP history at 1.4
+// utilization, every draw seeded from seed.
+func historyInstance(tb testing.TB, name topo.Name, seed uint64) (*Solver, []Class) {
+	tb.Helper()
+	g := topo.MustBuild(name, seed)
+	rng := rand.New(rand.NewPCG(seed, 1234))
 	apps := vnet.DefaultMix(vnet.DefaultParams(), rng)
 	wp := workload.DefaultParams().WithUtilization(1.4)
 	wp.Slots = 150
 	tr, err := workload.GenerateMMPP(g, wp, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	classes, err := Aggregate(tr, len(apps), 0.8, 100, rand.New(rand.NewPCG(5, 1234)))
+	classes, err := Aggregate(tr, len(apps), 0.8, 100, rand.New(rand.NewPCG(seed+1, 1234)))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.MaxPricingRounds = 1
-	return NewSolver(g, apps), classes, opts
+	return NewSolver(g, apps), classes
 }
 
 // BenchmarkPlanSolve measures one plan Build at fig-scale m, with one

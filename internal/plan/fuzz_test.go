@@ -100,8 +100,9 @@ func TestBuildRefusesInfeasibleVertex(t *testing.T) {
 // FuzzPlanBuild decodes its input into plan options and two class sets
 // (decodeBuild). A class that Class.Check refuses must make Build fail. A
 // Build that succeeds must return a plan that passes Validate, keeps every
-// class ingress on a substrate node, and has the same objective bits when
-// built again on a fresh Solver. The second set is then built on the
+// class ingress on a substrate node, reports a Lagrangian bound no
+// higher than its objective, and has the same objective bits when built
+// again on a fresh Solver. The second set is then built on the
 // first Build's Solver, whose column pool now seeds it: that plan must
 // pass Validate, and the Build may fail only where a fresh Solver's Build
 // of the second set fails too.
@@ -143,6 +144,9 @@ func FuzzPlanBuild(f *testing.F) {
 		}
 		if err := p.Validate(g); err != nil {
 			t.Fatalf("classes %v: %v", classes, err)
+		}
+		if !(p.Bound <= p.Obj) || !(p.Gap >= 0) {
+			t.Fatalf("classes %v: bound %v, objective %v, gap %v", classes, p.Bound, p.Obj, p.Gap)
 		}
 		for _, cp := range p.Classes {
 			if cp.Class.Ingress < 0 || int(cp.Class.Ingress) >= n {

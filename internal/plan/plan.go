@@ -95,6 +95,19 @@ type Plan struct {
 	Iterations int
 	// PricingRounds counts column-generation rounds performed.
 	PricingRounds int
+	// Bound is the best Lagrangian lower bound on the full master's
+	// optimum seen over the Build's pricing rounds: z_RMP + Σ_c min(0,
+	// D_c·price_c − σ_c), from the exact oracle's prices (Lasdon 1970;
+	// Lübbecke & Desrosiers 2005). It is -Inf when no round priced the
+	// master (MaxPricingRounds 0).
+	Bound float64
+	// Gap is (Obj − Bound)/|Obj|: how far Obj can be above the full
+	// master's optimum, relative to Obj (+Inf with no Bound).
+	Gap float64
+	// Converged reports that the last pricing round found no improving
+	// column, so Obj is the full master's optimum; false when the round
+	// cap ended the Build.
+	Converged bool
 
 	index map[classKey]int
 }
@@ -338,14 +351,14 @@ type Solver struct {
 	dualBuf     []float64
 	priceBuf    embedder.Prices
 
-	// pool carries each class's solution-support embeddings (columns
-	// basic or at upper bound in the last master) into the next Build's
-	// seed set, so a Build starts from the columns its predecessor priced
-	// in rather than from the collocated seeds alone. SLOTOFF's per-slot
-	// masters get two pricing rounds each; the pool is what brings them
-	// close to the per-slot optimum. No basis crosses Builds: every
-	// Build's first master solve is cold (consecutive masters differ in
-	// their demands, so the previous vertex is almost never feasible).
+	// pool carries each class's solution-support embeddings (the basic
+	// columns of the last master) into the next Build's seed set, so a
+	// Build starts from the columns its predecessor priced in rather than
+	// from the collocated seeds alone. SLOTOFF's per-slot masters get two
+	// pricing rounds each; the pool is what brings them close to the
+	// per-slot optimum. No basis crosses Builds: every Build's first
+	// master solve is cold (consecutive masters differ in their demands,
+	// so the previous vertex is almost never feasible).
 	pool map[classKey][]*vnet.Embedding
 }
 
@@ -466,6 +479,7 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 	var warm *lp.Basis
 	var sol *lp.Solution
 	rounds, pivots := 0, 0
+	bound, converged := math.Inf(-1), false
 	for {
 		var err error
 		counters.masterSolves.Add(1)
@@ -488,14 +502,19 @@ func (s *Solver) Build(classes []Class, opts Options) (*Plan, error) {
 		if rounds >= opts.MaxPricingRounds {
 			break
 		}
-		added := m.price(sol)
+		added, lagr := m.price(sol)
 		rounds++
+		bound = math.Max(bound, sol.Obj+lagr)
 		if added == 0 {
+			converged = true
 			break
 		}
 		warm = sol.Basis()
 	}
-	p := &Plan{Obj: sol.Obj, Iterations: pivots, PricingRounds: rounds}
+	p := &Plan{
+		Obj: sol.Obj, Iterations: pivots, PricingRounds: rounds,
+		Bound: bound, Gap: relGap(sol.Obj, bound), Converged: converged,
+	}
 	p.Classes = m.extract(sol)
 	// lp refuses a vertex that breaks a bound or a row of the master, but
 	// only to its own magnitude-scaled tolerance, and a badly scaled
@@ -601,16 +620,21 @@ func (m *master) addColumn(ci int, e *vnet.Embedding) bool {
 	for _, u := range e.UnitUse() {
 		entries = append(entries, lp.Entry{Row: m.rowFor(u.Elem), Coef: u.Amount * d})
 	}
-	m.prob.MustAddVar(e.UnitCost()*d, 0, 1, entries)
+	// No upper bound: the class's convexity row with x, s ≥ 0 already
+	// holds x ≤ 1, and an explicit bound only adds bound flips and
+	// at-upper columns whose negative reduced costs keep Plan.Bound from
+	// closing.
+	m.prob.MustAddVar(e.UnitCost()*d, 0, math.Inf(1), entries)
 	m.colClass = append(m.colClass, ci)
 	m.colEmb = append(m.colEmb, e)
 	return true
 }
 
 // capturePool replaces the Solver's column pool with the solution
-// support of a solved master: its embedding columns basic or at upper
-// bound, for the next Build's seed set. The pool is rebuilt per Build, so
-// it stays bounded by one master's support size.
+// support of a solved master: its basic embedding columns (they have no
+// upper bound, so a nonbasic one sits at 0), for the next Build's seed
+// set. The pool is rebuilt per Build, so it stays bounded by one
+// master's support size.
 func (s *Solver) capturePool(m *master, sol *lp.Solution) {
 	b := sol.Basis()
 	if b == nil {
@@ -622,7 +646,7 @@ func (s *Solver) capturePool(m *master, sol *lp.Solution) {
 	}
 	s.pool = make(map[classKey][]*vnet.Embedding)
 	for k, ci := range m.colClass {
-		if b.Vars[base+k] == lp.StatusLower {
+		if b.Vars[base+k] != lp.StatusBasic {
 			continue
 		}
 		c := m.classes[ci]
@@ -685,15 +709,25 @@ func (m *master) seedColumns() error {
 	return nil
 }
 
+// relGap returns (obj − bound)/|obj|, and 0 when the two are equal.
+func relGap(obj, bound float64) float64 {
+	if obj == bound {
+		return 0
+	}
+	return (obj - bound) / math.Abs(obj)
+}
+
 // price runs the Dantzig–Wolfe pricing round: the exact oracle (a
 // min-cost embed under dual-adjusted prices) prices every class once,
 // and each embedding whose reduced cost d·price − σ is negative joins
 // the master. A round that adds nothing therefore certifies the master
-// optimal. Returns the number of columns added. The dual-adjusted prices
+// optimal. Returns the number of columns added and Σ_c min(0, d·price −
+// σ), which added to the master's objective bounds the full master's
+// optimum from below (see Plan.Bound). The dual-adjusted prices
 // are written into the solver's pricing state in place; its path cache
 // invalidates (and its tree buffers are reused) only when link duals
 // actually moved.
-func (m *master) price(sol *lp.Solution) int {
+func (m *master) price(sol *lp.Solution) (added int, lagr float64) {
 	s := m.solver
 	if cap(s.dualBuf) < m.g.NumElements() {
 		s.dualBuf = make([]float64, m.g.NumElements())
@@ -708,15 +742,19 @@ func (m *master) price(sol *lp.Solution) int {
 	s.priceBuf = embedder.AdjustedPricesInto(s.priceBuf, m.g, elemDual)
 	s.priceState.SetPrices(s.priceBuf)
 	const tol = 1e-6
-	added := 0
 	for ci, c := range m.classes {
 		counters.priceOracleCalls.Add(1)
 		e, price, ok := s.priceOracle.MinCostEmbed(m.apps[c.App], c.Ingress)
-		if ok && c.Demand*price-sol.Dual[m.convRow[ci]] < -tol && m.addColumn(ci, e) {
+		if !ok {
+			continue
+		}
+		d := c.Demand*price - sol.Dual[m.convRow[ci]]
+		lagr += math.Min(0, d)
+		if d < -tol && m.addColumn(ci, e) {
 			added++
 		}
 	}
-	return added
+	return added, lagr
 }
 
 // extract reads the optimal basis into per-class plans.

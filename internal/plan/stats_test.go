@@ -9,12 +9,21 @@ import (
 // TestBuildCounters checks the package counters across two Builds on one
 // solver. Only round-to-round chaining warm-starts, so each Build's
 // first master solve is cold and every later one is a warm attempt.
-// Counters are process globals, so deltas only.
+// The second Build plans the same classes at shifted demands, as the
+// next SLOTOFF slot or replan would: re-solving the first Build's class
+// set from its column pool converges in one round, which would leave
+// nothing to chain. Counters are process globals, so deltas only.
 func TestBuildCounters(t *testing.T) {
 	s, classes, opts := warmScenario(t)
-	for i := 1; i <= 2; i++ {
+	shifted := make([]Class, len(classes))
+	for i, c := range classes {
+		c.Demand *= 1 + 0.5*float64(i%3)
+		shifted[i] = c
+	}
+	for k, cs := range [][]Class{classes, shifted} {
+		i := k + 1
 		before := Stats()
-		p, err := s.Build(classes, opts)
+		p, err := s.Build(cs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

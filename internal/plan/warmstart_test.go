@@ -51,7 +51,10 @@ func TestWarmStartsBeatCold(t *testing.T) {
 		t.Fatalf("first master solve: %v, %v", sol, err)
 	}
 	rounds, warmPivots, coldPivots := 0, 0, 0
-	for rounds < opts.MaxPricingRounds && m.price(sol) > 0 {
+	for rounds < opts.MaxPricingRounds {
+		if added, _ := m.price(sol); added == 0 {
+			break
+		}
 		rounds++
 		warm, err := m.prob.SolveFrom(sol.Basis())
 		if err != nil || warm.Status != lp.Optimal {
