@@ -192,7 +192,7 @@ func TestEngineClock(t *testing.T) {
 		}
 	}
 	e.StartSlot(9)
-	if err := e.CheckInvariants(); err != nil || e.ActiveCount() != 0 || !sameFloats(e.Residual(), g.Capacities()) {
+	if err := e.CheckInvariants(); err != nil || e.ActiveCount() != 0 || !sameFloats(slices.Clone(e.ResidualView()), g.Capacities()) {
 		t.Fatalf("after the drain: %v, %d active", err, e.ActiveCount())
 	}
 }

@@ -91,8 +91,8 @@ func TestDepartureRecordLifecycle(t *testing.T) {
 		if e.cal.pending != 0 || len(e.freeRecs) != len(e.recs) {
 			t.Fatalf("%v: drained engine holds %d entries and %d of %d records free", name, e.cal.pending, len(e.freeRecs), len(e.recs))
 		}
-		if !sameFloats(e.Residual(), g.Capacities()) {
-			t.Fatalf("%v: residual %v after the drain, capacity %v", name, e.Residual(), g.Capacities())
+		if !sameFloats(slices.Clone(e.ResidualView()), g.Capacities()) {
+			t.Fatalf("%v: residual %v after the drain, capacity %v", name, slices.Clone(e.ResidualView()), g.Capacities())
 		}
 	}
 }
@@ -148,7 +148,7 @@ func TestDepartureRecordsUnderPreemption(t *testing.T) {
 		t.Fatalf("drain left %d active, %d entries, %d of %d records free", e.ActiveCount(), e.cal.pending, len(e.freeRecs), len(e.recs))
 	}
 	caps := f.g.Capacities()
-	for i, c := range e.Residual() {
+	for i, c := range slices.Clone(e.ResidualView()) {
 		if math.Abs(c-caps[i]) > 1e-6*caps[i] {
 			t.Fatalf("element %d: residual %v after the drain, capacity %v", i, c, caps[i])
 		}

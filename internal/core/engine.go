@@ -315,16 +315,12 @@ func (e *Engine) Algorithm() Algorithm {
 	}
 }
 
-// Residual returns a copy of the substrate residual vector. Mutating the
-// returned slice cannot affect engine state; diagnostics may keep it.
-func (e *Engine) Residual() []float64 { return e.st.ResidualSnapshot(nil) }
-
 // ResidualView returns the engine's live residual vector without
 // copying, for internal hot paths that read it every request. The slice
 // aliases engine state: callers must not mutate it, and must not hold
 // it across Process/StartSlot calls expecting a snapshot — it reflects
 // every subsequent allocation. Anything that needs an independent copy
-// uses Residual.
+// clones it.
 func (e *Engine) ResidualView() []float64 { return e.st.ResidualVec() }
 
 // State returns the substrate state this engine operates on.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -90,8 +91,8 @@ func TestQuickGAcceptsAndReleases(t *testing.T) {
 	}
 	caps := g.Capacities()
 	for i, c := range caps {
-		if math.Abs(e.Residual()[i]-c) > 1e-9 {
-			t.Fatalf("element %d residual %g ≠ capacity %g after release", i, e.Residual()[i], c)
+		if math.Abs(slices.Clone(e.ResidualView())[i]-c) > 1e-9 {
+			t.Fatalf("element %d residual %g ≠ capacity %g after release", i, slices.Clone(e.ResidualView())[i], c)
 		}
 	}
 }
@@ -119,8 +120,8 @@ func TestReleaseByID(t *testing.T) {
 	}
 	caps := g.Capacities()
 	for i, c := range caps {
-		if math.Abs(e.Residual()[i]-c) > 1e-9 {
-			t.Fatalf("element %d residual %g ≠ capacity %g after early release", i, e.Residual()[i], c)
+		if math.Abs(slices.Clone(e.ResidualView())[i]-c) > 1e-9 {
+			t.Fatalf("element %d residual %g ≠ capacity %g after early release", i, slices.Clone(e.ResidualView())[i], c)
 		}
 	}
 	if e.ReleaseByID(0) {

@@ -227,7 +227,6 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := embedder.Stats()
 	requests, accepted, split, viewSolves := 0, 0, 0, 0
 	linkSets := make(map[string]bool)
 	for ts, rs := range perSlot {
@@ -262,11 +261,11 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 			}
 		}
 	}
-	ed := embedder.Stats()
-	hits, trees := ed.DPTableHits-es.DPTableHits, got.State().ViewTreeBuilds()
-	xrescans := ed.ExclRescans - es.ExclRescans
-	t.Logf("%d requests, %d accepted (%d split), %d table hits, %d fills on both sides, %d ban rescans, %d exclusion rescans, %d solves through a view under %d excluded-link sets, %d view trees built by the engine",
-		requests, accepted, split, hits, ed.DPFills-es.DPFills, ed.BanRescans-es.BanRescans, xrescans, viewSolves, len(linkSets), trees)
+	w := got.oracle.Work()
+	hits, trees := w.DPTableHits, got.State().ViewTreeBuilds()
+	xrescans := w.ExclRescans
+	t.Logf("%d requests, %d accepted (%d split), %d table hits, %d fills, %d ban rescans, %d exclusion rescans by the engine, %d solves through a view under %d excluded-link sets, %d view trees built by the engine",
+		requests, accepted, split, hits, w.DPFills, w.BanRescans, xrescans, viewSolves, len(linkSets), trees)
 	if hits == 0 || accepted == requests || split == 0 {
 		t.Fatal("vacuous run: the trace never reused a table, never rejected or never split an embedding")
 	}
@@ -437,14 +436,14 @@ func BenchmarkExactEmbedBranchOut(b *testing.B) {
 		}
 	}
 	pass()
-	trees, es := st.ViewTreeBuilds(), embedder.Stats()
+	trees, es := st.ViewTreeBuilds(), oracle.Work()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pass()
 	}
 	b.StopTimer()
-	ed := embedder.Stats()
+	ed := oracle.Work()
 	b.ReportMetric(float64(st.ViewTreeBuilds()-trees)/float64(b.N), "viewtrees/op")
 	b.ReportMetric(float64(ed.DPFills-es.DPFills)/float64(b.N), "fills/op")
 	b.ReportMetric(float64(ed.BanRescans-es.BanRescans)/float64(b.N), "rescans/op")

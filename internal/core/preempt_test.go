@@ -198,20 +198,20 @@ func TestDuplicateActiveIDRejected(t *testing.T) {
 		if out, err := e.Process(req(7, 0, 0, 10, 0, 5)); err != nil || !out.Accepted {
 			t.Fatalf("%v: first Process = (%+v, %v), want accepted", e.Algorithm(), out, err)
 		}
-		before := e.Residual()
+		before := slices.Clone(e.ResidualView())
 		out, err := e.Process(req(7, 0, 0, 10, 0, 9))
 		if err == nil || out.Accepted {
 			t.Fatalf("%v: Process on a still-active ID = (%+v, %v), want an error", e.Algorithm(), out, err)
 		}
-		if e.ActiveCount() != 1 || !sameFloats(e.Residual(), before) {
+		if e.ActiveCount() != 1 || !sameFloats(slices.Clone(e.ResidualView()), before) {
 			t.Fatalf("%v: the rejected duplicate changed engine state", e.Algorithm())
 		}
 		if err := e.CheckInvariants(); err != nil {
 			t.Fatalf("%v: %v", e.Algorithm(), err)
 		}
 		e.StartSlot(100) // drain
-		if e.ActiveCount() != 0 || !sameFloats(e.Residual(), g.Capacities()) {
-			t.Fatalf("%v: capacity leaked: residual %v after the drain, capacity %v", e.Algorithm(), e.Residual(), g.Capacities())
+		if e.ActiveCount() != 0 || !sameFloats(slices.Clone(e.ResidualView()), g.Capacities()) {
+			t.Fatalf("%v: capacity leaked: residual %v after the drain, capacity %v", e.Algorithm(), slices.Clone(e.ResidualView()), g.Capacities())
 		}
 		// Once departed, the ID is free again.
 		if out, err := e.Process(req(7, 0, 0, 10, 100, 5)); err != nil || !out.Accepted {
@@ -266,7 +266,7 @@ func TestBadDemandRejected(t *testing.T) {
 		e.StartSlot(3)
 		next := f.slots[3][0]
 		for k, b := range bad {
-			before, active := e.Residual(), e.ActiveCount()
+			before, active := slices.Clone(e.ResidualView()), e.ActiveCount()
 			r := next
 			r.ID = 1<<40 + k // its own ID, should a row be accepted
 			b.edit(&r)
@@ -275,7 +275,7 @@ func TestBadDemandRejected(t *testing.T) {
 				t.Errorf("%v: Process with %s = (%+v, %v), want an error", e.Algorithm(), b.name, out, err)
 				continue
 			}
-			after := e.Residual()
+			after := slices.Clone(e.ResidualView())
 			for i := range before {
 				if math.Float64bits(after[i]) != math.Float64bits(before[i]) {
 					t.Fatalf("%v: %s moved residual[%d] from %v to %v", e.Algorithm(), b.name, i, before[i], after[i])
@@ -416,14 +416,14 @@ func BenchmarkEnginePreemptOverload(b *testing.B) {
 	if st.Victims == 0 {
 		b.Fatalf("fixture never preempts: %+v", st)
 	}
-	orders := embedder.Stats().CollocOrders
+	orders := oracle.Work().CollocOrders
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pass()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(embedder.Stats().CollocOrders-orders)/float64(b.N), "orders/op")
+	b.ReportMetric(float64(oracle.Work().CollocOrders-orders)/float64(b.N), "orders/op")
 	b.ReportMetric(float64(st.CandidatesScored)/float64(st.Calls), "cands/preempt")
 	b.ReportMetric(float64(st.Victims)/float64(st.Calls), "victims/preempt")
 }

@@ -118,6 +118,8 @@ type Oracle struct {
 	mark, isDue []bool
 
 	cands []scoredNode
+
+	work CountersSnapshot
 }
 
 // appShape is the tree structure the DP runs along: children[i] lists the
@@ -264,7 +266,7 @@ func (o *Oracle) table(app *vnet.App) *dpTable {
 		t = new(memoTable)
 		o.tables[app] = t
 	} else if t.gen == gen {
-		counters.dpTableHits.Add(1)
+		o.work.DPTableHits++
 		return &t.dpTable
 	}
 	t.rows.Reset()
@@ -304,7 +306,7 @@ func (o *Oracle) shape(app *vnet.App) *appShape {
 // search derives every other table from its parent's (derive), and the
 // tests hold those to a fill.
 func (o *Oracle) fill(t *dpTable, rows *substrate.Arena, pa pather, app *vnet.App, bans []Ban, ingress graph.NodeID) {
-	counters.dpFills.Add(1)
+	o.work.DPFills++
 	n := o.g.NumNodes()
 	sh := o.shape(app)
 	t.shape = sh
@@ -572,7 +574,7 @@ func (o *Oracle) walk(app *vnet.App, ingress graph.NodeID) []walkSlot {
 	if w := byIngress[ingress]; w != nil {
 		return w
 	}
-	counters.collocOrders.Add(1)
+	o.work.CollocOrders++
 	cands := o.cands[:0]
 	nodeSize := app.TotalNodeSize()
 	var rootLinkSize float64

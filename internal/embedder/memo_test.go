@@ -211,6 +211,20 @@ func diffAnswer(ge *vnet.Embedding, gp float64, gok bool, we *vnet.Embedding, wp
 	return ""
 }
 
+// workOf sums the work counts of the given oracles.
+func workOf(oracles ...*Oracle) CountersSnapshot {
+	var w CountersSnapshot
+	for _, o := range oracles {
+		ow := o.Work()
+		w.DPFills += ow.DPFills
+		w.DPTableHits += ow.DPTableHits
+		w.BanRescans += ow.BanRescans
+		w.ExclRescans += ow.ExclRescans
+		w.CollocOrders += ow.CollocOrders
+	}
+	return w
+}
+
 // TestMinCostMemoMatchesReference drives memoizing oracles and the
 // unmemoized reference in lock-step over two equal States through random
 // sequences of price changes and queries, and demands the same answer for
@@ -222,6 +236,7 @@ func diffAnswer(ge *vnet.Embedding, gp float64, gok bool, we *vnet.Embedding, wp
 // must neither read nor write the memo), several apps alternating, and a
 // second oracle on the same State.
 func TestMinCostMemoMatchesReference(t *testing.T) {
+	t.Parallel()
 	type tc struct {
 		name  topo.Name
 		seeds int
@@ -252,7 +267,7 @@ func TestMinCostMemoMatchesReference(t *testing.T) {
 			// checkAll asks every oracle for every ingress of app and
 			// reports how many tables the round filled.
 			checkAll := func(step int, app *vnet.App) int64 {
-				before := Stats()
+				before := workOf(oracles...)
 				for oi, o := range oracles {
 					for u := 0; u < n; u++ {
 						ge, gp, gok := o.MinCostEmbed(app, graph.NodeID(u))
@@ -262,7 +277,7 @@ func TestMinCostMemoMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				after := Stats()
+				after := workOf(oracles...)
 				hits += after.DPTableHits - before.DPTableHits
 				if got, want := after.DPTableHits-before.DPTableHits+after.DPFills-before.DPFills, int64(len(oracles)*n); got != want {
 					t.Fatalf("%s seed %d step %d: %d hits+fills for %d queries", c.name, seed, step, got, want)
@@ -328,7 +343,7 @@ func TestMinCostMemoMatchesReference(t *testing.T) {
 							bans = nil
 						}
 					}
-					before := Stats()
+					before := workOf(oracles...)
 					o := oracles[rng.IntN(len(oracles))]
 					queries := 0
 					for k := 0; k < 4; k++ {
@@ -346,7 +361,7 @@ func TestMinCostMemoMatchesReference(t *testing.T) {
 						}
 						queries++
 					}
-					after := Stats()
+					after := workOf(oracles...)
 					if after.DPTableHits != before.DPTableHits || after.DPFills-before.DPFills != int64(queries) {
 						t.Fatalf("%s seed %d step %d: %d restricted queries made %d fills and %d memo hits",
 							c.name, seed, step, queries, after.DPFills-before.DPFills, after.DPTableHits-before.DPTableHits)
@@ -456,14 +471,14 @@ func BenchmarkPricingRoundOracle(b *testing.B) {
 	}
 	round(0)
 	round(1)
-	before := Stats()
+	before := o.Work()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round(i)
 	}
 	b.StopTimer()
-	after := Stats()
+	after := o.Work()
 	b.ReportMetric(float64(after.DPFills-before.DPFills)/float64(b.N), "fills/op")
 	b.ReportMetric(float64(after.DPTableHits-before.DPTableHits)/float64(b.N), "hits/op")
 }

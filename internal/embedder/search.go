@@ -49,11 +49,15 @@ func (t *Table) Price() float64 { return t.price }
 
 // Reset drops every reference t holds to rows, app and inputs, keeping
 // its slices' capacity, so that a pooled Table pins nothing of an earlier
-// search.
+// search. It clears cost, choice and best to their length: a search
+// rebuilds them from [:0] (Solve and inherit append to [:0], and fill's
+// resizeOuter grows them from there and writes every entry it exposes
+// before reading it), so on a Table Reset before each search nothing past
+// the length holds a row.
 func (t *Table) Reset() {
-	clear(t.cost[:cap(t.cost)])
-	clear(t.choice[:cap(t.choice)])
-	clear(t.best[:cap(t.best)])
+	clear(t.cost)
+	clear(t.choice)
+	clear(t.best)
 	t.cost, t.choice, t.best = t.cost[:0], t.choice[:0], t.best[:0]
 	t.shape, t.app = nil, nil
 	t.bans, t.excl = t.bans[:0], t.excl[:0]
@@ -289,9 +293,9 @@ func (o *Oracle) derive(t *Table, d delta) bool {
 		view.Close()
 	}
 	if d.ban.V != vnet.Root {
-		counters.banRescans.Add(int64(rescans))
+		o.work.BanRescans += int64(rescans)
 	} else {
-		counters.exclRescans.Add(int64(rescans))
+		o.work.ExclRescans += int64(rescans)
 	}
 	t.price = t.cost[vnet.Root][t.ingress]
 	return !math.IsInf(t.price, 1)

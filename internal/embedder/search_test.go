@@ -135,12 +135,13 @@ func firstMoved(child, parent *Table, seed Ban) (vnet.VNFID, int, bool) {
 // child with such an entry is checked again with that entry reverted to
 // its parent's, and must fail.
 func TestSolveBanMatchesFill(t *testing.T) {
+	t.Parallel()
 	seeds := 6
 	if testing.Short() {
 		seeds = 2
 	}
 	var derived, bans, quiet, noops, excls, pathExcls, nested, nodeExcls, infeasible, mutants int
-	before := Stats()
+	var rescans, xrescans int64
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0xba17))
 		g := topo.MakeGPUVariant(topo.MustBuild(topo.CittaStudi, seed), 2, seed)
@@ -200,11 +201,11 @@ func TestSolveBanMatchesFill(t *testing.T) {
 						e, _ := o.Embedding(parent)
 						v := vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1))
 						b := Ban{v, e.NodeMap[v]}
-						r0 := Stats().BanRescans
+						r0 := o.Work().BanRescans
 						ok = o.SolveBan(child, parent, b)
 						bans++
 						check(where+fmt.Sprintf(" ban %v", b), child)
-						if Stats().BanRescans > r0 {
+						if o.Work().BanRescans > r0 {
 							mutant(where+fmt.Sprintf(" ban %v", b), child, parent, b)
 						}
 					case op < 6: // ban any finite entry
@@ -219,10 +220,10 @@ func TestSolveBanMatchesFill(t *testing.T) {
 							continue
 						}
 						b := Ban{v, finite[rng.IntN(len(finite))]}
-						r0 := Stats().BanRescans
+						r0 := o.Work().BanRescans
 						ok = o.SolveBan(child, parent, b)
 						bans++
-						if Stats().BanRescans == r0 {
+						if o.Work().BanRescans == r0 {
 							quiet++
 						}
 						check(where+fmt.Sprintf(" ban %v", b), child)
@@ -232,10 +233,10 @@ func TestSolveBanMatchesFill(t *testing.T) {
 						if u < 0 {
 							continue
 						}
-						r0 := Stats().BanRescans
+						r0 := o.Work().BanRescans
 						ok = o.SolveBan(child, parent, Ban{v, graph.NodeID(u)})
 						noops++
-						if Stats().BanRescans != r0 || child.Price() != parent.Price() {
+						if o.Work().BanRescans != r0 || child.Price() != parent.Price() {
 							t.Fatalf("%s: ban on +Inf entry (%d, %d) rescanned or moved the price", where, v, u)
 						}
 						for i := range child.cost {
@@ -282,13 +283,70 @@ func TestSolveBanMatchesFill(t *testing.T) {
 				}
 			}
 		}
+		rescans += o.Work().BanRescans
+		xrescans += o.Work().ExclRescans
 	}
-	after := Stats()
-	rescans, xrescans := after.BanRescans-before.BanRescans, after.ExclRescans-before.ExclRescans
 	t.Logf("%d derived tables (%d bans, %d of them rescanning nothing, %d no-op bans; %d link exclusions, %d on the parent's paths, %d nested; %d node exclusions; %d infeasible), %d ban rescans, %d exclusion rescans, %d skipped-rescan mutants caught",
 		derived, bans, quiet, noops, excls, pathExcls, nested, nodeExcls, infeasible, rescans, xrescans, mutants)
 	if bans == 0 || quiet == 0 || noops == 0 || excls == 0 || pathExcls == 0 || nested == 0 || nodeExcls == 0 ||
 		infeasible == 0 || rescans == 0 || xrescans == 0 || mutants == 0 {
 		t.Fatal("vacuous run")
 	}
+}
+
+// TestResetPinsNothing drives two pooled Tables the way FULLG's search
+// pool does — Reset, one Solve, SolveBan or SolveExclude each, Reset —
+// across apps of different sizes, fill and memo roots alike, and holds
+// Reset, which clears to length, to its promise: after it, no entry up to
+// the slices' capacity holds a row.
+func TestResetPinsNothing(t *testing.T) {
+	t.Parallel()
+	g := topo.MustBuild(topo.Iris, 1)
+	rng := rand.New(rand.NewPCG(3, 5))
+	p := vnet.DefaultParams()
+	apps := []*vnet.App{
+		vnet.GenerateTree("tree", p, rng),
+		vnet.GenerateChain("chain", p, rng),
+		vnet.GenerateGPU("gpu", p, rng),
+	}
+	o := NewOracle(g, CostPrices(g))
+	var root, child Table
+	pinned := func(where string, tab *Table) {
+		t.Helper()
+		if i := heldRow(tab.cost); i >= 0 {
+			t.Fatalf("%s: cost[%d] still holds a row after Reset", where, i)
+		}
+		if i := heldRow(tab.choice); i >= 0 {
+			t.Fatalf("%s: choice[%d] still holds a row after Reset", where, i)
+		}
+		if i := heldRow(tab.best); i >= 0 {
+			t.Fatalf("%s: best[%d] still holds a row after Reset", where, i)
+		}
+	}
+	for k := 0; k < 60; k++ {
+		app := apps[rng.IntN(len(apps))]
+		ingress := graph.NodeID(rng.IntN(g.NumNodes()))
+		var bans []Ban
+		if k%2 == 1 { // a fill root instead of the memo's
+			bans = []Ban{{vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1)), graph.NodeID(rng.IntN(g.NumNodes()))}}
+		}
+		where := fmt.Sprintf("query %d %s@%d", k, app.Name, ingress)
+		if o.Solve(&root, app, ingress, bans, nil) {
+			if k%3 == 0 {
+				o.SolveExclude(&child, &root, g.NodeElement(graph.NodeID(rng.IntN(g.NumNodes()))))
+			} else {
+				o.SolveBan(&child, &root, Ban{vnet.VNFID(1 + rng.IntN(len(app.VNFs)-1)), graph.NodeID(rng.IntN(g.NumNodes()))})
+			}
+		}
+		root.Reset()
+		child.Reset()
+		pinned(where+" root", &root)
+		pinned(where+" child", &child)
+	}
+}
+
+// heldRow returns the first index up to rows' capacity that holds a
+// row, or -1.
+func heldRow[T any](rows [][]T) int {
+	return slices.IndexFunc(rows[:cap(rows)], func(r []T) bool { return r != nil })
 }

@@ -1,11 +1,9 @@
 package embedder
 
-import "sync/atomic"
-
-// CountersSnapshot is a point-in-time copy of the package's work
-// counters, cumulative since process start (same shape as plan.Stats).
-// Every link scan examines all n entries of its child row, so DPFills,
-// BanRescans and ExclRescans fix the scans' work too.
+// CountersSnapshot is a copy of one Oracle's work counts, cumulative since
+// the oracle was built (see Oracle.Work). Every link scan examines all n
+// entries of its child row, so DPFills, BanRescans and ExclRescans fix the
+// scans' work too.
 type CountersSnapshot struct {
 	// DPFills counts embedding DP tables filled bottom-up from scratch —
 	// memoized and restricted alike: up to n link scans per child link,
@@ -32,21 +30,7 @@ type CountersSnapshot struct {
 	CollocOrders int64
 }
 
-var counters struct {
-	dpFills      atomic.Int64
-	dpTableHits  atomic.Int64
-	banRescans   atomic.Int64
-	exclRescans  atomic.Int64
-	collocOrders atomic.Int64
-}
-
-// Stats snapshots the package-wide work counters.
-func Stats() CountersSnapshot {
-	return CountersSnapshot{
-		DPFills:      counters.dpFills.Load(),
-		DPTableHits:  counters.dpTableHits.Load(),
-		BanRescans:   counters.banRescans.Load(),
-		ExclRescans:  counters.exclRescans.Load(),
-		CollocOrders: counters.collocOrders.Load(),
-	}
-}
+// Work returns the oracle's work counts. Like the rest of the Oracle it
+// is not safe for concurrent use: read it from the goroutine that queries
+// the oracle, or after it has stopped.
+func (o *Oracle) Work() CountersSnapshot { return o.work }

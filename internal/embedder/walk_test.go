@@ -61,6 +61,7 @@ func (o *Oracle) bestCollocatedReference(app *vnet.App, ingress graph.NodeID, re
 // candidate order per (app, ingress): the queries after the first walk
 // the memo.
 func TestBestCollocatedMatchesReference(t *testing.T) {
+	t.Parallel()
 	for _, name := range []topo.Name{topo.Iris, topo.Random100} {
 		g := topo.MustBuild(name, 1)
 		rng := rand.New(rand.NewPCG(7, 11))
@@ -86,7 +87,7 @@ func TestBestCollocatedMatchesReference(t *testing.T) {
 					t.Fatalf("%s round %d: the price change did not move PriceGen", name, round)
 				}
 			}
-			orders := Stats().CollocOrders
+			orders := o.Work().CollocOrders
 			for _, app := range apps {
 				for v := graph.NodeID(0); int(v) < n; v++ {
 					for q := 0; q < 3; q++ {
@@ -127,7 +128,7 @@ func TestBestCollocatedMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			if built, want := Stats().CollocOrders-orders, int64(len(apps)*n); built != want {
+			if built, want := o.Work().CollocOrders-orders, int64(len(apps)*n); built != want {
 				t.Fatalf("%s round %d: %d candidate orders built, want one per (app, ingress) = %d", name, round, built, want)
 			}
 		}

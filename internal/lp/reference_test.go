@@ -11,7 +11,11 @@ import (
 // simplex with Bland's rule (guaranteed termination). Variable bounds
 // become explicit rows, every row becomes an equality with a slack, and
 // the whole tableau is dense — O((m+n)²) memory per instance, fine for
-// the small random problems the fuzz test feeds it.
+// the small random problems the fuzz test feeds it. Each row, right-hand
+// side included, is divided by its largest absolute entry before the
+// tableau is built, so the absolute tolerances below judge every row on
+// one scale: a master whose capacity rows reach 1e6 beside coefficients
+// of 1e7 solves to the same optimum as one scaled by hand.
 //
 // It returns the status and, when optimal, the objective value.
 func refSolve(p *Problem) (Status, float64) {
@@ -39,6 +43,20 @@ func refSolve(p *Problem) (Status, float64) {
 			rr.coef[j] = 1
 			rows = append(rows, rr)
 		}
+	}
+	for i := range rows {
+		rr := &rows[i]
+		scale := math.Abs(rr.rhs)
+		for _, c := range rr.coef {
+			scale = math.Max(scale, math.Abs(c))
+		}
+		if scale == 0 {
+			continue
+		}
+		for j := range rr.coef {
+			rr.coef[j] /= scale
+		}
+		rr.rhs /= scale
 	}
 	m := len(rows)
 	// Columns: n structurals, one slack per non-EQ row, one artificial

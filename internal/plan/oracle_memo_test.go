@@ -5,11 +5,17 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/olive-vne/olive/internal/embedder"
 	"github.com/olive-vne/olive/internal/topo"
 	"github.com/olive-vne/olive/internal/vnet"
 	"github.com/olive-vne/olive/internal/workload"
 )
+
+// oracleWork sums the DP fills and memo-table hits of the Solver's two
+// oracles.
+func (s *Solver) oracleWork() (fills, hits int64) {
+	a, b := s.seedOracle.Work(), s.priceOracle.Work()
+	return a.DPFills + b.DPFills, a.DPTableHits + b.DPTableHits
+}
 
 // TestPricingFillsOncePerAppPerRound is the work guard for the pricing
 // oracle on the fig-scale instance: a Build fills at most one DP table per
@@ -24,14 +30,15 @@ func TestPricingFillsOncePerAppPerRound(t *testing.T) {
 	opts.MaxPricingRounds = DefaultOptions().MaxPricingRounds
 	apps := solver.apps
 	for build := 0; build < 2; build++ {
-		ps, es := Stats(), embedder.Stats()
+		ps := Stats()
+		f0, h0 := solver.oracleWork()
 		p, err := solver.Build(classes, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pd, ed := Stats(), embedder.Stats()
-		calls := pd.PriceOracleCalls - ps.PriceOracleCalls
-		fills, hits := ed.DPFills-es.DPFills, ed.DPTableHits-es.DPTableHits
+		f1, h1 := solver.oracleWork()
+		calls := Stats().PriceOracleCalls - ps.PriceOracleCalls
+		fills, hits := f1-f0, h1-h0
 		t.Logf("build %d: %d classes over %d apps, %d pricing rounds: %d oracle calls, %d DP fills + %d table hits",
 			build, len(classes), len(apps), p.PricingRounds, calls, fills, hits)
 		if p.PricingRounds < 2 {
@@ -84,25 +91,27 @@ func TestBuildUnchangedByOracleMemo(t *testing.T) {
 
 	memo, plain := NewSolver(g, apps), NewSolver(g, ownApps)
 	for build := 0; build < 2; build++ {
-		es := embedder.Stats()
+		mf0, mh0 := memo.oracleWork()
 		got, err := memo.Build(classes, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		em := embedder.Stats()
+		mf1, mh1 := memo.oracleWork()
+		pf0, ph0 := plain.oracleWork()
 		want, err := plain.Build(ownClasses, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep := embedder.Stats()
+		pf1, ph1 := plain.oracleWork()
+		memoFills, plainFills := mf1-mf0, pf1-pf0
 		// The twin's only repeats are the second Build's seeding queries:
 		// the cost prices never move, so each class finds the table its
 		// own first seeding query filled.
-		if twinHits := ep.DPTableHits - em.DPTableHits; twinHits != int64(build*len(classes)) {
+		if twinHits := ph1 - ph0; twinHits != int64(build*len(classes)) {
 			t.Fatalf("build %d: the per-class-app twin hit the memo %d times; it is no reference", build, twinHits)
 		}
-		if em.DPTableHits == es.DPTableHits || em.DPFills-es.DPFills >= ep.DPFills-em.DPFills {
-			t.Fatalf("build %d: the memo saved nothing (%d fills vs %d)", build, em.DPFills-es.DPFills, ep.DPFills-em.DPFills)
+		if mh1 == mh0 || memoFills >= plainFills {
+			t.Fatalf("build %d: the memo saved nothing (%d fills vs %d)", build, memoFills, plainFills)
 		}
 		if got.Obj != want.Obj || got.PricingRounds != want.PricingRounds || got.Iterations != want.Iterations {
 			t.Fatalf("build %d: obj %v rounds %d pivots %d, without the memo obj %v rounds %d pivots %d",

@@ -115,9 +115,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/admin/replan", s.handleReplan)
 	mux.HandleFunc("POST /v1/admin/resize", s.handleResize)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	if s.met != nil {
-		mux.Handle("GET /metrics", s.met.reg.Handler())
-	}
+	mux.Handle("GET /metrics", s.met.reg.Handler())
 	return s.middleware(mux)
 }
 
@@ -237,11 +235,8 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	sh := s.shardOf(req.Ingress)
 	reply := takeReply()
 	defer putReply(reply)
-	o := op{kind: opEmbed, req: req, reply: reply}
 	t0 := time.Now()
-	if s.met != nil {
-		o.enqueued = t0
-	}
+	o := op{kind: opEmbed, req: req, reply: reply, enqueued: t0}
 	select {
 	case sh.queue <- o:
 	default:
@@ -255,13 +250,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, ErrCodeEngine, "engine: %v", res.err)
 		return
 	}
-	s.lat.record(lat)
-	if s.met != nil {
-		s.met.reqDur.Observe(lat.Seconds())
-	}
-	if res.accepted {
-		s.recordRevenue(er.Demand * float64(er.Duration))
-	}
+	s.met.reqDur.Observe(lat.Seconds())
 	writeJSON(w, http.StatusOK, EmbedResponse{
 		ID:        id,
 		Shard:     sh.idx,

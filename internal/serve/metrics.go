@@ -16,9 +16,10 @@ import (
 //     exported as a func-backed view over those same atomics. One source
 //     of truth — /metrics and /v1/stats cannot disagree — and scraping
 //     costs the hot path nothing.
-//   - Distributions (latency histograms) have no /stats counterpart and
-//     are explicit instruments; the per-request work is a handful of
-//     atomic adds, with labeled series resolved once at construction.
+//   - Distributions (latency histograms) are explicit instruments; the
+//     per-request work is a handful of atomic adds, with labeled series
+//     resolved once at construction. /v1/stats reads its latency
+//     quantiles off vne_request_duration_seconds, the same way round.
 //
 // The catalog (see README "Observability" for the narrative version):
 //
@@ -190,7 +191,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		})
 	reg.CounterFunc("vne_revenue_total",
 		"Sum of demand times duration over accepted requests.",
-		s.readRevenue)
+		s.revenue)
 
 	// Replan families register unconditionally (reading 0 with replanning
 	// off), so dashboards and the vneload -require check see a stable

@@ -103,26 +103,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: DisableMetrics removes the /metrics route and the
-// registry, and the server still serves.
-func TestMetricsDisabled(t *testing.T) {
-	s, ts := testServer(t, Options{Deterministic: true, Observability: Observability{DisableMetrics: true}})
-	if s.Metrics() != nil {
-		t.Fatal("Metrics() non-nil with DisableMetrics")
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /metrics = %d, want 404", resp.StatusCode)
-	}
-	if code, _ := postEmbed(t, ts.URL, EmbedRequest{App: 0, Ingress: 0, Demand: 1, Duration: 1}); code.StatusCode != http.StatusOK {
-		t.Fatalf("embed with metrics disabled = %d", code.StatusCode)
-	}
-}
-
 // TestStatsJSONShape is the backward-compatibility regression for
 // /v1/stats: every pre-existing key must survive, and the new
 // queue-depth/shed/warm-start fields must be present.
@@ -187,11 +167,11 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 }
 
-// TestDeterminismWithMetricsAndLogging is the determinism guard the
-// issue asks for: the decision sequence of a single-shard deterministic
-// server must be byte-identical with instrumentation fully on (metrics
-// + access logging + concurrent scrapes) and fully off. Observation
-// must never influence a decision.
+// TestDeterminismWithMetricsAndLogging is the determinism guard: the
+// decision sequence of a single-shard deterministic server must be
+// byte-identical with the access log on and a /metrics scrape in
+// mid-stream, and with neither. Observation must never influence a
+// decision.
 func TestDeterminismWithMetricsAndLogging(t *testing.T) {
 	stream := testStream(t, 120)
 	run := func(opts Options, scrape bool) string {
@@ -215,14 +195,14 @@ func TestDeterminismWithMetricsAndLogging(t *testing.T) {
 		return buf.String()
 	}
 
-	quiet := run(Options{Shards: 1, Deterministic: true, Observability: Observability{DisableMetrics: true}}, false)
+	quiet := run(Options{Shards: 1, Deterministic: true}, false)
 	loud := run(Options{
 		Shards:        1,
 		Deterministic: true,
 		Observability: Observability{AccessLog: slog.New(slog.NewJSONHandler(io.Discard, nil))},
 	}, true)
 	if quiet != loud {
-		t.Fatalf("instrumentation changed the decision sequence:\n--- metrics off ---\n%s\n--- metrics+logging on ---\n%s", quiet, loud)
+		t.Fatalf("instrumentation changed the decision sequence:\n--- no log, no scrape ---\n%s\n--- access log and scrape ---\n%s", quiet, loud)
 	}
 	if !strings.Contains(quiet, "accepted=1") {
 		t.Fatal("no accepts in the decision sequence")

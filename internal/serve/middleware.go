@@ -86,10 +86,8 @@ func (s *Server) middleware(mux *http.ServeMux) http.Handler {
 			sw.status = http.StatusOK
 		}
 		dur := time.Since(t0)
-		if s.met != nil {
-			s.met.httpReqs.With(route, strconv.Itoa(sw.status)).Inc()
-			s.met.httpDur.With(route).Observe(dur.Seconds())
-		}
+		s.met.httpReqs.With(route, strconv.Itoa(sw.status)).Inc()
+		s.met.httpDur.With(route).Observe(dur.Seconds())
 		if s.log != nil {
 			s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
 				slog.String("id", rid),

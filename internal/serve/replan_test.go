@@ -255,17 +255,15 @@ func TestReplanHotSwap(t *testing.T) {
 	if st.Replan.Generation != 1 || st.Replan.Rebuilds != 1 {
 		t.Fatalf("stats replan = %+v, want generation 1, rebuilds 1", st.Replan)
 	}
-	if s.met != nil {
-		text := s.met.reg.Render()
-		if !strings.Contains(text, "vne_replan_generation 1") {
-			t.Fatal("metrics missing vne_replan_generation 1")
-		}
+	if text := s.Metrics().Render(); !strings.Contains(text, "vne_replan_generation 1") {
+		t.Fatal("metrics missing vne_replan_generation 1")
 	}
 }
 
 // TestHotSwapUnderLoad hammers embeds from several goroutines while
-// replans publish concurrently (run under -race in CI): no request may
-// fail, no shard may observe a generation decrease.
+// replans publish and /v1/stats and /metrics read the shards' counters
+// concurrently (run under -race in CI): no request may fail, no shard may
+// observe a generation decrease.
 func TestHotSwapUnderLoad(t *testing.T) {
 	s, ts := oliveServer(t, Options{
 		Deterministic: true,
@@ -275,6 +273,21 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	reqs := testStream(t, 60)
 	replayLocal(t, ts, reqs[:20]) // seed enough history for rebuilds
 
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.Stats()
+				s.Metrics().Render()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 4; w++ {
@@ -318,6 +331,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(done)
+	readers.Wait()
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)

@@ -116,9 +116,7 @@ func (s *Server) grow(cur []*shard, n int) (ResizeResult, error) {
 		if err != nil {
 			return ResizeResult{}, err
 		}
-		if s.met != nil {
-			s.met.registerShard(sh)
-		}
+		s.met.registerShard(sh)
 		joiners = append(joiners, sh)
 		created++
 	}

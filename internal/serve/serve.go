@@ -72,15 +72,12 @@ type Limits struct {
 
 // Observability groups the instrumentation wiring.
 type Observability struct {
-	// Registry receives the server's metric families (GET /metrics). Nil
-	// constructs a private registry, retrievable via Metrics(). All
-	// instrumentation is passive — it observes decisions, it never
-	// influences them — so metrics on/off cannot change an accept/reject
-	// sequence (serve tests assert exactly that).
+	// Registry receives the server's metric families (GET /metrics, always
+	// served). Nil constructs a private registry, retrievable via
+	// Metrics(). All instrumentation is passive — it observes decisions,
+	// it never influences them — so access logging and scrapes cannot
+	// change an accept/reject sequence (serve tests assert exactly that).
 	Registry *obs.Registry
-	// DisableMetrics turns instrumentation off entirely: no registry, no
-	// /metrics route, zero per-request observation work.
-	DisableMetrics bool
 	// AccessLog, when set, receives one structured line per HTTP request
 	// (id, method, route, status, bytes, duration, client).
 	AccessLog *slog.Logger
@@ -228,13 +225,9 @@ type Server struct {
 	shardWG   sync.WaitGroup
 	resizeMu  sync.Mutex // serializes Resize; TryLock answers 409
 
-	lat     *latencyRing
-	revMu   sync.Mutex
-	revenue float64
-
-	met     *serverMetrics // nil when Options.Observability.DisableMetrics
-	limiter *rateLimiter   // nil unless Options.Limits.RateLimit is enabled
-	log     *slog.Logger   // nil unless Options.Observability.AccessLog is set
+	met     *serverMetrics
+	limiter *rateLimiter // nil unless Options.Limits.RateLimit is enabled
+	log     *slog.Logger // nil unless Options.Observability.AccessLog is set
 
 	// Shed counters for requests refused before reaching a shard queue
 	// (queue-full sheds are per-shard, on the shard struct).
@@ -271,7 +264,6 @@ func New(g *graph.Graph, apps []*vnet.App, opts Options) (*Server, error) {
 		eopts:     eopts,
 		started:   time.Now(),
 		drainDone: make(chan struct{}),
-		lat:       newLatencyRing(8192),
 	}
 	s.curPlan.Store(opts.Plan)
 	// Construct every shard before spawning any goroutine, so a failed
@@ -293,13 +285,11 @@ func New(g *graph.Graph, apps []*vnet.App, opts Options) (*Server, error) {
 	if opts.Replan.Enabled {
 		s.replan = newReplanner(s)
 	}
-	if !opts.Observability.DisableMetrics {
-		reg := opts.Observability.Registry
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		s.met = newServerMetrics(s, reg)
+	reg := opts.Observability.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
+	s.met = newServerMetrics(s, reg)
 	for _, sh := range shards {
 		s.startShard(sh)
 	}
@@ -402,13 +392,8 @@ func (s *Server) queueShed() int64 {
 }
 
 // Metrics returns the server's metric registry (the one behind GET
-// /metrics), or nil when Options.Observability.DisableMetrics is set.
-func (s *Server) Metrics() *obs.Registry {
-	if s.met == nil {
-		return nil
-	}
-	return s.met.reg
-}
+// /metrics).
+func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
 // clockSlot returns the current real-time slot (0 in deterministic mode;
 // the virtual clock lives in the shards).

@@ -36,7 +36,7 @@ type op struct {
 	factor   float64   // opScaleDonate: residual fraction the shard keeps
 	vec      []float64 // opAddResidual: per-element capacity to deposit
 	reply    chan result
-	enqueued time.Time // queue-wait measurement; zero when metrics are off
+	enqueued time.Time // opEmbed: queue-wait measurement
 }
 
 // result is a shard's decision for one op.
@@ -76,7 +76,7 @@ type shard struct {
 	now     int     // virtual clock, owned by run()
 	baseRes float64 // Σ residual at construction (the shard's capacity slice)
 	hook    func(shard int)
-	met     *shardMetrics // latency histograms; nil when metrics are off
+	met     *shardMetrics // latency histograms
 	hist    *historyRing  // rolling request history; nil unless replanning is on
 
 	// pending is the next plan generation to adopt (nil when current).
@@ -90,6 +90,7 @@ type shard struct {
 	retired   atomic.Bool  // removed from the routing table by a shrink
 	processed atomic.Int64
 	accepted  atomic.Int64
+	revBits   atomic.Uint64 // float64 bits of Σ demand·duration over accepted requests
 	rejected  atomic.Int64
 	preempted atomic.Int64
 	released  atomic.Int64
@@ -155,9 +156,7 @@ func (sh *shard) adoptPending() {
 	}
 	sh.eng.SwapPlan(pu.p)
 	sh.gen.Store(pu.gen)
-	if sh.met != nil {
-		sh.met.swapDur.Observe(time.Since(pu.published).Seconds())
-	}
+	sh.met.swapDur.Observe(time.Since(pu.published).Seconds())
 }
 
 // advance moves the virtual clock forward to slot (never backward),
@@ -214,21 +213,17 @@ func (sh *shard) handleEmbed(o op) {
 	if sh.hist != nil {
 		sh.hist.add(r)
 	}
-	if sh.met != nil && !o.enqueued.IsZero() {
-		sh.met.queueWait.Observe(time.Since(o.enqueued).Seconds())
-	}
-	t0 := time.Time{}
-	if sh.met != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
+	sh.met.queueWait.Observe(t0.Sub(o.enqueued).Seconds())
 	out, err := sh.eng.Process(r)
-	if sh.met != nil {
-		sh.met.solveDur.Observe(time.Since(t0).Seconds())
-	}
+	sh.met.solveDur.Observe(time.Since(t0).Seconds())
 	sh.processed.Add(1)
 	res := result{slot: sh.now, err: err}
 	if err == nil && out.Accepted {
 		sh.accepted.Add(1)
+		// The shard goroutine is the only writer, so a load and a store
+		// add without a compare-and-swap loop.
+		sh.revBits.Store(math.Float64bits(sh.revenue() + r.Demand*float64(r.Duration)))
 		res.accepted = true
 		res.planned = out.Planned
 		res.cost = out.Emb.Cost(r.Demand)
@@ -242,6 +237,11 @@ func (sh *shard) handleEmbed(o op) {
 		sh.rejected.Add(1)
 	}
 	o.reply <- res
+}
+
+// revenue reads Σ demand·duration over the shard's accepted requests.
+func (sh *shard) revenue() float64 {
+	return math.Float64frombits(sh.revBits.Load())
 }
 
 // utilization reads the last published allocated fraction.

@@ -3,90 +3,19 @@ package serve
 import (
 	"math"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 
 	"github.com/olive-vne/olive/internal/lp"
 	"github.com/olive-vne/olive/internal/plan"
 )
 
-// latencyRing keeps the most recent decision latencies for quantile
-// estimation. Fixed capacity: /stats cost is bounded no matter how long
-// the server runs.
-type latencyRing struct {
-	mu    sync.Mutex
-	buf   []time.Duration
-	next  int
-	total int64
-}
-
-func newLatencyRing(n int) *latencyRing {
-	return &latencyRing{buf: make([]time.Duration, 0, n)}
-}
-
-func (l *latencyRing) record(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total++
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, d)
-		return
+// revenue sums the shards' revenue counters.
+func (s *Server) revenue() float64 {
+	var t float64
+	for _, sh := range s.allShards() {
+		t += sh.revenue()
 	}
-	l.buf[l.next] = d
-	l.next = (l.next + 1) % len(l.buf)
-}
-
-// ringQuantiles is one snapshot of the retained latency window.
-type ringQuantiles struct {
-	P50, P90, P99, P999 time.Duration
-	Samples             int64
-}
-
-// quantiles returns the tail quantiles of the retained window.
-func (l *latencyRing) quantiles() ringQuantiles {
-	l.mu.Lock()
-	tmp := make([]time.Duration, len(l.buf))
-	copy(tmp, l.buf)
-	samples := l.total
-	l.mu.Unlock()
-	if len(tmp) == 0 {
-		return ringQuantiles{Samples: samples}
-	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	at := func(q float64) time.Duration {
-		// Nearest-rank with ceiling: the q-quantile of n samples is the
-		// ⌈q·n⌉-th smallest. A truncating q·(n−1) index collapses the
-		// tail at small windows — with n=50 it reported the 49th-ranked
-		// sample (≈p96) as p99.
-		i := int(math.Ceil(q*float64(len(tmp)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(tmp) {
-			i = len(tmp) - 1
-		}
-		return tmp[i]
-	}
-	return ringQuantiles{
-		P50:     at(0.50),
-		P90:     at(0.90),
-		P99:     at(0.99),
-		P999:    at(0.999),
-		Samples: samples,
-	}
-}
-
-func (s *Server) recordRevenue(v float64) {
-	s.revMu.Lock()
-	s.revenue += v
-	s.revMu.Unlock()
-}
-
-func (s *Server) readRevenue() float64 {
-	s.revMu.Lock()
-	defer s.revMu.Unlock()
-	return s.revenue
+	return t
 }
 
 // ShardStats is one shard's /v1/stats entry.
@@ -142,6 +71,10 @@ type StatsResponse struct {
 	// revenue proxy; preemptions are not clawed back).
 	Revenue float64 `json:"revenue"`
 
+	// Latency is the embed decision latency (enqueue to decision) over
+	// every embed the server answered, read off the
+	// vne_request_duration_seconds histogram: each quantile is exact to
+	// the resolution of its doubling bucket.
 	Latency struct {
 		P50US   int64 `json:"p50_us"`
 		P90US   int64 `json:"p90_us"`
@@ -218,7 +151,7 @@ func (s *Server) Stats() StatsResponse {
 		out.Requests.AcceptanceRate = float64(out.Requests.Accepted) / float64(out.Requests.Total)
 	}
 	out.Requests.RateLimited = s.shedGlobal.Load() + s.shedClient.Load()
-	out.Revenue = s.readRevenue()
+	out.Revenue = s.revenue()
 	out.Replan.Enabled = s.replan != nil
 	out.Replan.Generation = s.planGen.Load()
 	out.Replan.HistoryDepth = s.historyDepth()
@@ -230,12 +163,11 @@ func (s *Server) Stats() StatsResponse {
 		out.Replan.LastHistoryRequests = r.lastHistory.Load()
 		out.Replan.LastClasses = r.lastClasses.Load()
 	}
-	q := s.lat.quantiles()
-	out.Latency.P50US = q.P50.Microseconds()
-	out.Latency.P90US = q.P90.Microseconds()
-	out.Latency.P99US = q.P99.Microseconds()
-	out.Latency.P999US = q.P999.Microseconds()
-	out.Latency.Samples = q.Samples
+	h := s.met.reqDur
+	us := func(q float64) int64 { return int64(math.Round(h.Quantile(q) * 1e6)) }
+	out.Latency.P50US, out.Latency.P90US = us(0.50), us(0.90)
+	out.Latency.P99US, out.Latency.P999US = us(0.99), us(0.999)
+	out.Latency.Samples = int64(h.Count())
 	lps := lp.Stats()
 	out.LP.Solves = lps.Solves
 	out.LP.WarmAttempts = lps.WarmAttempts

@@ -1,72 +1,117 @@
 package serve
 
 import (
+	"cmp"
+	"encoding/json"
+	"math"
+	"net/http"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
-	"time"
+
+	"github.com/olive-vne/olive/internal/obs"
 )
 
-// TestLatencyRingQuantilesNearestRank pins the nearest-rank-with-ceiling
-// definition: the q-quantile of n samples is the ⌈q·n⌉-th smallest. The
-// old truncating index int(q·(n−1)) collapsed p99 toward the median at
-// small windows (n=50 reported the 49th-ranked sample, ≈p96; n=2
-// reported the minimum).
-func TestLatencyRingQuantilesNearestRank(t *testing.T) {
-	cases := []struct {
-		n       int
-		wantP50 time.Duration // ⌈0.50·n⌉-th of 1,2,…,n µs
-		wantP99 time.Duration // ⌈0.99·n⌉-th
-	}{
-		{n: 1, wantP50: 1 * time.Microsecond, wantP99: 1 * time.Microsecond},
-		{n: 2, wantP50: 1 * time.Microsecond, wantP99: 2 * time.Microsecond},
-		{n: 50, wantP50: 25 * time.Microsecond, wantP99: 50 * time.Microsecond},
-		{n: 100, wantP50: 50 * time.Microsecond, wantP99: 99 * time.Microsecond},
+// TestStatsMatchesMetrics drives a deterministic 2-shard server and holds
+// /v1/stats to a /metrics scrape taken after it: the latency quantiles
+// and sample count must be vne_request_duration_seconds's, and revenue
+// must be vne_revenue_total and the Σ demand·duration of the accepted
+// replies, summed as the server sums it (per shard in decision order,
+// then over the shards).
+func TestStatsMatchesMetrics(t *testing.T) {
+	_, ts := testServer(t, Options{Shards: 2, Deterministic: true})
+	shardRevenue := make([]float64, 2)
+	accepted, rejected := 0, 0
+	for _, sr := range testStream(t, 400) {
+		resp, out := postEmbed(t, ts.URL, sr)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("embed = %d", resp.StatusCode)
+		}
+		if !out.Accepted {
+			rejected++
+			continue
+		}
+		accepted++
+		shardRevenue[out.Shard] += sr.Demand * float64(sr.Duration)
 	}
-	for _, tc := range cases {
-		l := newLatencyRing(tc.n)
-		// Insert in descending order so the quantile must come from the
-		// sorted copy, not insertion order.
-		for v := tc.n; v >= 1; v-- {
-			l.record(time.Duration(v) * time.Microsecond)
-		}
-		q := l.quantiles()
-		if q.Samples != int64(tc.n) {
-			t.Errorf("n=%d: samples = %d", tc.n, q.Samples)
-		}
-		if q.P50 != tc.wantP50 {
-			t.Errorf("n=%d: p50 = %v, want %v", tc.n, q.P50, tc.wantP50)
-		}
-		if q.P99 != tc.wantP99 {
-			t.Errorf("n=%d: p99 = %v, want %v (the tail sample, not a mid-ranked one)", tc.n, q.P99, tc.wantP99)
-		}
-		if q.P999 != time.Duration(tc.n)*time.Microsecond {
-			t.Errorf("n=%d: p999 = %v, want the max sample %dµs", tc.n, q.P999, tc.n)
-		}
-		if q.P90 < q.P50 || q.P99 < q.P90 || q.P999 < q.P99 {
-			t.Errorf("n=%d: quantiles not monotone: %+v", tc.n, q)
-		}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("vacuous stream: %d accepted, %d rejected", accepted, rejected)
 	}
-}
+	wantRevenue := shardRevenue[0] + shardRevenue[1]
 
-// TestLatencyRingEmptyAndOverflow covers the degenerate window states:
-// no samples, and a ring that has wrapped (quantiles over the retained
-// window, total over everything recorded).
-func TestLatencyRingEmptyAndOverflow(t *testing.T) {
-	l := newLatencyRing(4)
-	q := l.quantiles()
-	if q.P50 != 0 || q.P99 != 0 || q.Samples != 0 {
-		t.Fatalf("empty ring: got %+v", q)
+	var st StatsResponse
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v := 1; v <= 10; v++ { // retains 7,8,9,10
-		l.record(time.Duration(v) * time.Millisecond)
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	q = l.quantiles()
-	if q.Samples != 10 {
-		t.Fatalf("samples = %d, want 10", q.Samples)
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q.P50 != 8*time.Millisecond { // ⌈0.5·4⌉ = 2nd of {7,8,9,10}
-		t.Errorf("p50 = %v, want 8ms", q.P50)
+	fams, err := obs.Lint(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q.P99 != 10*time.Millisecond { // ⌈0.99·4⌉ = 4th
-		t.Errorf("p99 = %v, want 10ms", q.P99)
+
+	// Replay the scraped buckets into a histogram with the same bounds:
+	// its quantiles are those of the scraped distribution.
+	type bucket struct{ le, cum float64 }
+	var buckets []bucket
+	var count float64
+	for _, smp := range fams["vne_request_duration_seconds"].Samples {
+		switch {
+		case strings.HasSuffix(smp.Name, "_bucket"):
+			le, err := strconv.ParseFloat(smp.Labels["le"], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buckets = append(buckets, bucket{le, smp.Value})
+		case strings.HasSuffix(smp.Name, "_count"):
+			count = smp.Value
+		}
+	}
+	slices.SortFunc(buckets, func(a, b bucket) int { return cmp.Compare(a.le, b.le) })
+	var bounds []float64
+	for _, b := range buckets[:len(buckets)-1] { // the last is +Inf
+		bounds = append(bounds, b.le)
+	}
+	h := obs.NewRegistry().Histogram("scraped", "scraped", bounds)
+	prev := 0.0
+	for i, b := range buckets {
+		v := 2 * bounds[len(bounds)-1]
+		if i < len(bounds) {
+			v = bounds[i]
+		}
+		for ; prev < b.cum; prev++ {
+			h.Observe(v)
+		}
+	}
+	us := func(q float64) int64 { return int64(math.Round(h.Quantile(q) * 1e6)) }
+
+	if st.Latency.Samples != int64(count) || st.Latency.Samples != int64(accepted+rejected) {
+		t.Errorf("stats samples %d, histogram count %g, embeds answered %d", st.Latency.Samples, count, accepted+rejected)
+	}
+	for _, c := range []struct {
+		q    float64
+		stat int64
+	}{{0.50, st.Latency.P50US}, {0.90, st.Latency.P90US}, {0.99, st.Latency.P99US}, {0.999, st.Latency.P999US}} {
+		if want := us(c.q); c.stat != want {
+			t.Errorf("stats p%g = %dµs, the scraped histogram's %dµs", 100*c.q, c.stat, want)
+		}
+	}
+	if st.Latency.P50US <= 0 || st.Latency.P999US < st.Latency.P50US {
+		t.Errorf("latency quantiles not positive and monotone: %+v", st.Latency)
+	}
+
+	metRevenue := fams["vne_revenue_total"].Samples[0].Value
+	if st.Revenue != metRevenue || st.Revenue != wantRevenue {
+		t.Errorf("revenue: stats %v, vne_revenue_total %v, accepted replies %v", st.Revenue, metRevenue, wantRevenue)
 	}
 }

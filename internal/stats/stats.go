@@ -1,8 +1,7 @@
 // Package stats provides the statistical substrate of the reproduction:
-// empirical CDFs and quantiles, the bootstrap percentile estimation used by
-// the time-aggregation step (paper §III-A), the rejection balance index of
-// Eq. 20, and mean/confidence-interval summaries for repeated experiment
-// runs.
+// the bootstrap percentile estimation used by the time-aggregation step
+// (paper §III-A), the rejection balance index of Eq. 20, and
+// mean/confidence-interval summaries for repeated experiment runs.
 package stats
 
 import (
@@ -42,21 +41,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Quantile returns the q-quantile (q in [0,1]) of xs using linear
-// interpolation between order statistics (type-7, the R/NumPy default).
-// It returns an error for empty input or q outside [0,1].
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: quantile of empty sample")
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile level outside [0,1]")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q), nil
-}
-
 // quantileSorted computes the type-7 quantile of an already-sorted sample.
 func quantileSorted(s []float64, q float64) float64 {
 	lo, hi, frac := quantilePos(len(s), q)
@@ -79,32 +63,6 @@ func quantilePos(n int, q float64) (lo, hi int, frac float64) {
 }
 
 func interpolate(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
-
-// ECDF is an empirical cumulative distribution function over a sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from the sample (which is copied).
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, errors.New("stats: ECDF of empty sample")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
-}
-
-// At returns F(x): the fraction of the sample ≤ x.
-func (e *ECDF) At(x float64) float64 {
-	return float64(sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile of the underlying sample.
-func (e *ECDF) Quantile(q float64) float64 { return quantileSorted(e.sorted, q) }
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
 
 // BootstrapResult carries a bootstrap percentile estimate with its 95%
 // confidence interval (percentile method, DiCiccio & Efron).
@@ -208,13 +166,6 @@ func BootstrapQuantileWith(sc *BootstrapScratch, xs []float64, alpha float64, b 
 	}, nil
 }
 
-// Conforms reports whether an observed quantile falls within the 95%
-// confidence interval of the bootstrap estimate — the paper's definition
-// of online demand "conforming to expectations" from the history (§III-A).
-func (r BootstrapResult) Conforms(observed float64) bool {
-	return observed >= r.Lo && observed <= r.Hi
-}
-
 // JainIndex returns Jain's fairness index of xs: (Σx)² / (n·Σx²).
 // It is 1 for perfectly equal values, 1/n for a single non-zero value,
 // and 1 (perfect) for an all-zero vector, which represents "no rejections
@@ -299,36 +250,3 @@ func Summarize(xs []float64) Summary {
 	}
 	return s
 }
-
-// Welford accumulates a running mean/variance without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 before any observation).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased running variance (0 for n < 2).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

@@ -31,6 +31,9 @@ func TestMeanVarianceEdgeCases(t *testing.T) {
 	}
 }
 
+// TestQuantileKnownValues pins the type-7 formula (linear interpolation
+// between order statistics) the bootstrap reads its replicates and its
+// confidence interval with.
 func TestQuantileKnownValues(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	tests := []struct {
@@ -40,96 +43,15 @@ func TestQuantileKnownValues(t *testing.T) {
 		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75}, {1.0 / 3.0, 2},
 	}
 	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatalf("Quantile(%g): %v", tt.q, err)
+		if got := quantileSorted(xs, tt.q); !almostEq(got, tt.want, 1e-9) {
+			t.Errorf("quantileSorted(%g) = %g, want %g", tt.q, got, tt.want)
 		}
-		if !almostEq(got, tt.want, 1e-9) {
-			t.Errorf("Quantile(%g) = %g, want %g", tt.q, got, tt.want)
-		}
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("Quantile of empty sample did not error")
-	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
-		t.Error("Quantile with q>1 did not error")
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Error("Quantile with q<0 did not error")
-	}
-}
-
-func TestQuantileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Quantile(xs, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("Quantile sorted its input: %v", xs)
 	}
 }
 
 func TestQuantileSingleSample(t *testing.T) {
-	got, err := Quantile([]float64{42}, 0.8)
-	if err != nil || got != 42 {
-		t.Fatalf("Quantile single sample = %g, %v", got, err)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, tt := range tests {
-		if got := e.At(tt.x); !almostEq(got, tt.want, 1e-9) {
-			t.Errorf("ECDF.At(%g) = %g, want %g", tt.x, got, tt.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d, want 4", e.Len())
-	}
-	if got := e.Quantile(0.5); !almostEq(got, 2, 1e-9) {
-		t.Errorf("ECDF.Quantile(0.5) = %g, want 2", got)
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	if _, err := NewECDF(nil); err == nil {
-		t.Fatal("NewECDF(nil) did not error")
-	}
-}
-
-// ECDF property: At is monotone non-decreasing and bounded in [0,1].
-func TestECDFMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 10
-	}
-	e, err := NewECDF(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(aRaw, bRaw int16) bool {
-		a, b := float64(aRaw)/100, float64(bRaw)/100
-		if a > b {
-			a, b = b, a
-		}
-		fa, fb := e.At(a), e.At(b)
-		return fa >= 0 && fb <= 1 && fa <= fb
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	if got := quantileSorted([]float64{42}, 0.8); got != 42 {
+		t.Fatalf("quantileSorted single sample = %g", got)
 	}
 }
 
@@ -149,12 +71,6 @@ func TestBootstrapQuantileRecoversPercentile(t *testing.T) {
 	}
 	if r.Lo > r.Estimate || r.Hi < r.Estimate {
 		t.Errorf("CI [%g,%g] does not contain estimate %g", r.Lo, r.Hi, r.Estimate)
-	}
-	if !r.Conforms(r.Estimate) {
-		t.Error("estimate does not conform to its own CI")
-	}
-	if r.Conforms(200) {
-		t.Error("value far outside CI reported as conforming")
 	}
 }
 
@@ -276,35 +192,5 @@ func TestSummarize(t *testing.T) {
 	one := Summarize([]float64{5})
 	if one.Lo != 5 || one.Hi != 5 {
 		t.Errorf("single-sample CI should collapse to the point, got [%g,%g]", one.Lo, one.Hi)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	xs := make([]float64, 500)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		w.Add(xs[i])
-	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d, want %d", w.N(), len(xs))
-	}
-	if !almostEq(w.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("Welford mean %g vs batch %g", w.Mean(), Mean(xs))
-	}
-	if !almostEq(w.Variance(), Variance(xs), 1e-9) {
-		t.Errorf("Welford variance %g vs batch %g", w.Variance(), Variance(xs))
-	}
-}
-
-func TestWelfordZeroValue(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
-		t.Error("zero-value Welford not zeroed")
-	}
-	w.Add(4)
-	if w.Variance() != 0 {
-		t.Error("variance after one observation should be 0")
 	}
 }

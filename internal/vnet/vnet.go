@@ -313,12 +313,3 @@ func UniformKindSet(kind Kind, p Params, rng *rand.Rand) []*App {
 	}
 	return apps
 }
-
-// MeanFootprint returns the expected total node-size Σβ of an application
-// drawn with params p. With Table III defaults this is ≈ E[#VNFs]·E[β] =
-// 4·50 = 200 CU per unit of demand; the utilization calibration in the
-// simulator relies on it.
-func MeanFootprint(p Params) float64 {
-	meanVNFs := float64(p.MinVNFs+p.MaxVNFs) / 2
-	return meanVNFs * p.SizeMean
-}

@@ -189,12 +189,6 @@ func TestEffGPUExclusions(t *testing.T) {
 	}
 }
 
-func TestMeanFootprint(t *testing.T) {
-	if got := MeanFootprint(DefaultParams()); got != 200 {
-		t.Fatalf("MeanFootprint = %g, want 200 (4 VNFs × 50 CU)", got)
-	}
-}
-
 func TestSizesTruncatedPositive(t *testing.T) {
 	p := DefaultParams()
 	p.SizeMean = 1 // force frequent truncation

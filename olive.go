@@ -493,7 +493,9 @@ type (
 	// wiring.
 	ServerObservability = serve.Observability
 	// ServerStats is the GET /v1/stats payload: acceptance rate,
-	// revenue, p50/p99 decision latency, replanning state and per-shard
+	// revenue, decision-latency quantiles (p50 to p99.9, over every
+	// embed the server answered, read off the request-duration
+	// histogram /metrics exports), replanning state and per-shard
 	// utilization.
 	ServerStats = serve.StatsResponse
 	// ServeEmbedRequest is the POST /v1/embed request body.
