@@ -7,8 +7,10 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/olive-vne/olive/internal/embedder"
 	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/plan"
+	"github.com/olive-vne/olive/internal/substrate"
 	"github.com/olive-vne/olive/internal/topo"
 	"github.com/olive-vne/olive/internal/vnet"
 	"github.com/olive-vne/olive/internal/workload"
@@ -453,7 +455,7 @@ func TestEngineRandomizedInvariants(t *testing.T) {
 func TestSlotOffBasic(t *testing.T) {
 	g := tinySubstrate()
 	app := tinyApp()
-	s, err := NewSlotOff(g, []*vnet.App{app}, SlotOffOptions())
+	s, err := NewSlotOffOn(embedder.ForState(substrate.New(g)), []*vnet.App{app}, SlotOffOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +485,7 @@ func TestSlotOffBasic(t *testing.T) {
 func TestSlotOffRejectsOverload(t *testing.T) {
 	g := tinySubstrate()
 	app := tinyApp()
-	s, err := NewSlotOff(g, []*vnet.App{app}, SlotOffOptions())
+	s, err := NewSlotOffOn(embedder.ForState(substrate.New(g)), []*vnet.App{app}, SlotOffOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +517,7 @@ func TestSlotOffRejectsOverload(t *testing.T) {
 
 func TestSlotOffArrivalSlotMismatch(t *testing.T) {
 	g := tinySubstrate()
-	s, err := NewSlotOff(g, []*vnet.App{tinyApp()}, SlotOffOptions())
+	s, err := NewSlotOffOn(embedder.ForState(substrate.New(g)), []*vnet.App{tinyApp()}, SlotOffOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

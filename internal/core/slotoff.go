@@ -48,14 +48,6 @@ func SlotOffOptions() plan.Options {
 	return o
 }
 
-// NewSlotOff builds the baseline over a private substrate state.
-func NewSlotOff(g *graph.Graph, apps []*vnet.App, opts plan.Options) (*SlotOff, error) {
-	if g == nil || len(apps) == 0 {
-		return nil, errors.New("core: SLOTOFF needs a substrate and applications")
-	}
-	return newSlotOff(g, apps, opts, plan.NewSolver(g, apps))
-}
-
 // NewSlotOffOn builds the baseline sharing an existing cost-price oracle
 // (and its warm substrate state) for per-slot column seeding — the
 // simulation harness passes each cell's shared oracle. SLOTOFF never
@@ -65,18 +57,13 @@ func NewSlotOffOn(oracle *embedder.Oracle, apps []*vnet.App, opts plan.Options) 
 	if oracle == nil || len(apps) == 0 {
 		return nil, errors.New("core: SLOTOFF needs a substrate and applications")
 	}
-	g := oracle.State().Graph()
-	return newSlotOff(g, apps, opts, plan.NewSolverOn(oracle, apps))
-}
-
-func newSlotOff(g *graph.Graph, apps []*vnet.App, opts plan.Options, solver *plan.Solver) (*SlotOff, error) {
 	return &SlotOff{
-		g: g, apps: apps, opts: opts,
+		g: oracle.State().Graph(), apps: apps, opts: opts,
 		// One plan solver for the whole run: per-slot re-optimizations
 		// share its warm substrate state (path cache, collocated
 		// candidate memos, pricing buffers) instead of re-deriving
 		// prices from scratch every slot.
-		solver: solver,
+		solver: plan.NewSolverOn(oracle, apps),
 		Alloc:  make(map[int]*vnet.Embedding),
 	}, nil
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"github.com/olive-vne/olive/internal/embedder"
 	"github.com/olive-vne/olive/internal/lp"
+	"github.com/olive-vne/olive/internal/substrate"
 	"github.com/olive-vne/olive/internal/topo"
 	"github.com/olive-vne/olive/internal/vnet"
 	"github.com/olive-vne/olive/internal/workload"
@@ -33,7 +35,7 @@ func BenchmarkSlotOffSteps(b *testing.B) {
 		b.Fatal(err)
 	}
 	slots := tr.PerSlot()
-	s, err := NewSlotOff(g, apps, SlotOffOptions())
+	s, err := NewSlotOffOn(embedder.ForState(substrate.New(g)), apps, SlotOffOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

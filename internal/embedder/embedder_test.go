@@ -308,6 +308,43 @@ func TestBestCollocatedNilResidualIgnoresCapacity(t *testing.T) {
 	}
 }
 
+// TestBestCollocatedRejectsBadInputs: a residual vector shorter than the
+// substrate's element vector, and a NaN or negative demand, are "no
+// embedding" — not an index panic, and not a fit everywhere.
+func TestBestCollocatedRejectsBadInputs(t *testing.T) {
+	g := topo.MustBuild(topo.Iris, 1)
+	o := NewOracle(g, CostPrices(g))
+	app := vnet.Generate(vnet.KindChain, "c", vnet.DefaultParams(), rand.New(rand.NewPCG(9, 9)))
+	ingress := g.EdgeNodes()[0]
+	res := make([]float64, g.NumElements())
+	for i := range res {
+		res[i] = 1e6
+	}
+	for _, c := range []struct {
+		name string
+		res  []float64
+		d    float64
+		ok   bool
+	}{
+		{"nil res", nil, 1, true},
+		{"full res", res, 1, true},
+		{"zero demand", res, 0, true},
+		{"one-entry res", []float64{1}, 1, false},
+		{"res one short", res[:len(res)-1], 1, false},
+		{"empty res", []float64{}, 1, false},
+		{"NaN demand", res, math.NaN(), false},
+		{"NaN demand, nil res", nil, math.NaN(), false},
+		{"negative demand", res, -5, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, _, ok := o.BestCollocated(app, ingress, c.res, c.d)
+			if ok != c.ok || (e != nil) != c.ok {
+				t.Fatalf("ok = %v (embedding %v), want %v", ok, e != nil, c.ok)
+			}
+		})
+	}
+}
+
 func TestKCheapestCollocatedOrdering(t *testing.T) {
 	g := starSubstrate()
 	o := NewOracle(g, CostPrices(g))

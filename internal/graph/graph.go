@@ -306,17 +306,6 @@ func (g *Graph) NodesByTier(t Tier) []NodeID {
 // EdgeNodes returns the IDs of all edge-tier nodes (request ingress points).
 func (g *Graph) EdgeNodes() []NodeID { return g.NodesByTier(TierEdge) }
 
-// TotalCap sums the capacities of all nodes in tier t.
-func (g *Graph) TotalCap(t Tier) float64 {
-	var sum float64
-	for _, n := range g.nodes {
-		if n.Tier == t {
-			sum += n.Cap
-		}
-	}
-	return sum
-}
-
 // ErrDisconnected is returned by Validate for graphs that are not connected.
 var ErrDisconnected = errors.New("graph: not connected")
 

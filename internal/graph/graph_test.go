@@ -126,9 +126,6 @@ func TestNodesByTier(t *testing.T) {
 	if len(edges) != 2 || edges[0] != 0 || edges[1] != 2 {
 		t.Fatalf("EdgeNodes = %v, want [0 2]", edges)
 	}
-	if got := g.TotalCap(TierEdge); got != 2 {
-		t.Fatalf("TotalCap(edge) = %g, want 2", got)
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

@@ -1,9 +1,9 @@
-// Package persist serializes the library's long-lived artifacts — request
-// traces and PLAN-VNE plans — as versioned JSON, so a provider can compute
-// a plan offline (cmd/planner), ship it, and load it into an online engine
-// later. Traces round-trip exactly; plans are stored as (class, share)
-// records whose embeddings are revalidated against the substrate and
-// application set on load.
+// Package persist serializes the library's long-lived artifacts —
+// PLAN-VNE plans and the experiment runner's cell results — as versioned
+// JSON, so a provider can compute a plan offline (cmd/planner), ship it,
+// and load it into an online engine later. Plans are stored as (class,
+// share) records whose embeddings are revalidated against the substrate
+// and application set on load.
 package persist
 
 import (
@@ -15,43 +15,10 @@ import (
 	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/plan"
 	"github.com/olive-vne/olive/internal/vnet"
-	"github.com/olive-vne/olive/internal/workload"
 )
 
 // Version tags the on-disk format; readers reject other versions.
 const Version = 1
-
-// traceFile is the JSON envelope for a trace.
-type traceFile struct {
-	Version  int                `json:"version"`
-	Slots    int                `json:"slots"`
-	Requests []workload.Request `json:"requests"`
-}
-
-// SaveTrace writes t as JSON.
-func SaveTrace(w io.Writer, t *workload.Trace) error {
-	if t == nil {
-		return errors.New("persist: nil trace")
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(traceFile{Version: Version, Slots: t.Slots, Requests: t.Requests})
-}
-
-// LoadTrace reads a trace written by SaveTrace and validates it.
-func LoadTrace(r io.Reader) (*workload.Trace, error) {
-	var f traceFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("persist: decode trace: %w", err)
-	}
-	if f.Version != Version {
-		return nil, fmt.Errorf("persist: trace version %d, want %d", f.Version, Version)
-	}
-	t := &workload.Trace{Slots: f.Slots, Requests: f.Requests}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("persist: loaded trace invalid: %w", err)
-	}
-	return t, nil
-}
 
 // shareRec is one plan share on disk: the embedding as a node map plus
 // per-virtual-link link sequences (paths are reconstructed and revalidated

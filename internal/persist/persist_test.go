@@ -17,50 +17,6 @@ import (
 
 func testRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 55)) }
 
-func TestTraceRoundTrip(t *testing.T) {
-	g := topo.MustBuild(topo.CittaStudi, 1)
-	rng := testRNG(2)
-	wp := workload.DefaultParams()
-	wp.Slots = 50
-	wp.LambdaPerNode = 2
-	tr, err := workload.GenerateMMPP(g, wp, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Slots != tr.Slots || len(got.Requests) != len(tr.Requests) {
-		t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-			got.Slots, len(got.Requests), tr.Slots, len(tr.Requests))
-	}
-	for i := range tr.Requests {
-		if got.Requests[i] != tr.Requests[i] {
-			t.Fatalf("request %d differs: %+v vs %+v", i, got.Requests[i], tr.Requests[i])
-		}
-	}
-}
-
-func TestLoadTraceRejectsBadInput(t *testing.T) {
-	if _, err := LoadTrace(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := LoadTrace(strings.NewReader(`{"version":99,"slots":1}`)); err == nil {
-		t.Error("wrong version accepted")
-	}
-	if _, err := LoadTrace(strings.NewReader(`{"version":1,"slots":0}`)); err == nil {
-		t.Error("invalid trace accepted")
-	}
-	if err := SaveTrace(&bytes.Buffer{}, nil); err == nil {
-		t.Error("nil trace accepted")
-	}
-}
-
 func TestPlanRoundTrip(t *testing.T) {
 	g := topo.MustBuild(topo.CittaStudi, 1)
 	rng := testRNG(3)

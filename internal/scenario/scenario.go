@@ -363,13 +363,3 @@ func Load(r io.Reader) (*Spec, error) {
 	}
 	return &s, nil
 }
-
-// Save writes the spec as indented JSON.
-func Save(w io.Writer, s *Spec) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -130,11 +131,11 @@ func TestExpandBaseOnlySpec(t *testing.T) {
 
 func TestJSONRoundTripPreservesHash(t *testing.T) {
 	sp := validGridSpec()
-	var buf bytes.Buffer
-	if err := Save(&buf, sp); err != nil {
+	buf, err := json.Marshal(sp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

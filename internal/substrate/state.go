@@ -173,15 +173,6 @@ func (s *State) SetPrices(pr []float64) {
 
 // ---- Residuals ----
 
-// Residual returns the residual capacity of element e.
-func (s *State) Residual(e graph.ElementID) float64 { return s.res[e] }
-
-// ResidualSnapshot appends a copy of the residual vector to dst[:0] and
-// returns it. Callers own the copy; mutating it cannot corrupt the State.
-func (s *State) ResidualSnapshot(dst []float64) []float64 {
-	return append(dst[:0], s.res...)
-}
-
 // ResetResidual restores the residual vector to the element capacities,
 // leaving prices and the (price-keyed) path cache untouched — engines run
 // back-to-back over one State share a warm cache.
@@ -193,8 +184,8 @@ func (s *State) Fits(e *vnet.Embedding, d float64) bool { return e.FitsResidual(
 // ResidualVec returns the live residual vector for read-only hot-path
 // scans (sparse feasibility checks, preemption deficit computation).
 // Callers must not mutate it — use Apply/Release — and must not retain it
-// past the State's lifetime. The public API never exposes this slice; see
-// Engine.Residual for the defensive-copy boundary.
+// past the State's lifetime. Engine.ResidualView hands out the same
+// live slice under the same rules.
 func (s *State) ResidualVec() []float64 { return s.res }
 
 // ScaleResidual multiplies every residual capacity by f. The serving

@@ -99,8 +99,7 @@ func TestLinkPriceChangeInvalidatesPathCache(t *testing.T) {
 func TestSetPricesEpochSemantics(t *testing.T) {
 	g := diamond()
 	s := New(g)
-	pr := s.ResidualSnapshot(nil)[:0] // just reuse a buffer shape
-	pr = append(pr, make([]float64, g.NumElements())...)
+	pr := make([]float64, g.NumElements())
 	for i := range pr {
 		pr[i] = s.Price(graph.ElementID(i))
 	}
@@ -198,25 +197,18 @@ func TestResidualLifecycle(t *testing.T) {
 		t.Fatal("embedding should fit a fresh state")
 	}
 	s.Apply(emb, 10)
-	if got := s.Residual(g.NodeElement(1)); got != 100-20 {
+	if got := s.ResidualVec()[g.NodeElement(1)]; got != 100-20 {
 		t.Fatalf("node 1 residual = %g, want 80", got)
 	}
-	if got := s.Residual(g.LinkElement(0)); got != 50-10 {
+	if got := s.ResidualVec()[g.LinkElement(0)]; got != 50-10 {
 		t.Fatalf("link 0 residual = %g, want 40", got)
-	}
-
-	// Snapshots are defensive copies.
-	snap := s.ResidualSnapshot(nil)
-	snap[0] = -5
-	if s.Residual(0) == -5 {
-		t.Fatal("mutating a snapshot corrupted the state")
 	}
 
 	s.Release(emb, 10)
 	s.Apply(emb, 25)
 	s.ResetResidual()
 	for e := 0; e < g.NumElements(); e++ {
-		if s.Residual(graph.ElementID(e)) != g.ElementCap(graph.ElementID(e)) {
+		if s.ResidualVec()[e] != g.ElementCap(graph.ElementID(e)) {
 			t.Fatalf("element %d residual not reset to capacity", e)
 		}
 	}

@@ -147,22 +147,6 @@ func (e *Embedding) FirstViolated(res []float64, d float64) (graph.ElementID, bo
 	return -1, false
 }
 
-// MaxDemandWithin returns the largest demand that fits within res along
-// this embedding (∞-free: returns math.MaxFloat64 when the embedding uses
-// no resources).
-func (e *Embedding) MaxDemandWithin(res []float64) float64 {
-	maxD := math.MaxFloat64
-	for _, u := range e.use {
-		if u.Amount <= 0 {
-			continue
-		}
-		if d := res[u.Elem] / u.Amount; d < maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
 // Apply subtracts demand d of this embedding from res in place.
 func (e *Embedding) Apply(res []float64, d float64) {
 	for _, u := range e.use {

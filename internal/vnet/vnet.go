@@ -80,9 +80,6 @@ type App struct {
 	Links []VLink
 }
 
-// NumVNFs returns the number of virtual nodes including θ.
-func (a *App) NumVNFs() int { return len(a.VNFs) }
-
 // FunctionalVNFs returns the number of VNFs excluding θ.
 func (a *App) FunctionalVNFs() int { return len(a.VNFs) - 1 }
 
@@ -102,16 +99,6 @@ func (a *App) TotalLinkSize() float64 {
 		s += l.Size
 	}
 	return s
-}
-
-// HasGPU reports whether any VNF requires a GPU datacenter.
-func (a *App) HasGPU() bool {
-	for _, v := range a.VNFs {
-		if v.GPU {
-			return true
-		}
-	}
-	return false
 }
 
 // Validate checks structural invariants: θ present with size 0, links form

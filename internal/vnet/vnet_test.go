@@ -99,9 +99,6 @@ func TestGenerateGPUMarksExactlyOneVNF(t *testing.T) {
 		if a.VNFs[Root].GPU {
 			t.Fatalf("seed %d: root θ marked GPU", seed)
 		}
-		if !a.HasGPU() {
-			t.Fatalf("seed %d: HasGPU() false for GPU app", seed)
-		}
 	}
 }
 
@@ -352,9 +349,6 @@ func TestFitsApplyRelease(t *testing.T) {
 	}
 	if e.FitsResidual(res, 34) {
 		t.Error("demand 34 should not fit")
-	}
-	if maxD := e.MaxDemandWithin(res); math.Abs(maxD-1000.0/30.0) > 1e-9 {
-		t.Errorf("MaxDemandWithin = %g, want %g", maxD, 1000.0/30.0)
 	}
 
 	e.Apply(res, 10)

@@ -43,6 +43,7 @@
 // cell of Reps repetitions is a repeated run:
 //
 //	store, _ := olive.OpenArtifactStore("results")
+//	cfg := olive.DefaultSimConfig(olive.TopoIris, 1.0, 1)
 //	cells := []olive.SweepCell{{Config: cfg, Reps: 30}}
 //	res, _ := olive.RunSweep(cells, olive.RunnerOptions{Store: store, Resume: true})
 //
@@ -51,8 +52,8 @@
 // Experiments are data: a Scenario describes a grid of simulation cells
 // (named axes over the configuration), the reports to render, and the
 // repetition policy. Every figure of the paper is a registered Scenario
-// (ScenarioNames lists them); arbitrary user scenarios load from JSON and
-// run through the same runner machinery:
+// (LookupScenario returns one by name); arbitrary user scenarios load
+// from JSON and run through the same runner machinery:
 //
 //	sp, _ := olive.LoadScenario(specFile)
 //	tables, _ := olive.RunScenario(sp, olive.SmokeScale())
@@ -68,13 +69,11 @@ import (
 	"github.com/olive-vne/olive/internal/core"
 	"github.com/olive-vne/olive/internal/embedder"
 	"github.com/olive-vne/olive/internal/graph"
-	"github.com/olive-vne/olive/internal/persist"
 	"github.com/olive-vne/olive/internal/plan"
 	"github.com/olive-vne/olive/internal/runner"
 	"github.com/olive-vne/olive/internal/scenario"
 	"github.com/olive-vne/olive/internal/serve"
 	"github.com/olive-vne/olive/internal/sim"
-	"github.com/olive-vne/olive/internal/substrate"
 	"github.com/olive-vne/olive/internal/topo"
 	"github.com/olive-vne/olive/internal/vnet"
 	"github.com/olive-vne/olive/internal/workload"
@@ -110,9 +109,6 @@ const (
 	TierCore      = graph.TierCore
 )
 
-// NewSubstrate returns an empty substrate graph for manual construction.
-func NewSubstrate() *Substrate { return graph.New() }
-
 // ---- Topologies (Table II) ----
 
 // TopologyName identifies one of the four evaluation topologies.
@@ -126,9 +122,6 @@ const (
 	Topo100N150E   = topo.Random100
 )
 
-// AllTopologies lists the four evaluation topologies.
-func AllTopologies() []TopologyName { return topo.All() }
-
 // BuildTopology deterministically constructs a named evaluation topology.
 func BuildTopology(name TopologyName, seed uint64) *Substrate {
 	return topo.MustBuild(name, seed)
@@ -138,9 +131,6 @@ func BuildTopology(name TopologyName, seed uint64) *Substrate {
 func MakeGPUVariant(g *Substrate, gpuEdgeNodes int, seed uint64) *Substrate {
 	return topo.MakeGPUVariant(g, gpuEdgeNodes, seed)
 }
-
-// FindNode returns the ID of the node with the given name.
-func FindNode(g *Substrate, name string) (NodeID, bool) { return topo.FindNode(g, name) }
 
 // ---- Applications (virtual networks) ----
 
@@ -179,11 +169,6 @@ func GenerateApp(kind AppKind, name string, p AppParams, rng *rand.Rand) *App {
 	return vnet.Generate(kind, name, p, rng)
 }
 
-// NewEmbedding builds (and validates) an integral embedding.
-func NewEmbedding(g *Substrate, app *App, nodeMap []NodeID, pathMap []Path) (*Embedding, error) {
-	return vnet.NewEmbedding(g, app, nodeMap, pathMap)
-}
-
 // ---- Workloads (Table III traces) ----
 
 type (
@@ -193,8 +178,6 @@ type (
 	Trace = workload.Trace
 	// WorkloadParams configures trace generation.
 	WorkloadParams = workload.Params
-	// CAIDAParams configures the CAIDA-like trace substitute.
-	CAIDAParams = workload.CAIDAParams
 )
 
 // DefaultWorkload returns the Table III workload parameters.
@@ -204,14 +187,6 @@ func DefaultWorkload() WorkloadParams { return workload.DefaultParams() }
 func GenerateMMPP(g *Substrate, p WorkloadParams, rng *rand.Rand) (*Trace, error) {
 	return workload.GenerateMMPP(g, p, rng)
 }
-
-// GenerateCAIDA produces the CAIDA-like heavy-tailed trace substitute.
-func GenerateCAIDA(g *Substrate, p WorkloadParams, cp CAIDAParams, rng *rand.Rand) (*Trace, error) {
-	return workload.GenerateCAIDA(g, p, cp, rng)
-}
-
-// DefaultCAIDAParams returns the substitute-trace parameters.
-func DefaultCAIDAParams() CAIDAParams { return workload.DefaultCAIDAParams() }
 
 // ---- Planning (PLAN-VNE, §III-A/B) ----
 
@@ -251,12 +226,6 @@ func BuildPlanFromClasses(g *Substrate, apps []*App, classes []PlanClass, opts P
 	return plan.Build(g, apps, classes, opts)
 }
 
-// RejectionFactor returns the paper's conservative rejection penalty ψ for
-// an application on a substrate.
-func RejectionFactor(g *Substrate, app *App) float64 {
-	return plan.DefaultRejectionFactor(g, app)
-}
-
 // ---- Online embedding (OLIVE, §III-C) ----
 
 type (
@@ -271,8 +240,6 @@ type (
 	Outcome = core.Outcome
 	// Algorithm names one of the evaluated algorithms.
 	Algorithm = core.Algorithm
-	// SlotOff is the per-slot offline re-optimization baseline.
-	SlotOff = core.SlotOff
 )
 
 // The evaluated algorithms.
@@ -289,42 +256,6 @@ func NewEngine(g *Substrate, apps []*App, opts EngineOptions) (*Engine, error) {
 	return core.NewEngine(g, apps, opts)
 }
 
-// NewSlotOff builds the SLOTOFF baseline.
-func NewSlotOff(g *Substrate, apps []*App) (*SlotOff, error) {
-	return core.NewSlotOff(g, apps, core.SlotOffOptions())
-}
-
-// ---- Substrate state (the shared online hot path) ----
-
-type (
-	// SubstrateState owns the residual vector, per-element prices and
-	// the lazy shortest-path cache one simulation cell's engines share.
-	// See the package doc of internal/substrate for the cache
-	// invalidation rules.
-	SubstrateState = substrate.State
-	// EmbedOracle answers min-cost embedding queries over one
-	// SubstrateState, memoizing collocated candidates.
-	EmbedOracle = embedder.Oracle
-)
-
-// NewSubstrateState returns a substrate state over g: residuals at full
-// capacity, prices initialized to the element costs.
-func NewSubstrateState(g *Substrate) *SubstrateState { return substrate.New(g) }
-
-// NewEmbedOracle returns an embedding oracle viewing st. Oracle
-// construction is free — shortest-path trees are computed lazily per
-// source and cached in the state.
-func NewEmbedOracle(st *SubstrateState) *EmbedOracle { return embedder.ForState(st) }
-
-// NewEngineOn builds an online embedding engine over an existing
-// substrate state (viewed through oracle), resetting its residuals but
-// keeping its warm caches. Engines run back to back over one state share
-// path trees and collocated candidates — the simulation harness does this
-// per cell.
-func NewEngineOn(oracle *EmbedOracle, apps []*App, opts EngineOptions) (*Engine, error) {
-	return core.NewEngineOn(oracle, apps, opts)
-}
-
 // ---- Exact embedding (FULLG's oracle) ----
 
 // MinCostEmbedding returns the cost-minimal integral embedding of app with
@@ -334,22 +265,11 @@ func MinCostEmbedding(g *Substrate, app *App, ingress NodeID) (*Embedding, float
 	return embedder.NewOracle(g, embedder.CostPrices(g)).MinCostEmbed(app, ingress)
 }
 
-// BestCollocatedEmbedding returns the cheapest collocated embedding that
-// fits demand d within the residual capacities res (nil res skips the
-// feasibility check).
-func BestCollocatedEmbedding(g *Substrate, app *App, ingress NodeID, res []float64, d float64) (*Embedding, float64, bool) {
-	return embedder.NewOracle(g, embedder.CostPrices(g)).BestCollocated(app, ingress, res, d)
-}
-
 // ---- Simulation & experiments (§IV) ----
 
 type (
 	// SimConfig describes one simulation run.
 	SimConfig = sim.Config
-	// SimResult is the outcome of one run.
-	SimResult = sim.RunResult
-	// AlgoResult carries one algorithm's metrics.
-	AlgoResult = sim.AlgoResult
 	// RepeatedResult aggregates repeated runs with 95% CIs.
 	RepeatedResult = sim.RepeatedResult
 	// ExperimentScale trades fidelity for runtime in the experiment
@@ -359,29 +279,11 @@ type (
 	ResultTable = sim.Table
 )
 
-// Trace kinds for SimConfig.
-const (
-	TraceMMPP  = sim.TraceMMPP
-	TraceCAIDA = sim.TraceCAIDA
-)
-
 // DefaultSimConfig returns the paper-scale configuration for one topology
 // and utilization.
 func DefaultSimConfig(t TopologyName, util float64, seed uint64) SimConfig {
 	return sim.DefaultConfig(t, util, seed)
 }
-
-// QuickSimConfig returns a scaled-down configuration for smoke runs.
-func QuickSimConfig(t TopologyName, util float64, seed uint64) SimConfig {
-	return sim.QuickConfig(t, util, seed)
-}
-
-// RunSim executes one simulation run.
-func RunSim(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
-
-// PaperScale returns the full Table III experiment scale (30 reps × 6000
-// slots).
-func PaperScale() ExperimentScale { return sim.PaperScale() }
 
 // SmokeScale returns a reduced experiment scale for quick regeneration.
 func SmokeScale() ExperimentScale { return sim.SmokeScale() }
@@ -451,30 +353,19 @@ func RunScenario(sp *Scenario, s ExperimentScale) ([]*ResultTable, error) {
 // LoadScenario reads and validates a JSON scenario spec.
 func LoadScenario(r io.Reader) (*Scenario, error) { return scenario.Load(r) }
 
-// SaveScenario writes a scenario spec as indented JSON.
-func SaveScenario(w io.Writer, sp *Scenario) error { return scenario.Save(w, sp) }
-
-// RegisterScenario adds a scenario to the registry (duplicate names are
-// rejected: scenario names key artifact stores).
-func RegisterScenario(sp *Scenario) error { return scenario.Register(sp) }
-
 // LookupScenario returns a deep copy of a registered scenario, so the
 // caller may parameterize it freely.
 func LookupScenario(name string) (*Scenario, bool) { return scenario.Lookup(name) }
-
-// ScenarioNames lists the registered scenarios (every paper figure and
-// table, plus anything added through RegisterScenario), sorted.
-func ScenarioNames() []string { return scenario.Names() }
 
 // ---- Online serving (vnesimd) ----
 
 type (
 	// Server is the online embedding service: a sharded engine pool
-	// behind an HTTP/JSON API. Each shard owns an independent
-	// SubstrateState (1/N of every element's capacity), an EmbedOracle
-	// and an Engine; a deterministic ingress→shard router serializes all
-	// requests of one ingress onto one shard. See cmd/vnesimd for the
-	// daemon.
+	// behind an HTTP/JSON API. Each shard owns an independent Engine
+	// over 1/N of every element's capacity; a deterministic
+	// ingress→shard router serializes all requests of one ingress onto
+	// one shard. See cmd/vnesimd and the README "Serving" section for
+	// the daemon and its wire format.
 	Server = serve.Server
 	// ServerOptions configures a Server: shard count, algorithm, slot
 	// duration, the deterministic virtual-clock mode CI leans on, and
@@ -492,40 +383,6 @@ type (
 	// ServerObservability groups the metrics registry and access-log
 	// wiring.
 	ServerObservability = serve.Observability
-	// ServerStats is the GET /v1/stats payload: acceptance rate,
-	// revenue, decision-latency quantiles (p50 to p99.9, over every
-	// embed the server answered, read off the request-duration
-	// histogram /metrics exports), replanning state and per-shard
-	// utilization.
-	ServerStats = serve.StatsResponse
-	// ServeEmbedRequest is the POST /v1/embed request body.
-	ServeEmbedRequest = serve.EmbedRequest
-	// ServeEmbedResponse is the accept/reject decision for one request.
-	ServeEmbedResponse = serve.EmbedResponse
-	// ServeErrorBody is the payload of the v1 error envelope every
-	// non-2xx /v1/* response carries: a stable machine-readable code, a
-	// human-readable message, and a retry hint on 429s.
-	ServeErrorBody = serve.ErrorBody
-	// ServePlanInfo is the GET /v1/plan payload: the published plan
-	// generation, its provenance, and per-shard adoption state.
-	ServePlanInfo = serve.PlanInfo
-	// ServeResizeResult reports what a POST /v1/admin/resize did.
-	ServeResizeResult = serve.ResizeResult
-)
-
-// Serve error codes (the "code" field of the v1 error envelope).
-const (
-	ServeErrBadRequest          = serve.ErrCodeBadRequest
-	ServeErrNotFound            = serve.ErrCodeNotFound
-	ServeErrRateLimited         = serve.ErrCodeRateLimited
-	ServeErrQueueFull           = serve.ErrCodeQueueFull
-	ServeErrReplanInProgress    = serve.ErrCodeReplanInProgress
-	ServeErrReplanDisabled      = serve.ErrCodeReplanDisabled
-	ServeErrInsufficientHistory = serve.ErrCodeInsufficientHistory
-	ServeErrReplanFailed        = serve.ErrCodeReplanFailed
-	ServeErrResizeInProgress    = serve.ErrCodeResizeInProgress
-	ServeErrDraining            = serve.ErrCodeDraining
-	ServeErrEngine              = serve.ErrCodeEngine
 )
 
 // NewServer builds an online embedding server over g and apps. Expose its
@@ -533,34 +390,4 @@ const (
 // admitted ones still receive their decision).
 func NewServer(g *Substrate, apps []*App, opts ServerOptions) (*Server, error) {
 	return serve.New(g, apps, opts)
-}
-
-// ---- Persistence ----
-
-// SaveTrace writes a trace as versioned JSON.
-func SaveTrace(w io.Writer, t *Trace) error { return persist.SaveTrace(w, t) }
-
-// LoadTrace reads a trace written by SaveTrace and validates it.
-func LoadTrace(r io.Reader) (*Trace, error) { return persist.LoadTrace(r) }
-
-// SavePlan writes a plan as versioned JSON (embeddings stored
-// structurally).
-func SavePlan(w io.Writer, p *Plan) error { return persist.SavePlan(w, p) }
-
-// LoadPlan reads a plan written by SavePlan, rebuilding and revalidating
-// every embedding against the substrate and application set.
-func LoadPlan(r io.Reader, g *Substrate, apps []*App) (*Plan, error) {
-	return persist.LoadPlan(r, g, apps)
-}
-
-// ---- Time-varying plans (paper §VI future work) ----
-
-// WindowedPlan holds one PLAN-VNE solution per window of a demand cycle;
-// the engine swaps plans at window boundaries via Engine.SwapPlan.
-type WindowedPlan = plan.WindowedPlan
-
-// BuildWindowedPlan aggregates the history per window position within the
-// demand cycle (period slots) and solves one PLAN-VNE instance per window.
-func BuildWindowedPlan(g *Substrate, apps []*App, hist *Trace, period, windows int, opts PlanOptions, rng *rand.Rand) (*WindowedPlan, error) {
-	return plan.BuildWindowed(g, apps, hist, period, windows, opts, rng)
 }
