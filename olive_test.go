@@ -107,15 +107,14 @@ func TestPublicAPIMinCostEmbedding(t *testing.T) {
 }
 
 // TestPublicAPISimulation runs the documented sweep flow on one small
-// cell: DefaultSimConfig, scaled down, repeated through RunSweep. SLOTOFF
-// is reachable through the facade only as a sweep algorithm.
+// cell: DefaultSimConfig, scaled down, repeated through RunSweep.
 func TestPublicAPISimulation(t *testing.T) {
 	cfg := olive.DefaultSimConfig(olive.TopoCittaStudi, 1.0, 4)
 	cfg.HistSlots, cfg.OnlineSlots = 100, 30
 	cfg.LambdaPerNode = 3
 	cfg.PlanOptions.BootstrapB = 30
 	cfg.MeasureFrom, cfg.MeasureTo = 5, 25
-	cfg.Algorithms = []olive.Algorithm{olive.OLIVE, olive.QUICKG, olive.SLOTOFF}
+	cfg.Algorithms = []olive.Algorithm{olive.OLIVE, olive.QUICKG}
 	res, err := olive.RunSweep([]olive.SweepCell{{Config: cfg, Reps: 2}}, olive.RunnerOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +130,34 @@ func TestPublicAPISimulation(t *testing.T) {
 		if rej.Mean >= 1 {
 			t.Fatalf("%v rejected every request", a)
 		}
+	}
+}
+
+// TestPublicAPISlotOff: SLOTOFF is reachable through the facade only as a
+// sweep algorithm; on a lightly loaded cell it must accept requests.
+func TestPublicAPISlotOff(t *testing.T) {
+	cfg := olive.DefaultSimConfig(olive.TopoCittaStudi, 0.5, 11)
+	cfg.HistSlots, cfg.OnlineSlots = 100, 30
+	cfg.LambdaPerNode = 3
+	cfg.PlanOptions.BootstrapB = 30
+	cfg.MeasureFrom, cfg.MeasureTo = 5, 25
+	cfg.Algorithms = []olive.Algorithm{olive.SLOTOFF}
+	res, err := olive.RunSweep([]olive.SweepCell{{Config: cfg, Reps: 1}}, olive.RunnerOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 {
+		t.Fatalf("sweep returned %d cells", len(res))
+	}
+	rej, ok := res[0].Rejection[olive.SLOTOFF]
+	if !ok {
+		t.Fatal("no rejection summary for SLOTOFF")
+	}
+	if !(rej.Mean < 1) {
+		t.Fatalf("SLOTOFF rejected every request: %+v", rej)
+	}
+	if cost := res[0].Cost[olive.SLOTOFF]; !(cost.Mean > 0) {
+		t.Fatalf("SLOTOFF embedded nothing: cost %+v", cost)
 	}
 }
 
