@@ -13,6 +13,7 @@ race:
 	    ./internal/graph/... ./internal/substrate/... ./internal/lp/... \
 	    ./internal/obs/... ./internal/scenario/... ./internal/plan/... \
 	    ./internal/embedder/... ./internal/core/...
+	go test -race -run 'TestRunSweep|TestWindowedPlanRun' ./internal/sim/
 
 # Everything the CI lint + olivelint jobs run, in one target. staticcheck
 # is optional locally (skipped with a note when not installed); olivelint

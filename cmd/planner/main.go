@@ -1,7 +1,9 @@
 // Command planner builds a PLAN-VNE embedding plan from a synthetic
-// history and dumps it: per-class expected demand, planned shares (with
+// history and prints it: per-class expected demand, planned shares (with
 // their embeddings), rejected fractions, and plan-level diagnostics. It is
-// the offline half of OLIVE as a standalone tool.
+// the offline half of OLIVE as a standalone tool for inspecting plans. It
+// writes no plan file: vnesim and vnesimd build their plans from their
+// own histories.
 //
 // Usage:
 //
@@ -17,7 +19,6 @@ import (
 	"time"
 
 	"github.com/olive-vne/olive/internal/graph"
-	"github.com/olive-vne/olive/internal/persist"
 	"github.com/olive-vne/olive/internal/plan"
 	"github.com/olive-vne/olive/internal/topo"
 	"github.com/olive-vne/olive/internal/vnet"
@@ -41,7 +42,6 @@ func run(args []string) error {
 	alpha := fs.Float64("alpha", 0.8, "aggregation percentile")
 	seed := fs.Uint64("seed", 1, "random seed")
 	verbose := fs.Bool("v", false, "print every share's embedding")
-	saveTo := fs.String("save", "", "write the plan as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -107,17 +107,6 @@ func run(args []string) error {
 	}
 	if !*verbose {
 		fmt.Println("\n(classes with no rejection omitted; -v prints all shares)")
-	}
-	if *saveTo != "" {
-		f, err := os.Create(*saveTo)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := persist.SavePlan(f, p); err != nil {
-			return err
-		}
-		fmt.Printf("\nplan written to %s\n", *saveTo)
 	}
 	return nil
 }

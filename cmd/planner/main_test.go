@@ -1,26 +1,14 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestRunSmallPlan(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "plan.json")
 	err := run([]string{
 		"-topo", "cittastudi", "-util", "1.0", "-slots", "60",
-		"-lambda", "2", "-save", out,
+		"-lambda", "2", "-v",
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	fi, err := os.Stat(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() == 0 {
-		t.Fatal("saved plan is empty")
 	}
 }
 

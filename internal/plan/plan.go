@@ -43,7 +43,7 @@ type Class struct {
 // Check returns why c cannot be planned over g with numApps applications
 // — an app outside [0, numApps), an ingress that is not one of g's nodes,
 // or a demand that is not finite and positive — and nil if it can. Build
-// and persist.LoadPlan both check their classes with it.
+// checks its classes with it.
 func (c Class) Check(g *graph.Graph, numApps int) error {
 	if c.App < 0 || c.App >= numApps {
 		return fmt.Errorf("class references app %d of %d", c.App, numApps)
@@ -151,9 +151,9 @@ func (p *Plan) buildIndex() {
 	}
 }
 
-// FromClasses assembles a Plan from pre-built class plans — the
-// persistence layer's loader and tests use it. The lookup index is built;
-// callers should Validate against their substrate.
+// FromClasses assembles a Plan from pre-built class plans, such as a
+// test's edited copy of a built plan. The lookup index is built; callers
+// should Validate against their substrate.
 func FromClasses(classes []ClassPlan, obj float64) *Plan {
 	p := &Plan{Classes: classes, Obj: obj}
 	p.buildIndex()
@@ -168,6 +168,13 @@ func Aggregate(hist *workload.Trace, numApps int, alpha float64, bootstrapB int,
 	if hist == nil || hist.Slots <= 0 {
 		return nil, errors.New("plan: empty history")
 	}
+	return aggregate(hist, numApps, alpha, bootstrapB, rng, hist.Slots, 0, hist.Slots)
+}
+
+// aggregate is Aggregate over the history slots t whose cycle position
+// t mod period lies in [lo, hi): the whole history when period is its
+// length, one window of the demand cycle for BuildWindowed.
+func aggregate(hist *workload.Trace, numApps int, alpha float64, bootstrapB int, rng *rand.Rand, period, lo, hi int) ([]Class, error) {
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("plan: percentile α=%g outside (0,1]", alpha)
 	}
@@ -195,7 +202,16 @@ func Aggregate(hist *workload.Trace, numApps int, alpha float64, bootstrapB int,
 	var bsc stats.BootstrapScratch
 	for _, k := range keys {
 		activeDemand(diffs[k], series)
-		est, err := stats.BootstrapQuantileWith(&bsc, series, alpha, bootstrapB, rng)
+		// Keep the window's slots, compacted in place: slot t moves
+		// to n ≤ t, which has already been read.
+		n := 0
+		for t, d := range series {
+			if pos := t % period; pos >= lo && pos < hi {
+				series[n] = d
+				n++
+			}
+		}
+		est, err := stats.BootstrapQuantileWith(&bsc, series[:n], alpha, bootstrapB, rng)
 		if err != nil {
 			return nil, fmt.Errorf("plan: class (%d,%d): %w", k.app, k.ingress, err)
 		}

@@ -147,11 +147,12 @@ func TestAggregateEmptySlotsReadZero(t *testing.T) {
 		{ID: 0, App: 1, Ingress: 2, Arrive: 0, Duration: 2, Demand: 0.1},
 		{ID: 1, App: 1, Ingress: 2, Arrive: 1, Duration: 2, Demand: 0.2},
 	}}
-	series, err := activeDemandSeries(hist, 4)
+	diffs, err := demandDeltas(hist, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := series[classKey{app: 1, ingress: 2}]
+	s := make([]float64, hist.Slots)
+	activeDemand(diffs[classKey{app: 1, ingress: 2}], s)
 	for slot, v := range s[3:] {
 		if v != 0 {
 			t.Fatalf("slot %d: active demand %g with no request active", slot+3, v)
@@ -316,8 +317,8 @@ func TestBuildOptionValidation(t *testing.T) {
 }
 
 // TestBuildRejectsIngressOffSubstrate: a class whose ingress is not a
-// substrate node is an error, as it is for persist.LoadPlan, not a class
-// the plan rejects in full beside a plannable one.
+// substrate node is an error, not a class the plan rejects in full
+// beside a plannable one.
 func TestBuildRejectsIngressOffSubstrate(t *testing.T) {
 	g := topo.MustBuild(topo.Iris, 1)
 	apps := vnet.DefaultMix(vnet.DefaultParams(), testRNG(3))

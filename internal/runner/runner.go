@@ -11,7 +11,7 @@
 //     arrival order, so downstream summaries are byte-identical to a
 //     sequential loop.
 //   - Completion is durable: with a Store attached, each finished cell is
-//     persisted as versioned JSON (via internal/persist), so a cancelled
+//     persisted as versioned JSON (see Store), so a cancelled
 //     or crashed sweep resumes from its artifacts instead of recomputing.
 //
 // Panics inside a job are recovered and reported as that job's error; one

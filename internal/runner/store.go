@@ -1,11 +1,11 @@
 package runner
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-
-	"github.com/olive-vne/olive/internal/persist"
 )
 
 // Store persists one versioned JSON artifact per completed sweep cell in a
@@ -51,7 +51,7 @@ func (s *Store) Get(key string, out any) (bool, error) {
 		return false, fmt.Errorf("runner: store get %s: %w", path, err)
 	}
 	defer f.Close()
-	if err := persist.LoadArtifact(f, key, out); err != nil {
+	if err := loadArtifact(f, key, out); err != nil {
 		return false, fmt.Errorf("runner: store get %s: %w", path, err)
 	}
 	return true, nil
@@ -65,7 +65,7 @@ func (s *Store) Put(key string, v any) error {
 		return fmt.Errorf("runner: store put %q: %w", key, err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := persist.SaveArtifact(tmp, key, v); err != nil {
+	if err := saveArtifact(tmp, key, v); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -91,4 +91,49 @@ func (s *Store) Len() (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// artifactVersion tags the artifact envelope; readers reject other
+// versions.
+const artifactVersion = 1
+
+// artifactFile is the JSON envelope of one cached sweep cell, keyed by
+// the canonical cell descriptor so a resumed sweep can detect stale or
+// colliding entries.
+type artifactFile struct {
+	Version int             `json:"version"`
+	Key     string          `json:"key"`
+	Payload json.RawMessage `json:"payload"`
+}
+
+// saveArtifact writes v as a versioned JSON artifact tagged with key.
+func saveArtifact(w io.Writer, key string, v any) error {
+	if key == "" {
+		return fmt.Errorf("runner: empty artifact key")
+	}
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("runner: encode artifact %q: %w", key, err)
+	}
+	return json.NewEncoder(w).Encode(artifactFile{Version: artifactVersion, Key: key, Payload: payload})
+}
+
+// loadArtifact reads an artifact written by saveArtifact into out,
+// rejecting version mismatches and entries written under a different key
+// (a hash collision or a stale store directory).
+func loadArtifact(r io.Reader, key string, out any) error {
+	var f artifactFile
+	if err := json.NewDecoder(r).Decode(&f); err != nil {
+		return fmt.Errorf("runner: decode artifact %q: %w", key, err)
+	}
+	if f.Version != artifactVersion {
+		return fmt.Errorf("runner: artifact %q version %d, want %d", key, f.Version, artifactVersion)
+	}
+	if f.Key != key {
+		return fmt.Errorf("runner: artifact key mismatch: stored %q (hash collision or stale store)", f.Key)
+	}
+	if err := json.Unmarshal(f.Payload, out); err != nil {
+		return fmt.Errorf("runner: decode artifact %q payload: %w", key, err)
+	}
+	return nil
 }

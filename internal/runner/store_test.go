@@ -80,6 +80,57 @@ func TestStoreRejectsCorruptArtifact(t *testing.T) {
 	}
 }
 
+// TestStoreReadsVersion1Envelope: a cell written by an earlier build of
+// the store, byte for byte, still loads, so an -out directory resumes
+// across releases that keep artifact version 1.
+func TestStoreReadsVersion1Envelope(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "sweep/v1|cell=0"
+	v1 := `{"version":1,"key":"sweep/v1|cell=0","payload":{"name":"cell","xs":[1.5,-2,0]}}` + "\n"
+	if err := os.WriteFile(s.pathFor(key), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out payload
+	hit, err := s.Get(key, &out)
+	if err != nil || !hit {
+		t.Fatalf("Get = (%v, %v), want hit", hit, err)
+	}
+	if out.Name != "cell" || len(out.Xs) != 3 || out.Xs[0] != 1.5 || out.Xs[1] != -2 || out.Xs[2] != 0 {
+		t.Fatalf("version-1 payload read as %+v", out)
+	}
+	// Put writes the same bytes, so a store written now reads back in
+	// a build that still expects them.
+	if err := s.Put(key, payload{Name: "cell", Xs: []float64{1.5, -2, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.pathFor(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != v1 {
+		t.Fatalf("Put wrote %q, want %q", data, v1)
+	}
+}
+
+func TestStoreRejectsOtherVersion(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "sweep/v1|cell=0"
+	v2 := `{"version":2,"key":"sweep/v1|cell=0","payload":{"name":"cell","xs":[1.5,-2,0]}}` + "\n"
+	if err := os.WriteFile(s.pathFor(key), []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out payload
+	if hit, err := s.Get(key, &out); hit || err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("Get of a version-2 artifact = (%v, %v), want a version error", hit, err)
+	}
+}
+
 func TestStoreLenCountsArtifacts(t *testing.T) {
 	s, err := OpenStore(t.TempDir())
 	if err != nil {

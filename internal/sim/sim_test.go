@@ -327,7 +327,7 @@ func TestWindowedPlanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Windowed == nil || rr.Windowed.Windows() != 4 {
+	if rr.Windowed == nil || len(rr.Windowed.Plans) != 4 {
 		t.Fatal("windowed plan missing")
 	}
 	if rr.Plan == nil {

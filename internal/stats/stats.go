@@ -73,14 +73,6 @@ type BootstrapResult struct {
 	Lo, Hi float64
 }
 
-// BootstrapQuantile estimates the α-quantile of the distribution behind
-// sample xs by bootstrapping: B resamples with replacement, the α-quantile
-// of each, percentile-method CI over the replicates. This is the estimator
-// the paper uses for the expected aggregated demand P̂80 (§III-A).
-func BootstrapQuantile(xs []float64, alpha float64, b int, rng *rand.Rand) (BootstrapResult, error) {
-	return BootstrapQuantileWith(nil, xs, alpha, b, rng)
-}
-
 // BootstrapScratch holds the reusable buffers of BootstrapQuantileWith.
 // The zero value is ready to use.
 type BootstrapScratch struct {
@@ -95,10 +87,13 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// BootstrapQuantileWith is BootstrapQuantile with caller-owned scratch
-// buffers, for hot loops that estimate many series back to back; a nil
-// scratch allocates fresh buffers. The rng draw sequence and the result
-// are identical to BootstrapQuantile's.
+// BootstrapQuantileWith estimates the α-quantile of the distribution
+// behind sample xs by bootstrapping: b resamples with replacement, the
+// α-quantile of each, percentile-method CI over the replicates. This is
+// the estimator the paper uses for the expected aggregated demand P̂80
+// (§III-A). sc holds the buffers, so a loop that estimates many series
+// back to back allocates once; a nil sc allocates fresh buffers, with
+// the same rng draws and result.
 //
 // A replicate is never materialized, let alone sorted: the sample is
 // sorted once, each of a replicate's len(xs) draws bumps the count of

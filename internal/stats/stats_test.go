@@ -62,7 +62,7 @@ func TestBootstrapQuantileRecoversPercentile(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.Float64() * 100
 	}
-	r, err := BootstrapQuantile(xs, 0.8, 200, rng)
+	r, err := BootstrapQuantileWith(nil, xs, 0.8, 200, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +76,24 @@ func TestBootstrapQuantileRecoversPercentile(t *testing.T) {
 
 func TestBootstrapQuantileErrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	if _, err := BootstrapQuantile(nil, 0.8, 10, rng); err == nil {
+	if _, err := BootstrapQuantileWith(nil, nil, 0.8, 10, rng); err == nil {
 		t.Error("empty sample did not error")
 	}
-	if _, err := BootstrapQuantile([]float64{1}, 1.2, 10, rng); err == nil {
+	if _, err := BootstrapQuantileWith(nil, []float64{1}, 1.2, 10, rng); err == nil {
 		t.Error("alpha > 1 did not error")
 	}
-	if _, err := BootstrapQuantile([]float64{1}, 0.8, 0, rng); err == nil {
+	if _, err := BootstrapQuantileWith(nil, []float64{1}, 0.8, 0, rng); err == nil {
 		t.Error("b = 0 did not error")
 	}
 }
 
 func TestBootstrapDeterministicWithSeededRNG(t *testing.T) {
 	xs := []float64{5, 1, 9, 3, 7, 2, 8}
-	a, err := BootstrapQuantile(xs, 0.8, 50, rand.New(rand.NewPCG(7, 7)))
+	a, err := BootstrapQuantileWith(nil, xs, 0.8, 50, rand.New(rand.NewPCG(7, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BootstrapQuantile(xs, 0.8, 50, rand.New(rand.NewPCG(7, 7)))
+	b, err := BootstrapQuantileWith(nil, xs, 0.8, 50, rand.New(rand.NewPCG(7, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,15 +133,6 @@ func (t *Trace) PerSlot() [][]Request {
 	return slots
 }
 
-// TotalDemand sums d(r) over all requests.
-func (t *Trace) TotalDemand() float64 {
-	var s float64
-	for _, r := range t.Requests {
-		s += r.Demand
-	}
-	return s
-}
-
 // Validate checks per-request invariants.
 func (t *Trace) Validate() error {
 	if t.Slots <= 0 {
