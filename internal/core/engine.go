@@ -151,12 +151,22 @@ type Engine struct {
 	freeRecs []int32
 
 	// FULLG's branch-and-bound scratch: pooled search nodes, the nodes of
-	// the search in progress, its open list and a memo key buffer.
+	// the search in progress, its open list and the buffers nodeKey
+	// builds a memo key in.
 	bbFree, bbUsed, bbOpen []*bbNode
 	bbKey                  []byte
-	// bbMemo remembers search nodes by key (see exactEmbed) while the
-	// State's price generation is bbGen; FULLG engines only.
+	bbBans                 []embedder.Ban
+	bbExcl                 []graph.ElementID
+	// The search memo (see exactEmbed), valid while the State's price
+	// generation is bbGen; FULLG engines only. bbRoots holds the root
+	// entries by app·|V| + ingress, bbMemo the others by key; bbSize
+	// counts both. Entries and links come from the chunks bbEnts and
+	// bbLinks.
+	bbRoots []*bbEntry
 	bbMemo  map[string]*bbEntry
+	bbSize  int
+	bbEnts  []bbEntry
+	bbLinks []bbLink
 	bbGen   uint64
 	bbStats bbMemoStats
 }
@@ -249,6 +259,7 @@ func NewEngineOn(oracle *embedder.Oracle, apps []*vnet.App, opts Options) (*Engi
 		maxID:  math.MinInt,
 	}
 	if opts.Exact {
+		e.bbRoots = make([]*bbEntry, len(apps)*e.g.NumNodes())
 		e.bbMemo, e.bbGen = make(map[string]*bbEntry), st.PriceGen()
 	}
 	e.shareRes = planResiduals(opts.Plan)
@@ -691,25 +702,52 @@ func (e *Engine) greedyEmbed(r workload.Request) *vnet.Embedding {
 	return e.exactEmbed(app, r)
 }
 
-// bbMemoCap bounds the engine's search memo: a full memo is cleared whole
-// before the next entry goes in. One pass of the repository benchmark's
-// FULLG workload meets about 1,300 distinct nodes.
+// bbMemoCap bounds the engine's search memo: a memo that holds this many
+// entries is cleared whole before the next one goes in. One pass of the
+// repository benchmark's FULLG workload meets about 1,390 distinct nodes.
 const bbMemoCap = 4096
 
+// bbChunk is the number of memo entries, and of memo links, the engine
+// allocates at a time.
+const bbChunk = 128
+
 // bbEntry is what the search memo knows about one node key: the price of
-// the node's table (+Inf: infeasible, as a failed solve) and, once a node
-// with the key has been popped, the embedding its table encodes (popped;
-// emb nil when Embedding found none).
+// the node's table (+Inf: infeasible, as a failed solve), once a node with
+// the key has been popped the embedding its table encodes (emb; nil before
+// the first pop, bbNoEmbedding when Embedding found none), and the links
+// to the entries of the children branched from such a node.
 type bbEntry struct {
-	price  float64
-	popped bool
-	emb    *vnet.Embedding
+	price float64
+	emb   *vnet.Embedding
+	links *bbLink
+}
+
+// bbNoEmbedding is the emb of a popped entry whose table yielded none.
+var bbNoEmbedding = new(vnet.Embedding)
+
+// bbLink leads from a memo entry to the entry of the child that adds
+// delta (see bbDelta) to its key; next is the entry's next link.
+type bbLink struct {
+	delta uint64
+	child *bbEntry
+	next  *bbLink
+}
+
+// bbDelta packs the one change a child adds to its parent's key: ban b
+// (b.V above θ) as b.V<<32 | b.U, excluded element elem as elem, so the
+// two never meet (VNF, node and element IDs fit 32 bits).
+func bbDelta(b embedder.Ban, elem graph.ElementID) uint64 {
+	if b.V != vnet.Root {
+		return uint64(b.V)<<32 | uint64(uint32(b.U))
+	}
+	return uint64(uint32(elem))
 }
 
 // bbMemoStats counts the search memo's traffic since the engine was built.
 type bbMemoStats struct {
-	// hits and misses count node keys looked up in the memo.
-	hits, misses int
+	// hits and misses count node keys looked up in the memo; linkHits
+	// counts the hits found by a link from the parent's entry.
+	hits, misses, linkHits int
 	// embHits counts popped nodes whose embedding the memo held.
 	embHits int
 	// chained counts the misses whose parent was a hit without a table,
@@ -717,18 +755,17 @@ type bbMemoStats struct {
 	chained int
 }
 
-// bbNode is one branch-and-bound search node: the bans and excluded
-// elements that make its key (both sorted), its memo entry, and the
+// bbNode is one branch-and-bound search node: its memo entry, and the
 // parent it was branched from with the one delta it adds — a ban (ban.V
-// above θ) or an excluded element (elem). Its table is solved only when
-// needed: at once for a key the memo missed, on demand for a hit.
-// Nodes are pooled by the engine.
+// above θ) or an excluded element (elem). Its key, the sorted bans and
+// excluded elements along its parent chain, is built only when the parent's
+// entry has no link for the delta. Its table is solved only when needed:
+// at once for a key the memo missed, on demand for a hit. Nodes are pooled
+// by the engine.
 type bbNode struct {
 	parent *bbNode
 	ban    embedder.Ban
 	elem   graph.ElementID
-	bans   []embedder.Ban
-	excl   []graph.ElementID
 	ent    *bbEntry
 	solved bool
 	tab    embedder.Table
@@ -750,39 +787,62 @@ type bbNode struct {
 // State's prices, which FULLG never moves. The engine remembers each key's
 // price and feasibility and, once popped, its embedding (bbEntry) while
 // State.PriceGen stands still, so a node whose key the memo holds is
-// pushed and popped without a table. Only a miss needs one: it is derived
-// from its parent's, after re-deriving, root first, every ancestor on the
-// node's own search path that was a hit and so has none. The root's
-// relaxation shares the oracle's memoized table; a child that bans one
-// more (VNF, node) pair recomputes only the entries the ban can change
-// (embedder.Oracle.SolveBan), and a child that excludes a link only the
-// entries whose chosen path in the State's shortest-path tree crosses an
-// excluded link, and those above them that chose a changed entry
-// (embedder.Oracle.SolveExclude). Its rescans read distances through a
-// pooled substrate view, which keeps its trees while siblings exclude the
-// same links. Only popped nodes are turned into Embeddings.
+// pushed and popped without a table. Lookups follow links first: a root
+// finds its entry by (app, ingress) in a slice, and a child by its delta
+// among the links of its parent's entry. Only a child the links miss
+// builds its key and looks it up in a map, which finds the entry of a key
+// met along another path; either way the parent's entry then links to it.
+// Only a miss needs a table: it is derived from its parent's, after
+// re-deriving, root first, every ancestor on the node's own search path
+// that was a hit and so has none. The root's relaxation shares the
+// oracle's memoized table; a child that bans one more (VNF, node) pair
+// recomputes only the entries the ban can change (embedder.Oracle.SolveBan),
+// and a child that excludes a link only the entries whose chosen path in
+// the State's shortest-path tree crosses an excluded link, and those above
+// them that chose a changed entry (embedder.Oracle.SolveExclude). Its
+// rescans read distances through a pooled substrate view, which keeps its
+// trees while siblings exclude the same links. Only popped nodes are
+// turned into Embeddings.
 //
 // Every decision is the one a search without the memo makes: each derived
 // table is bit-identical to a fresh fill under the same bans and
 // exclusions, whatever path derived it, so a remembered price or
 // embedding is the one this node's own derivation would give; and the
 // open list, its tie-breaking, the budget and FirstViolated against the
-// current residuals run unchanged.
+// current residuals run unchanged. A link answers exactly the lookups the
+// map would (see clearMemo), so the tables derived are those of a memo
+// without links.
 func (e *Engine) exactEmbed(app *vnet.App, r workload.Request) *vnet.Embedding {
 	if gen := e.st.PriceGen(); gen != e.bbGen {
-		clear(e.bbMemo)
+		e.clearMemo()
 		e.bbGen = gen
 	}
 	emb := e.branchAndBound(app, r)
 	for _, n := range e.bbUsed {
 		n.tab.Reset()
 		n.parent, n.ent, n.solved = nil, nil, false
-		n.bans, n.excl = n.bans[:0], n.excl[:0]
 	}
 	e.bbFree = append(e.bbFree, e.bbUsed...)
 	clear(e.bbUsed)
 	e.bbUsed = e.bbUsed[:0]
 	return emb
+}
+
+// clearMemo forgets every remembered node: the map, the root index and
+// the entry count go, and new entries and links come from new chunks, so
+// the old ones are left only to the search in progress. Its nodes' entries
+// lose their links, so that a link answers only a lookup the map would:
+// every entry reachable from a root or by a link recorded since the clear
+// is in the map under its key.
+func (e *Engine) clearMemo() {
+	clear(e.bbMemo)
+	clear(e.bbRoots)
+	e.bbEnts, e.bbLinks, e.bbSize = nil, nil, 0
+	for _, n := range e.bbUsed {
+		if n.ent != nil {
+			n.ent.links = nil
+		}
+	}
 }
 
 // newBBNode takes a search node from the pool; exactEmbed returns every
@@ -818,15 +878,17 @@ func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embeddi
 		}
 		n := open[best]
 		open = append(open[:best], open[best+1:]...)
-		if ent := n.ent; ent.popped {
+		ent := n.ent
+		if ent.emb != nil {
 			e.bbStats.embHits++
 		} else {
 			e.solveNode(app, r, n)
-			ent.emb, _ = e.oracle.Embedding(&n.tab)
-			ent.popped = true
+			if ent.emb, _ = e.oracle.Embedding(&n.tab); ent.emb == nil {
+				ent.emb = bbNoEmbedding
+			}
 		}
-		emb := n.ent.emb
-		if emb == nil {
+		emb := ent.emb
+		if emb == bbNoEmbedding {
 			// A finite table always yields an embedding; were it not to,
 			// the node is dropped as a failed solve would have been,
 			// without spending an expansion.
@@ -864,15 +926,6 @@ func (e *Engine) branchAndBound(app *vnet.App, r workload.Request) *vnet.Embeddi
 func (e *Engine) branch(app *vnet.App, r workload.Request, n *bbNode, b embedder.Ban, elem graph.ElementID) *bbNode {
 	c := e.newBBNode()
 	c.parent, c.ban, c.elem = n, b, elem
-	c.bans = append(c.bans[:0], n.bans...)
-	c.excl = append(c.excl[:0], n.excl...)
-	if b.V != vnet.Root {
-		if i, found := slices.BinarySearchFunc(c.bans, b, embedder.CompareBans); !found {
-			c.bans = slices.Insert(c.bans, i, b)
-		}
-	} else if i, found := slices.BinarySearch(c.excl, elem); !found {
-		c.excl = slices.Insert(c.excl, i, elem)
-	}
 	if !e.lookup(app, r, c) {
 		return nil
 	}
@@ -882,33 +935,95 @@ func (e *Engine) branch(app *vnet.App, r workload.Request, n *bbNode, b embedder
 // lookup sets n's memo entry, solving n's table first when the memo
 // misses its key, and reports whether the table is feasible.
 func (e *Engine) lookup(app *vnet.App, r workload.Request, n *bbNode) bool {
-	key := binary.LittleEndian.AppendUint32(e.bbKey[:0], uint32(r.App))
-	key = binary.LittleEndian.AppendUint32(key, uint32(r.Ingress))
-	key = binary.LittleEndian.AppendUint32(key, uint32(len(n.bans)))
-	for _, b := range n.bans {
-		key = binary.LittleEndian.AppendUint32(key, uint32(b.V))
-		key = binary.LittleEndian.AppendUint32(key, uint32(b.U))
+	p := n.parent
+	var root **bbEntry
+	var delta uint64
+	var key []byte
+	if p == nil {
+		root = &e.bbRoots[r.App*e.g.NumNodes()+int(r.Ingress)]
+		n.ent = *root
+	} else {
+		delta = bbDelta(n.ban, n.elem)
+		for l := p.ent.links; l != nil; l = l.next {
+			if l.delta == delta {
+				e.bbStats.linkHits++
+				n.ent = l.child
+				break
+			}
+		}
+		if n.ent == nil {
+			key = e.nodeKey(r, n)
+			if n.ent = e.bbMemo[string(key)]; n.ent != nil {
+				e.link(p.ent, delta, n.ent)
+			}
+		}
 	}
-	for _, x := range n.excl {
-		key = binary.LittleEndian.AppendUint32(key, uint32(x))
-	}
-	e.bbKey = key
-	if ent := e.bbMemo[string(key)]; ent != nil {
+	if n.ent != nil {
 		e.bbStats.hits++
-		n.ent = ent
-		return !math.IsInf(ent.price, 1)
+		return !math.IsInf(n.ent.price, 1)
 	}
 	e.bbStats.misses++
-	if p := n.parent; p != nil && !p.solved {
+	if p != nil && !p.solved {
 		e.bbStats.chained++
 	}
 	e.solveNode(app, r, n)
-	if len(e.bbMemo) >= bbMemoCap {
-		clear(e.bbMemo)
+	if e.bbSize >= bbMemoCap {
+		e.clearMemo()
 	}
-	n.ent = &bbEntry{price: n.tab.Price()}
-	e.bbMemo[string(key)] = n.ent
+	if len(e.bbEnts) == cap(e.bbEnts) {
+		e.bbEnts = make([]bbEntry, 0, bbChunk)
+	}
+	e.bbEnts = append(e.bbEnts, bbEntry{price: n.tab.Price()})
+	n.ent = &e.bbEnts[len(e.bbEnts)-1]
+	e.bbSize++
+	if p == nil {
+		*root = n.ent
+	} else {
+		e.bbMemo[string(key)] = n.ent
+		e.link(p.ent, delta, n.ent)
+	}
 	return !math.IsInf(n.ent.price, 1)
+}
+
+// link records on parent's entry that the child adding delta has entry
+// child.
+func (e *Engine) link(parent *bbEntry, delta uint64, child *bbEntry) {
+	if len(e.bbLinks) == cap(e.bbLinks) {
+		e.bbLinks = make([]bbLink, 0, bbChunk)
+	}
+	e.bbLinks = append(e.bbLinks, bbLink{delta: delta, child: child, next: parent.links})
+	parent.links = &e.bbLinks[len(e.bbLinks)-1]
+}
+
+// nodeKey encodes the memo key of n, a child: the request's app and
+// ingress, then the bans and the excluded elements along n's parent chain,
+// each sorted and without repeats, the bans led by their count. Every
+// field is a uvarint, so the encoding is one to one.
+func (e *Engine) nodeKey(r workload.Request, n *bbNode) []byte {
+	bans, excl := e.bbBans[:0], e.bbExcl[:0]
+	for m := n; m.parent != nil; m = m.parent {
+		if m.ban.V != vnet.Root {
+			bans = append(bans, m.ban)
+		} else {
+			excl = append(excl, m.elem)
+		}
+	}
+	slices.SortFunc(bans, embedder.CompareBans)
+	bans = slices.Compact(bans)
+	slices.Sort(excl)
+	excl = slices.Compact(excl)
+	key := binary.AppendUvarint(e.bbKey[:0], uint64(r.App))
+	key = binary.AppendUvarint(key, uint64(r.Ingress))
+	key = binary.AppendUvarint(key, uint64(len(bans)))
+	for _, b := range bans {
+		key = binary.AppendUvarint(key, uint64(b.V))
+		key = binary.AppendUvarint(key, uint64(b.U))
+	}
+	for _, x := range excl {
+		key = binary.AppendUvarint(key, uint64(x))
+	}
+	e.bbBans, e.bbExcl, e.bbKey = bans, excl, key
+	return key
 }
 
 // solveNode solves n's table unless it has been: the root's by Solve, the

@@ -185,16 +185,20 @@ func TestExactEmbedMatchesReference(t *testing.T) {
 // to one entry short of bbMemoCap before each request, until a search has
 // cleared it whole after putting in entries of its own: nodes already on
 // that search's open list then hold entries the memo no longer has, and
-// its later lookups miss keys it met before. The placeholders' keys are 4
-// bytes long, shorter than the 12-byte (app, ingress, ban count) prefix
-// of every real key, so none can answer a real lookup.
+// its later lookups miss keys it met before. The clear must empty the root
+// index too, or the search's root, looked up before the clear, would keep
+// every entry linked below it alive past the cap. The placeholders' keys
+// start with the app index len(apps), which no request has, so none can
+// answer a real lookup.
 func TestExactEmbedMemoClearsWhenFull(t *testing.T) {
 	g, apps, perSlot := overloadSlots(t, topo.Iris, 1, 14, 1.0)
 	placeholder := &bbEntry{price: math.Inf(1)}
-	k, requests, midSearch := uint32(0), 0, -1
+	k, requests, midSearch := uint64(0), 0, -1
 	process := func(e *Engine, r workload.Request) (Outcome, error) {
-		for midSearch < 0 && len(e.bbMemo) < bbMemoCap-1 {
-			e.bbMemo[string(binary.LittleEndian.AppendUint32(nil, k))] = placeholder
+		for midSearch < 0 && e.bbSize < bbMemoCap-1 {
+			key := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(len(apps))), k)
+			e.bbMemo[string(key)] = placeholder
+			e.bbSize++
 			k++
 		}
 		misses := e.bbStats.misses
@@ -202,8 +206,11 @@ func TestExactEmbedMemoClearsWhenFull(t *testing.T) {
 		// Without a clear the memo gains every miss; after a clear at the
 		// search's first miss it holds exactly them, and after a later one
 		// fewer.
-		if midSearch < 0 && len(e.bbMemo) < e.bbStats.misses-misses {
+		if midSearch < 0 && e.bbSize < e.bbStats.misses-misses {
 			midSearch = requests
+			if i := slices.IndexFunc(e.bbRoots, func(ent *bbEntry) bool { return ent != nil }); i >= 0 {
+				t.Fatalf("request %d cleared the memo mid-search, but the root index still holds entry %d", requests, i)
+			}
 		}
 		requests++
 		return out, err
@@ -279,12 +286,13 @@ func exactEmbedMatchesReference(t *testing.T, g *graph.Graph, apps []*vnet.App, 
 	}
 	// The search memo must have served nodes, popped embeddings and, for
 	// a miss below a hit, re-derived the hit's table along the search path.
+	// Most hits must have been found by following a link.
 	ms := got.bbStats
-	t.Logf("search memo: %d hits, %d misses, %d popped embeddings served, %d misses below a hit without a table",
-		ms.hits, ms.misses, ms.embHits, ms.chained)
-	if ms.hits == 0 || ms.embHits == 0 || ms.chained == 0 {
-		t.Fatalf("vacuous run: the search memo served %d nodes and %d popped embeddings, and re-derived %d tables for a miss",
-			ms.hits, ms.embHits, ms.chained)
+	t.Logf("search memo: %d hits (%d by a link), %d misses, %d popped embeddings served, %d misses below a hit without a table",
+		ms.hits, ms.linkHits, ms.misses, ms.embHits, ms.chained)
+	if ms.hits == 0 || ms.linkHits == 0 || ms.embHits == 0 || ms.chained == 0 {
+		t.Fatalf("vacuous run: the search memo served %d nodes (%d by a link) and %d popped embeddings, and re-derived %d tables for a miss",
+			ms.hits, ms.linkHits, ms.embHits, ms.chained)
 	}
 	for _, e := range []*Engine{got, ref} {
 		if err := e.CheckInvariants(); err != nil {
@@ -303,12 +311,37 @@ func sameEmbedding(a, b *vnet.Embedding) bool {
 	return same
 }
 
+// memoEntries returns the entries of e's search memo that a lookup can
+// reach: the roots, the map's entries and every entry linked below them.
+func memoEntries(e *Engine) map[*bbEntry]bool {
+	seen := make(map[*bbEntry]bool)
+	var walk func(ent *bbEntry)
+	walk = func(ent *bbEntry) {
+		if ent == nil || seen[ent] {
+			return
+		}
+		seen[ent] = true
+		for l := ent.links; l != nil; l = l.next {
+			walk(l.child)
+		}
+	}
+	for _, ent := range e.bbRoots {
+		walk(ent)
+	}
+	for _, ent := range e.bbMemo {
+		walk(ent)
+	}
+	return seen
+}
+
 // TestExactEmbedMemoFollowsPrices: FULLG's search memo holds for one price
 // vector only. An engine serves half of a trace, then the busiest link of
 // its embeddings becomes 20 times dearer on its State. From then on, its
 // decisions and embeddings must be those of a fresh engine built at the
 // new prices and given the same allocations, and they must differ, for
-// some requests, from what a search at the old prices answers.
+// some requests, from what a search at the old prices answers. No entry
+// of the old prices may stay reachable by a lookup, through a root, the
+// map or a link.
 func TestExactEmbedMemoFollowsPrices(t *testing.T) {
 	g, apps, perSlot := overloadSlots(t, topo.Iris, 3, 14, 1.0)
 	got, err := NewEngine(g, apps, Options{Exact: true})
@@ -341,6 +374,10 @@ func TestExactEmbedMemoFollowsPrices(t *testing.T) {
 			}
 		}
 		before = append(before, slot)
+	}
+	old := memoEntries(got)
+	if len(old) == 0 || got.bbStats.linkHits == 0 {
+		t.Fatalf("vacuous run: the memo holds %d entries and served %d link hits before the price change", len(old), got.bbStats.linkHits)
 	}
 	st := got.State()
 	link := graph.ElementID(slices.Index(use, slices.Max(use)))
@@ -380,6 +417,11 @@ func TestExactEmbedMemoFollowsPrices(t *testing.T) {
 			out, err := got.Process(r)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for ent := range memoEntries(got) {
+				if old[ent] {
+					t.Fatalf("slot %d request %d: an entry of the old prices (price %g) is still reachable", ts, r.ID, ent.price)
+				}
 			}
 			want, err := fresh.Process(r)
 			if err != nil {

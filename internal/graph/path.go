@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Path is a substrate path: an ordered list of link IDs joining consecutive
 // nodes. An empty path is valid and denotes staying at a single node.
@@ -184,29 +181,4 @@ func (t *ShortestPathTree) PathTo(dst NodeID) (Path, bool) {
 		nodes[i] = n
 	}
 	return Path{Nodes: nodes, Links: links, Cost: t.Dist[dst]}, true
-}
-
-// PathFromLinks reconstructs a Path from a start node and an ordered link
-// sequence, validating adjacency and summing the links' per-CU costs. An
-// empty link list yields the empty path at start.
-func (g *Graph) PathFromLinks(start NodeID, links []LinkID) (Path, error) {
-	if int(start) < 0 || int(start) >= len(g.nodes) {
-		return Path{}, fmt.Errorf("graph: path start %d out of range", start)
-	}
-	p := Path{Nodes: []NodeID{start}}
-	cur := start
-	for i, lid := range links {
-		if int(lid) < 0 || int(lid) >= len(g.links) {
-			return Path{}, fmt.Errorf("graph: path link %d (%d) out of range", i, lid)
-		}
-		l := g.links[lid]
-		if l.From != cur && l.To != cur {
-			return Path{}, fmt.Errorf("graph: path link %d (%d) not incident to node %d", i, lid, cur)
-		}
-		cur = l.Other(cur)
-		p.Links = append(p.Links, lid)
-		p.Nodes = append(p.Nodes, cur)
-		p.Cost += l.Cost
-	}
-	return p, nil
 }

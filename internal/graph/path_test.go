@@ -92,47 +92,3 @@ func TestShortestPathInternalConsistency(t *testing.T) {
 		}
 	}
 }
-
-func TestPathFromLinksRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(37, 38))
-	g := randomConnected(20, 15, rng)
-	trees := costTrees(g)
-	for a := 0; a < g.NumNodes(); a += 3 {
-		for b := 0; b < g.NumNodes(); b += 4 {
-			want, _ := trees[a].PathTo(NodeID(b))
-			got, err := g.PathFromLinks(NodeID(a), want.Links)
-			if err != nil {
-				t.Fatalf("PathFromLinks(%d,%v): %v", a, want.Links, err)
-			}
-			if got.Dst() != want.Dst() || math.Abs(got.Cost-want.Cost) > 1e-9 {
-				t.Fatalf("round trip (%d→%d): got dst %d cost %g, want %d %g",
-					a, b, got.Dst(), got.Cost, want.Dst(), want.Cost)
-			}
-		}
-	}
-}
-
-func TestPathFromLinksErrors(t *testing.T) {
-	g := New()
-	g.AddNode(Node{Cap: 1})
-	g.AddNode(Node{Cap: 1})
-	g.AddNode(Node{Cap: 1})
-	l01 := g.AddLink(0, 1, 1, 1)
-	g.AddLink(1, 2, 1, 1)
-
-	if _, err := g.PathFromLinks(9, nil); err == nil {
-		t.Error("out-of-range start accepted")
-	}
-	if _, err := g.PathFromLinks(0, []LinkID{99}); err == nil {
-		t.Error("out-of-range link accepted")
-	}
-	// Link 0-1 is not incident to node 2.
-	if _, err := g.PathFromLinks(2, []LinkID{l01}); err == nil {
-		t.Error("non-adjacent link accepted")
-	}
-	// Empty path is valid.
-	p, err := g.PathFromLinks(1, nil)
-	if err != nil || p.Len() != 0 || p.Src() != 1 {
-		t.Fatalf("empty path: %+v, %v", p, err)
-	}
-}

@@ -151,15 +151,6 @@ func (p *Plan) buildIndex() {
 	}
 }
 
-// FromClasses assembles a Plan from pre-built class plans, such as a
-// test's edited copy of a built plan. The lookup index is built; callers
-// should Validate against their substrate.
-func FromClasses(classes []ClassPlan, obj float64) *Plan {
-	p := &Plan{Classes: classes, Obj: obj}
-	p.buildIndex()
-	return p
-}
-
 // Aggregate groups the request history by (application, ingress) and
 // estimates each class's expected aggregated demand as the bootstrap
 // α-percentile of its per-slot active demand (Eqs. 5–6). Classes whose
