@@ -32,10 +32,10 @@ lint:
 	    echo "lint: staticcheck not installed locally; skipped (CI runs it)" >&2; \
 	fi
 
-# Short local fuzz passes over the external-bytes parsers, the simplex
-# against its dense reference, FULLG's restricted search and plan.Build's
-# options and classes (same targets as the CI smoke step; raise FUZZTIME
-# to grow the corpus).
+# Short local fuzz passes over the external-bytes parsers (the /v1/embed
+# body decoder among them), the simplex against its dense reference,
+# FULLG's restricted search and plan.Build's options and classes (same
+# targets as the CI smoke step; raise FUZZTIME to grow the corpus).
 FUZZTIME ?= 30s
 fuzz:
 	go test -run=NONE -fuzz='^FuzzLPLoad$$' -fuzztime=$(FUZZTIME) ./internal/lp
@@ -43,6 +43,7 @@ fuzz:
 	go test -run=NONE -fuzz='^FuzzObsParseText$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	go test -run=NONE -fuzz='^FuzzRestrictedSearch$$' -fuzztime=$(FUZZTIME) ./internal/embedder
 	go test -run=NONE -fuzz='^FuzzPlanBuild$$' -fuzztime=$(FUZZTIME) ./internal/plan
+	go test -run=NONE -fuzz='^FuzzEmbedBody$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Emit a machine-readable perf snapshot (bench_report.json) of every
 # benchmark the CI guard pins, run under the guard's exact conditions

@@ -1,6 +1,6 @@
 // Package hotpath structurally checks functions annotated
 // `//olive:hotpath` for allocation-prone constructs. The repo's
-// per-request serving path is allocation-budgeted (38 allocs/op,
+// per-request serving path is allocation-budgeted (27 allocs/op,
 // guarded by BenchmarkServeEmbedWithMetrics and friends); the bench
 // guard catches a regression's magnitude after the fact, while this
 // analyzer names the construct that caused it at lint time.

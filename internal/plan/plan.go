@@ -120,23 +120,30 @@ type classKey struct {
 // Lookup returns the plan of the class (app, ingress), or nil if the
 // history contained no such class.
 func (p *Plan) Lookup(app int, ingress graph.NodeID) *ClassPlan {
-	if p == nil {
-		return nil
-	}
-	if i, ok := p.index[classKey{app, ingress}]; ok {
+	if i, ok := p.LookupIndex(app, ingress); ok {
 		return &p.Classes[i]
 	}
 	return nil
 }
 
 // LookupIndex returns the index into Classes of the class (app, ingress);
-// ok is false if the plan has no such class.
+// ok is false if the plan has no such class. A Plan not made by Build has
+// no index and is scanned from the end, so a later class wins, as it
+// does in buildIndex.
 func (p *Plan) LookupIndex(app int, ingress graph.NodeID) (int, bool) {
 	if p == nil {
 		return 0, false
 	}
-	i, ok := p.index[classKey{app, ingress}]
-	return i, ok
+	if p.index != nil {
+		i, ok := p.index[classKey{app, ingress}]
+		return i, ok
+	}
+	for i := len(p.Classes) - 1; i >= 0; i-- {
+		if c := p.Classes[i].Class; c.App == app && c.Ingress == ingress {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // Empty reports whether the plan has no classes (QUICKG runs OLIVE with an

@@ -352,6 +352,38 @@ func TestLookupFindsEveryClass(t *testing.T) {
 	}
 }
 
+// TestLookupWithoutIndex: a Plan assembled as a literal, not by Build,
+// has no lookup index. Lookup and LookupIndex still find its classes,
+// and answer every key as the index buildIndex makes would: the later of
+// two classes with one key wins.
+func TestLookupWithoutIndex(t *testing.T) {
+	p := &Plan{Classes: []ClassPlan{
+		{Class: Class{App: 0, Ingress: 1, Demand: 2}},
+		{Class: Class{App: 1, Ingress: 1, Demand: 3}},
+		{Class: Class{App: 0, Ingress: 1, Demand: 4}},
+	}}
+	if i, ok := p.LookupIndex(0, 1); !ok || i != 2 {
+		t.Fatalf("LookupIndex(0, 1) = %d, %v, want 2, true", i, ok)
+	}
+	if got := p.Lookup(1, 1); got != &p.Classes[1] {
+		t.Fatalf("Lookup(1, 1) = %v, want class 1", got)
+	}
+	indexed := &Plan{Classes: p.Classes}
+	indexed.buildIndex()
+	for app := -1; app <= 2; app++ {
+		for ingress := graph.NodeID(-1); ingress <= 2; ingress++ {
+			i, ok := p.LookupIndex(app, ingress)
+			wi, wok := indexed.LookupIndex(app, ingress)
+			if i != wi || ok != wok {
+				t.Fatalf("LookupIndex(%d, %d) = %d, %v without the index, %d, %v with it", app, ingress, i, ok, wi, wok)
+			}
+			if (p.Lookup(app, ingress) != nil) != ok {
+				t.Fatalf("Lookup(%d, %d) disagrees with LookupIndex", app, ingress)
+			}
+		}
+	}
+}
+
 func TestColumnGenerationImprovesObjective(t *testing.T) {
 	g, apps, hist := smallScenario(t, 9, 1.4)
 	classes, err := Aggregate(hist, len(apps), 0.8, 50, testRNG(9))

@@ -9,7 +9,7 @@ import (
 
 // historyRing is a bounded ring of the most recent requests one shard
 // has processed — the rolling request history the replanner aggregates
-// into plan classes. The shard goroutine appends on its decision path
+// into plan classes. The shard appends on its decision path
 // (under an uncontended mutex, into a preallocated buffer: no
 // allocation in steady state); the replanner snapshots from outside.
 //

@@ -46,11 +46,12 @@ type EmbedResponse struct {
 	// Cost is the embedding's resource cost per slot (0 when rejected).
 	Cost float64 `json:"cost"`
 	// Nodes maps each VNF (by index, root first) to its substrate node.
-	Nodes []int `json:"nodes,omitempty"`
+	// It is the decided embedding's own node map: read-only.
+	Nodes []graph.NodeID `json:"nodes,omitempty"`
 	// Preempted lists request IDs evicted to make room.
 	Preempted []int `json:"preempted,omitempty"`
 	// LatencyUS is the server-side decision latency in microseconds
-	// (enqueue to decision).
+	// (submission to the shard to decision, queue wait included).
 	LatencyUS int64 `json:"latency_us"`
 }
 
@@ -120,7 +121,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
@@ -186,12 +187,12 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer bodyPool.Put(buf)
-	var er EmbedRequest
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request body: %v", err)
 		return
 	}
-	if err := json.Unmarshal(buf.Bytes(), &er); err != nil {
+	er, err := decodeEmbedRequest(buf.Bytes())
+	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -233,25 +234,19 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		Duration: er.Duration,
 	}
 	sh := s.shardOf(req.Ingress)
-	reply := takeReply()
-	defer putReply(reply)
 	t0 := time.Now()
-	o := op{kind: opEmbed, req: req, reply: reply, enqueued: t0}
-	select {
-	case sh.queue <- o:
-	default:
-		sh.shed.Add(1)
+	res, ok := sh.submit(op{kind: opEmbed, req: req, enqueued: t0}, false)
+	if !ok {
 		writeError(w, http.StatusTooManyRequests, ErrCodeQueueFull, "shard %d queue full (%d)", sh.idx, cap(sh.queue))
 		return
 	}
-	res := <-o.reply
 	lat := time.Since(t0)
 	if res.err != nil {
 		writeError(w, http.StatusInternalServerError, ErrCodeEngine, "engine: %v", res.err)
 		return
 	}
 	s.met.reqDur.Observe(lat.Seconds())
-	writeJSON(w, http.StatusOK, EmbedResponse{
+	writeEmbedResponse(w, buf, &EmbedResponse{
 		ID:        id,
 		Shard:     sh.idx,
 		Slot:      res.slot,
@@ -280,23 +275,19 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	// The ID does not encode its shard; releases probe the shards in
 	// order — retired shards included, since they keep serving the
 	// embeddings they own — stopping at the owner (IDs are globally
-	// unique, so at most one shard holds the embedding). Sends honor the
-	// same backpressure as embeds — a full queue answers 429 instead of
-	// blocking the handler behind a busy shard; the release ops already
-	// executed were no-ops on non-owning shards, so retrying is safe.
+	// unique, so at most one shard holds the embedding). Releases honor
+	// the same backpressure as embeds — a full queue answers 429 instead
+	// of blocking the handler behind a busy shard; the release ops
+	// already executed were no-ops on non-owning shards, so retrying is
+	// safe.
 	released := false
-	reply := takeReply()
-	defer putReply(reply)
 	for _, sh := range s.allShards() {
-		o := op{kind: opRelease, id: id, reply: reply}
-		select {
-		case sh.queue <- o:
-		default:
-			sh.shed.Add(1)
+		res, ok := sh.submit(op{kind: opRelease, id: id}, false)
+		if !ok {
 			writeError(w, http.StatusTooManyRequests, ErrCodeQueueFull, "shard %d queue full (%d)", sh.idx, cap(sh.queue))
 			return
 		}
-		if res := <-o.reply; res.released {
+		if res.released {
 			released = true
 			break
 		}

@@ -30,7 +30,7 @@ import (
 //	vne_decisions_total                  counter {shard,outcome}
 //	vne_shed_total                       counter {reason}
 //	vne_request_duration_seconds         histogram   (embed: enqueue→decision)
-//	vne_queue_wait_seconds               histogram   (embed: enqueue→dequeue)
+//	vne_queue_wait_seconds               histogram   (embed: submit→decision start; ≈0 inline)
 //	vne_solve_duration_seconds           histogram   (embed: engine solve only)
 //	vne_shard_queue_depth                gauge   {shard}
 //	vne_shard_queue_capacity             gauge   {shard}
@@ -80,7 +80,7 @@ const (
 	shedDraining  = "draining"
 )
 
-// shardMetrics is the slice of serverMetrics a shard goroutine touches:
+// shardMetrics is the slice of serverMetrics a shard's decisions touch:
 // the shared distribution instruments. Decision counts stay in the
 // shard's own atomics; /metrics reads them at scrape time.
 type shardMetrics struct {
@@ -159,7 +159,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		"Embed decision latency, enqueue to decision (end-to-end).",
 		obs.LatencyBuckets())
 	m.queueWait = reg.Histogram("vne_queue_wait_seconds",
-		"Time an embed op waits in its shard queue before processing.",
+		"Time an embed op waits for its shard before its decision starts (about 0 when an idle shard decides it inline).",
 		obs.LatencyBuckets())
 	m.solveDur = reg.Histogram("vne_solve_duration_seconds",
 		"Engine solve time alone, excluding queueing and HTTP.",

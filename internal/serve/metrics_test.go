@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -249,8 +250,8 @@ func TestAccessLogAndRequestID(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
-	if resp2.Header.Get("X-Request-ID") == "" {
-		t.Fatal("no generated X-Request-ID")
+	if got := resp2.Header.Get("X-Request-ID"); !regexp.MustCompile(`^req-[0-9]{6,}$`).MatchString(got) {
+		t.Fatalf("generated X-Request-ID %q, want req- and at least six digits", got)
 	}
 }
 

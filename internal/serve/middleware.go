@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
@@ -39,26 +38,42 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Canonical header keys (textproto.CanonicalMIMEHeaderKey forms), used
+// to index header maps directly: Header.Get and Header.Set canonicalize
+// "X-Request-ID" into a fresh string on every call.
+const (
+	requestIDKey = "X-Request-Id"
+	clientIDKey  = "X-Client-Id"
+)
+
 // reqSeq numbers generated request IDs. Process-wide so IDs stay unique
 // across multiple servers in one binary (tests run several).
 var reqSeq atomic.Int64
 
-// requestID returns the caller's X-Request-ID, or mints a sequential
-// one. Sequential — not random — so deterministic-mode runs produce
-// identical logs too, not just identical decisions.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); id != "" {
-		return id
+// requestID returns the caller's X-Request-ID as a one-value header
+// slice, or mints a sequential one ("req-000042"). Sequential — not
+// random — so deterministic-mode runs produce identical logs too, not
+// just identical decisions.
+func requestID(r *http.Request) []string {
+	if ids := r.Header[requestIDKey]; len(ids) > 0 && ids[0] != "" {
+		return ids[:1:1]
 	}
-	return fmt.Sprintf("req-%06d", reqSeq.Add(1))
+	var b [24]byte
+	id := append(b[:0], "req-"...)
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], reqSeq.Add(1), 10)
+	for k := len(digits); k < 6; k++ {
+		id = append(id, '0')
+	}
+	return []string{string(append(id, digits...))}
 }
 
 // clientKey identifies the client for rate limiting and logging: the
 // X-Client-ID header when present, else the remote IP without the port
 // (one host, many ephemeral ports, one bucket).
 func clientKey(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
-		return id
+	if ids := r.Header[clientIDKey]; len(ids) > 0 && ids[0] != "" {
+		return ids[0]
 	}
 	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
 		return host
@@ -71,17 +86,17 @@ func clientKey(r *http.Request) string {
 func (s *Server) middleware(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		rid := requestID(r)
-		w.Header().Set("X-Request-ID", rid)
-		// Resolve the route pattern up front (mux.Handler does not
-		// execute the handler); per-pattern labels keep the metric
-		// cardinality at the route count, not the URL count.
-		route := "unmatched"
-		if _, p := mux.Handler(r); p != "" {
-			route = p
-		}
+		ids := requestID(r)
+		w.Header()[requestIDKey] = ids
 		sw := &statusWriter{ResponseWriter: w}
 		mux.ServeHTTP(sw, r)
+		// The mux records the matched pattern on r; per-pattern labels
+		// keep the metric cardinality at the route count, not the URL
+		// count.
+		route := r.Pattern
+		if route == "" {
+			route = "unmatched"
+		}
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
@@ -90,7 +105,7 @@ func (s *Server) middleware(mux *http.ServeMux) http.Handler {
 		s.met.httpDur.With(route).Observe(dur.Seconds())
 		if s.log != nil {
 			s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("id", rid),
+				slog.String("id", ids[0]),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.String("route", route),

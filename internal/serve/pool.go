@@ -12,8 +12,8 @@ import (
 // exactly one result per enqueue (the handler always consumes it before
 // release), and the body buffer is reset before every read.
 
-// replyPool recycles the buffered reply channels handlers hand to engine
-// shards. A channel may be released only when it is empty — either it
+// replyPool recycles the buffered reply channels that ops taking a
+// shard's queued route carry. A channel may be released only when it is empty — either it
 // was never enqueued (queue-full shed) or its single result has been
 // received.
 var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
@@ -31,5 +31,7 @@ func putReply(c chan result) {
 	replyPool.Put(c)
 }
 
-// bodyPool recycles request-body read buffers for JSON decoding.
+// bodyPool recycles the embed handler's body buffers: the request body is
+// read into one, and once it is decoded the response is appended into the
+// same buffer.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}

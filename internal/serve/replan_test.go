@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/plan"
@@ -347,13 +349,16 @@ func capacityVec(g *graph.Graph) []float64 {
 	return append([]float64(nil), substrate.New(g).ResidualVec()...)
 }
 
-// totalResidual sums the residual vectors of every shard ever created.
+// totalResidual sums the residual vectors of every shard ever created,
+// each read under its shard's mutex.
 func totalResidual(s *Server) []float64 {
 	total := make([]float64, s.g.NumElements())
 	for _, sh := range s.allShards() {
+		sh.mu.Lock()
 		for i, v := range sh.st.ResidualVec() {
 			total[i] += v
 		}
+		sh.mu.Unlock()
 	}
 	return total
 }
@@ -442,4 +447,77 @@ func TestResizeConservation(t *testing.T) {
 		t.Fatalf("resize endpoint result = %+v, want 3 shards, 1 retired", sr)
 	}
 	assertVecEqual(t, totalResidual(s), capa, "after endpoint shrink")
+}
+
+// TestConcurrentEmbedsTicksAndResize puts every route onto the shard
+// engines at once, for the race detector: embeds and releases from
+// several handlers, decided inline or queued, departure ticks every few
+// milliseconds in real-time mode, and a grow and two shrinks. Once every
+// embedding has departed, the shards' free capacity must add up to the
+// substrate's again.
+func TestConcurrentEmbedsTicksAndResize(t *testing.T) {
+	s, ts := testServer(t, Options{Shards: 2, SlotDuration: 5 * time.Millisecond})
+	stream := testStream(t, 120)
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers+1)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(stream); i += workers {
+				er := stream[i]
+				er.Duration = 1 + er.Duration%3
+				body, _ := json.Marshal(er)
+				resp, err := http.Post(ts.URL+"/v1/embed", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var out EmbedResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("embed %d: HTTP %d, %v", i, resp.StatusCode, err)
+					return
+				}
+				if out.Accepted && i%2 == 0 {
+					req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/embeddings/"+strconv.Itoa(out.ID), nil)
+					if resp, err := http.DefaultClient.Do(req); err == nil {
+						resp.Body.Close() // 404 when a departure came first
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, n := range []int{3, 1, 2} {
+			if _, err := s.Resize(n); err != nil {
+				errs <- fmt.Errorf("resize to %d: %w", n, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var active int64
+		for _, ss := range s.Stats().PerShard {
+			active += ss.Active
+		}
+		if active == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d embeddings still active long after their last departure slot", active)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	assertVecEqual(t, totalResidual(s), capacityVec(s.g), "after every embedding departed")
 }

@@ -27,7 +27,7 @@ type ResizeResult struct {
 }
 
 // Resize grows or shrinks the routable shard set to n, re-partitioning
-// free capacity through the shards' own serialized queues:
+// free capacity through serialized ops on the shards themselves:
 //
 //   - Shrink: the routing table drops the tail shards first (no new
 //     embeds land on them), then each retired shard donates its entire
@@ -154,16 +154,13 @@ func (s *Server) curPlanUpdate() *planUpdate {
 	return &planUpdate{p: p, gen: s.planGen.Load(), published: time.Now()}
 }
 
-// harvest asks each donor shard — through its serialized queue, so the
-// scale-down is atomic against its decisions — to keep the given
+// harvest asks each donor shard — as a serialized op, so the scale-down
+// is atomic against its decisions — to keep the given
 // fraction of its free residual, and accumulates the donated remainder.
 func (s *Server) harvest(donors []*shard, keepFraction float64) []float64 {
 	pot := make([]float64, s.g.NumElements())
-	reply := takeReply()
-	defer putReply(reply)
 	for _, sh := range donors {
-		sh.queue <- op{kind: opScaleDonate, factor: keepFraction, reply: reply}
-		res := <-reply
+		res, _ := sh.submit(op{kind: opScaleDonate, factor: keepFraction}, true)
 		for i, v := range res.donated {
 			pot[i] += v
 		}
@@ -183,15 +180,12 @@ func (s *Server) deposit(receivers []*shard, pot []float64) {
 	for i, v := range pot {
 		share[i] = v / float64(len(receivers))
 	}
-	reply := takeReply()
-	defer putReply(reply)
 	for k, sh := range receivers {
 		vec := share
 		if k == len(receivers)-1 {
 			vec = rest
 		}
-		sh.queue <- op{kind: opAddResidual, vec: vec, reply: reply}
-		<-reply
+		sh.submit(op{kind: opAddResidual, vec: vec}, true)
 		if k < len(receivers)-1 {
 			for i := range rest {
 				rest[i] -= share[i]

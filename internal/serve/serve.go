@@ -5,13 +5,17 @@
 //
 // The concurrency model is a sharded engine pool. A core.Engine is
 // single-threaded by design (it owns mutable residual state and a warm
-// path cache), so instead of locking one engine the server runs N shards,
-// each owning its own substrate.State + embedder.Oracle + core.Engine and
-// a serialized request queue. A deterministic ingress→shard router
-// (FNV-1a over the ingress node) pins every ingress — and therefore every
-// plan class, which is keyed by (app, ingress) — to exactly one shard.
-// Queues are bounded; an arriving request that finds its shard's queue
-// full is answered 429 (backpressure) instead of growing memory.
+// path cache), so instead of sharing one engine the server runs N shards,
+// each owning its own substrate.State + embedder.Oracle + core.Engine, a
+// mutex held whenever that engine is in use, and a serialized request
+// queue. A deterministic ingress→shard router (FNV-1a over the ingress
+// node) pins every ingress — and therefore every plan class, which is
+// keyed by (app, ingress) — to exactly one shard. A request that finds
+// its shard idle (nothing queued, engine free) is decided on the HTTP
+// handler's own goroutine; one that finds it busy waits in the queue, so
+// a request never overtakes one that was waiting before it. Queues are
+// bounded; an arriving request that finds QueueDepth ops already waiting
+// is answered 429 (backpressure) instead of growing memory.
 //
 // With more than one shard the substrate capacity is partitioned: each
 // shard's state starts at capacity/N, so the shards' independent
@@ -59,8 +63,9 @@ import (
 // Limits groups the admission-control knobs: how much work the server
 // queues and how much it lets in.
 type Limits struct {
-	// QueueDepth bounds each shard's request queue (default 256). A full
-	// queue answers 429.
+	// QueueDepth bounds the ops waiting for each shard (default 256): a
+	// request that finds that many answers 429. A request decided inline
+	// on an idle shard never waits and is not counted.
 	QueueDepth int
 	// RateLimit configures admission token buckets in front of the shard
 	// queues (see limit.go). The zero value disables limiting. The
@@ -137,9 +142,11 @@ type Options struct {
 	// Observability groups the instrumentation wiring.
 	Observability Observability
 
-	// testHookProcess, when set, runs on the shard goroutine before each
-	// embed is processed. Package tests use it to stall a shard
-	// deterministically (backpressure, drain); nil in production.
+	// testHookProcess, when set, runs before each embed is decided,
+	// under the shard's mutex, on whichever goroutine decides it: the
+	// shard loop for a queued embed, the handler for one decided inline.
+	// Package tests use it to stall a shard deterministically
+	// (backpressure, drain, order); nil in production.
 	testHookProcess func(shard int)
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,11 +185,61 @@ func TestConcurrentPosts(t *testing.T) {
 	}
 }
 
+// enqueue puts o on sh's queue as submit's queued route does — counted
+// in sh.queued, so submit sees the op waiting — without waiting for its
+// reply. Tests use it to occupy a queue slot deterministically.
+func enqueue(sh *shard, o op) {
+	sh.queued.Add(1)
+	sh.queue <- o
+}
+
+// embedReply is one asynchronous POST /v1/embed outcome.
+type embedReply struct {
+	status int
+	out    EmbedResponse
+	err    error
+}
+
+// postEmbedAsync posts er from its own goroutine (t.Fatal is off limits
+// there) and delivers the outcome on the returned channel.
+func postEmbedAsync(url string, er EmbedRequest) <-chan embedReply {
+	c := make(chan embedReply, 1)
+	go func() {
+		body, _ := json.Marshal(er)
+		resp, err := http.Post(url+"/v1/embed", "application/json", bytes.NewReader(body))
+		if err != nil {
+			c <- embedReply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		r := embedReply{status: resp.StatusCode}
+		if resp.StatusCode == http.StatusOK {
+			r.err = json.NewDecoder(resp.Body).Decode(&r.out)
+		}
+		c <- r
+	}()
+	return c
+}
+
+// waitQueued polls until sh counts n queued ops, reporting false after
+// ten seconds.
+func waitQueued(sh *shard, n int64) bool {
+	deadline := time.Now().Add(10 * time.Second)
+	for sh.queued.Load() != n {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 // TestBackpressure429 stalls the single shard, fills its depth-1 queue
 // and checks the next request bounces with 429 instead of queueing. The
-// queue is filled directly (not via a racing second client): a client
-// whose request IS admitted blocks awaiting its decision, so any
-// admission here would deadlock the test.
+// first request finds the shard idle and stalls inside its decision,
+// holding the shard. The queue is filled directly (not via a racing
+// second client): a client whose request IS admitted blocks awaiting its
+// decision, so any admission here would deadlock the test.
 func TestBackpressure429(t *testing.T) {
 	stall := make(chan struct{})
 	closeStall := sync.OnceFunc(func() { close(stall) })
@@ -223,7 +274,7 @@ func TestBackpressure429(t *testing.T) {
 
 	// Fill the depth-1 queue deterministically with a no-op release.
 	filler := op{kind: opRelease, id: -1, reply: make(chan result, 1)}
-	s.allShards()[0].queue <- filler
+	enqueue(s.allShards()[0], filler)
 
 	// Queue full: the next request must bounce synchronously with 429.
 	resp, _ := postEmbed(t, ts.URL, er)
@@ -236,6 +287,94 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatalf("stalled request finished with %d, want 200", code)
 	}
 	<-filler.reply
+}
+
+// TestEmbedWaitsBehindQueuedOp: an embed posted while an earlier op
+// waits in its shard's queue is decided after that op, even when the
+// shard's mutex is free at the moment it is posted. The shard is first
+// held by the test so that a no-op release (the filler) and embed B
+// queue up; the filler's reply channel is unbuffered, so once the test
+// lets go the run loop decides the filler, frees the mutex and blocks
+// sending the reply, with B still queued. Embed C, posted then, must
+// queue behind B rather than decide on its handler goroutine. B arrives
+// at slot 5 and C at slot 0, so C decided after B reads slot 5.
+func TestEmbedWaitsBehindQueuedOp(t *testing.T) {
+	s, ts := testServer(t, Options{Deterministic: true})
+	sh := s.allShards()[0]
+
+	sh.mu.Lock()
+	filler := op{kind: opRelease, id: -1, reply: make(chan result)}
+	enqueue(sh, filler)
+	b := postEmbedAsync(ts.URL, EmbedRequest{App: 0, Ingress: 0, Demand: 1, Duration: 10, Arrive: 5})
+	bQueued := waitQueued(sh, 2)
+	sh.mu.Unlock()
+	if !bQueued {
+		t.Fatal("embed B never queued behind the filler")
+	}
+	if !waitQueued(sh, 1) {
+		t.Fatal("the run loop never decided the filler")
+	}
+	c := postEmbedAsync(ts.URL, EmbedRequest{App: 0, Ingress: 0, Demand: 1, Duration: 10, Arrive: 0})
+	cQueued := waitQueued(sh, 2)
+	<-filler.reply
+	rb, rc := <-b, <-c
+	for name, r := range map[string]embedReply{"B": rb, "C": rc} {
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("embed %s: HTTP %d, %v", name, r.status, r.err)
+		}
+	}
+	if !cQueued {
+		t.Fatal("embed C decided on its handler goroutine while B waited in the queue")
+	}
+	if rb.out.Slot != 5 || rc.out.Slot != 5 {
+		t.Fatalf("slots B=%d C=%d, want 5 and 5: C was decided before B", rb.out.Slot, rc.out.Slot)
+	}
+}
+
+// TestIdleShardDecidesInline replays a stream sequentially, so every
+// embed finds its shard idle and is decided on its handler goroutine,
+// and replays it again with a phantom op counted in every shard's queue,
+// so every embed takes the queued route. The decision sequences must be
+// identical. The test hook tells the routes apart: an embed decided
+// inline is not counted in sh.queued, a queued one is until it is
+// decided.
+func TestIdleShardDecidesInline(t *testing.T) {
+	stream := testStream(t, 150)
+	run := func(forceQueue bool) (seq string, inline, queued int64) {
+		var s *Server
+		var nInline, nQueued atomic.Int64
+		opts := Options{Shards: 2, Deterministic: true, testHookProcess: func(i int) {
+			if s.allShards()[i].queued.Load() == 0 {
+				nInline.Add(1)
+			} else {
+				nQueued.Add(1)
+			}
+		}}
+		var ts *httptest.Server
+		s, ts = testServer(t, opts)
+		if forceQueue {
+			for _, sh := range s.allShards() {
+				sh.queued.Add(1) // never decided, so never uncounted
+			}
+		}
+		var buf bytes.Buffer
+		if err := Replay(nil, ts.URL, stream, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), nInline.Load(), nQueued.Load()
+	}
+	idle, idleInline, idleQueued := run(false)
+	busy, busyInline, busyQueued := run(true)
+	n := int64(len(stream))
+	if idleInline != n || idleQueued != 0 {
+		t.Fatalf("idle shards: %d inline and %d queued decisions, want %d and 0", idleInline, idleQueued, n)
+	}
+	if busyInline != 0 || busyQueued != n {
+		t.Fatalf("busy shards: %d inline and %d queued decisions, want 0 and %d", busyInline, busyQueued, n)
+	}
+	if idle != busy {
+		t.Fatalf("inline and queued decision sequences differ:\n--- inline ---\n%s\n--- queued ---\n%s", idle, busy)
+	}
 }
 
 // TestGracefulDrain checks Drain refuses new work with 503 but completes

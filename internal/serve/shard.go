@@ -2,10 +2,12 @@ package serve
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/olive-vne/olive/internal/core"
+	"github.com/olive-vne/olive/internal/graph"
 	"github.com/olive-vne/olive/internal/plan"
 	"github.com/olive-vne/olive/internal/substrate"
 	"github.com/olive-vne/olive/internal/workload"
@@ -26,9 +28,9 @@ const (
 	opAddResidual
 )
 
-// op is one unit of serialized shard work. Embeds carry the request and a
-// reply channel; releases carry the request ID; the re-sharding ops carry
-// a scale factor or a capacity vector.
+// op is one unit of serialized shard work. Embeds carry the request;
+// releases carry the request ID; the re-sharding ops carry a scale factor
+// or a capacity vector. reply is set only on the queued route.
 type op struct {
 	kind     opKind
 	req      workload.Request
@@ -46,7 +48,7 @@ type result struct {
 	planned   bool
 	released  bool
 	cost      float64
-	nodes     []int
+	nodes     []graph.NodeID // the embedding's NodeMap, shared and read-only
 	preempted []int
 	donated   []float64 // opScaleDonate: harvested capacity
 	err       error
@@ -54,18 +56,20 @@ type result struct {
 
 // planUpdate is one published plan generation awaiting adoption by a
 // shard. The replanner (or a resize) stores it into the shard's pending
-// pointer; the shard goroutine adopts it before the next serialized
-// operation, so no request ever observes a half-swapped plan and
-// requests already decided keep the generation they were decided under.
+// pointer; the shard adopts it before its next serialized operation, so
+// no request ever observes a half-swapped plan and requests already
+// decided keep the generation they were decided under.
 type planUpdate struct {
 	p         *plan.Plan
 	gen       int64
 	published time.Time // swap-latency measurement (publish → adopt)
 }
 
-// shard owns one single-threaded engine plus its substrate state. All
-// engine access happens on the run goroutine; the HTTP layer communicates
-// through the bounded queue and reads only the atomic counters.
+// shard owns one single-threaded engine plus its substrate state. Every
+// engine access holds mu: the run goroutine takes it for each queued op
+// and departure tick, and submit takes it to decide an op on the
+// caller's goroutine while the shard is idle. Other goroutines read only
+// the atomic counters.
 type shard struct {
 	idx   int
 	eng   *core.Engine
@@ -73,15 +77,23 @@ type shard struct {
 	queue chan op
 	adv   chan int // departure-timer mailbox, capacity 1, latest slot wins
 
-	now     int     // virtual clock, owned by run()
-	baseRes float64 // Σ residual at construction (the shard's capacity slice)
+	// mu is held whenever the engine is in use. queued counts the ops
+	// submitted to the queue and not yet decided; it is decremented
+	// under mu, before the op's reply is sent. An op may run on the
+	// caller's goroutine only when queued reads 0, so it never overtakes
+	// an op that was waiting before it was submitted.
+	mu     sync.Mutex
+	queued atomic.Int64
+
+	now     int     // virtual clock, guarded by mu
+	baseRes float64 // Σ residual of the shard's capacity slice, guarded by mu
 	hook    func(shard int)
 	met     *shardMetrics // latency histograms
 	hist    *historyRing  // rolling request history; nil unless replanning is on
 
 	// pending is the next plan generation to adopt (nil when current).
-	// Written by the replanner/resize publisher, consumed by the shard
-	// goroutine; latest published generation wins.
+	// Written by the replanner/resize publisher, consumed by the shard's
+	// next serialized op; latest published generation wins.
 	pending atomic.Pointer[planUpdate]
 
 	// Counters read by /stats from other goroutines.
@@ -123,9 +135,10 @@ func (sh *shard) tryAdvance(slot int) {
 	}
 }
 
-// run is the shard loop: it serializes every engine interaction. It exits
-// when the queue is closed and drained (departure ticks may be dropped
-// from then on — the server is shutting down).
+// run is the shard loop: it decides queued ops in order and applies
+// departure ticks, each under mu. It exits when the queue is closed and
+// drained (departure ticks may be dropped from then on — the server is
+// shutting down).
 func (sh *shard) run() {
 	for {
 		select {
@@ -133,22 +146,50 @@ func (sh *shard) run() {
 			if !ok {
 				return
 			}
-			sh.handle(o)
+			sh.mu.Lock()
+			res := sh.decide(&o)
+			sh.queued.Add(-1)
+			sh.mu.Unlock()
+			o.reply <- res
 		case slot := <-sh.adv:
+			sh.mu.Lock()
 			sh.adoptPending()
 			sh.advance(slot)
 			sh.refreshGauges()
+			sh.mu.Unlock()
 		}
 	}
 }
 
-// adoptPending swaps in the latest published plan, if any. It runs on
-// the shard goroutine before each serialized operation, so the swap is
-// atomic with respect to decisions: every request is decided entirely
-// under one generation, and the adoption point in a sequential replay
-// stream is exactly the gap between two requests — deterministic when
-// the trigger is (the admin endpoint is synchronous; cadence triggers
-// are a real-time-mode feature).
+// submit runs o on the shard and returns its result. An idle shard — no
+// op queued and mu free — decides o on the caller's goroutine; a busy one
+// queues o behind the ops already waiting and the caller blocks for the
+// reply. With wait false, a queue already holding cap(queue) undecided
+// ops refuses o: ok is false and the shed counter is bumped.
+func (sh *shard) submit(o op, wait bool) (res result, ok bool) {
+	if sh.queued.Load() == 0 && sh.mu.TryLock() {
+		res = sh.decide(&o)
+		sh.mu.Unlock()
+		return res, true
+	}
+	if sh.queued.Add(1) > int64(cap(sh.queue)) && !wait {
+		sh.queued.Add(-1)
+		sh.shed.Add(1)
+		return result{}, false
+	}
+	o.reply = takeReply()
+	defer putReply(o.reply)
+	sh.queue <- o
+	return <-o.reply, true
+}
+
+// adoptPending swaps in the latest published plan, if any. It runs under
+// mu before each serialized operation, so the swap is atomic with respect
+// to decisions: every request is decided entirely under one generation,
+// and the adoption point in a sequential replay stream is exactly the gap
+// between two requests — deterministic when the trigger is (the admin
+// endpoint is synchronous; cadence triggers are a real-time-mode
+// feature).
 func (sh *shard) adoptPending() {
 	pu := sh.pending.Load()
 	if pu == nil || !sh.pending.CompareAndSwap(pu, nil) {
@@ -169,38 +210,43 @@ func (sh *shard) advance(slot int) {
 	}
 }
 
-func (sh *shard) handle(o op) {
+// decide runs one serialized op against the engine. The caller holds mu.
+// submit's inline route and the run loop both decide through here, so an
+// op is decided the same way whichever goroutine runs it.
+func (sh *shard) decide(o *op) result {
 	sh.adoptPending()
+	var res result
 	switch o.kind {
 	case opEmbed:
-		sh.handleEmbed(o)
+		res = sh.decideEmbed(o)
 	case opRelease:
 		ok := sh.eng.ReleaseByID(o.id)
 		if ok {
 			sh.released.Add(1)
 		}
-		o.reply <- result{slot: sh.now, released: ok}
+		res = result{slot: sh.now, released: ok}
 	case opScaleDonate:
-		res := sh.st.ResidualVec()
-		donated := make([]float64, len(res))
-		for i, r := range res {
+		resid := sh.st.ResidualVec()
+		donated := make([]float64, len(resid))
+		for i, r := range resid {
 			donated[i] = r * (1 - o.factor)
 			sh.baseRes -= donated[i]
 		}
 		sh.st.ScaleResidual(o.factor)
-		o.reply <- result{slot: sh.now, donated: donated}
+		res = result{slot: sh.now, donated: donated}
 	case opAddResidual:
 		for _, v := range o.vec {
 			sh.baseRes += v
 		}
 		sh.st.AddResidual(o.vec)
-		o.reply <- result{slot: sh.now}
+		res = result{slot: sh.now}
 	}
 	sh.refreshGauges()
+	return res
 }
 
 //olive:hotpath per-request serve path; allocs guarded by BenchmarkServeEmbedWithMetrics
-func (sh *shard) handleEmbed(o op) {
+func (sh *shard) decideEmbed(o *op) result {
 	if sh.hook != nil {
 		sh.hook(sh.idx)
 	}
@@ -221,22 +267,19 @@ func (sh *shard) handleEmbed(o op) {
 	res := result{slot: sh.now, err: err}
 	if err == nil && out.Accepted {
 		sh.accepted.Add(1)
-		// The shard goroutine is the only writer, so a load and a store
-		// add without a compare-and-swap loop.
+		// Writers hold mu, so a load and a store add without a
+		// compare-and-swap loop.
 		sh.revBits.Store(math.Float64bits(sh.revenue() + r.Demand*float64(r.Duration)))
 		res.accepted = true
 		res.planned = out.Planned
 		res.cost = out.Emb.Cost(r.Demand)
-		res.nodes = make([]int, len(out.Emb.NodeMap))
-		for i, n := range out.Emb.NodeMap {
-			res.nodes[i] = int(n)
-		}
+		res.nodes = out.Emb.NodeMap
 		res.preempted = out.Preempted
 		sh.preempted.Add(int64(len(out.Preempted)))
 	} else {
 		sh.rejected.Add(1)
 	}
-	o.reply <- res
+	return res
 }
 
 // revenue reads Σ demand·duration over the shard's accepted requests.
