@@ -235,9 +235,9 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	}
 	sh := s.shardOf(req.Ingress)
 	t0 := time.Now()
-	res, ok := sh.submit(op{kind: opEmbed, req: req, enqueued: t0}, false)
+	res, ok := sh.submit(op{kind: opEmbed, req: req, submitted: t0}, false)
 	if !ok {
-		writeError(w, http.StatusTooManyRequests, ErrCodeQueueFull, "shard %d queue full (%d)", sh.idx, cap(sh.queue))
+		writeError(w, http.StatusTooManyRequests, ErrCodeQueueFull, "shard %d queue full (%d)", sh.idx, sh.depth)
 		return
 	}
 	lat := time.Since(t0)
@@ -284,7 +284,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	for _, sh := range s.allShards() {
 		res, ok := sh.submit(op{kind: opRelease, id: id}, false)
 		if !ok {
-			writeError(w, http.StatusTooManyRequests, ErrCodeQueueFull, "shard %d queue full (%d)", sh.idx, cap(sh.queue))
+			writeError(w, http.StatusTooManyRequests, ErrCodeQueueFull, "shard %d queue full (%d)", sh.idx, sh.depth)
 			return
 		}
 		if res.released {

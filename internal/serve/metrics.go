@@ -30,7 +30,7 @@ import (
 //	vne_decisions_total                  counter {shard,outcome}
 //	vne_shed_total                       counter {reason}
 //	vne_request_duration_seconds         histogram   (embed: enqueue→decision)
-//	vne_queue_wait_seconds               histogram   (embed: submit→decision start; ≈0 inline)
+//	vne_queue_wait_seconds               histogram   (embed: submit→decision start; ≈0 on an idle shard)
 //	vne_solve_duration_seconds           histogram   (embed: engine solve only)
 //	vne_shard_queue_depth                gauge   {shard}
 //	vne_shard_queue_capacity             gauge   {shard}
@@ -98,8 +98,8 @@ func (m *serverMetrics) registerShard(sh *shard) {
 	label := strconv.Itoa(sh.idx)
 	m.dec.With(func() float64 { return float64(sh.accepted.Load()) }, label, "accepted")
 	m.dec.With(func() float64 { return float64(sh.rejected.Load()) }, label, "rejected")
-	m.depth.With(func() float64 { return float64(len(sh.queue)) }, label)
-	m.capa.With(label).Set(float64(cap(sh.queue)))
+	m.depth.With(func() float64 { return float64(sh.waiting.Load()) }, label)
+	m.capa.With(label).Set(float64(sh.depth))
 	m.active.With(func() float64 { return float64(sh.active.Load()) }, label)
 	m.util.With(func() float64 { return sh.utilization() }, label)
 	sh.met = &shardMetrics{queueWait: m.queueWait, solveDur: m.solveDur, swapDur: m.swapDur}
@@ -159,7 +159,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		"Embed decision latency, enqueue to decision (end-to-end).",
 		obs.LatencyBuckets())
 	m.queueWait = reg.Histogram("vne_queue_wait_seconds",
-		"Time an embed op waits for its shard before its decision starts (about 0 when an idle shard decides it inline).",
+		"Time an embed op waits for its shard before its decision starts (about 0 on an idle shard).",
 		obs.LatencyBuckets())
 	m.solveDur = reg.Histogram("vne_solve_duration_seconds",
 		"Engine solve time alone, excluding queueing and HTTP.",

@@ -301,3 +301,42 @@ func BenchmarkServeEmbedWithMetrics(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServeEmbedParallel drives the instrumented embed path from
+// 4×GOMAXPROCS goroutines at once onto one shard, so most requests find
+// the shard busy and wait for it. Beside time and allocations per
+// request it reports the mean and 99th percentile of
+// vne_request_duration_seconds (submit to decision, the wait for the
+// shard included) as shard-us/op and shard-p99-us.
+func BenchmarkServeEmbedParallel(b *testing.B) {
+	g := topo.MustBuild(topo.Iris, 1)
+	apps := vnet.DefaultMix(vnet.DefaultParams(), rand.New(rand.NewPCG(7, 7)))
+	s, err := New(g, apps, Options{Deterministic: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	h := s.Handler()
+
+	body, _ := json.Marshal(EmbedRequest{App: 0, Ingress: 0, Demand: 0.001, Duration: 1})
+	b.ReportAllocs()
+	b.SetParallelism(4)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			req := httptest.NewRequest(http.MethodPost, "/v1/embed", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Errorf("HTTP %d: %s", rec.Code, rec.Body.String())
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if n := s.met.reqDur.Count(); n > 0 {
+		b.ReportMetric(s.met.reqDur.Sum()/float64(n)*1e6, "shard-us/op")
+		b.ReportMetric(s.met.reqDur.Quantile(0.99)*1e6, "shard-p99-us")
+	}
+}

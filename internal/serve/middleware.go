@@ -92,7 +92,9 @@ func (s *Server) middleware(mux *http.ServeMux) http.Handler {
 		mux.ServeHTTP(sw, r)
 		// The mux records the matched pattern on r; per-pattern labels
 		// keep the metric cardinality at the route count, not the URL
-		// count.
+		// count. The routes use method and wildcard patterns, which only
+		// the Go 1.22 mux matches, and it sets r.Pattern on every match
+		// (under GODEBUG=httpmuxgo121=1 no route matches at all).
 		route := r.Pattern
 		if route == "" {
 			route = "unmatched"

@@ -5,32 +5,6 @@ import (
 	"sync"
 )
 
-// Per-request memory recycling for the HTTP hot path. Every embed used
-// to allocate a one-shot reply channel and a fresh JSON decoder with its
-// internal read buffer; under load those dominate the handler's
-// allocation profile. Both are safely reusable: a reply channel carries
-// exactly one result per enqueue (the handler always consumes it before
-// release), and the body buffer is reset before every read.
-
-// replyPool recycles the buffered reply channels that ops taking a
-// shard's queued route carry. A channel may be released only when it is empty — either it
-// was never enqueued (queue-full shed) or its single result has been
-// received.
-var replyPool = sync.Pool{New: func() any { return make(chan result, 1) }}
-
-func takeReply() chan result { return replyPool.Get().(chan result) }
-
-// putReply returns a reply channel to the pool. The defensive drain
-// keeps a stray unconsumed result (a future misuse, not a current code
-// path) from poisoning the next request.
-func putReply(c chan result) {
-	select {
-	case <-c:
-	default:
-	}
-	replyPool.Put(c)
-}
-
 // bodyPool recycles the embed handler's body buffers: the request body is
 // read into one, and once it is decoded the response is appended into the
 // same buffer.

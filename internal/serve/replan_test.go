@@ -449,12 +449,12 @@ func TestResizeConservation(t *testing.T) {
 	assertVecEqual(t, totalResidual(s), capa, "after endpoint shrink")
 }
 
-// TestConcurrentEmbedsTicksAndResize puts every route onto the shard
-// engines at once, for the race detector: embeds and releases from
-// several handlers, decided inline or queued, departure ticks every few
-// milliseconds in real-time mode, and a grow and two shrinks. Once every
-// embedding has departed, the shards' free capacity must add up to the
-// substrate's again.
+// TestConcurrentEmbedsTicksAndResize puts every user of the shard
+// engines to work at once, for the race detector: embeds and releases
+// from several handlers, departure ticks every few milliseconds in
+// real-time mode, and a grow and two shrinks. Once every embedding has
+// departed, the shards' free capacity must add up to the substrate's
+// again.
 func TestConcurrentEmbedsTicksAndResize(t *testing.T) {
 	s, ts := testServer(t, Options{Shards: 2, SlotDuration: 5 * time.Millisecond})
 	stream := testStream(t, 120)

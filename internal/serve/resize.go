@@ -51,10 +51,11 @@ type ResizeResult struct {
 // Rehashing is cheap but real: ingresses map onto the new table modulus,
 // so a class's requests may land on a different shard afterwards (the
 // documented packing-quality cost of sharding, momentarily at its
-// worst). In-queue requests decide on the shard they were routed to.
+// worst). Requests waiting for a shard decide on the shard they were
+// routed to.
 //
 // Resize registers with the drain protocol (it refuses with ErrDraining
-// once draining starts), so it never races queue close. One resize runs
+// once draining starts), so Drain waits for it. One resize runs
 // at a time; concurrent calls fail fast with ErrResizeBusy.
 func (s *Server) Resize(n int) (ResizeResult, error) {
 	if n <= 0 {
@@ -84,7 +85,7 @@ func (s *Server) shrink(cur []*shard, n int) (ResizeResult, error) {
 	retiring := cur[n:]
 	// Stop routing to the tail before harvesting it, so post-harvest
 	// arrivals (which would meet an empty residual and be rejected) are
-	// limited to requests already queued.
+	// limited to requests already routed there.
 	s.route.Store(&keep)
 	for _, sh := range retiring {
 		sh.retired.Store(true)
@@ -123,9 +124,6 @@ func (s *Server) grow(cur []*shard, n int) (ResizeResult, error) {
 	if created > 0 {
 		grown := append(append([]*shard(nil), all...), joiners[len(joiners)-created:]...)
 		s.all.Store(&grown)
-		for _, sh := range joiners[len(joiners)-created:] {
-			s.startShard(sh)
-		}
 	}
 	// Newly built shards hold the published plan already; revived shards
 	// may have missed swaps while retired. Re-publish to the joiners.

@@ -6,16 +6,15 @@
 // The concurrency model is a sharded engine pool. A core.Engine is
 // single-threaded by design (it owns mutable residual state and a warm
 // path cache), so instead of sharing one engine the server runs N shards,
-// each owning its own substrate.State + embedder.Oracle + core.Engine, a
-// mutex held whenever that engine is in use, and a serialized request
-// queue. A deterministic ingress→shard router (FNV-1a over the ingress
-// node) pins every ingress — and therefore every plan class, which is
-// keyed by (app, ingress) — to exactly one shard. A request that finds
-// its shard idle (nothing queued, engine free) is decided on the HTTP
-// handler's own goroutine; one that finds it busy waits in the queue, so
-// a request never overtakes one that was waiting before it. Queues are
-// bounded; an arriving request that finds QueueDepth ops already waiting
-// is answered 429 (backpressure) instead of growing memory.
+// each owning its own substrate.State + embedder.Oracle + core.Engine and
+// a mutex held whenever that engine is in use. A deterministic
+// ingress→shard router (FNV-1a over the ingress node) pins every ingress
+// — and therefore every plan class, which is keyed by (app, ingress) — to
+// exactly one shard. A request is decided on the HTTP handler's own
+// goroutine under its shard's mutex; one that finds the shard busy waits
+// for the mutex. The wait is bounded: an arriving request that finds
+// QueueDepth ops already waiting is answered 429 (backpressure) instead
+// of growing memory.
 //
 // With more than one shard the substrate capacity is partitioned: each
 // shard's state starts at capacity/N, so the shards' independent
@@ -64,8 +63,8 @@ import (
 // queues and how much it lets in.
 type Limits struct {
 	// QueueDepth bounds the ops waiting for each shard (default 256): a
-	// request that finds that many answers 429. A request decided inline
-	// on an idle shard never waits and is not counted.
+	// request that finds that many answers 429. An op counts as waiting
+	// from its admission until it takes the shard's mutex.
 	QueueDepth int
 	// RateLimit configures admission token buckets in front of the shard
 	// queues (see limit.go). The zero value disables limiting. The
@@ -142,11 +141,10 @@ type Options struct {
 	// Observability groups the instrumentation wiring.
 	Observability Observability
 
-	// testHookProcess, when set, runs before each embed is decided,
-	// under the shard's mutex, on whichever goroutine decides it: the
-	// shard loop for a queued embed, the handler for one decided inline.
-	// Package tests use it to stall a shard deterministically
-	// (backpressure, drain, order); nil in production.
+	// testHookProcess, when set, runs before each embed is decided, on
+	// the handler's goroutine under the shard's mutex. Package tests use
+	// it to stall a shard deterministically (backpressure, drain); nil in
+	// production.
 	testHookProcess func(shard int)
 }
 
@@ -229,14 +227,13 @@ type Server struct {
 	inflight  sync.WaitGroup // HTTP requests between admission and reply
 	timerStop context.CancelFunc
 	timerWG   sync.WaitGroup
-	shardWG   sync.WaitGroup
 	resizeMu  sync.Mutex // serializes Resize; TryLock answers 409
 
 	met     *serverMetrics
 	limiter *rateLimiter // nil unless Options.Limits.RateLimit is enabled
 	log     *slog.Logger // nil unless Options.Observability.AccessLog is set
 
-	// Shed counters for requests refused before reaching a shard queue
+	// Shed counters for requests refused before reaching a shard
 	// (queue-full sheds are per-shard, on the shard struct).
 	shedGlobal   atomic.Int64
 	shedClient   atomic.Int64
@@ -297,9 +294,6 @@ func New(g *graph.Graph, apps []*vnet.App, opts Options) (*Server, error) {
 		reg = obs.NewRegistry()
 	}
 	s.met = newServerMetrics(s, reg)
-	for _, sh := range shards {
-		s.startShard(sh)
-	}
 	if !opts.Deterministic {
 		ctx, cancel := context.WithCancel(context.Background())
 		s.timerStop = cancel
@@ -337,15 +331,6 @@ func (s *Server) buildShard(idx int, capFraction float64) (*shard, error) {
 	return sh, nil
 }
 
-// startShard launches a shard's run loop under the shard wait group.
-func (s *Server) startShard(sh *shard) {
-	s.shardWG.Add(1)
-	go func() {
-		defer s.shardWG.Done()
-		sh.run()
-	}()
-}
-
 // shardOf routes an ingress node to its shard: FNV-1a over the node ID,
 // modulo the current routing table. The mapping is stable for a fixed
 // shard count, so plan classes (keyed by app × ingress) always land on
@@ -366,9 +351,8 @@ func (s *Server) shardOf(ingress graph.NodeID) *shard {
 }
 
 // departureTimer advances every shard's clock once per slot so expired
-// embeddings are released even when no requests arrive. Sends are
-// non-blocking: a shard busy enough to have a full advance mailbox will
-// catch up on the next tick (advances carry the absolute slot).
+// embeddings are released even when no requests arrive. A tick waits for
+// the shard's mutex behind the op being decided.
 func (s *Server) departureTimer(ctx context.Context) {
 	defer s.timerWG.Done()
 	tick := time.NewTicker(s.opts.SlotDuration)
@@ -380,7 +364,7 @@ func (s *Server) departureTimer(ctx context.Context) {
 		case now := <-tick.C:
 			slot := int(now.Sub(s.started) / s.opts.SlotDuration)
 			for _, sh := range s.allShards() {
-				sh.tryAdvance(slot)
+				sh.tick(slot)
 			}
 		}
 	}
@@ -412,9 +396,8 @@ func (s *Server) clockSlot() int {
 }
 
 // Drain gracefully stops the server: new requests are refused with 503,
-// every admitted request still receives its decision, departure timers
-// and the replan ticker stop, and the shard loops exit after emptying
-// their queues. The context bounds the wait. Drain is idempotent and safe
+// every admitted request still receives its decision, and departure
+// timers and the replan ticker stop. The context bounds the wait. Drain is idempotent and safe
 // to call concurrently: every caller — first or not — blocks until the
 // drain completes (or its own context expires).
 func (s *Server) Drain(ctx context.Context) error {
@@ -429,10 +412,6 @@ func (s *Server) Drain(ctx context.Context) error {
 			if s.replan != nil {
 				s.replan.stopTicker()
 			}
-			for _, sh := range s.allShards() {
-				close(sh.queue)
-			}
-			s.shardWG.Wait()
 			close(s.drainDone)
 		}()
 	})

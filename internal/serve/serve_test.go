@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,12 +184,23 @@ func TestConcurrentPosts(t *testing.T) {
 	}
 }
 
-// enqueue puts o on sh's queue as submit's queued route does — counted
-// in sh.queued, so submit sees the op waiting — without waiting for its
-// reply. Tests use it to occupy a queue slot deterministically.
-func enqueue(sh *shard, o op) {
-	sh.queued.Add(1)
-	sh.queue <- o
+// submitAsync submits o to sh from its own goroutine, as a handler
+// would, and returns once o counts among sh's waiting ops (after ten
+// seconds it fails the test); o's result arrives on the returned channel.
+// With sh's mutex held, tests use it to occupy a wait slot
+// deterministically.
+func submitAsync(t *testing.T, sh *shard, o op) <-chan result {
+	t.Helper()
+	before := sh.waiting.Load()
+	c := make(chan result, 1)
+	go func() {
+		res, _ := sh.submit(o, true)
+		c <- res
+	}()
+	if !waitWaiting(sh, before+1) {
+		t.Fatal("submitted op never counted as waiting")
+	}
+	return c
 }
 
 // embedReply is one asynchronous POST /v1/embed outcome.
@@ -221,11 +231,11 @@ func postEmbedAsync(url string, er EmbedRequest) <-chan embedReply {
 	return c
 }
 
-// waitQueued polls until sh counts n queued ops, reporting false after
+// waitWaiting polls until sh counts n waiting ops, reporting false after
 // ten seconds.
-func waitQueued(sh *shard, n int64) bool {
+func waitWaiting(sh *shard, n int64) bool {
 	deadline := time.Now().Add(10 * time.Second)
-	for sh.queued.Load() != n {
+	for sh.waiting.Load() != n {
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -236,10 +246,10 @@ func waitQueued(sh *shard, n int64) bool {
 
 // TestBackpressure429 stalls the single shard, fills its depth-1 queue
 // and checks the next request bounces with 429 instead of queueing. The
-// first request finds the shard idle and stalls inside its decision,
-// holding the shard. The queue is filled directly (not via a racing
-// second client): a client whose request IS admitted blocks awaiting its
-// decision, so any admission here would deadlock the test.
+// first request stalls inside its decision, holding the shard. The queue
+// is filled directly (not via a racing second client): a client whose
+// request IS admitted blocks awaiting its decision, so any admission here
+// would deadlock the test.
 func TestBackpressure429(t *testing.T) {
 	stall := make(chan struct{})
 	closeStall := sync.OnceFunc(func() { close(stall) })
@@ -273,8 +283,7 @@ func TestBackpressure429(t *testing.T) {
 	<-entered // the shard is stalled inside the first request
 
 	// Fill the depth-1 queue deterministically with a no-op release.
-	filler := op{kind: opRelease, id: -1, reply: make(chan result, 1)}
-	enqueue(s.allShards()[0], filler)
+	filler := submitAsync(t, s.allShards()[0], op{kind: opRelease, id: -1})
 
 	// Queue full: the next request must bounce synchronously with 429.
 	resp, _ := postEmbed(t, ts.URL, er)
@@ -286,94 +295,35 @@ func TestBackpressure429(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("stalled request finished with %d, want 200", code)
 	}
-	<-filler.reply
+	<-filler
 }
 
-// TestEmbedWaitsBehindQueuedOp: an embed posted while an earlier op
-// waits in its shard's queue is decided after that op, even when the
-// shard's mutex is free at the moment it is posted. The shard is first
-// held by the test so that a no-op release (the filler) and embed B
-// queue up; the filler's reply channel is unbuffered, so once the test
-// lets go the run loop decides the filler, frees the mutex and blocks
-// sending the reply, with B still queued. Embed C, posted then, must
-// queue behind B rather than decide on its handler goroutine. B arrives
-// at slot 5 and C at slot 0, so C decided after B reads slot 5.
-func TestEmbedWaitsBehindQueuedOp(t *testing.T) {
+// TestEmbedWaitsForBusyShard: an embed posted while its shard is in use
+// counts as waiting and is decided once the shard is free, after the op
+// that held it. The test holds the shard, posts an embed arriving at slot
+// 5, and moves the clock to slot 7 before letting go: the embed must be
+// decided at slot 7, and the shard must count no waiting op afterwards.
+func TestEmbedWaitsForBusyShard(t *testing.T) {
 	s, ts := testServer(t, Options{Deterministic: true})
 	sh := s.allShards()[0]
 
 	sh.mu.Lock()
-	filler := op{kind: opRelease, id: -1, reply: make(chan result)}
-	enqueue(sh, filler)
 	b := postEmbedAsync(ts.URL, EmbedRequest{App: 0, Ingress: 0, Demand: 1, Duration: 10, Arrive: 5})
-	bQueued := waitQueued(sh, 2)
+	waited := waitWaiting(sh, 1)
+	sh.advance(7)
 	sh.mu.Unlock()
-	if !bQueued {
-		t.Fatal("embed B never queued behind the filler")
+	if !waited {
+		t.Fatal("the embed never waited for the busy shard")
 	}
-	if !waitQueued(sh, 1) {
-		t.Fatal("the run loop never decided the filler")
+	rb := <-b
+	if rb.err != nil || rb.status != http.StatusOK {
+		t.Fatalf("embed: HTTP %d, %v", rb.status, rb.err)
 	}
-	c := postEmbedAsync(ts.URL, EmbedRequest{App: 0, Ingress: 0, Demand: 1, Duration: 10, Arrive: 0})
-	cQueued := waitQueued(sh, 2)
-	<-filler.reply
-	rb, rc := <-b, <-c
-	for name, r := range map[string]embedReply{"B": rb, "C": rc} {
-		if r.err != nil || r.status != http.StatusOK {
-			t.Fatalf("embed %s: HTTP %d, %v", name, r.status, r.err)
-		}
+	if rb.out.Slot != 7 {
+		t.Fatalf("embed decided at slot %d, want 7: it did not wait for the shard", rb.out.Slot)
 	}
-	if !cQueued {
-		t.Fatal("embed C decided on its handler goroutine while B waited in the queue")
-	}
-	if rb.out.Slot != 5 || rc.out.Slot != 5 {
-		t.Fatalf("slots B=%d C=%d, want 5 and 5: C was decided before B", rb.out.Slot, rc.out.Slot)
-	}
-}
-
-// TestIdleShardDecidesInline replays a stream sequentially, so every
-// embed finds its shard idle and is decided on its handler goroutine,
-// and replays it again with a phantom op counted in every shard's queue,
-// so every embed takes the queued route. The decision sequences must be
-// identical. The test hook tells the routes apart: an embed decided
-// inline is not counted in sh.queued, a queued one is until it is
-// decided.
-func TestIdleShardDecidesInline(t *testing.T) {
-	stream := testStream(t, 150)
-	run := func(forceQueue bool) (seq string, inline, queued int64) {
-		var s *Server
-		var nInline, nQueued atomic.Int64
-		opts := Options{Shards: 2, Deterministic: true, testHookProcess: func(i int) {
-			if s.allShards()[i].queued.Load() == 0 {
-				nInline.Add(1)
-			} else {
-				nQueued.Add(1)
-			}
-		}}
-		var ts *httptest.Server
-		s, ts = testServer(t, opts)
-		if forceQueue {
-			for _, sh := range s.allShards() {
-				sh.queued.Add(1) // never decided, so never uncounted
-			}
-		}
-		var buf bytes.Buffer
-		if err := Replay(nil, ts.URL, stream, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), nInline.Load(), nQueued.Load()
-	}
-	idle, idleInline, idleQueued := run(false)
-	busy, busyInline, busyQueued := run(true)
-	n := int64(len(stream))
-	if idleInline != n || idleQueued != 0 {
-		t.Fatalf("idle shards: %d inline and %d queued decisions, want %d and 0", idleInline, idleQueued, n)
-	}
-	if busyInline != 0 || busyQueued != n {
-		t.Fatalf("busy shards: %d inline and %d queued decisions, want 0 and %d", busyInline, busyQueued, n)
-	}
-	if idle != busy {
-		t.Fatalf("inline and queued decision sequences differ:\n--- inline ---\n%s\n--- queued ---\n%s", idle, busy)
+	if n := sh.waiting.Load(); n != 0 {
+		t.Fatalf("shard counts %d waiting ops after its only waiter was decided", n)
 	}
 }
 

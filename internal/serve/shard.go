@@ -13,7 +13,7 @@ import (
 	"github.com/olive-vne/olive/internal/workload"
 )
 
-// opKind discriminates shard queue operations.
+// opKind discriminates shard operations.
 type opKind uint8
 
 const (
@@ -30,15 +30,14 @@ const (
 
 // op is one unit of serialized shard work. Embeds carry the request;
 // releases carry the request ID; the re-sharding ops carry a scale factor
-// or a capacity vector. reply is set only on the queued route.
+// or a capacity vector.
 type op struct {
-	kind     opKind
-	req      workload.Request
-	id       int
-	factor   float64   // opScaleDonate: residual fraction the shard keeps
-	vec      []float64 // opAddResidual: per-element capacity to deposit
-	reply    chan result
-	enqueued time.Time // opEmbed: queue-wait measurement
+	kind      opKind
+	req       workload.Request
+	id        int
+	factor    float64   // opScaleDonate: residual fraction the shard keeps
+	vec       []float64 // opAddResidual: per-element capacity to deposit
+	submitted time.Time // opEmbed: wait measurement (submit → decision start)
 }
 
 // result is a shard's decision for one op.
@@ -66,24 +65,25 @@ type planUpdate struct {
 }
 
 // shard owns one single-threaded engine plus its substrate state. Every
-// engine access holds mu: the run goroutine takes it for each queued op
-// and departure tick, and submit takes it to decide an op on the
-// caller's goroutine while the shard is idle. Other goroutines read only
-// the atomic counters.
+// engine access holds mu, on the goroutine that needs the engine: a
+// handler deciding an embed or a release, a resize moving capacity, the
+// departure timer's tick. Other goroutines read only the atomic counters.
+//
+// Ops that find mu held wait for it and take it in whatever order the
+// mutex hands it over. Only concurrent ops can swap places: an op
+// submitted after another's result returned is always decided after it,
+// so a sequential replay, and with it the deterministic mode, sees a
+// fixed order.
 type shard struct {
 	idx   int
 	eng   *core.Engine
 	st    *substrate.State
-	queue chan op
-	adv   chan int // departure-timer mailbox, capacity 1, latest slot wins
+	depth int // Limits.QueueDepth: the most ops admitted to wait for mu
 
-	// mu is held whenever the engine is in use. queued counts the ops
-	// submitted to the queue and not yet decided; it is decremented
-	// under mu, before the op's reply is sent. An op may run on the
-	// caller's goroutine only when queued reads 0, so it never overtakes
-	// an op that was waiting before it was submitted.
-	mu     sync.Mutex
-	queued atomic.Int64
+	// mu is held whenever the engine is in use. waiting counts the ops
+	// admitted to the shard that have not yet taken mu.
+	mu      sync.Mutex
+	waiting atomic.Int64
 
 	now     int     // virtual clock, guarded by mu
 	baseRes float64 // Σ residual of the shard's capacity slice, guarded by mu
@@ -106,81 +106,44 @@ type shard struct {
 	rejected  atomic.Int64
 	preempted atomic.Int64
 	released  atomic.Int64
-	shed      atomic.Int64 // requests refused because this queue was full
+	shed      atomic.Int64 // requests refused because depth ops were waiting
 	active    atomic.Int64
 	utilBits  atomic.Uint64 // float64 bits of 1 - Σres/baseRes
 }
 
 func newShard(idx int, eng *core.Engine, st *substrate.State, depth int) *shard {
-	sh := &shard{
-		idx:   idx,
-		eng:   eng,
-		st:    st,
-		queue: make(chan op, depth),
-		adv:   make(chan int, 1),
-	}
+	sh := &shard{idx: idx, eng: eng, st: st, depth: depth}
 	for _, r := range st.ResidualVec() {
 		sh.baseRes += r
 	}
 	return sh
 }
 
-// tryAdvance delivers a departure-timer tick without blocking: the
-// mailbox holds one pending slot and advances are absolute, so dropping
-// a tick only delays releases until the next one.
-func (sh *shard) tryAdvance(slot int) {
-	select {
-	case sh.adv <- slot:
-	default:
-	}
-}
-
-// run is the shard loop: it decides queued ops in order and applies
-// departure ticks, each under mu. It exits when the queue is closed and
-// drained (departure ticks may be dropped from then on — the server is
-// shutting down).
-func (sh *shard) run() {
-	for {
-		select {
-		case o, ok := <-sh.queue:
-			if !ok {
-				return
-			}
-			sh.mu.Lock()
-			res := sh.decide(&o)
-			sh.queued.Add(-1)
-			sh.mu.Unlock()
-			o.reply <- res
-		case slot := <-sh.adv:
-			sh.mu.Lock()
-			sh.adoptPending()
-			sh.advance(slot)
-			sh.refreshGauges()
-			sh.mu.Unlock()
-		}
-	}
-}
-
-// submit runs o on the shard and returns its result. An idle shard — no
-// op queued and mu free — decides o on the caller's goroutine; a busy one
-// queues o behind the ops already waiting and the caller blocks for the
-// reply. With wait false, a queue already holding cap(queue) undecided
-// ops refuses o: ok is false and the shed counter is bumped.
+// submit decides o under mu on the caller's goroutine and returns its
+// result. With wait false, a shard that already has depth ops waiting
+// for mu refuses o: ok is false and the shed counter is bumped.
 func (sh *shard) submit(o op, wait bool) (res result, ok bool) {
-	if sh.queued.Load() == 0 && sh.mu.TryLock() {
-		res = sh.decide(&o)
-		sh.mu.Unlock()
-		return res, true
-	}
-	if sh.queued.Add(1) > int64(cap(sh.queue)) && !wait {
-		sh.queued.Add(-1)
+	if sh.waiting.Add(1) > int64(sh.depth) && !wait {
+		sh.waiting.Add(-1)
 		sh.shed.Add(1)
 		return result{}, false
 	}
-	o.reply = takeReply()
-	defer putReply(o.reply)
-	sh.queue <- o
-	return <-o.reply, true
+	sh.mu.Lock()
+	sh.waiting.Add(-1)
+	res = sh.decide(&o)
+	sh.mu.Unlock()
+	return res, true
+}
+
+// tick applies a departure-timer tick: it adopts any pending plan and
+// moves the virtual clock forward to slot, releasing the departures in
+// between.
+func (sh *shard) tick(slot int) {
+	sh.mu.Lock()
+	sh.adoptPending()
+	sh.advance(slot)
+	sh.refreshGauges()
+	sh.mu.Unlock()
 }
 
 // adoptPending swaps in the latest published plan, if any. It runs under
@@ -211,8 +174,6 @@ func (sh *shard) advance(slot int) {
 }
 
 // decide runs one serialized op against the engine. The caller holds mu.
-// submit's inline route and the run loop both decide through here, so an
-// op is decided the same way whichever goroutine runs it.
 func (sh *shard) decide(o *op) result {
 	sh.adoptPending()
 	var res result
@@ -260,7 +221,7 @@ func (sh *shard) decideEmbed(o *op) result {
 		sh.hist.add(r)
 	}
 	t0 := time.Now()
-	sh.met.queueWait.Observe(t0.Sub(o.enqueued).Seconds())
+	sh.met.queueWait.Observe(t0.Sub(o.submitted).Seconds())
 	out, err := sh.eng.Process(r)
 	sh.met.solveDur.Observe(time.Since(t0).Seconds())
 	sh.processed.Add(1)

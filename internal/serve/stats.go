@@ -129,8 +129,8 @@ func (s *Server) Stats() StatsResponse {
 			Accepted:    sh.accepted.Load(),
 			Rejected:    sh.rejected.Load(),
 			Active:      sh.active.Load(),
-			Queue:       len(sh.queue),
-			QueueCap:    cap(sh.queue),
+			Queue:       int(sh.waiting.Load()),
+			QueueCap:    sh.depth,
 			Shed:        sh.shed.Load(),
 			Utilization: sh.utilization(),
 			Generation:  sh.gen.Load(),
