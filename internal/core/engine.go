@@ -124,6 +124,8 @@ type Engine struct {
 	// index lookup.
 	maxID int
 
+	cost float64 // Σ emb.Cost(demand) over the active allocations
+
 	// borrowers is the per-substrate-element index of the active
 	// non-planned allocations (R_DONE \ R_PLAN), indexed by ElementID:
 	// every borrower is listed once under each element of its embedding,
@@ -340,6 +342,12 @@ func (e *Engine) State() *substrate.State { return e.st }
 // ActiveCount returns the number of currently embedded requests.
 func (e *Engine) ActiveCount() int { return e.ids.n }
 
+// ActiveCost returns Σ emb.Cost(demand) over the currently embedded
+// requests, the per-slot resource cost of Eq. 3. ALLOCATE adds to it and
+// every release (departure, preemption, ReleaseByID) subtracts, departures
+// in calendar order: the value is a pure function of the call sequence.
+func (e *Engine) ActiveCost() float64 { return e.cost }
+
 // StartSlot advances time to slot t, releasing every request that departs
 // at or before t (Alg. 2 line 5) — in slot order, and within a slot in
 // acceptance order. Each due entry names its record, which is released
@@ -372,6 +380,7 @@ func (e *Engine) release(ar *activeReq) {
 	emb := ar.emb
 	ar.emb = nil
 	e.st.Release(emb, ar.req.Demand)
+	e.cost -= emb.Cost(ar.req.Demand)
 	if ar.planned {
 		e.shareRes[ar.classIdx][ar.shareIdx] += ar.req.Demand
 	} else if e.borrowers != nil {
@@ -492,6 +501,7 @@ func errDuplicateID(id int) error {
 // active — and, under a plan, a non-planned one as a borrower.
 func (e *Engine) allocate(r workload.Request, emb *vnet.Embedding, planned bool, classIdx, shareIdx int) {
 	e.st.Apply(emb, r.Demand)
+	e.cost += emb.Cost(r.Demand)
 	var ri int32
 	if n := len(e.freeRecs); n > 0 {
 		ri = e.freeRecs[n-1]
@@ -1149,17 +1159,28 @@ func (e *Engine) PlannedResidual(app int, ingress graph.NodeID) float64 {
 }
 
 // CheckInvariants verifies internal consistency: residuals non-negative
-// and consistent with the set of active allocations, plan residuals within
-// their shares, the class table an image of the plan's lookup, every
-// record either free or named by one departure entry, and the borrower
-// index an exact image of the active non-planned requests. Used by tests
-// and failure-injection harnesses.
+// and consistent with the set of active allocations, ActiveCost their
+// summed cost, plan residuals within their shares, the class table an
+// image of the plan's lookup, every record either free or named by one
+// departure entry, and the borrower index an exact image of the active
+// non-planned requests. Used by tests and failure-injection harnesses.
 func (e *Engine) CheckInvariants() error {
 	recomputed := e.g.Capacities()
+	// ActiveCost's rounding grows with the costs that passed through it
+	// (a drained engine may read a few ulps of its peak), so the tolerance
+	// is relative to the fully loaded substrate's cost, Σ capacity·cost.
+	var full, cost float64
+	for i, c := range recomputed {
+		full += c * e.g.ElementCost(graph.ElementID(i))
+	}
 	for _, ar := range e.recs {
 		if ar.emb != nil {
 			ar.emb.Apply(recomputed, ar.req.Demand)
+			cost += ar.emb.Cost(ar.req.Demand)
 		}
+	}
+	if math.Abs(e.cost-cost) > 1e-9*(1+full) {
+		return fmt.Errorf("core: active cost %g, the active allocations sum to %g", e.cost, cost)
 	}
 	res := e.st.ResidualVec()
 	for i := range recomputed {

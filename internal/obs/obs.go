@@ -198,10 +198,21 @@ func (f *family) seriesForLocked(vals []string) *series {
 	if len(vals) != len(f.labelNames) {
 		panic(fmt.Sprintf("obs: family %q wants %d label values, got %d", f.name, len(f.labelNames), len(vals)))
 	}
-	key := strings.Join(vals, "\x00")
-	if s, ok := f.series[key]; ok {
+	// The key (the values joined by NUL) is built in a stack buffer: a
+	// lookup by string(b) does not allocate, so only a new series pays
+	// for its key.
+	var buf [128]byte
+	b := buf[:0]
+	for i, v := range vals {
+		if i > 0 {
+			b = append(b, 0)
+		}
+		b = append(b, v...)
+	}
+	if s, ok := f.series[string(b)]; ok {
 		return s
 	}
+	key := string(b)
 	s := &series{labelVals: append([]string(nil), vals...)}
 	switch {
 	case f.kind == kindHistogram:

@@ -165,7 +165,9 @@ type AlgoResult struct {
 	// RejectionRate is rejected/total over the measurement window;
 	// preempted requests count as rejected (they incur Ψ).
 	RejectionRate float64
-	// ResourceCost is Σ_t Σ_s load·cost (Eq. 3) over the online phase.
+	// ResourceCost is Σ_t Σ_s load·cost (Eq. 3) over the online phase:
+	// each slot adds the engine's ActiveCost after the slot's last
+	// request (SLOTOFF: the slot's Step cost).
 	ResourceCost float64
 	// RejectionCost is Σ Ψ(r) over rejected and preempted requests in
 	// the window (Eq. 4).
@@ -184,7 +186,8 @@ type AlgoResult struct {
 	PerSlotRequested []float64
 	PerSlotAccepted  []float64
 
-	// Log holds one record per online request, in arrival order.
+	// Log holds one record per online request, indexed by request ID:
+	// Split numbers the online phase 0..N−1 in arrival order.
 	Log []RequestRecord
 }
 
@@ -340,7 +343,13 @@ func runAlgorithm(cfg Config, g *graph.Graph, apps []*vnet.App, oracle *embedder
 		Algorithm:        algo,
 		PerSlotRequested: make([]float64, online.Slots),
 		PerSlotAccepted:  make([]float64, online.Slots),
-		Log:              make([]RequestRecord, 0, len(online.Requests)),
+		Log:              make([]RequestRecord, len(online.Requests)),
+	}
+	for _, r := range online.Requests {
+		ar.Log[r.ID] = RequestRecord{
+			ID: r.ID, App: r.App, Ingress: r.Ingress,
+			Arrive: r.Arrive, Duration: r.Duration, Demand: r.Demand,
+		}
 	}
 	slots := online.PerSlot()
 
@@ -367,17 +376,6 @@ func runAlgorithm(cfg Config, g *graph.Graph, apps []*vnet.App, oracle *embedder
 		return nil, err
 	}
 
-	// Per-request bookkeeping for cost accounting. Values (not pointers)
-	// keep the hot per-accept map insert allocation-free.
-	type live struct {
-		contrib float64 // d·unitCost per slot
-		departs int
-		logIdx  int
-	}
-	liveReqs := make(map[int]live, 1024)
-	var gone []int
-	var running float64 // Σ contrib over active requests
-
 	t0 := time.Now() //olive:wallclock Runtime column; goldens exclude it
 	curWindow := -1
 	if wp != nil && algo == core.AlgoOLIVE {
@@ -391,49 +389,23 @@ func runAlgorithm(cfg Config, g *graph.Graph, apps []*vnet.App, oracle *embedder
 			}
 		}
 		eng.StartSlot(t)
-		// Departures in request-ID order: floating-point sums must not
-		// depend on map iteration, or repeated runs drift in the last
-		// ulps and break the runner's byte-identical guarantee.
-		gone = gone[:0]
-		for id, lr := range liveReqs {
-			if lr.departs <= t {
-				gone = append(gone, id)
-			}
-		}
-		sort.Ints(gone)
-		for _, id := range gone {
-			running -= liveReqs[id].contrib
-			delete(liveReqs, id)
-		}
 		for _, r := range slots[t] {
 			ar.PerSlotRequested[t] += r.Demand
 			out, err := eng.Process(r)
 			if err != nil {
 				return nil, err
 			}
-			rec := RequestRecord{
-				ID: r.ID, App: r.App, Ingress: r.Ingress,
-				Arrive: r.Arrive, Duration: r.Duration, Demand: r.Demand,
-				Accepted: out.Accepted, Planned: out.Planned,
-			}
-			logIdx := len(ar.Log)
-			ar.Log = append(ar.Log, rec)
 			for _, pid := range out.Preempted {
-				if lr, ok := liveReqs[pid]; ok {
-					running -= lr.contrib
-					delete(liveReqs, pid)
-					ar.Log[lr.logIdx].Preempted = true
-					ar.Log[lr.logIdx].PreemptSlot = t
-				}
+				ar.Log[pid].Preempted = true
+				ar.Log[pid].PreemptSlot = t
 			}
 			if out.Accepted {
+				ar.Log[r.ID].Accepted = true
+				ar.Log[r.ID].Planned = out.Planned
 				ar.PerSlotAccepted[t] += r.Demand
-				contrib := out.Emb.Cost(r.Demand)
-				liveReqs[r.ID] = live{contrib: contrib, departs: r.Departs(), logIdx: logIdx}
-				running += contrib
 			}
 		}
-		ar.ResourceCost += running
+		ar.ResourceCost += eng.ActiveCost()
 	}
 	ar.Runtime = time.Since(t0) //olive:wallclock runtime column
 
@@ -448,7 +420,6 @@ func runSlotOff(cfg Config, g *graph.Graph, apps []*vnet.App, oracle *embedder.O
 	if err != nil {
 		return err
 	}
-	logIdxOf := make(map[int]int)
 	t0 := time.Now() //olive:wallclock Runtime column; goldens exclude it
 	for t := range slots {
 		for _, r := range slots[t] {
@@ -458,24 +429,14 @@ func runSlotOff(cfg Config, g *graph.Graph, apps []*vnet.App, oracle *embedder.O
 		if err != nil {
 			return err
 		}
-		for _, r := range slots[t] {
-			rec := RequestRecord{
-				ID: r.ID, App: r.App, Ingress: r.Ingress,
-				Arrive: r.Arrive, Duration: r.Duration, Demand: r.Demand,
-			}
-			logIdxOf[r.ID] = len(ar.Log)
-			ar.Log = append(ar.Log, rec)
-		}
 		for _, r := range res.AcceptedNew {
-			ar.Log[logIdxOf[r.ID]].Accepted = true
-			ar.Log[logIdxOf[r.ID]].Planned = true // SLOTOFF allocations are all LP-planned
+			ar.Log[r.ID].Accepted = true
+			ar.Log[r.ID].Planned = true // SLOTOFF allocations are all LP-planned
 			ar.PerSlotAccepted[t] += r.Demand
 		}
 		for _, r := range res.Dropped {
-			if idx, ok := logIdxOf[r.ID]; ok {
-				ar.Log[idx].Preempted = true
-				ar.Log[idx].PreemptSlot = t
-			}
+			ar.Log[r.ID].Preempted = true
+			ar.Log[r.ID].PreemptSlot = t
 		}
 		ar.ResourceCost += res.ResourceCost
 	}
