@@ -191,13 +191,8 @@ func run(args []string, stdout io.Writer) error {
 	// all apply.
 	for _, sp := range specs {
 		runs := []*scenario.Spec{sp}
-		if *scenarioFile == "" && perTopology(sp) {
-			runs = nil
-			for _, tn := range topos {
-				c := sp.Clone()
-				c.Base.Topology = string(tn)
-				runs = append(runs, c)
-			}
+		if *scenarioFile == "" {
+			runs = topologyRuns(sp, topos)
 		}
 		for _, r := range runs {
 			tbls, err := sim.RunScenario(r, scale)
@@ -251,6 +246,22 @@ func perTopology(sp *scenario.Spec) bool {
 		}
 	}
 	return false
+}
+
+// topologyRuns returns the runs vnesim makes of a registered spec: one
+// per topology in topos, each with that topology in its base patch, when
+// the spec runs per topology, else the spec itself.
+func topologyRuns(sp *scenario.Spec, topos []topo.Name) []*scenario.Spec {
+	if !perTopology(sp) {
+		return []*scenario.Spec{sp}
+	}
+	runs := make([]*scenario.Spec, len(topos))
+	for i, tn := range topos {
+		c := sp.Clone()
+		c.Base.Topology = string(tn)
+		runs[i] = c
+	}
+	return runs
 }
 
 // runGolden regenerates the golden-fingerprint determinism suite: one
