@@ -33,7 +33,8 @@ lint:
 	fi
 
 # Short local fuzz passes over the external-bytes parsers (the /v1/embed
-# body decoder among them), the simplex against its dense reference,
+# body decoder and the scenario loader among them), the simplex against
+# its dense reference,
 # FULLG's restricted search and plan.Build's options and classes (same
 # targets as the CI smoke step; raise FUZZTIME to grow the corpus).
 FUZZTIME ?= 30s
@@ -44,6 +45,7 @@ fuzz:
 	go test -run=NONE -fuzz='^FuzzRestrictedSearch$$' -fuzztime=$(FUZZTIME) ./internal/embedder
 	go test -run=NONE -fuzz='^FuzzPlanBuild$$' -fuzztime=$(FUZZTIME) ./internal/plan
 	go test -run=NONE -fuzz='^FuzzEmbedBody$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	go test -run=NONE -fuzz='^FuzzScenarioSpec$$' -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Emit a machine-readable perf snapshot (bench_report.json) of every
 # benchmark the CI guard pins, run under the guard's exact conditions

@@ -87,14 +87,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 	topos := topo.All()
 	if *topoFlag != "" {
-		topos = []topo.Name{topo.Name(*topoFlag)}
-		if _, ok := topo.Specs()[topos[0]]; !ok {
-			names := make([]string, len(topo.All()))
-			for i, t := range topo.All() {
-				names[i] = string(t)
-			}
-			return fmt.Errorf("unknown topology %q (valid: %s)", *topoFlag, strings.Join(names, ", "))
+		var tn topo.Name
+		if err := tn.UnmarshalText([]byte(*topoFlag)); err != nil {
+			return err
 		}
+		topos = []topo.Name{tn}
 	}
 
 	// Profiling hooks: hot-path work (the online embedding loop, the
@@ -249,16 +246,21 @@ func perTopology(sp *scenario.Spec) bool {
 }
 
 // topologyRuns returns the runs vnesim makes of a registered spec: one
-// per topology in topos, each with that topology in its base patch, when
-// the spec runs per topology, else the spec itself.
+// per topology in topos, each with that topology as the first key of its
+// base patch, when the spec runs per topology, else the spec itself.
+// Registered bases are compact JSON objects without a topology key.
 func topologyRuns(sp *scenario.Spec, topos []topo.Name) []*scenario.Spec {
 	if !perTopology(sp) {
 		return []*scenario.Spec{sp}
 	}
+	rest := "}"
+	if len(sp.Base) > len("{}") {
+		rest = "," + string(sp.Base[1:])
+	}
 	runs := make([]*scenario.Spec, len(topos))
 	for i, tn := range topos {
 		c := sp.Clone()
-		c.Base.Topology = string(tn)
+		c.Base = scenario.Patch(fmt.Sprintf(`{"topology":%q%s`, tn, rest))
 		runs[i] = c
 	}
 	return runs

@@ -107,9 +107,9 @@ func run(args []string) error {
 		return err
 	}
 
-	tn := topo.Name(*topoFlag)
-	if _, ok := topo.Specs()[tn]; !ok {
-		return fmt.Errorf("unknown topology %q", *topoFlag)
+	var tn topo.Name
+	if err := tn.UnmarshalText([]byte(*topoFlag)); err != nil {
+		return err
 	}
 
 	if *replay != "" {

@@ -46,6 +46,17 @@ const (
 	AlgoSlotOff Algorithm = "SLOTOFF"
 )
 
+// UnmarshalText parses an algorithm name, failing with the valid names.
+func (a *Algorithm) UnmarshalText(b []byte) error {
+	switch v := Algorithm(b); v {
+	case AlgoOLIVE, AlgoQuickG, AlgoFullG, AlgoSlotOff:
+		*a = v
+		return nil
+	}
+	return fmt.Errorf("unknown algorithm %q (valid: %s, %s, %s, %s)",
+		b, AlgoOLIVE, AlgoQuickG, AlgoFullG, AlgoSlotOff)
+}
+
 // Options configures an Engine.
 type Options struct {
 	// Plan is the PLAN-VNE embedding plan. A nil or empty plan turns

@@ -6,21 +6,22 @@ import "fmt"
 // (§IV), expressed as data. `vnesim -exp NAME` looks NAME up here and
 // renders the spec through sim.RunScenario; specs whose report titles
 // name {topo} run once per topology. `vnesim -list` prints their
-// descriptions.
+// descriptions. Patches write their keys in one fixed order (topology,
+// utilization, planUtilization, shufflePlanIngress, lambdaPerNode,
+// demandMeanOverride, trace, diurnalPeriod, appKind, gpu, algorithms,
+// quantiles, planWindows, histSlots, onlineSlots, measureFrom, measureTo)
+// and spell numbers as encoding/json does: a spec's hash covers its
+// patches as written, and it keys every artifact the spec stores.
 
-// Algorithm names as they appear in Patch.Algorithms and Column.Algo.
-// They mirror internal/core's Algorithm constants; internal/sim validates
-// them at binding time.
+// Algorithm names as they appear in a patch's algorithms and in
+// Column.Algo. They mirror internal/core's Algorithm constants;
+// internal/sim validates them at binding time.
 const (
 	AlgoOLIVE   = "OLIVE"
 	AlgoQuickG  = "QUICKG"
 	AlgoFullG   = "FULLG"
 	AlgoSlotOff = "SLOTOFF"
 )
-
-func fp(v float64) *float64 { return &v }
-func ip(v int) *int         { return &v }
-func bp(v bool) *bool       { return &v }
 
 // ciCols builds one fixed-algorithm column per algorithm for a metric.
 func ciCols(metric string, algos ...string) []Column {
@@ -64,7 +65,7 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig8",
 		Description: "Fig. 8: burst zoom — per-slot requested vs allocated demand, Iris @140%",
-		Base:        Patch{Utilization: fp(1.4)},
+		Base:        Patch(`{"utilization":1.4}`),
 		Detail: &Detail{
 			View:     "slot-demand",
 			Title:    "Fig. 8: allocated demand per slot, Iris @140%, slots {slots} (demand ÷100)",
@@ -76,14 +77,14 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig9",
 		Description: "Fig. 9: rejection rate by application type (chain, tree, accelerator, mix), Iris @100%",
-		Base:        Patch{Algorithms: []string{AlgoOLIVE, AlgoQuickG, AlgoFullG, AlgoSlotOff}},
+		Base:        Patch(`{"algorithms":["OLIVE","QUICKG","FULLG","SLOTOFF"]}`),
 		Axes: []Axis{{
 			Name: "apps",
 			Values: []AxisValue{
-				{Label: "Chain", Patch: Patch{AppKind: "chain"}},
-				{Label: "Tree", Patch: Patch{AppKind: "tree"}},
-				{Label: "Acc", Patch: Patch{AppKind: "accelerator"}},
-				{Label: "Mix", Patch: Patch{}},
+				{Label: "Chain", Patch: Patch(`{"appKind":"chain"}`)},
+				{Label: "Tree", Patch: Patch(`{"appKind":"tree"}`)},
+				{Label: "Acc", Patch: Patch(`{"appKind":"accelerator"}`)},
+				{Label: "Mix"},
 			},
 		}},
 		Reports: []Report{{
@@ -96,10 +97,7 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig10",
 		Description: "Fig. 10: GPU scenario — GPU/non-GPU datacenter split, GPU-chain applications",
-		Base: Patch{
-			GPU:        bp(true),
-			Algorithms: []string{AlgoOLIVE, AlgoFullG, AlgoSlotOff},
-		},
+		Base:        Patch(`{"gpu":true,"algorithms":["OLIVE","FULLG","SLOTOFF"]}`),
 		Reports: []Report{{
 			Title:     "Fig. 10: GPU scenario rejection rate, Iris @100%",
 			RowHeader: "algorithm",
@@ -111,17 +109,17 @@ func init() {
 	for _, q := range []int{1, 2, 10, 50} {
 		fig11Values = append(fig11Values, AxisValue{
 			Label: fmt.Sprintf("OLIVE P=%d", q),
-			Patch: Patch{Quantiles: ip(q), Algorithms: []string{AlgoOLIVE}},
+			Patch: Patch(fmt.Sprintf(`{"algorithms":["OLIVE"],"quantiles":%d}`, q)),
 		})
 	}
 	fig11Values = append(fig11Values, AxisValue{
 		Label: "QUICKG",
-		Patch: Patch{Algorithms: []string{AlgoQuickG}},
+		Patch: Patch(`{"algorithms":["QUICKG"]}`),
 	})
 	mustRegister(&Spec{
 		Name:        "fig11",
 		Description: "Fig. 11: rejection balance index vs quantile count (OLIVE P=1,2,10,50; QUICKG), Iris @140%",
-		Base:        Patch{Utilization: fp(1.4)},
+		Base:        Patch(`{"utilization":1.4}`),
 		Axes:        []Axis{{Name: "variant", Values: fig11Values}},
 		Reports: []Report{{
 			Title:     "Fig. 11: rejection balance index by quantiles, Iris @140%",
@@ -133,7 +131,7 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig12",
 		Description: "Fig. 12: Franklin edge node — OLIVE guaranteed demand vs actual allocation, Iris @100%",
-		Base:        Patch{Algorithms: []string{AlgoOLIVE}},
+		Base:        Patch(`{"algorithms":["OLIVE"]}`),
 		Detail: &Detail{
 			View:  "node-breakdown",
 			Title: "Fig. 12: Franklin node (Iris, MMPP) — OLIVE guaranteed demand vs actual allocation",
@@ -144,14 +142,14 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig13",
 		Description: "Fig. 13: plan-deviation stressor — plans built for 60/100/140% demand, run @140%",
-		Base:        Patch{Utilization: fp(1.4)},
+		Base:        Patch(`{"utilization":1.4}`),
 		Axes: []Axis{{
 			Name: "variant",
 			Values: []AxisValue{
-				{Label: "OLIVE (plan @60%)", Patch: Patch{PlanUtilization: fp(0.6), Algorithms: []string{AlgoOLIVE}}},
-				{Label: "OLIVE (plan @100%)", Patch: Patch{PlanUtilization: fp(1.0), Algorithms: []string{AlgoOLIVE}}},
-				{Label: "OLIVE (plan @140%)", Patch: Patch{PlanUtilization: fp(1.4), Algorithms: []string{AlgoOLIVE}}},
-				{Label: "", Patch: Patch{Algorithms: []string{AlgoQuickG, AlgoSlotOff}}},
+				{Label: "OLIVE (plan @60%)", Patch: Patch(`{"planUtilization":0.6,"algorithms":["OLIVE"]}`)},
+				{Label: "OLIVE (plan @100%)", Patch: Patch(`{"planUtilization":1,"algorithms":["OLIVE"]}`)},
+				{Label: "OLIVE (plan @140%)", Patch: Patch(`{"planUtilization":1.4,"algorithms":["OLIVE"]}`)},
+				{Label: "", Patch: Patch(`{"algorithms":["QUICKG","SLOTOFF"]}`)},
 			},
 		}},
 		Reports: []Report{{
@@ -164,11 +162,8 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig14",
 		Description: "Fig. 14: spatial stressor — plan built from ingress-shuffled history",
-		Base: Patch{
-			ShufflePlanIngress: bp(true),
-			Algorithms:         []string{AlgoOLIVE, AlgoQuickG},
-		},
-		Axes: []Axis{{Name: "util", ScaleUtils: true}},
+		Base:        Patch(`{"shufflePlanIngress":true,"algorithms":["OLIVE","QUICKG"]}`),
+		Axes:        []Axis{{Name: "util", ScaleUtils: true}},
 		Reports: []Report{
 			{
 				Title:     "Fig. 14a: shifted plan requests, Iris — rejection rate",
@@ -192,7 +187,7 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig15",
 		Description: "Fig. 15: CAIDA-like heavy-tailed trace — rejection rate and total cost, Iris",
-		Base:        Patch{Trace: "caida"},
+		Base:        Patch(`{"trace":"caida"}`),
 		Axes:        []Axis{{Name: "util", ScaleUtils: true}},
 		Reports: []Report{
 			{
@@ -211,7 +206,7 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig16a",
 		Description: "Fig. 16a: runtime vs arrival rate (demand scaled to hold utilization), Iris @100%",
-		Base:        Patch{Algorithms: []string{AlgoOLIVE, AlgoQuickG}},
+		Base:        Patch(`{"algorithms":["OLIVE","QUICKG"]}`),
 		MaxReps:     3,
 		Axes: []Axis{{
 			Name:   "λ/node",
@@ -231,7 +226,7 @@ func init() {
 	mustRegister(&Spec{
 		Name:        "fig16",
 		Description: "Figs. 16b–e: runtime vs utilization per topology (OLIVE vs QUICKG)",
-		Base:        Patch{Algorithms: []string{AlgoOLIVE, AlgoQuickG}},
+		Base:        Patch(`{"algorithms":["OLIVE","QUICKG"]}`),
 		MaxReps:     3,
 		Axes:        []Axis{{Name: "util", ScaleUtils: true}},
 		Reports: []Report{{

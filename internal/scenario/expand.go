@@ -1,19 +1,21 @@
 package scenario
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
-// GridPoint is one expanded cell of a scenario: the merged configuration
-// patch (base, then each axis value in axis order) and the per-axis labels
-// that form its row label.
+// GridPoint is one expanded cell of a scenario: its configuration patches
+// and the per-axis labels that form its row label.
 type GridPoint struct {
 	// Labels holds one entry per axis, in axis order.
 	Labels []string
-	// Patch is the full configuration patch of this point.
-	Patch Patch
+	// Patches are the base, then each axis value's patch in axis order.
+	// They apply in this order, so a later patch's keys win.
+	Patches []Patch
 }
 
 // RowLabel joins the point's non-empty axis labels with a space.
@@ -35,12 +37,17 @@ func (s *Spec) Expand(utils []float64) ([]GridPoint, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	points := []GridPoint{{Patch: s.Base}}
+	points := []GridPoint{{Patches: []Patch{s.Base}}}
 	for _, ax := range s.Axes {
 		values := ax.Values
 		if ax.ScaleUtils {
 			if len(utils) == 0 {
 				return nil, fmt.Errorf("scenario: %s: axis %q sweeps the scale's utilizations, but none were provided", s.Name, ax.Name)
+			}
+			for _, u := range utils {
+				if math.IsNaN(u) || math.IsInf(u, 0) {
+					return nil, fmt.Errorf("scenario: %s: axis %q: utilization %v is not finite", s.Name, ax.Name, u)
+				}
 			}
 			values = UtilizationValues(utils)
 		}
@@ -48,8 +55,8 @@ func (s *Spec) Expand(utils []float64) ([]GridPoint, error) {
 		for _, pt := range points {
 			for _, v := range values {
 				next = append(next, GridPoint{
-					Labels: append(append([]string{}, pt.Labels...), v.Label),
-					Patch:  pt.Patch.Merge(v.Patch),
+					Labels:  append(append([]string{}, pt.Labels...), v.Label),
+					Patches: append(append([]Patch{}, pt.Patches...), v.Patch),
 				})
 			}
 		}
@@ -62,29 +69,32 @@ func (s *Spec) Expand(utils []float64) ([]GridPoint, error) {
 }
 
 // UtilizationValues builds the axis values of a utilization sweep: labels
-// "60%", "80%", … exactly as the paper figures print them.
+// "60%", "80%", … exactly as the paper figures print them. The values
+// must be finite.
 func UtilizationValues(utils []float64) []AxisValue {
 	vs := make([]AxisValue, len(utils))
 	for i, u := range utils {
-		u := u
-		vs[i] = AxisValue{
-			Label: fmt.Sprintf("%.0f%%", u*100),
-			Patch: Patch{Utilization: &u},
-		}
+		vs[i] = AxisValue{Label: fmt.Sprintf("%.0f%%", u*100), Patch: numberPatch("utilization", u)}
 	}
 	return vs
 }
 
 // LambdaValues builds the axis values of an arrival-rate sweep: labels
-// "%.0f" of λ, as Fig. 16a prints them.
+// "%.0f" of λ, as Fig. 16a prints them. The values must be finite.
 func LambdaValues(lambdas []float64) []AxisValue {
 	vs := make([]AxisValue, len(lambdas))
 	for i, l := range lambdas {
-		l := l
-		vs[i] = AxisValue{
-			Label: fmt.Sprintf("%.0f", l),
-			Patch: Patch{LambdaPerNode: &l},
-		}
+		vs[i] = AxisValue{Label: fmt.Sprintf("%.0f", l), Patch: numberPatch("lambdaPerNode", l)}
 	}
 	return vs
+}
+
+// numberPatch is the patch {key: v}, v spelled as encoding/json spells a
+// float64. It panics on a NaN or infinite v, which JSON cannot spell.
+func numberPatch(key string, v float64) Patch {
+	b, err := json.Marshal(map[string]float64{key: v})
+	if err != nil {
+		panic(fmt.Sprintf("scenario: %s %v: %v", key, v, err))
+	}
+	return b
 }

@@ -12,13 +12,15 @@
 // a built-in Spec (builtin.go); arbitrary user scenarios load from JSON
 // (Load) and run through the same machinery — `vnesim -scenario spec.json`.
 //
-// The package is pure data: it does not import the simulation engine.
-// Enumerated values (topologies, algorithms, trace kinds, application
-// kinds) are carried as strings and validated when the spec is bound to a
-// concrete configuration by internal/sim.
+// The package is pure data: it does not import the simulation engine. A
+// configuration patch is the JSON object it is written in; internal/sim
+// binds it onto its configuration and rejects an unknown key or an
+// invalid value (a topology, algorithm, trace or application-kind name)
+// there, before any cell runs.
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,7 +43,7 @@ type Spec struct {
 
 	// Base patches the scale's default configuration before any axis
 	// patch applies.
-	Base Patch `json:"base,omitempty"`
+	Base Patch `json:"base"`
 	// Axes are the swept dimensions; the grid is their cross product in
 	// axis order (the first axis varies slowest).
 	Axes []Axis `json:"axes,omitempty"`
@@ -64,84 +66,42 @@ type Spec struct {
 	Static string `json:"static,omitempty"`
 }
 
-// Patch is a partial simulation configuration: unset fields (nil pointers,
-// empty strings/slices) leave the base value untouched. Enumerated values
-// are strings validated at binding time by internal/sim, which keeps this
-// package free of engine imports and the JSON form human-writable.
-type Patch struct {
-	Topology           string   `json:"topology,omitempty"`
-	Utilization        *float64 `json:"utilization,omitempty"`
-	PlanUtilization    *float64 `json:"planUtilization,omitempty"`
-	ShufflePlanIngress *bool    `json:"shufflePlanIngress,omitempty"`
-	LambdaPerNode      *float64 `json:"lambdaPerNode,omitempty"`
-	DemandMeanOverride *float64 `json:"demandMeanOverride,omitempty"`
-	Trace              string   `json:"trace,omitempty"`
-	DiurnalPeriod      *int     `json:"diurnalPeriod,omitempty"`
-	AppKind            string   `json:"appKind,omitempty"`
-	GPU                *bool    `json:"gpu,omitempty"`
-	Algorithms         []string `json:"algorithms,omitempty"`
-	Quantiles          *int     `json:"quantiles,omitempty"`
-	PlanWindows        *int     `json:"planWindows,omitempty"`
-	HistSlots          *int     `json:"histSlots,omitempty"`
-	OnlineSlots        *int     `json:"onlineSlots,omitempty"`
-	MeasureFrom        *int     `json:"measureFrom,omitempty"`
-	MeasureTo          *int     `json:"measureTo,omitempty"`
+// Patch is a partial simulation configuration: the JSON object a spec
+// writes it as (`{"utilization":1.4}`), its keys in the order and spelling
+// written, so the spec's hash covers it as written. Each key names one
+// configuration knob, and keys left out keep the base value. internal/sim
+// lists the keys in one place and checks keys and values when it binds a
+// spec, which keeps this package free of engine imports. The empty patch
+// writes as {}.
+type Patch []byte
+
+// MarshalJSON writes the patch as written, or {} when it is empty.
+func (p Patch) MarshalJSON() ([]byte, error) {
+	if len(p) == 0 {
+		return []byte("{}"), nil
+	}
+	return p, nil
 }
 
-// Merge returns p overlaid with q: every field q sets wins.
-func (p Patch) Merge(q Patch) Patch {
-	if q.Topology != "" {
-		p.Topology = q.Topology
+// UnmarshalJSON keeps a copy of a JSON object; null reads as {}.
+func (p *Patch) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*p = nil
+		return nil
 	}
-	if q.Utilization != nil {
-		p.Utilization = q.Utilization
+	if err := Patch(b).check(); err != nil {
+		return err
 	}
-	if q.PlanUtilization != nil {
-		p.PlanUtilization = q.PlanUtilization
+	*p = append(Patch(nil), b...)
+	return nil
+}
+
+// check reports whether the patch is empty or one JSON object.
+func (p Patch) check() error {
+	if len(p) > 0 && (!json.Valid(p) || bytes.TrimSpace(p)[0] != '{') {
+		return fmt.Errorf("patch %s is not a JSON object", p)
 	}
-	if q.ShufflePlanIngress != nil {
-		p.ShufflePlanIngress = q.ShufflePlanIngress
-	}
-	if q.LambdaPerNode != nil {
-		p.LambdaPerNode = q.LambdaPerNode
-	}
-	if q.DemandMeanOverride != nil {
-		p.DemandMeanOverride = q.DemandMeanOverride
-	}
-	if q.Trace != "" {
-		p.Trace = q.Trace
-	}
-	if q.DiurnalPeriod != nil {
-		p.DiurnalPeriod = q.DiurnalPeriod
-	}
-	if q.AppKind != "" {
-		p.AppKind = q.AppKind
-	}
-	if q.GPU != nil {
-		p.GPU = q.GPU
-	}
-	if q.Algorithms != nil {
-		p.Algorithms = q.Algorithms
-	}
-	if q.Quantiles != nil {
-		p.Quantiles = q.Quantiles
-	}
-	if q.PlanWindows != nil {
-		p.PlanWindows = q.PlanWindows
-	}
-	if q.HistSlots != nil {
-		p.HistSlots = q.HistSlots
-	}
-	if q.OnlineSlots != nil {
-		p.OnlineSlots = q.OnlineSlots
-	}
-	if q.MeasureFrom != nil {
-		p.MeasureFrom = q.MeasureFrom
-	}
-	if q.MeasureTo != nil {
-		p.MeasureTo = q.MeasureTo
-	}
-	return p
+	return nil
 }
 
 // Axis is one swept dimension: an ordered list of labeled configuration
@@ -237,9 +197,9 @@ type Detail struct {
 // file-system-adjacent contexts, so keep them to a tame character set.
 var nameRe = regexp.MustCompile(`^[a-zA-Z0-9._+-]+$`)
 
-// Validate checks the spec's structure. Enumerated configuration values
-// (topology, algorithm, trace, application-kind names) are validated
-// later, when internal/sim binds the spec to a concrete configuration.
+// Validate checks the spec's structure, each patch being a JSON object.
+// Patch keys and values are checked later, when internal/sim binds the
+// spec to a concrete configuration.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return errors.New("scenario: nil spec")
@@ -263,9 +223,17 @@ func (s *Spec) Validate() error {
 	if s.Reps < 0 || s.MaxReps < 0 {
 		return fmt.Errorf("scenario: %s: negative reps", s.Name)
 	}
+	if err := s.Base.check(); err != nil {
+		return fmt.Errorf("scenario: %s: base: %w", s.Name, err)
+	}
 	for i, ax := range s.Axes {
 		if ax.ScaleUtils == (len(ax.Values) > 0) {
 			return fmt.Errorf("scenario: %s: axis %d (%s) needs either scaleUtils or explicit values", s.Name, i, ax.Name)
+		}
+		for _, v := range ax.Values {
+			if err := v.Patch.check(); err != nil {
+				return fmt.Errorf("scenario: %s: axis %d (%s): %w", s.Name, i, ax.Name, err)
+			}
 		}
 	}
 	if s.Detail != nil || s.Static != "" {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -12,12 +13,12 @@ func validGridSpec() *Spec {
 		Name: "test-grid",
 		Axes: []Axis{
 			{Name: "topology", Values: []AxisValue{
-				{Label: "iris", Patch: Patch{Topology: "iris"}},
-				{Label: "cittastudi", Patch: Patch{Topology: "cittastudi"}},
+				{Label: "iris", Patch: Patch(`{"topology":"iris"}`)},
+				{Label: "cittastudi", Patch: Patch(`{"topology":"cittastudi"}`)},
 			}},
 			{Name: "trace", Values: []AxisValue{
-				{Label: "mmpp", Patch: Patch{Trace: "mmpp"}},
-				{Label: "caida", Patch: Patch{Trace: "caida"}},
+				{Label: "mmpp", Patch: Patch(`{"trace":"mmpp"}`)},
+				{Label: "caida", Patch: Patch(`{"trace":"caida"}`)},
 			}},
 		},
 		Reports: []Report{{
@@ -43,6 +44,8 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 		{"no columns", func(s *Spec) { s.Reports[0].Columns = nil }, "no columns"},
 		{"unknown metric", func(s *Spec) { s.Reports[0].Columns[0].Metric = "latency" }, "unknown metric"},
 		{"unknown format", func(s *Spec) { s.Reports[0].Columns[0].Format = "pct" }, "unknown format"},
+		{"base not an object", func(s *Spec) { s.Base = Patch(`[1]`) }, "not a JSON object"},
+		{"axis patch not JSON", func(s *Spec) { s.Axes[1].Values[0].Patch = Patch(`{"trace":`) }, "not a JSON object"},
 		{
 			"mixed algo modes",
 			func(s *Spec) {
@@ -89,9 +92,10 @@ func TestExpandCrossProductOrder(t *testing.T) {
 			t.Errorf("point %d label %q, want %q (first axis must vary slowest)", i, got, want)
 		}
 	}
-	// The merged patch carries both axis fields.
-	if points[3].Patch.Topology != "cittastudi" || points[3].Patch.Trace != "caida" {
-		t.Errorf("point 3 patch not merged: %+v", points[3].Patch)
+	// A point's patches are the base, then each axis value in axis order.
+	if got := points[3].Patches; len(got) != 3 || len(got[0]) != 0 ||
+		string(got[1]) != `{"topology":"cittastudi"}` || string(got[2]) != `{"trace":"caida"}` {
+		t.Errorf("point 3 patches %q", got)
 	}
 }
 
@@ -108,23 +112,27 @@ func TestExpandScaleUtils(t *testing.T) {
 	if points[0].RowLabel() != "60%" || points[1].RowLabel() != "140%" {
 		t.Errorf("utilization labels %q, %q", points[0].RowLabel(), points[1].RowLabel())
 	}
-	if *points[1].Patch.Utilization != 1.4 {
-		t.Errorf("utilization patch = %v", *points[1].Patch.Utilization)
+	if got := string(points[1].Patches[1]); got != `{"utilization":1.4}` {
+		t.Errorf("utilization patch = %s", got)
 	}
 	if _, err := sp.Expand(nil); err == nil {
 		t.Error("scaleUtils axis with no utilizations accepted")
+	}
+	if _, err := sp.Expand([]float64{math.NaN()}); err == nil {
+		t.Error("NaN utilization accepted")
 	}
 }
 
 func TestExpandBaseOnlySpec(t *testing.T) {
 	sp := validGridSpec()
 	sp.Axes = nil
-	sp.Base = Patch{Topology: "5gen"}
+	sp.Base = Patch(`{"topology":"5gen"}`)
 	points, err := sp.Expand(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 1 || points[0].Patch.Topology != "5gen" || points[0].RowLabel() != "" {
+	if len(points) != 1 || len(points[0].Patches) != 1 ||
+		string(points[0].Patches[0]) != `{"topology":"5gen"}` || points[0].RowLabel() != "" {
 		t.Fatalf("base-only expansion wrong: %+v", points)
 	}
 }
@@ -154,6 +162,32 @@ func TestLoadRejectsUnknownFieldsAndInvalidSpecs(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"name":"x"}`)); err == nil {
 		t.Error("spec without output accepted")
 	}
+	for _, patch := range []string{`[]`, `1`, `"topology"`, `true`} {
+		_, err := Load(strings.NewReader(`{"name":"x","static":"settings","base":` + patch + `}`))
+		if err == nil || !strings.Contains(err.Error(), "not a JSON object") {
+			t.Errorf("patch %s: got %v, want a non-object error", patch, err)
+		}
+	}
+}
+
+// TestPatchIsTheJSONWritten: a patch keeps its keys in the order and
+// spelling written, and null or a missing patch reads and writes as {}.
+func TestPatchIsTheJSONWritten(t *testing.T) {
+	sp, err := Load(strings.NewReader(`{"name":"x","base":null,"axes":[{"name":"a","values":[
+		{"label":"l","patch":{"trace": "caida", "utilization":1.40}},{"label":"m"}]}],
+		"reports":[{"title":"t","rowHeader":"r","columns":[{"header":"h","metric":"cost"}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"base":{}`, `"patch":{"trace":"caida","utilization":1.40}`, `"patch":{}`} {
+		if !strings.Contains(string(b), want) {
+			t.Errorf("marshalled spec %s lacks %s", b, want)
+		}
+	}
 }
 
 // TestHashIsSensitiveAndStable: any edit to the spec must change the hash
@@ -164,10 +198,10 @@ func TestHashIsSensitiveAndStable(t *testing.T) {
 		t.Error("clone changed the hash")
 	}
 	muts := []func(*Spec){
-		func(s *Spec) { s.Axes[0].Values[0].Patch.Topology = "5gen" },
+		func(s *Spec) { s.Axes[0].Values[0].Patch = Patch(`{"topology":"5gen"}`) },
 		func(s *Spec) { s.Axes[0].Values = s.Axes[0].Values[:1] },
 		func(s *Spec) { s.Reports[0].Columns[0].Metric = MetricCost },
-		func(s *Spec) { s.Base.Utilization = fp(1.2) },
+		func(s *Spec) { s.Base = Patch(`{"utilization":1.2}`) },
 		func(s *Spec) { s.MaxReps = 3 },
 	}
 	for i, mut := range muts {
@@ -182,10 +216,16 @@ func TestHashIsSensitiveAndStable(t *testing.T) {
 func TestRegistryLookupReturnsCopies(t *testing.T) {
 	sp := MustLookup("fig6+7")
 	origHash := sp.Hash()
-	sp.Base.Topology = "5gen"
+	sp.Base = Patch(`{"topology":"5gen"}`)
 	again := MustLookup("fig6+7")
 	if again.Hash() != origHash {
 		t.Error("mutating a Lookup result mutated the registry")
+	}
+	fig8 := MustLookup("fig8")
+	origHash = fig8.Hash()
+	fig8.Base[len(fig8.Base)-2] = '9' // {"utilization":1.4} → 1.9, in place
+	if MustLookup("fig8").Hash() != origHash {
+		t.Error("a Lookup result shares its patch bytes with the registry")
 	}
 	if _, ok := Lookup("no-such-scenario"); ok {
 		t.Error("unknown name resolved")
@@ -255,8 +295,8 @@ func TestFig13ReferenceRowShape(t *testing.T) {
 	if last.RowLabel() != "" {
 		t.Errorf("fig13 reference cell label %q, want empty", last.RowLabel())
 	}
-	if got := last.Patch.Algorithms; len(got) != 2 || got[0] != AlgoQuickG || got[1] != AlgoSlotOff {
-		t.Errorf("fig13 reference algorithms %v", got)
+	if got := string(last.Patches[len(last.Patches)-1]); got != `{"algorithms":["QUICKG","SLOTOFF"]}` {
+		t.Errorf("fig13 reference patch %s", got)
 	}
 	if !sp.Reports[0].PerAlgoRows() {
 		t.Error("fig13 report not in per-algorithm row mode")

@@ -21,11 +21,12 @@ import (
 // engine's default options (no ablation) — through sim, replays its online
 // requests in order against a one-shard deterministic serve.Server on the
 // same substrate, apps and plan, and holds serve to sim request by
-// request: accepted, planned, the decision slot, and the requests each
-// decision preempted. It then rebuilds the Eq. 3 resource cost from the
-// replies' costs with the bookkeeping sim kept before the engine owned the
-// running cost — a map of live requests, departures subtracted in sorted
-// ID order each slot — and requires its bits to equal sim's ResourceCost.
+// request: accepted, planned, the decision slot, the requests each
+// decision preempted, and each accepted request's cost. It then rebuilds
+// the Eq. 3 resource cost from the replies' costs with the bookkeeping sim
+// kept before the engine owned the running cost — a map of live requests,
+// departures subtracted in sorted ID order each slot — and requires its
+// bits to equal sim's ResourceCost.
 // SLOTOFF is batch-only, so serve refuses it.
 func TestServeMatchesSim(t *testing.T) {
 	algos := []core.Algorithm{core.AlgoOLIVE, core.AlgoQuickG, core.AlgoFullG}
@@ -103,6 +104,10 @@ func checkServeMatchesSim(t *testing.T, rr *RunResult, ar *AlgoResult) {
 		if d.id != i || simD != serveD {
 			t.Fatalf("%s: request %d (slot %d) is the first to diverge: sim %s, serve (id %d) %s",
 				ar.Algorithm, i, rec.Arrive, simD, d.id, serveD)
+		}
+		if rec.Accepted && math.Float64bits(rec.Cost) != math.Float64bits(d.cost) {
+			t.Fatalf("%s: request %d (slot %d) is the first to diverge: sim cost %v (%016x), serve cost %v (%016x)",
+				ar.Algorithm, i, rec.Arrive, rec.Cost, math.Float64bits(rec.Cost), d.cost, math.Float64bits(d.cost))
 		}
 		for _, pid := range d.preempted {
 			if pid < 0 || pid >= i || !ar.Log[pid].Preempted || ar.Log[pid].PreemptSlot != d.slot {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -39,111 +41,50 @@ func RunScenario(sp *scenario.Spec, s Scale) ([]*Table, error) {
 	}
 }
 
-// scenarioConfig binds one configuration patch to a concrete Config: the
-// scale's defaults (Iris at 100% utilization), then the patch on top.
-func (s Scale) scenarioConfig(p scenario.Patch) (Config, error) {
+// scenarioConfig binds configuration patches to a concrete Config: the
+// scale's defaults (Iris at 100% utilization), then each patch in order,
+// so a later patch's keys win. The struct below is the one list of the
+// keys a patch may set, each pointing at the Config field it sets; an
+// unknown key fails, and so does a value its field's type refuses (the
+// enumerations' UnmarshalText names the valid options).
+func (s Scale) scenarioConfig(patches ...scenario.Patch) (Config, error) {
 	c := s.config(topo.Iris, 1.0)
-	if err := applyPatch(&c, p); err != nil {
-		return Config{}, err
+	for _, p := range patches {
+		if len(p) == 0 {
+			continue
+		}
+		// Built afresh for each patch: a null value nils its pointer.
+		keys := struct {
+			Topology           *topo.Name        `json:"topology"`
+			Utilization        *float64          `json:"utilization"`
+			PlanUtilization    *float64          `json:"planUtilization"`
+			ShufflePlanIngress *bool             `json:"shufflePlanIngress"`
+			LambdaPerNode      *float64          `json:"lambdaPerNode"`
+			DemandMeanOverride *float64          `json:"demandMeanOverride"`
+			Trace              *TraceKind        `json:"trace"`
+			DiurnalPeriod      *int              `json:"diurnalPeriod"`
+			AppKind            *vnet.Kind        `json:"appKind"`
+			GPU                *bool             `json:"gpu"`
+			Algorithms         *[]core.Algorithm `json:"algorithms"`
+			Quantiles          *int              `json:"quantiles"`
+			PlanWindows        *int              `json:"planWindows"`
+			HistSlots          *int              `json:"histSlots"`
+			OnlineSlots        *int              `json:"onlineSlots"`
+			MeasureFrom        *int              `json:"measureFrom"`
+			MeasureTo          *int              `json:"measureTo"`
+		}{
+			&c.Topology, &c.Utilization, &c.PlanUtilization, &c.ShufflePlanIngress,
+			&c.LambdaPerNode, &c.DemandMeanOverride, &c.Trace, &c.DiurnalPeriod,
+			&c.AppKind, &c.GPU, &c.Algorithms, &c.PlanOptions.Quantiles,
+			&c.PlanWindows, &c.HistSlots, &c.OnlineSlots, &c.MeasureFrom, &c.MeasureTo,
+		}
+		dec := json.NewDecoder(bytes.NewReader(p))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&keys); err != nil {
+			return Config{}, fmt.Errorf("sim: patch %s: %w", p, err)
+		}
 	}
 	return c, nil
-}
-
-// applyPatch overlays a scenario patch onto a config, translating the
-// patch's string-typed enumerations and rejecting unknown values with the
-// valid options spelled out.
-func applyPatch(c *Config, p scenario.Patch) error {
-	if p.Topology != "" {
-		t := topo.Name(p.Topology)
-		if _, ok := topo.Specs()[t]; !ok {
-			return fmt.Errorf("sim: unknown topology %q (valid: %s)", p.Topology, topoNames())
-		}
-		c.Topology = t
-	}
-	if p.Utilization != nil {
-		c.Utilization = *p.Utilization
-	}
-	if p.PlanUtilization != nil {
-		c.PlanUtilization = *p.PlanUtilization
-	}
-	if p.ShufflePlanIngress != nil {
-		c.ShufflePlanIngress = *p.ShufflePlanIngress
-	}
-	if p.LambdaPerNode != nil {
-		c.LambdaPerNode = *p.LambdaPerNode
-	}
-	if p.DemandMeanOverride != nil {
-		c.DemandMeanOverride = *p.DemandMeanOverride
-	}
-	if p.Trace != "" {
-		switch TraceKind(p.Trace) {
-		case TraceMMPP, TraceCAIDA:
-			c.Trace = TraceKind(p.Trace)
-		default:
-			return fmt.Errorf("sim: unknown trace %q (valid: %s, %s)", p.Trace, TraceMMPP, TraceCAIDA)
-		}
-	}
-	if p.DiurnalPeriod != nil {
-		c.DiurnalPeriod = *p.DiurnalPeriod
-	}
-	if p.AppKind != "" {
-		switch p.AppKind {
-		case "chain":
-			c.AppKind = vnet.KindChain
-		case "tree":
-			c.AppKind = vnet.KindTree
-		case "accelerator":
-			c.AppKind = vnet.KindAccelerator
-		case "gpu":
-			c.AppKind = vnet.KindGPU
-		default:
-			return fmt.Errorf("sim: unknown application kind %q (valid: chain, tree, accelerator, gpu)", p.AppKind)
-		}
-	}
-	if p.GPU != nil {
-		c.GPU = *p.GPU
-	}
-	if p.Algorithms != nil {
-		algos := make([]core.Algorithm, len(p.Algorithms))
-		for i, a := range p.Algorithms {
-			switch core.Algorithm(a) {
-			case core.AlgoOLIVE, core.AlgoQuickG, core.AlgoFullG, core.AlgoSlotOff:
-				algos[i] = core.Algorithm(a)
-			default:
-				return fmt.Errorf("sim: unknown algorithm %q (valid: %s, %s, %s, %s)",
-					a, core.AlgoOLIVE, core.AlgoQuickG, core.AlgoFullG, core.AlgoSlotOff)
-			}
-		}
-		c.Algorithms = algos
-	}
-	if p.Quantiles != nil {
-		c.PlanOptions.Quantiles = *p.Quantiles
-	}
-	if p.PlanWindows != nil {
-		c.PlanWindows = *p.PlanWindows
-	}
-	if p.HistSlots != nil {
-		c.HistSlots = *p.HistSlots
-	}
-	if p.OnlineSlots != nil {
-		c.OnlineSlots = *p.OnlineSlots
-	}
-	if p.MeasureFrom != nil {
-		c.MeasureFrom = *p.MeasureFrom
-	}
-	if p.MeasureTo != nil {
-		c.MeasureTo = *p.MeasureTo
-	}
-	return nil
-}
-
-// topoNames lists the valid topology names for error messages.
-func topoNames() string {
-	names := make([]string, 0, len(topo.All()))
-	for _, t := range topo.All() {
-		names = append(names, string(t))
-	}
-	return strings.Join(names, ", ")
 }
 
 // ---- Grid scenarios (aggregate reports over a sweep) ----
@@ -165,7 +106,7 @@ func runGridScenario(sp *scenario.Spec, s Scale) ([]*Table, error) {
 	tag := sp.Tag()
 	cells := make([]SweepCell, len(points))
 	for i, pt := range points {
-		cfg, err := s.scenarioConfig(pt.Patch)
+		cfg, err := s.scenarioConfig(pt.Patches...)
 		if err != nil {
 			return nil, fmt.Errorf("%s: cell %d (%s): %w", sp.Name, i, pt.RowLabel(), err)
 		}

@@ -22,18 +22,9 @@ func microScale() Scale {
 
 func TestApplyPatchTranslatesAndValidates(t *testing.T) {
 	s := microScale()
-	u := 1.2
-	q := 7
-	shuffle := true
-	cfg, err := s.scenarioConfig(scenario.Patch{
-		Topology:           "cittastudi",
-		Utilization:        &u,
-		Trace:              "caida",
-		AppKind:            "tree",
-		Algorithms:         []string{"OLIVE", "FULLG"},
-		Quantiles:          &q,
-		ShufflePlanIngress: &shuffle,
-	})
+	cfg, err := s.scenarioConfig(scenario.Patch(`{"topology":"cittastudi","utilization":1.2,
+		"trace":"caida","appKind":"tree","algorithms":["OLIVE","FULLG"],"quantiles":7,
+		"shufflePlanIngress":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,19 +41,57 @@ func TestApplyPatchTranslatesAndValidates(t *testing.T) {
 		t.Errorf("scale defaults lost: %+v", cfg)
 	}
 
-	// Unknown enumerations fail naming the valid options.
+	// Later patches win key by key; null leaves a key's value alone.
+	cfg, err = s.scenarioConfig(scenario.Patch(`{"utilization":0.6,"histSlots":50}`),
+		scenario.Patch(`{"utilization":null}`), scenario.Patch(`{"utilization":1.4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Utilization != 1.4 || cfg.HistSlots != 50 {
+		t.Errorf("patches not applied in order: utilization %v, histSlots %d", cfg.Utilization, cfg.HistSlots)
+	}
+
+	// Unknown enumerations fail naming the valid options, and an unknown
+	// key fails naming the key.
 	for _, tc := range []struct {
-		patch scenario.Patch
-		want  string
+		patch, want string
 	}{
-		{scenario.Patch{Topology: "atlantis"}, "iris, cittastudi, 5gen, 100n150e"},
-		{scenario.Patch{Trace: "pareto"}, "mmpp, caida"},
-		{scenario.Patch{AppKind: "mesh"}, "chain, tree, accelerator, gpu"},
-		{scenario.Patch{Algorithms: []string{"OLIVE", "DIJKSTRA"}}, "OLIVE, QUICKG, FULLG, SLOTOFF"},
+		{`{"topology":"atlantis"}`, `sim: patch {"topology":"atlantis"}: unknown topology "atlantis" (valid: iris, cittastudi, 5gen, 100n150e)`},
+		{`{"trace":"pareto"}`, `unknown trace "pareto" (valid: mmpp, caida)`},
+		{`{"appKind":"mesh"}`, `unknown application kind "mesh" (valid: chain, tree, accelerator, gpu)`},
+		{`{"algorithms":["OLIVE","DIJKSTRA"]}`, `unknown algorithm "DIJKSTRA" (valid: OLIVE, QUICKG, FULLG, SLOTOFF)`},
+		{`{"quantile":7}`, `unknown field "quantile"`},
+		{`{"seed":7}`, `unknown field "seed"`},
+		{`{"appKind":2}`, `appKind`},
 	} {
-		_, err := s.scenarioConfig(tc.patch)
+		_, err := s.scenarioConfig(scenario.Patch(tc.patch))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("patch %+v: got %v, want error listing %q", tc.patch, err, tc.want)
+			t.Errorf("patch %s: got %v, want error containing %q", tc.patch, err, tc.want)
+		}
+	}
+}
+
+// TestBuiltinsBind: every grid point of every registered spec binds to a
+// configuration at smoke scale (detail specs: their base), so a
+// misspelled key or value in a built-in fails here, before any run.
+func TestBuiltinsBind(t *testing.T) {
+	s := SmokeScale()
+	for _, name := range scenario.Names() {
+		sp := scenario.MustLookup(name)
+		if sp.Detail != nil || sp.Static != "" {
+			if _, err := s.scenarioConfig(sp.Base); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			continue
+		}
+		points, err := sp.Expand(s.Utils)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, pt := range points {
+			if _, err := s.scenarioConfig(pt.Patches...); err != nil {
+				t.Errorf("%s (%s): %v", name, pt.RowLabel(), err)
+			}
 		}
 	}
 }
@@ -148,12 +177,12 @@ func TestCustomScenarioBeyondFigures(t *testing.T) {
 		Name: "topo-trace-micro",
 		Axes: []scenario.Axis{
 			{Name: "topology", Values: []scenario.AxisValue{
-				{Label: "iris", Patch: scenario.Patch{Topology: "iris"}},
-				{Label: "cittastudi", Patch: scenario.Patch{Topology: "cittastudi"}},
+				{Label: "iris", Patch: scenario.Patch(`{"topology":"iris"}`)},
+				{Label: "cittastudi", Patch: scenario.Patch(`{"topology":"cittastudi"}`)},
 			}},
 			{Name: "trace", Values: []scenario.AxisValue{
-				{Label: "mmpp", Patch: scenario.Patch{Trace: "mmpp"}},
-				{Label: "caida", Patch: scenario.Patch{Trace: "caida"}},
+				{Label: "mmpp", Patch: scenario.Patch(`{"trace":"mmpp"}`)},
+				{Label: "caida", Patch: scenario.Patch(`{"trace":"caida"}`)},
 			}},
 		},
 		Reports: []scenario.Report{{

@@ -34,6 +34,16 @@ const (
 	TraceCAIDA TraceKind = "caida"
 )
 
+// UnmarshalText parses a trace kind, failing with the valid kinds.
+func (k *TraceKind) UnmarshalText(b []byte) error {
+	switch v := TraceKind(b); v {
+	case TraceMMPP, TraceCAIDA:
+		*k = v
+		return nil
+	}
+	return fmt.Errorf("unknown trace %q (valid: %s, %s)", b, TraceMMPP, TraceCAIDA)
+}
+
 // Config describes one simulation run.
 type Config struct {
 	// Topology and TopologySeed select the substrate.
@@ -156,6 +166,10 @@ type RequestRecord struct {
 	// PreemptSlot is when.
 	Preempted   bool
 	PreemptSlot int
+	// Cost is the accepted request's per-slot resource cost (its
+	// embedding's Eq. 3 cost at its demand) under OLIVE, QUICKG and
+	// FULLG. SLOTOFF re-embeds every slot and leaves it 0.
+	Cost float64
 }
 
 // AlgoResult carries one algorithm's metrics for one run.
@@ -402,6 +416,7 @@ func runAlgorithm(cfg Config, g *graph.Graph, apps []*vnet.App, oracle *embedder
 			if out.Accepted {
 				ar.Log[r.ID].Accepted = true
 				ar.Log[r.ID].Planned = out.Planned
+				ar.Log[r.ID].Cost = out.Emb.Cost(r.Demand)
 				ar.PerSlotAccepted[t] += r.Demand
 			}
 		}

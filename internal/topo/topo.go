@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"strings"
 
 	"github.com/olive-vne/olive/internal/graph"
 )
@@ -50,6 +52,19 @@ const (
 
 // All lists the four evaluation topologies in Table II order.
 func All() []Name { return []Name{Iris, CittaStudi, FiveGEN, Random100} }
+
+// UnmarshalText parses a topology name, failing with the valid names.
+func (n *Name) UnmarshalText(b []byte) error {
+	if !slices.Contains(All(), Name(b)) {
+		names := make([]string, len(All()))
+		for i, t := range All() {
+			names[i] = string(t)
+		}
+		return fmt.Errorf("unknown topology %q (valid: %s)", b, strings.Join(names, ", "))
+	}
+	*n = Name(b)
+	return nil
+}
 
 // Spec describes a topology's size and tier composition.
 type Spec struct {

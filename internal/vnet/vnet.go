@@ -44,6 +44,25 @@ func (k Kind) String() string {
 	}
 }
 
+// UnmarshalText parses a family by its scenario name (chain, tree,
+// accelerator, gpu), failing with the valid names. Kind has no
+// MarshalText, so it still encodes as its number.
+func (k *Kind) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "chain":
+		*k = KindChain
+	case "tree":
+		*k = KindTree
+	case "accelerator":
+		*k = KindAccelerator
+	case "gpu":
+		*k = KindGPU
+	default:
+		return fmt.Errorf("unknown application kind %q (valid: chain, tree, accelerator, gpu)", b)
+	}
+	return nil
+}
+
 // VNFID indexes a VNF within an application; the root θ is always VNF 0.
 type VNFID int
 

@@ -330,8 +330,10 @@ type (
 	// definitions. Every paper figure is a registered Scenario; user
 	// scenarios load from JSON and run through the same machinery.
 	Scenario = scenario.Spec
-	// ScenarioPatch is a partial simulation configuration; unset fields
-	// inherit the base value.
+	// ScenarioPatch is a partial simulation configuration: the JSON
+	// object a spec writes, e.g. `{"topology":"iris","utilization":1.4}`.
+	// Keys it leaves out inherit the base value. Unknown keys and invalid
+	// values fail when RunScenario binds the spec.
 	ScenarioPatch = scenario.Patch
 	// ScenarioAxis is one swept dimension of a Scenario's grid.
 	ScenarioAxis = scenario.Axis

@@ -191,7 +191,7 @@ func TestPublicAPIScenarios(t *testing.T) {
 	// Round-trip a custom spec through the public JSON surface.
 	custom := &olive.Scenario{
 		Name: "public-api-micro",
-		Base: olive.ScenarioPatch{Topology: "cittastudi"},
+		Base: olive.ScenarioPatch(`{"topology":"cittastudi"}`),
 		Reports: []olive.ScenarioReport{{
 			Title:     "t",
 			RowHeader: "cell",
