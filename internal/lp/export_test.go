@@ -5,6 +5,12 @@ import (
 	"math"
 )
 
+// NumRows returns the number of constraint rows added so far.
+func (p *Problem) NumRows() int { return len(p.rhs) }
+
+// NumVars returns the number of variables added so far.
+func (p *Problem) NumVars() int { return p.numVars }
+
 // CheckFactorizations makes the next Problem that draws its workspace
 // from the shared cache run every basis it refactorizes through
 // factorBasisReference as well, for tests outside this package (which
@@ -91,8 +97,8 @@ func (c *reducedCostCheck) check(s *simplex, cost []float64, optimal bool) {
 			mag += math.Abs(c.y[e.Row] * e.Coef)
 		}
 		if math.Abs(got-want) > 1e-7*mag {
-			c.err = fmt.Errorf("scan %d: d[%d] = %v drifted from the recomputed %v by %g",
-				c.scans, j, got, want, got-want)
+			c.err = fmt.Errorf("scan %d: d[%d] = %v drifted from the recomputed %v by %g (mag %g, refacts %d upd %d)",
+				c.scans, j, got, want, got-want, mag, s.refacts, s.lu.nUpdates())
 			return
 		}
 	}

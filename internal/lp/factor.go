@@ -5,26 +5,25 @@ import "math"
 // This file implements the sparse linear algebra behind the revised
 // simplex: an LU factorization of the m×m basis matrix with Markowitz
 // pivot ordering under threshold partial pivoting, forward/backward
-// solves (FTRAN/BTRAN), and a product-form eta file so a pivot costs
-// O(nnz) instead of the O(m²) a dense inverse update paid. The
-// factorization also *reports* rank deficiency instead of failing: a
-// dependent basis can be repaired (see simplex.repairBasis) rather than
-// aborting the solve.
+// solves (FTRAN/BTRAN), and a Forrest–Tomlin update in the sparse form
+// of Suhl & Suhl (1993), so a pivot costs about its spike plus one row
+// of U instead of a refactorization. The factorization also *reports*
+// rank deficiency instead of failing: a dependent basis can be repaired
+// (see simplex.repairBasis) rather than aborting the solve.
+//
+// B = L·U up to permutations. U's rows and columns are both keyed by
+// elimination step ("slot"): slot k pairs matrix row prow[k] with basis
+// position pcol[k], and U is upper triangular in the order the slots
+// stand in order[]. A pivot that replaces the basis column at position
+// pcol[p] keeps that pairing — the entering column takes the same
+// position and row — so the update rewrites column p of U, eliminates
+// row p into one row eta, and moves slot p to the end of order[]; no
+// other slot is renumbered.
 
 // spEntry is one nonzero of a sparse vector.
 type spEntry struct {
 	idx int
 	val float64
-}
-
-// eta is one product-form update. Replacing the basis column at position
-// r by an entering column with FTRAN image w multiplies the basis by the
-// elementary matrix E = I with column r replaced by w; the eta stores w
-// split into its pivot w_r and the remaining nonzeros.
-type eta struct {
-	r     int
-	pivot float64
-	ents  []spEntry
 }
 
 // Factorization tolerances and update policy.
@@ -37,47 +36,96 @@ const (
 	// pivot only if |a_ij| ≥ u·max|a_·j|, trading a bounded growth factor
 	// for sparsity in the usual way.
 	luThreshold = 0.1
-	// maxEtas bounds the eta file; beyond it a refactorization is cheaper
-	// than the ever-longer FTRAN/BTRAN passes and contains drift.
-	maxEtas = 64
-	// etaWeakTol flags an update whose pivot is small relative to the
+	// maxUpdates bounds the Forrest–Tomlin updates between
+	// refactorizations. Each one adds a row eta to every FTRAN and BTRAN
+	// and may add fill to U; past this many a refactorization costs less
+	// than the longer solves, and it contains drift.
+	maxUpdates = 128
+	// updateWeakTol flags an update whose pivot is small relative to the
 	// spike's largest entry — the classic trigger for inverse drift and
 	// the root cause of the "singular basis during refactorization"
 	// failures the dense code hit.
-	etaWeakTol = 1e-9
+	updateWeakTol = 1e-9
+	// ftStabTol is the Forrest–Tomlin stability test. The updated
+	// diagonal must equal w_r times the replaced one, where w_r is the
+	// pivot of the entering column's FTRAN image (det B' = w_r·det B);
+	// a larger relative gap means the update lost accuracy.
+	ftStabTol = 1e-9
 )
+
+// segLists keeps n variable-length lists in one backing array: list k
+// is data[beg[k]:end[k]] with room up to lim[k]. A push onto a full list
+// moves it to the end of data with twice the room, so U can shrink and
+// grow between refactorizations without allocating once data has grown
+// to the size a solve needs.
+type segLists[T any] struct {
+	beg, end, lim []int
+	data          []T
+}
+
+func (s *segLists[T]) list(k int) []T { return s.data[s.beg[k]:s.end[k]] }
+
+func (s *segLists[T]) push(k int, x T) {
+	if s.end[k] == s.lim[k] {
+		n := s.end[k] - s.beg[k]
+		b := len(s.data)
+		s.data = growSlice(s.data, b+2*n+4)
+		copy(s.data[b:], s.data[s.beg[k]:s.end[k]])
+		s.beg[k], s.end[k], s.lim[k] = b, b+n, len(s.data)
+	}
+	s.data[s.end[k]] = x
+	s.end[k]++
+}
 
 // basisLU is a sparse LU factorization of the basis, B = Pᵀ·L·U·Q with P
 // the row permutation (prow) and Q the basis-position permutation (pcol),
-// plus the eta file of pivot updates applied since the last
-// refactorization.
+// kept current across pivots by Forrest–Tomlin updates.
 type basisLU struct {
 	m int
 
-	prow    []int // prow[k]: matrix row pivoted at elimination step k
-	pcol    []int // pcol[k]: basis position pivoted at step k
+	prow    []int // prow[k]: matrix row of slot k
+	pcol    []int // pcol[k]: basis position of slot k
 	rowStep []int // inverse of prow
+	posStep []int // inverse of pcol
 
 	// L as multiplier ops in elimination order: op t (for lstart[k] ≤ t <
 	// lstart[k+1]) subtracts lmult[t]·(pivot row k) from row lrow[t].
+	// L is fixed between refactorizations.
 	lstart []int
 	lrow   []int
 	lmult  []float64
 
-	// U rows in elimination-step space: row k holds udiag[k] on the
-	// diagonal and off-diagonal entries (ucol[t], uval[t]) with ucol[t] > k.
-	ustart []int
-	ucol   []int
-	uval   []float64
-	udiag  []float64
+	// U by slot: row k holds udiag[k] on the diagonal and the
+	// off-diagonal entries u.list(k), each (slot of its column, value);
+	// ucols.list(c) names the rows that hold (or held — rows cleared by
+	// an update are not struck from it) an entry in column c.
+	u     segLists[spEntry]
+	ucols segLists[int]
+	udiag []float64
+	unnz  int // live off-diagonal entries of U
+	unnz0 int // unnz at the refactorization
 
-	etas []eta
-	// entArena backs the eta entry slices between refactorizations.
-	entArena arena[spEntry]
+	// order lists the slots in U's triangular order; opos is its inverse.
+	order, opos []int
 
+	// Row etas of the updates since the refactorization: eta i replaces
+	// slot rpiv[i]'s entry v_p by v_p − Σ f·v_j over (j, f) in
+	// rent[rstart[i]:rstart[i+1]].
+	rpiv   []int
+	rstart []int
+	rent   []spEntry
+	nupd   int // updates since the refactorization
+
+	// spike is the last ftranCol's L⁻¹·a after the row etas, by slot:
+	// the column update writes into U.
+	spike []float64
 	ywork []float64 // scratch, matrix-row space
-	zwork []float64 // scratch, step space
+	zwork []float64 // scratch, slot space
+	dwork []float64 // update's row scratch, slot space; all zero between updates
 
+	// updEntries totals the U and row-eta entries update has touched —
+	// its machine-independent cost, pinned by BenchmarkBasisUpdate.
+	updEntries int
 }
 
 // reset prepares lu to be refilled by factorBasis, reusing every buffer.
@@ -88,12 +136,14 @@ func (lu *basisLU) reset(m int) {
 	lu.lstart = append(lu.lstart[:0], 0)
 	lu.lrow = lu.lrow[:0]
 	lu.lmult = lu.lmult[:0]
-	lu.ustart = append(lu.ustart[:0], 0)
-	lu.ucol = lu.ucol[:0]
-	lu.uval = lu.uval[:0]
+	lu.u.beg = lu.u.beg[:0]
+	lu.u.end = lu.u.end[:0]
+	lu.u.data = lu.u.data[:0]
 	lu.udiag = lu.udiag[:0]
-	lu.etas = lu.etas[:0]
-	lu.entArena.reset()
+	lu.rpiv = lu.rpiv[:0]
+	lu.rstart = append(lu.rstart[:0], 0)
+	lu.rent = lu.rent[:0]
+	lu.nupd = 0
 }
 
 // factorBasis factors the basis given by cols[basis[0..m-1]] into lu,
@@ -164,9 +214,6 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 	}
 
 	lu.reset(m)
-	// uposcol mirrors ucol but in basis-position space during
-	// elimination; converted to step space once the permutation is known.
-	uposcol := ws.uposcol[:0]
 
 	// Counts and column maxima over the active submatrix — all of it, to
 	// begin with — the count buckets, and the score-0 heap.
@@ -255,16 +302,7 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 		}
 		lu.lstart = append(lu.lstart, len(lu.lrow))
 
-		// Record the U row (off-diagonal entries still in position
-		// space; mapped to steps after the permutation is complete).
-		lu.udiag = append(lu.udiag, pivVal)
-		for _, e := range pivRow {
-			if e.idx != pivColI {
-				uposcol = append(uposcol, e.idx)
-				lu.uval = append(lu.uval, e.val)
-			}
-		}
-		lu.ustart = append(lu.ustart, len(lu.uval))
+		lu.recordURow(pivRow, pivColI, pivVal)
 
 		rowActive[pivRowI] = false
 		colActive[pivColI] = false
@@ -291,7 +329,6 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 		}
 	}
 
-	ws.uposcol = uposcol
 	if len(depPos) > 0 {
 		for i := 0; i < m; i++ {
 			if rowActive[i] {
@@ -300,24 +337,73 @@ func factorBasis(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, basis []in
 		}
 		return false, depPos, depRows
 	}
+	lu.finish()
+	return true, nil, nil
+}
 
-	// Finalize: permutation inverses and U columns in step space.
+// recordURow appends the U row of the step just pivoted on (pivCol,
+// pivVal) of row: its off-diagonal entries, in basis-position space
+// until finish maps them to slots.
+func (lu *basisLU) recordURow(row []spEntry, pivCol int, pivVal float64) {
+	lu.udiag = append(lu.udiag, pivVal)
+	lu.u.beg = append(lu.u.beg, len(lu.u.data))
+	for _, e := range row {
+		if e.idx != pivCol {
+			lu.u.data = append(lu.u.data, e)
+		}
+	}
+	lu.u.end = append(lu.u.end, len(lu.u.data))
+}
+
+// finish completes a full-rank factorization: the permutation inverses,
+// U's column slots and column lists, the identity order, and the
+// solves' scratch.
+func (lu *basisLU) finish() {
+	m := lu.m
 	lu.rowStep = growSlice(lu.rowStep, m)
-	ws.colStep = growSlice(ws.colStep, m)
-	colStep := ws.colStep
+	lu.posStep = growSlice(lu.posStep, m)
 	for k, r := range lu.prow {
 		lu.rowStep[r] = k
 	}
 	for k, c := range lu.pcol {
-		colStep[c] = k
+		lu.posStep[c] = k
 	}
-	lu.ucol = growSlice(lu.ucol, len(uposcol))
-	for t, c := range uposcol {
-		lu.ucol[t] = colStep[c]
+	u, uc := &lu.u, &lu.ucols
+	u.lim = append(u.lim[:0], u.end...)
+	uc.beg = growSlice(uc.beg, m)
+	uc.end = growSlice(uc.end, m)
+	uc.lim = growSlice(uc.lim, m)
+	for c := range uc.end {
+		uc.end[c] = 0
 	}
+	for t := range u.data {
+		c := lu.posStep[u.data[t].idx]
+		u.data[t].idx = c
+		uc.end[c]++
+	}
+	n := 0
+	for c := range uc.end {
+		uc.beg[c] = n
+		n += uc.end[c]
+		uc.lim[c], uc.end[c] = n, uc.beg[c]
+	}
+	uc.data = growSlice(uc.data, n)
+	for k := 0; k < m; k++ {
+		for _, e := range u.list(k) {
+			uc.data[uc.end[e.idx]] = k
+			uc.end[e.idx]++
+		}
+	}
+	lu.unnz, lu.unnz0 = len(u.data), len(u.data)
+	lu.order = growSlice(lu.order, m)
+	lu.opos = growSlice(lu.opos, m)
+	lu.dwork = growSlice(lu.dwork, m)
+	for k := 0; k < m; k++ {
+		lu.order[k], lu.opos[k], lu.dwork[k] = k, k, 0
+	}
+	lu.spike = growSlice(lu.spike, m)
 	lu.ywork = growSlice(lu.ywork, m)
 	lu.zwork = growSlice(lu.zwork, m)
-	return true, nil, nil
 }
 
 // pivCand is a pivot candidate: an active entry and its magnitude.
@@ -680,7 +766,8 @@ func rowSub(a *arena[spEntry], dst, src []spEntry, f float64, skip int, colRows 
 }
 
 // ftranCol solves B·w = a for a sparse column a, leaving w (length m,
-// basis-position space) fully overwritten.
+// basis-position space) fully overwritten. It keeps a's spike for the
+// update that follows if a enters the basis.
 //
 //olive:hotpath inner simplex kernel
 func (lu *basisLU) ftranCol(col []Entry, w []float64) {
@@ -691,7 +778,7 @@ func (lu *basisLU) ftranCol(col []Entry, w []float64) {
 	for _, e := range col {
 		y[e.Row] = e.Coef
 	}
-	lu.ftranWork(w)
+	lu.ftranWork(lu.spike, w)
 }
 
 // ftranDense solves B·w = rhs for a dense right-hand side in matrix-row
@@ -700,15 +787,16 @@ func (lu *basisLU) ftranCol(col []Entry, w []float64) {
 //olive:hotpath inner simplex kernel
 func (lu *basisLU) ftranDense(rhs []float64, w []float64) {
 	copy(lu.ywork, rhs)
-	lu.ftranWork(w)
+	lu.ftranWork(lu.zwork, w)
 }
 
 // ftranWork completes an FTRAN whose right-hand side has been loaded
-// into ywork: L solve, U back-substitution, permutation, eta file.
+// into ywork: L solve, the row etas into s (slot space), then U
+// back-substitution in order and the permutation to basis positions.
 //
 //olive:hotpath inner simplex kernel
-func (lu *basisLU) ftranWork(w []float64) {
-	y, z := lu.ywork, lu.zwork
+func (lu *basisLU) ftranWork(s, w []float64) {
+	y := lu.ywork
 	m := lu.m
 	for k := 0; k < m; k++ {
 		v := y[lu.prow[k]]
@@ -719,25 +807,27 @@ func (lu *basisLU) ftranWork(w []float64) {
 			y[lu.lrow[t]] -= lu.lmult[t] * v
 		}
 	}
-	for k := m - 1; k >= 0; k-- {
-		v := y[lu.prow[k]]
-		for t := lu.ustart[k]; t < lu.ustart[k+1]; t++ {
-			v -= lu.uval[t] * z[lu.ucol[t]]
+	for k, r := range lu.prow {
+		s[k] = y[r]
+	}
+	for i, p := range lu.rpiv {
+		v := s[p]
+		for _, e := range lu.rent[lu.rstart[i]:lu.rstart[i+1]] {
+			v -= e.val * s[e.idx]
+		}
+		s[p] = v
+	}
+	z := y // y is spent: reuse it for U's solution, by slot
+	for idx := m - 1; idx >= 0; idx-- {
+		k := lu.order[idx]
+		v := s[k]
+		for _, e := range lu.u.list(k) {
+			v -= e.val * z[e.idx]
 		}
 		z[k] = v / lu.udiag[k]
 	}
-	for k := 0; k < m; k++ {
-		w[lu.pcol[k]] = z[k]
-	}
-	for idx := range lu.etas {
-		e := &lu.etas[idx]
-		t := w[e.r] / e.pivot
-		if t != 0 {
-			for _, s := range e.ents {
-				w[s.idx] -= s.val * t
-			}
-		}
-		w[e.r] = t
+	for k, pos := range lu.pcol {
+		w[pos] = z[k]
 	}
 }
 
@@ -748,30 +838,30 @@ func (lu *basisLU) ftranWork(w []float64) {
 //olive:hotpath inner simplex kernel
 func (lu *basisLU) btran(c []float64, y []float64) {
 	m := lu.m
-	z := lu.zwork
-	copy(z, c)
-	// Eta file, reversed and transposed.
-	for idx := len(lu.etas) - 1; idx >= 0; idx-- {
-		e := &lu.etas[idx]
-		s := z[e.r]
-		for _, en := range e.ents {
-			s -= en.val * z[en.idx]
-		}
-		z[e.r] = s / e.pivot
+	v := lu.zwork
+	for k, pos := range lu.pcol {
+		v[k] = c[pos]
 	}
-	// Ūᵀ·v = c̄ (forward, scattering each resolved v[k] into later steps).
-	v := lu.ywork
-	for k := 0; k < m; k++ {
-		v[k] = z[lu.pcol[k]]
-	}
-	for k := 0; k < m; k++ {
-		v[k] /= lu.udiag[k]
-		vk := v[k]
+	// Uᵀ·v = c̄ (forward in order, scattering each resolved v[k] into the
+	// slots after it).
+	for _, k := range lu.order {
+		vk := v[k] / lu.udiag[k]
+		v[k] = vk
 		if vk == 0 {
 			continue
 		}
-		for t := lu.ustart[k]; t < lu.ustart[k+1]; t++ {
-			v[lu.ucol[t]] -= lu.uval[t] * vk
+		for _, e := range lu.u.list(k) {
+			v[e.idx] -= e.val * vk
+		}
+	}
+	// Row etas, reversed and transposed.
+	for i := len(lu.rpiv) - 1; i >= 0; i-- {
+		vp := v[lu.rpiv[i]]
+		if vp == 0 {
+			continue
+		}
+		for _, e := range lu.rent[lu.rstart[i]:lu.rstart[i+1]] {
+			v[e.idx] -= e.val * vp
 		}
 	}
 	// L̄ᵀ·t = v (backward; ops of step k reference rows pivoted later, so
@@ -788,36 +878,113 @@ func (lu *basisLU) btran(c []float64, y []float64) {
 	}
 }
 
-// nEtas reports how many pivot updates have accumulated since the last
-// refactorization.
-func (lu *basisLU) nEtas() int { return len(lu.etas) }
+// nUpdates reports how many pivot updates have accumulated since the
+// last refactorization.
+func (lu *basisLU) nUpdates() int { return lu.nupd }
 
-// update appends the product-form eta for a pivot replacing basis
-// position r, whose entering column has FTRAN image w. It reports
-// whether the factorization is still healthy; false asks the caller to
-// refactorize now (eta file full, or the pivot is weak relative to the
-// spike and would poison every subsequent solve).
+// update folds into the factorization a pivot that replaces basis
+// position r by the column whose FTRAN image w the last ftranCol
+// computed (Forrest–Tomlin, in the sparse form of Suhl & Suhl). Slot p
+// of position r gets the saved spike as its column of U; row p's
+// off-diagonal entries are eliminated against the rows after it, whose
+// multipliers become one row eta; and slot p moves to the end of order.
+// The work is the spike, row p with its fill, column p's old rows and
+// O(m) of order bookkeeping.
+//
+// It reports whether the factorization is still healthy; false asks
+// the caller to refactorize now, and the factorization may then be
+// half-updated. False means: the update limit is reached, the pivot is
+// weak relative to the spike (it would poison every later solve), the
+// new diagonal fails the stability test, or U has filled in to more
+// than twice its size at the refactorization.
 func (lu *basisLU) update(r int, w []float64) bool {
+	if lu.nupd+1 >= maxUpdates {
+		return false
+	}
 	piv := w[r]
 	maxw := 0.0
-	n := 0
-	for i, v := range w {
-		if v == 0 {
-			continue
-		}
+	for _, v := range w {
 		if a := math.Abs(v); a > maxw {
 			maxw = a
 		}
-		if i != r {
-			n++
+	}
+	if !(math.Abs(piv) > updateWeakTol*maxw) {
+		return false
+	}
+	p := lu.posStep[r]
+	s, dw := lu.spike, lu.dwork
+
+	// Eliminate row p against the rows after it, in order. Their entries
+	// lie after them, so a sweep of order meets every fill in time.
+	row := lu.u.list(p)
+	for _, e := range row {
+		dw[e.idx] = e.val
+	}
+	touched := len(row)
+	etaBeg := len(lu.rent)
+	diag := s[p]
+	for idx := lu.opos[p] + 1; idx < lu.m; idx++ {
+		j := lu.order[idx]
+		v := dw[j]
+		if v == 0 {
+			continue
+		}
+		dw[j] = 0
+		f := v / lu.udiag[j]
+		lu.rent = append(lu.rent, spEntry{j, f})
+		diag -= f * s[j]
+		rj := lu.u.list(j)
+		for _, e := range rj {
+			dw[e.idx] -= f * e.val
+		}
+		touched += 1 + len(rj)
+	}
+	// Stability: det B' = w_r·det B, and only slot p's diagonal changes.
+	if want := piv * lu.udiag[p]; !(math.Abs(diag-want) <= ftStabTol*math.Abs(diag)) {
+		lu.rent = lu.rent[:etaBeg]
+		lu.updEntries += touched
+		return false
+	}
+	if len(lu.rent) > etaBeg {
+		lu.rpiv = append(lu.rpiv, p)
+		lu.rstart = append(lu.rstart, len(lu.rent))
+	}
+
+	// Column p: strike its old entries from the rows above p, clear row
+	// p, and write the spike in.
+	for _, k := range lu.ucols.list(p) {
+		rk := lu.u.list(k)
+		touched += len(rk)
+		for i, e := range rk {
+			if e.idx == p {
+				rk[i] = rk[len(rk)-1]
+				lu.u.end[k]--
+				lu.unnz--
+				break
+			}
 		}
 	}
-	ents := lu.entArena.take(n)
-	for i, v := range w {
-		if i != r && v != 0 {
-			ents = append(ents, spEntry{i, v})
+	lu.ucols.end[p] = lu.ucols.beg[p]
+	lu.unnz -= len(row)
+	lu.u.end[p] = lu.u.beg[p]
+	for k, v := range s {
+		if v != 0 && k != p {
+			lu.u.push(k, spEntry{p, v})
+			lu.ucols.push(p, k)
+			lu.unnz++
+			touched++
 		}
 	}
-	lu.etas = append(lu.etas, eta{r: r, pivot: piv, ents: ents})
-	return len(lu.etas) < maxEtas && math.Abs(piv) > etaWeakTol*maxw
+	lu.udiag[p] = diag
+
+	// Slot p is now last in order: its row holds only the diagonal, and
+	// its column lies above every other diagonal.
+	for idx := lu.opos[p]; idx < lu.m-1; idx++ {
+		k := lu.order[idx+1]
+		lu.order[idx], lu.opos[k] = k, idx
+	}
+	lu.order[lu.m-1], lu.opos[p] = p, lu.m-1
+	lu.nupd++
+	lu.updEntries += touched
+	return lu.unnz+len(lu.rent) <= 2*lu.unnz0+lu.m
 }

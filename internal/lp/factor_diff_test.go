@@ -51,8 +51,10 @@ func (d *factorDiffer) check(m int, cols [][]Entry, basis []int) error {
 		ints("lstart", d.lu.lstart, d.rl.lstart),
 		ints("lrow", d.lu.lrow, d.rl.lrow),
 		floats("lmult", d.lu.lmult, d.rl.lmult),
-		ints("ustart", d.lu.ustart, d.rl.ustart),
-		floats("uval", d.lu.uval, d.rl.uval),
+		ints("ubeg", d.lu.u.beg, d.rl.u.beg),
+		ints("uend", d.lu.u.end, d.rl.u.end),
+		ints("ucol", entryIdxs(d.lu.u.data), entryIdxs(d.rl.u.data)),
+		floats("uval", entryVals(d.lu.u.data), entryVals(d.rl.u.data)),
 		floats("udiag", d.lu.udiag, d.rl.udiag),
 	} {
 		if err != nil {
@@ -60,12 +62,27 @@ func (d *factorDiffer) check(m int, cols [][]Entry, basis []int) error {
 		}
 	}
 	if !ok {
-		return nil // ucol and rowStep are only finalized on success
-	}
-	if err := ints("ucol", d.lu.ucol, d.rl.ucol); err != nil {
-		return err
+		return nil // ucol holds slots and rowStep is set only on success
 	}
 	return ints("rowStep", d.lu.rowStep, d.rl.rowStep)
+}
+
+// entryIdxs and entryVals split a sparse vector into its positions and
+// its values.
+func entryIdxs(es []spEntry) []int {
+	out := make([]int, len(es))
+	for i, e := range es {
+		out[i] = e.idx
+	}
+	return out
+}
+
+func entryVals(es []spEntry) []float64 {
+	out := make([]float64, len(es))
+	for i, e := range es {
+		out[i] = e.val
+	}
+	return out
 }
 
 // denseBasis turns a dense row-major matrix into factorBasis input,
@@ -269,19 +286,21 @@ func TestFactorPivotOrderTraps(t *testing.T) {
 }
 
 // capturedBasis is a self-contained copy of one basis a solve factored.
+// vars names the solve's column at each position.
 type capturedBasis struct {
 	m     int
 	cols  [][]Entry
 	basis []int
+	vars  []int
 }
 
 // fixtureBases solves the seed-4 fixture and returns every basis it
-// refactorized, in order (64 of them).
+// refactorized, in order.
 func fixtureBases(tb testing.TB) []capturedBasis {
 	var out []capturedBasis
 	p := loadFixture(tb, "../../testdata/lp/random100-u140-seed4.lp.gz")
 	p.ws.Store(&workspace{onFactor: func(m int, cols [][]Entry, basis []int) {
-		c := capturedBasis{m: m, cols: make([][]Entry, m), basis: make([]int, m)}
+		c := capturedBasis{m: m, cols: make([][]Entry, m), basis: make([]int, m), vars: slices.Clone(basis)}
 		for pos, j := range basis {
 			c.cols[pos], c.basis[pos] = slices.Clone(cols[j]), pos
 		}

@@ -88,10 +88,15 @@ func randomBasis(rng *rand.Rand, m int) ([][]Entry, []int) {
 }
 
 // TestFactorBasisSolves cross-checks FTRAN/BTRAN against direct
-// matrix-vector products on random sparse bases, including after a
-// sequence of eta updates.
+// matrix-vector products on random sparse bases, after the
+// factorization and after every update of a sequence that runs past
+// maxUpdates. Replacements alternate between a slack (a unit column)
+// and a structural column, so slots trade places in U's order both
+// ways; an update that asks for a refactorization gets one, as in the
+// simplex.
 func TestFactorBasisSolves(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
+	refactors, longest := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		m := 1 + rng.IntN(40)
 		cols, basis := randomBasis(rng, m)
@@ -119,57 +124,70 @@ func TestFactorBasisSolves(t *testing.T) {
 			}
 			return out
 		}
-		checkClose := func(kind string, got, want []float64) {
+		checkClose := func(kind string, u int, got, want []float64) {
 			t.Helper()
 			for i := range want {
 				if math.Abs(got[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
-					t.Fatalf("trial %d m=%d: %s[%d] = %g, want %g", trial, m, kind, i, got[i], want[i])
+					t.Fatalf("trial %d m=%d after %d updates: %s[%d] = %g, want %g", trial, m, u, kind, i, got[i], want[i])
 				}
 			}
 		}
-		// FTRAN against a random structural-style column.
+		// FTRAN against a random structural-style column, BTRAN against
+		// a random cost vector.
 		a := []Entry{{Row: rng.IntN(m), Coef: 1 + rng.Float64()}}
-		w := make([]float64, m)
-		lu.ftranCol(a, w)
-		bw := mulB(w)
 		want := make([]float64, m)
 		for _, e := range a {
 			want[e.Row] = e.Coef
 		}
-		checkClose("B·ftran(a)", bw, want)
-		// BTRAN against a random cost vector.
 		cb := make([]float64, m)
 		for i := range cb {
 			cb[i] = rng.Float64()*2 - 1
 		}
-		y := make([]float64, m)
-		lu.btran(cb, y)
-		checkClose("Bᵀ·btran(c)", mulBT(y), cb)
-		// Up to ten eta updates, re-checking both directions after each.
-		for u := 0; u < 10; u++ {
+		w, y := make([]float64, m), make([]float64, m)
+		check := func(u int) {
+			t.Helper()
+			lu.ftranCol(a, w)
+			checkClose("B·ftran(a)", u, mulB(w), want)
+			lu.btran(cb, y)
+			checkClose("Bᵀ·btran(c)", u, mulBT(y), cb)
+		}
+		check(0)
+		// Every third trial runs past the update limit.
+		target := 12
+		if trial%3 == 0 {
+			target = maxUpdates + 20
+		}
+		applied := 0
+		for u := 0; u < 8*target && applied < target; u++ {
 			pos := rng.IntN(m)
-			newCol := []Entry{{Row: rng.IntN(m), Coef: 2 + rng.Float64()}, {Row: rng.IntN(m), Coef: rng.Float64()}}
-			seen := map[int]bool{}
-			ded := newCol[:0]
-			for _, e := range newCol {
-				if !seen[e.Row] {
-					seen[e.Row] = true
-					ded = append(ded, e)
+			var newCol []Entry
+			if u%2 == 0 {
+				newCol = []Entry{{Row: rng.IntN(m), Coef: 1}} // a slack
+			} else {
+				newCol = []Entry{{Row: rng.IntN(m), Coef: 2 + rng.Float64()}, {Row: rng.IntN(m), Coef: rng.Float64()}}
+				if newCol[0].Row == newCol[1].Row {
+					newCol = newCol[:1]
 				}
 			}
-			newCol = ded
 			lu.ftranCol(newCol, w)
-			if math.Abs(w[pos]) < 1e-6 {
-				continue // would make the basis near-singular; not this test's business
+			if math.Abs(w[pos]) < 0.1*maxAbs(w) {
+				continue // a pivot a ratio test would pass over: it would let the basis drift toward singular
 			}
 			cols = append(cols, newCol)
 			basis[pos] = len(cols) - 1
-			lu.update(pos, w)
-			lu.ftranCol(a, w)
-			checkClose("post-eta B·ftran(a)", mulB(w), want)
-			lu.btran(cb, y)
-			checkClose("post-eta Bᵀ·btran(c)", mulBT(y), cb)
+			applied++
+			if !lu.update(pos, w) {
+				refactors++
+				if ok, dep, _ := factorBasis(&fw, lu, m, cols, basis); !ok {
+					t.Fatalf("trial %d: spurious dependency report %v", trial, dep)
+				}
+			}
+			check(u + 1)
 		}
+		longest = max(longest, applied)
+	}
+	if longest <= maxUpdates || refactors == 0 {
+		t.Fatalf("at most %d replacements in a trial and %d refactorizations: no trial ran past the update limit", longest, refactors)
 	}
 }
 
@@ -282,9 +300,6 @@ func factorBasisReference(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, b
 	}
 
 	lu.reset(m)
-	// uposcol mirrors ucol but in basis-position space during
-	// elimination; converted to step space once the permutation is known.
-	uposcol := ws.uposcol[:0]
 
 	ws.colMax = growSlice(ws.colMax, m)
 	ws.colCnt = growSlice(ws.colCnt, m)
@@ -398,23 +413,13 @@ func factorBasisReference(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, b
 		}
 		lu.lstart = append(lu.lstart, len(lu.lrow))
 
-		// Record the U row (off-diagonal entries still in position
-		// space; mapped to steps after the permutation is complete).
-		lu.udiag = append(lu.udiag, pivVal)
-		for _, e := range pivRow {
-			if e.idx != pivColI {
-				uposcol = append(uposcol, e.idx)
-				lu.uval = append(lu.uval, e.val)
-			}
-		}
-		lu.ustart = append(lu.ustart, len(lu.uval))
+		lu.recordURow(pivRow, pivColI, pivVal)
 
 		rowActive[pivRowI] = false
 		colActive[pivColI] = false
 		activeCols--
 	}
 
-	ws.uposcol = uposcol
 	if len(depPos) > 0 {
 		for i := 0; i < m; i++ {
 			if rowActive[i] {
@@ -423,22 +428,6 @@ func factorBasisReference(ws *luWorkspace, lu *basisLU, m int, cols [][]Entry, b
 		}
 		return false, depPos, depRows
 	}
-
-	// Finalize: permutation inverses and U columns in step space.
-	lu.rowStep = growSlice(lu.rowStep, m)
-	ws.colStep = growSlice(ws.colStep, m)
-	colStep := ws.colStep
-	for k, r := range lu.prow {
-		lu.rowStep[r] = k
-	}
-	for k, c := range lu.pcol {
-		colStep[c] = k
-	}
-	lu.ucol = growSlice(lu.ucol, len(uposcol))
-	for t, c := range uposcol {
-		lu.ucol[t] = colStep[c]
-	}
-	lu.ywork = growSlice(lu.ywork, m)
-	lu.zwork = growSlice(lu.zwork, m)
+	lu.finish()
 	return true, nil, nil
 }

@@ -1,7 +1,7 @@
 // Package lp implements a sparse linear-programming solver — a two-phase
 // revised primal simplex with bounded variables over a sparse LU
 // factorization of the basis (Markowitz-ordered with threshold partial
-// pivoting, product-form eta updates, periodic refactorization). There is
+// pivoting, Forrest–Tomlin updates, periodic refactorization). There is
 // one engine and nothing selects another: the entering column is priced
 // by Devex over rotating column sections (pricing.go), with Bland's rule
 // as the anti-cycling fallback, so a solve is a pure function of the
@@ -156,12 +156,6 @@ func (p *Problem) MustAddVar(cost, lo, up float64, entries []Entry) int {
 	return v
 }
 
-// NumRows returns the number of constraint rows added so far.
-func (p *Problem) NumRows() int { return len(p.rhs) }
-
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return p.numVars }
-
 // VarStatus is a variable's role in a basis snapshot.
 type VarStatus int8
 
@@ -199,8 +193,9 @@ type Solution struct {
 	Dual []float64
 	// Iterations counts simplex pivots across both phases.
 	Iterations int
-	// Refactorizations counts basis LU rebuilds (scheduled eta-file
-	// flushes plus weak-pivot and repair refreshes).
+	// Refactorizations counts basis LU rebuilds (at the update limit,
+	// on U's fill or a failed stability test, plus weak-pivot and repair
+	// refreshes).
 	Refactorizations int
 	// PricingScans counts the nonbasic columns examined by pricing
 	// across the solve — the work partial pricing exists to cut.
@@ -353,13 +348,13 @@ func (p *Problem) solveOnce(perturb float64, warm *Basis) (*Solution, error) {
 		return sol, nil
 	}
 	// Certify from a clean factorization. iterate declared optimality on
-	// reduced costs recomputed from scratch, but through the eta file:
-	// eta updates accumulated since the last refactorization drift the
+	// reduced costs recomputed from scratch, but through the updated LU:
+	// updates accumulated since the last refactorization drift the
 	// duals (and through them the reduced costs column generation prices
 	// against) by up to ~1e-6 on badly scaled bases. One rebuild at
 	// termination removes that drift before the primal check and the
 	// duals below; warm-started re-solves that pivot zero times skip it.
-	if s.lu.nEtas() > 0 {
+	if s.lu.nUpdates() > 0 {
 		if err := s.refactorize(); err != nil {
 			return nil, fmt.Errorf("lp: final refactorization: %w", err)
 		}

@@ -20,7 +20,8 @@ import "math"
 // and α_r = ρ·A, which updates both the Devex weights and d
 // (d_j ← d_j − (d_q/α_rq)·α_rj; Maros 2003, Koberstein 2005). d is
 // recomputed from scratch (recomputeReducedCosts) at the start of each
-// phase, after every refactorization, after a Bland pivot, when the
+// phase, after every refactorization and every recomputeEvery updates
+// of the factorization, after a Bland pivot, when the
 // pivot element is too small to divide by, and before optimality is
 // declared, so drift in the updates can never fake an optimum.
 
@@ -42,6 +43,10 @@ const (
 	// problems — below it, every iteration scans all columns and
 	// partial pricing is a no-op.
 	pricingMinSection = 256
+	// recomputeEvery bounds the pivot-row updates d absorbs between
+	// recomputes: their drift grows with the count, and a basis now
+	// outlives that many pivots between refactorizations.
+	recomputeEvery = 64
 )
 
 // ensureGamma extends the Devex weight array to cover every column

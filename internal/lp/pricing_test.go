@@ -28,9 +28,9 @@ type pivotBaseline struct {
 }
 
 // referenceFactorVisits is what factorBasisReference's per-step rescans
-// visit over the 64 refactorizations of the fixture solve
+// visit over the 42 refactorizations of the fixture solve
 // (TestFactorMatchesReference re-measures it).
-const referenceFactorVisits = 45_820_312
+const referenceFactorVisits = 29_102_042
 
 // TestPivotCountGuard is the pivot-count regression guard: the solver is
 // deterministic (no randomness, no map-order dependence, no

@@ -34,7 +34,7 @@ type simplex struct {
 	xB     []float64 // values of basic variables by position
 	xN     []float64 // value of every column when nonbasic (its bound)
 
-	lu *basisLU // sparse LU factorization of the basis + eta file
+	lu *basisLU // sparse LU factorization of the basis, kept current by updates
 
 	ws *workspace // owning workspace; all scratch slices below live in it
 
@@ -446,7 +446,7 @@ func (s *simplex) reducedCost(cost []float64, y []float64, j int) float64 {
 
 // refactorize rebuilds the LU factorization of the basis from scratch
 // and recomputes the basic values, containing the drift that
-// accumulates across eta updates. A rank-deficient basis is repaired —
+// accumulates across updates. A rank-deficient basis is repaired —
 // dependent columns are replaced by logical columns — instead of
 // aborting; only a repair that cannot restore a feasible basis
 // surfaces errSingular.
@@ -529,10 +529,14 @@ func (s *simplex) recomputeXB() {
 }
 
 // applyPivot folds one pivot into the factorization, refactorizing when
-// the eta file is full or the update pivot is numerically weak.
+// the update asks for it, and marks d for a recompute every
+// recomputeEvery updates.
 func (s *simplex) applyPivot(leave int, w []float64) error {
 	if !s.lu.update(leave, w) {
 		return s.refactorize()
+	}
+	if s.lu.nUpdates()%recomputeEvery == 0 {
+		s.dStale = true
 	}
 	return nil
 }
@@ -609,12 +613,12 @@ func (s *simplex) iterate(cost []float64, maxIter int) (Status, error) {
 			return Unbounded, nil
 		}
 		// Weak-pivot guard: a pivot element far below the conditioning
-		// threshold is, more often than not, eta-file drift rather than
+		// threshold is, more often than not, update drift rather than
 		// the true matrix element — exactly how the dense inverse used
 		// to absorb a dependent column and die at the next
 		// refactorization. Refresh the factorization and re-run the
 		// ratio test on the recomputed column before committing.
-		if leave >= 0 && math.Abs(w[leave]) < weakPivot && s.lu.nEtas() > 0 {
+		if leave >= 0 && math.Abs(w[leave]) < weakPivot && s.lu.nUpdates() > 0 {
 			if err := s.refactorize(); err != nil {
 				return 0, err
 			}

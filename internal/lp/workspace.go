@@ -81,8 +81,6 @@ type luWorkspace struct {
 	rowCnt    []int
 	preCnt    []int
 	seen      []int
-	uposcol   []int
-	colStep   []int
 
 	// Pivot-search state: count buckets, the score-0 candidate heap, and
 	// the stamp that seen is compared against.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"github.com/olive-vne/olive/internal/core"
@@ -41,38 +42,56 @@ func RunScenario(sp *scenario.Spec, s Scale) ([]*Table, error) {
 	}
 }
 
+// patchFields is the one list of the keys a patch may set, each
+// pointing at the Config field it sets.
+type patchFields struct {
+	Topology           *topo.Name        `json:"topology"`
+	Utilization        *float64          `json:"utilization"`
+	PlanUtilization    *float64          `json:"planUtilization"`
+	ShufflePlanIngress *bool             `json:"shufflePlanIngress"`
+	LambdaPerNode      *float64          `json:"lambdaPerNode"`
+	DemandMeanOverride *float64          `json:"demandMeanOverride"`
+	Trace              *TraceKind        `json:"trace"`
+	DiurnalPeriod      *int              `json:"diurnalPeriod"`
+	AppKind            *vnet.Kind        `json:"appKind"`
+	GPU                *bool             `json:"gpu"`
+	Algorithms         *[]core.Algorithm `json:"algorithms"`
+	Quantiles          *int              `json:"quantiles"`
+	PlanWindows        *int              `json:"planWindows"`
+	HistSlots          *int              `json:"histSlots"`
+	OnlineSlots        *int              `json:"onlineSlots"`
+	MeasureFrom        *int              `json:"measureFrom"`
+	MeasureTo          *int              `json:"measureTo"`
+}
+
+// patchKeys is the set of patchFields' JSON keys.
+var patchKeys = func() map[string]bool {
+	t := reflect.TypeFor[patchFields]()
+	keys := make(map[string]bool, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		keys[t.Field(i).Tag.Get("json")] = true
+	}
+	return keys
+}()
+
 // scenarioConfig binds configuration patches to a concrete Config: the
 // scale's defaults (Iris at 100% utilization), then each patch in order,
-// so a later patch's keys win. The struct below is the one list of the
-// keys a patch may set, each pointing at the Config field it sets; an
-// unknown key fails, and so does a value its field's type refuses (the
-// enumerations' UnmarshalText names the valid options).
+// so a later patch's keys win. A key must match one of patchFields' keys
+// exactly and appear once, since the patch's hash sees its bytes as
+// written (encoding/json alone would bind "UTILIZATION" and keep the
+// last of two "utilization"s); a value its field's type refuses fails
+// too (the enumerations' UnmarshalText names the valid options).
 func (s Scale) scenarioConfig(patches ...scenario.Patch) (Config, error) {
 	c := s.config(topo.Iris, 1.0)
 	for _, p := range patches {
 		if len(p) == 0 {
 			continue
 		}
+		if err := checkPatchKeys(p); err != nil {
+			return Config{}, fmt.Errorf("sim: patch %s: %w", p, err)
+		}
 		// Built afresh for each patch: a null value nils its pointer.
-		keys := struct {
-			Topology           *topo.Name        `json:"topology"`
-			Utilization        *float64          `json:"utilization"`
-			PlanUtilization    *float64          `json:"planUtilization"`
-			ShufflePlanIngress *bool             `json:"shufflePlanIngress"`
-			LambdaPerNode      *float64          `json:"lambdaPerNode"`
-			DemandMeanOverride *float64          `json:"demandMeanOverride"`
-			Trace              *TraceKind        `json:"trace"`
-			DiurnalPeriod      *int              `json:"diurnalPeriod"`
-			AppKind            *vnet.Kind        `json:"appKind"`
-			GPU                *bool             `json:"gpu"`
-			Algorithms         *[]core.Algorithm `json:"algorithms"`
-			Quantiles          *int              `json:"quantiles"`
-			PlanWindows        *int              `json:"planWindows"`
-			HistSlots          *int              `json:"histSlots"`
-			OnlineSlots        *int              `json:"onlineSlots"`
-			MeasureFrom        *int              `json:"measureFrom"`
-			MeasureTo          *int              `json:"measureTo"`
-		}{
+		fields := patchFields{
 			&c.Topology, &c.Utilization, &c.PlanUtilization, &c.ShufflePlanIngress,
 			&c.LambdaPerNode, &c.DemandMeanOverride, &c.Trace, &c.DiurnalPeriod,
 			&c.AppKind, &c.GPU, &c.Algorithms, &c.PlanOptions.Quantiles,
@@ -80,11 +99,41 @@ func (s Scale) scenarioConfig(patches ...scenario.Patch) (Config, error) {
 		}
 		dec := json.NewDecoder(bytes.NewReader(p))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&keys); err != nil {
+		if err := dec.Decode(&fields); err != nil {
 			return Config{}, fmt.Errorf("sim: patch %s: %w", p, err)
 		}
 	}
 	return c, nil
+}
+
+// checkPatchKeys refuses a patch key that is not exactly one of
+// patchKeys, and a key that appears twice. Malformed JSON passes: the
+// decode that follows reports it.
+func checkPatchKeys(p scenario.Patch) error {
+	dec := json.NewDecoder(bytes.NewReader(p))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return nil
+	}
+	seen := make(map[string]bool, len(patchKeys))
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return nil
+		}
+		k, _ := t.(string)
+		switch {
+		case !patchKeys[k]:
+			return fmt.Errorf("unknown field %q", k)
+		case seen[k]:
+			return fmt.Errorf("repeated field %q", k)
+		}
+		seen[k] = true
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			return nil
+		}
+	}
+	return nil
 }
 
 // ---- Grid scenarios (aggregate reports over a sweep) ----

@@ -32,6 +32,7 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"null-base","base":null,` + report + `}`))
 	f.Add([]byte(`{"name":"array-base","base":[1],` + report + `}`))
 	f.Add([]byte(`{"name":"dup","base":{"utilization":0.6,"utilization":1.40},` + report + `}`))
+	f.Add([]byte(`{"name":"case","base":{"UTILIZATION":1.2,"Topology":"5gen"},` + report + `}`))
 
 	s := SmokeScale()
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -62,6 +62,11 @@ func TestApplyPatchTranslatesAndValidates(t *testing.T) {
 		{`{"algorithms":["OLIVE","DIJKSTRA"]}`, `unknown algorithm "DIJKSTRA" (valid: OLIVE, QUICKG, FULLG, SLOTOFF)`},
 		{`{"quantile":7}`, `unknown field "quantile"`},
 		{`{"seed":7}`, `unknown field "seed"`},
+		// Keys match exactly and once: the hash sees the bytes as written.
+		{`{"UTILIZATION":1.2}`, `sim: patch {"UTILIZATION":1.2}: unknown field "UTILIZATION"`},
+		{`{"utilization":1.2,"Topology":"5gen"}`, `unknown field "Topology"`},
+		{`{"utilization":0.6,"utilization":1.4}`, `sim: patch {"utilization":0.6,"utilization":1.4}: repeated field "utilization"`},
+		{`{"trace":"caida","histSlots":50,"trace":null}`, `repeated field "trace"`},
 		{`{"appKind":2}`, `appKind`},
 	} {
 		_, err := s.scenarioConfig(scenario.Patch(tc.patch))
