@@ -892,11 +892,11 @@ func (lu *basisLU) nUpdates() int { return lu.nupd }
 // O(m) of order bookkeeping.
 //
 // It reports whether the factorization is still healthy; false asks
-// the caller to refactorize now, and the factorization may then be
-// half-updated. False means: the update limit is reached, the pivot is
-// weak relative to the spike (it would poison every later solve), the
-// new diagonal fails the stability test, or U has filled in to more
-// than twice its size at the refactorization.
+// the caller to refactorize now, before any solve. False means: the
+// update limit is reached, the pivot is weak relative to the spike (it
+// would poison every later solve), the new diagonal fails the
+// stability test, or U and the row etas have filled in past twice U's
+// size at the refactorization.
 func (lu *basisLU) update(r int, w []float64) bool {
 	if lu.nupd+1 >= maxUpdates {
 		return false
