@@ -311,7 +311,7 @@ func fixtureBases(tb testing.TB) []capturedBasis {
 }
 
 // BenchmarkFactorBasis replays the refactorizations of one solve of the
-// seed-4 fixture: one op is all 64 of them. visits/op is the
+// seed-4 fixture: one op is all 42 of them. visits/op is the
 // machine-independent cost TestPivotCountGuard pins; a warm workspace
 // must not allocate.
 func BenchmarkFactorBasis(b *testing.B) {

@@ -194,8 +194,8 @@ type Solution struct {
 	// Iterations counts simplex pivots across both phases.
 	Iterations int
 	// Refactorizations counts basis LU rebuilds (at the update limit,
-	// on U's fill or a failed stability test, plus weak-pivot and repair
-	// refreshes).
+	// on U's fill, a failed stability test or row growth in an update,
+	// plus weak-pivot and repair refreshes).
 	Refactorizations int
 	// PricingScans counts the nonbasic columns examined by pricing
 	// across the solve — the work partial pricing exists to cut.
